@@ -12,19 +12,17 @@ __version__ = "0.1.0"
 
 from .domain import (AmbientPoint, ConeParams, PlanePoint, classify_ambient_point,
                      classify_plane_point, foliation_lipschitz_bound, gamma_curve,
-                     omega_profile, shear_map)
+                     omega_profile)
 from .errors import (ConeStabError, ConfigError, DivergentBoundaryIntegral,
                      JacobianPositivityError, MembershipError, NonSmoothPointError,
                      QuadratureError)
-from .flow import (FlowCoefficients, flow_coefficients, flow_map, flow_partials)
-from .gammafn import gamma
-from .jacobian import (JacobianBreakdown, jacobian_breakdown, jacobian_closed_form,
-                       jacobian_gram_oracle, remainder, remainder_uniform_bound,
-                       wedge_expansion)
+from .flow import FlowCoefficients, flow_coefficients, flow_map
+from .jacobian import (jacobian_closed_form, jacobian_gram_oracle, remainder,
+                       remainder_uniform_bound, wedge_expansion)
 from .quadrature import (LiminfEstimate, QuadratureSpec, boundary_integral,
                          integrate_sigma, liminf_quotient)
 from .stability import (StabilityVerdict, ThresholdResult, instability_witness_n2,
-                        kato_constant, kato_margin, lambda_star, shear_transform_check,
+                        kato_constant, lambda_star, shear_transform_check,
                         stability_sweep)
 from .trial import (TrialFunction, build_trial, is_smooth_point, make_boundary_bump,
                     make_radial_bump, make_shifted_bump, make_tensor_bump, scaled,

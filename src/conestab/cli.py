@@ -29,7 +29,7 @@ from .quadrature import QuadratureSpec
 from .stability import (UNSTABLE, instability_witness_n2, lambda_star,
                         stability_sweep)
 from .trial import battery_descriptors, build_trial
-from .variation import variation_report
+from .variation import DEFAULT_CUTOFFS, variation_report
 from .verify import ALL_SUITES, run_suites
 
 EXIT_OK = 0
@@ -38,7 +38,7 @@ EXIT_QUADRATURE = 3
 EXIT_SUITE_FAILURE = 4
 EXIT_WITNESS = 5
 
-SUITE_VERSIONS = {"package": None, "jacobian": "1", "foliation": "1",
+SUITE_VERSIONS = {"package": None, "jacobian": "2", "foliation": "1",
                   "remainder": "1", "kato": "1"}
 
 _CONFIG_KEYS = {
@@ -57,7 +57,7 @@ class RunConfig:
     lam: float = 0.5
     t0: float | None = None
     levels: int = 8
-    epsilons: tuple = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    epsilons: tuple = DEFAULT_CUTOFFS
     seed: int = 20260810
     quadrature: QuadratureSpec = dataclasses.field(default_factory=QuadratureSpec)
     trial_functions: tuple = ()
@@ -147,10 +147,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 def _jsonable(obj):
     """Recursive converter; floats become full-precision decimal strings."""
-    if isinstance(obj, float):
-        return repr(obj)
-    if isinstance(obj, (np.floating,)):
-        return repr(float(obj))
+    if isinstance(obj, (float, np.floating)):
+        return repr(float(obj))  # np.float64 subclasses float but reprs as np.float64(...)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -318,27 +316,15 @@ def cmd_verify(args) -> int:
 
 
 def _overrides(args) -> dict:
-    keys = ("n", "lambda", "t0", "levels", "seed", "format", "out",
-            "epsilon_cutoff")
-    out = {}
-    for k in keys:
-        v = getattr(args, k.replace("-", "_"), None)
-        if v is None:
-            continue
-        if k == "epsilon_cutoff":
-            # flag override folds into the quadrature spec
-            continue
-        out[k] = v
-    return out
+    """Command-line values; load_config drops the flags left unset (None)."""
+    return {k: getattr(args, k, None)
+            for k in ("n", "lambda", "t0", "levels", "seed", "format", "out")}
 
 
 def _apply_epsilon_cutoff(cfg: RunConfig, args):
     eps = getattr(args, "epsilon_cutoff", None)
     if eps is not None:
-        q = cfg.quadrature
-        cfg.quadrature = QuadratureSpec(q.radial_nodes, q.angular_nodes,
-                                        q.box_nodes_per_axis, q.support_radius,
-                                        epsilon_cutoff=float(eps))
+        cfg.quadrature = dataclasses.replace(cfg.quadrature, epsilon_cutoff=float(eps))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,12 +22,13 @@ __all__ = [
     "PlanePoint",
     "AmbientPoint",
     "omega_profile",
+    "foliation_map",
     "gamma_curve",
     "foliation_lipschitz_bound",
-    "shear_map",
+    "profile_gap",
+    "classify_points",
     "classify_plane_point",
     "classify_ambient_point",
-    "membership_tolerance",
 ]
 
 
@@ -108,14 +109,6 @@ class AmbientPoint:
         return PlanePoint(self.x_prime, self.x_n)
 
 
-def membership_tolerance(vec, tol: float | None = None) -> float:
-    """Absolute tolerance used to classify boundary points: 1e-12*(1+|x|)."""
-    if tol is not None:
-        return float(tol)
-    norm = float(np.linalg.norm(np.asarray(vec, dtype=float)))
-    return 1e-12 * (1.0 + norm)
-
-
 def omega_profile(params: ConeParams, x_prime, t) -> float | np.ndarray:
     """Profile height lam*sqrt(|x'|^2 + t^2).
 
@@ -128,30 +121,59 @@ def omega_profile(params: ConeParams, x_prime, t) -> float | np.ndarray:
     return float(out) if np.ndim(out) == 0 else out
 
 
+def profile_gap(params: ConeParams, pts) -> float | np.ndarray:
+    """Height x_n - profile(x', t) above the profile.
+
+    ``pts`` holds slice points (last axis n, t = 0) or ambient points (last
+    axis n+1, t last); leading batch axes are kept.
+    """
+    pts = np.asarray(pts, dtype=float)
+    if pts.shape[-1] == params.n:
+        return pts[..., -1] - omega_profile(params, pts[..., :-1], 0.0)
+    if pts.shape[-1] == params.n + 1:
+        return pts[..., -2] - omega_profile(params, pts[..., :-2], pts[..., -1])
+    raise ValueError(f"point dimension {pts.shape[-1]} fits neither the slice "
+                     f"({params.n}) nor the container ({params.n + 1})")
+
+
+def classify_points(params: ConeParams, pts, tol: float | None = None) -> np.ndarray:
+    """'interior' / 'boundary' / 'outside' per point, by :func:`profile_gap`.
+
+    A point is 'boundary' when its gap is within ``tol``, by default
+    1e-12*(1+|x|) with |x| the point's Euclidean norm.
+    """
+    pts = np.asarray(pts, dtype=float)
+    gap = profile_gap(params, pts)
+    eps = 1e-12 * (1.0 + np.linalg.norm(pts, axis=-1)) if tol is None else float(tol)
+    return np.where(gap > eps, "interior", np.where(gap >= -eps, "boundary", "outside"))
+
+
 def classify_plane_point(params: ConeParams, x: PlanePoint, tol: float | None = None) -> str:
     """'interior' / 'boundary' / 'outside' relative to the closed slice.
 
     The vertex classifies as 'boundary' (its height equals the profile, both
     zero there).
     """
-    gap = x.x_n - omega_profile(params, x.x_prime, 0.0)
-    eps = membership_tolerance(x.vector, tol)
-    if gap > eps:
-        return "interior"
-    if gap >= -eps:
-        return "boundary"
-    return "outside"
+    return str(classify_points(params, x.vector, tol))
 
 
 def classify_ambient_point(params: ConeParams, p: AmbientPoint, tol: float | None = None) -> str:
     """'interior' / 'boundary' / 'outside' relative to the closed container."""
-    gap = p.x_n - omega_profile(params, p.x_prime, p.t)
-    eps = membership_tolerance(p.vector, tol)
-    if gap > eps:
-        return "interior"
-    if gap >= -eps:
-        return "boundary"
-    return "outside"
+    return str(classify_points(params, p.vector, tol))
+
+
+def foliation_map(params: ConeParams, pts, t) -> np.ndarray:
+    """Foliation points (x', x_n + profile(x', t) - profile(x', 0), t).
+
+    ``pts`` is a (..., n) batch of slice points and ``t`` a scalar or an
+    array of the batch shape; returns (..., n+1).  No membership checks.
+    """
+    pts = np.asarray(pts, dtype=float)
+    t = np.broadcast_to(np.asarray(t, dtype=float), pts.shape[:-1])
+    xp = pts[..., :-1]
+    out = np.concatenate([pts, t[..., None]], axis=-1)
+    out[..., -2] += omega_profile(params, xp, t) - omega_profile(params, xp, 0.0)
+    return out
 
 
 def gamma_curve(params: ConeParams, x: PlanePoint, t: float) -> AmbientPoint:
@@ -167,8 +189,8 @@ def gamma_curve(params: ConeParams, x: PlanePoint, t: float) -> AmbientPoint:
             f"gamma_curve: point with height {x.x_n} lies below the profile "
             f"{omega_profile(params, x.x_prime, 0.0)}"
         )
-    lift = omega_profile(params, x.x_prime, t) - omega_profile(params, x.x_prime, 0.0)
-    return AmbientPoint(x.x_prime, x.x_n + lift, float(t))
+    out = foliation_map(params, x.vector, float(t))
+    return AmbientPoint(out[:-2], out[-2], out[-1])
 
 
 def foliation_lipschitz_bound(params: ConeParams) -> float:
@@ -178,17 +200,3 @@ def foliation_lipschitz_bound(params: ConeParams) -> float:
     profile itself is lam-Lipschitz.
     """
     return 1.0 + 2.0 * params.lam
-
-
-def shear_map(params: ConeParams, x) -> np.ndarray:
-    """Unit-Jacobian flattening (x', x_n) -> (x', x_n + lam*|x'|).
-
-    Maps the open half-space x_n > 0 onto the open slice; accepts a single
-    vector or a batch with points on the last axis.
-    """
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts).copy()
-    r = np.linalg.norm(pts[..., :-1], axis=-1)
-    pts[..., -1] += params.lam * r
-    return pts[0] if single else pts

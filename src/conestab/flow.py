@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AmbientPoint, ConeParams, PlanePoint, classify_plane_point
+from .domain import (AmbientPoint, ConeParams, PlanePoint, classify_plane_point,
+                     foliation_map)
 from .errors import MembershipError, NonSmoothPointError
 from .trial import TrialFunction, is_smooth_point
 
 __all__ = [
     "FlowCoefficients",
     "flow_map",
-    "flow_partials",
     "flow_coefficients",
     "flow_map_batch",
     "flow_coefficients_batch",
@@ -56,14 +56,12 @@ class FlowCoefficients:
 
 def flow_map_batch(params: ConeParams, f: TrialFunction, pts: np.ndarray,
                    t: float) -> np.ndarray:
-    """Flow images of a (..., n) batch, as a (..., n+1) array. No checks."""
+    """Flow images of a (..., n) batch, as a (..., n+1) array. No checks.
+
+    Each image is the foliation point at parameter t*f(x).
+    """
     pts = np.asarray(pts, dtype=float)
-    xp = pts[..., :-1]
-    xn = pts[..., -1]
-    r = np.linalg.norm(xp, axis=-1)
-    fv = f.evaluator(pts)
-    lifted = params.lam * np.sqrt(r * r + (t * fv) ** 2) + xn - params.lam * r
-    return np.concatenate([xp, lifted[..., None], (t * fv)[..., None]], axis=-1)
+    return foliation_map(params, pts, t * f.evaluator(pts))
 
 
 def flow_map(params: ConeParams, f: TrialFunction, x: PlanePoint, t: float) -> AmbientPoint:
@@ -115,18 +113,6 @@ def flow_coefficients(params: ConeParams, f: TrialFunction, x: PlanePoint,
     """Coefficients at a single smooth point (checked)."""
     _require_smooth(params, f, x)
     return flow_coefficients_batch(params, f, x.vector, float(t))
-
-
-def flow_partials(params: ConeParams, f: TrialFunction, x: PlanePoint,
-                  t: float) -> np.ndarray:
-    """The n ambient partial-derivative vectors at a smooth point.
-
-    Returns an (n, n+1) array whose i-th row is e_i + alpha_i e_n +
-    beta_i e_(n+1); cross-validated against finite differences of the flow
-    map in the test suite.
-    """
-    coeffs = flow_coefficients(params, f, x, t)
-    return partials_from_coefficients(coeffs)
 
 
 def partials_from_coefficients(coeffs: FlowCoefficients) -> np.ndarray:

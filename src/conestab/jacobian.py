@@ -14,36 +14,21 @@ that survives as t -> 0 scaled by t^2, and the higher-order remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .domain import ConeParams, PlanePoint
+from .domain import ConeParams
 from .errors import QuadratureError
-from .flow import FlowCoefficients, flow_coefficients, flow_coefficients_batch, \
-    partials_from_coefficients
+from .flow import FlowCoefficients
 from .trial import TrialFunction
 
 __all__ = [
-    "JacobianBreakdown",
     "jacobian_closed_form",
     "jacobian_gram_oracle",
     "wedge_expansion",
     "remainder",
     "main_term_batch",
-    "jacobian_breakdown",
     "remainder_uniform_bound",
 ]
-
-
-@dataclass(frozen=True)
-class JacobianBreakdown:
-    """J^2 at one point, split into its three verification routes."""
-
-    j_squared: float
-    main_term: float
-    remainder: float
-    gram_value: float
 
 
 def _split(coeffs: FlowCoefficients):
@@ -115,17 +100,6 @@ def main_term_batch(params: ConeParams, f: TrialFunction, pts: np.ndarray,
     inv_s = np.where(s > 0.0, 1.0 / np.where(s > 0.0, s, 1.0), 0.0)
     grad_sq = np.sum(gv * gv, axis=-1)
     return 1.0 + t * t * (grad_sq + 2.0 * params.lam * fv * gv[..., -1] * inv_s)
-
-
-def jacobian_breakdown(params: ConeParams, f: TrialFunction, x: PlanePoint,
-                       t: float) -> JacobianBreakdown:
-    """All four views of J^2 at one smooth point of the flow."""
-    coeffs = flow_coefficients(params, f, x, t)
-    j2 = jacobian_closed_form(coeffs)
-    rem = remainder(coeffs)
-    gram = jacobian_gram_oracle(partials_from_coefficients(coeffs))
-    main = float(main_term_batch(params, f, x.vector[None, :], t)[0])
-    return JacobianBreakdown(j_squared=j2, main_term=main, remainder=rem, gram_value=gram)
 
 
 def remainder_uniform_bound(params: ConeParams, f: TrialFunction) -> float:

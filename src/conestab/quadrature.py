@@ -94,29 +94,35 @@ def sphere_grid(d: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Product grid on the unit sphere S^d in R^(d+1).
 
     d = 0 is the two-point sphere {-1, +1} with counting measure; d = 1 a
-    uniform circle; d >= 2 a latitude-longitude product with the polar
-    sine weights.  Weights sum to the sphere measure.
+    uniform circle; d >= 2 a latitude-longitude product x = (cos t, sin t y)
+    with y on S^(d-1) and weight sin^(d-1) t dt.  For even d the polar rule
+    is Gauss-Legendre in z = cos t, where the weight is the polynomial
+    (1 - z^2)^((d-2)/2); for odd d it is the midpoint rule in t, exact for
+    the trigonometric polynomial sin^(d-1) t.  Weights sum to the sphere
+    measure.
     """
     if d < 0:
         raise ValueError("sphere dimension must be >= 0")
     if d == 0:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    m = angular_nodes
     if d == 1:
-        m = angular_nodes
         phi = 2.0 * np.pi * (np.arange(m) + 0.5) / m
         pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
         return pts, np.full(m, 2.0 * np.pi / m)
-    # polar angles theta_1..theta_{d-1} in (0, pi), azimuth in (0, 2*pi)
-    m = angular_nodes
-    theta = np.pi * (np.arange(m) + 0.5) / m
-    dtheta = np.pi / m
-    base_pts, base_w = sphere_grid(d - 1, angular_nodes)
-    # x = (cos t, sin t * y) with y on S^(d-1); weight sin^(d-1) t
+    if d % 2 == 0:
+        cos_t, wz = gauss_legendre(-1.0, 1.0, m)
+        sin_t = np.sqrt(1.0 - cos_t * cos_t)
+        w_polar = wz * sin_t ** (d - 2)
+    else:
+        theta = np.pi * (np.arange(m) + 0.5) / m
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        w_polar = sin_t ** (d - 1) * (np.pi / m)
+    base_pts, base_w = sphere_grid(d - 1, m)
     pts = np.concatenate(
-        [np.repeat(np.cos(theta), base_pts.shape[0])[:, None],
-         np.kron(np.sin(theta)[:, None], base_pts)], axis=1)
-    w = np.kron((np.sin(theta) ** (d - 1)) * dtheta, base_w)
-    return pts, w
+        [np.repeat(cos_t, base_pts.shape[0])[:, None],
+         np.kron(sin_t[:, None], base_pts)], axis=1)
+    return pts, np.kron(w_polar, base_w)
 
 
 @lru_cache(maxsize=8)
@@ -186,13 +192,6 @@ def integrate_sigma(params: ConeParams, integrand: Callable[[np.ndarray], np.nda
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("integrand produced non-finite values at quadrature nodes")
     return compensated_sum(vals * weights)
-
-
-def quadrature_error_estimate(spec: QuadratureSpec, params: ConeParams) -> float:
-    """Crude absolute error proxy: the default target of 1e-6 per unit of
-    support volume, scaled by the integration box."""
-    vol = spec.support_radius ** params.n
-    return 1e-6 * max(1.0, vol)
 
 
 # -- boundary trace integral --------------------------------------------------

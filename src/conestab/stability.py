@@ -22,17 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ConeParams
-from .gammafn import gamma
 from .quadrature import QuadratureSpec, boundary_integral, integrate_sigma
 from .trial import TrialFunction, make_boundary_bump
-from .variation import dirichlet_energy
+from .variation import cutoff_ladder, dirichlet_energy
 
 __all__ = [
     "ThresholdResult",
     "StabilityVerdict",
     "kato_constant",
     "lambda_star",
-    "kato_margin",
     "shear_transform_check",
     "instability_witness_n2",
     "stability_sweep",
@@ -84,7 +82,7 @@ def kato_constant(n: int) -> float:
         raise ValueError(
             f"kato_constant requires integer n >= 3, got {n!r} (the n = 2 "
             "slice is unconditionally unstable; use the witness API)")
-    return 2.0 * (gamma(n / 4.0) / gamma((n - 2) / 4.0)) ** 2
+    return 2.0 * (math.gamma(n / 4.0) / math.gamma((n - 2) / 4.0)) ** 2
 
 
 def lambda_star(n: int) -> ThresholdResult:
@@ -122,15 +120,6 @@ def lambda_star(n: int) -> ThresholdResult:
     return ThresholdResult(n=n, k_n=k, lambda_star=root, residual=res)
 
 
-def kato_margin(params: ConeParams, f: TrialFunction, spec: QuadratureSpec) -> float:
-    """Dirichlet energy minus (K_n/(1+lam)^2) times the weighted trace
-    integral; nonnegative for every admissible field (n >= 3)."""
-    k = kato_constant(params.n)
-    energy = dirichlet_energy(params, f, spec)
-    trace = boundary_integral(params, f, spec)
-    return energy - k / (1.0 + params.lam) ** 2 * trace
-
-
 def shear_transform_check(params: ConeParams, f: TrialFunction,
                           spec: QuadratureSpec) -> tuple[float, float, float]:
     """(E_f, E_g, trace) for the flattening reduction, n >= 3.
@@ -165,18 +154,6 @@ def shear_transform_check(params: ConeParams, f: TrialFunction,
     return energy_f, energy_g, trace
 
 
-def regularized_second_variation(params: ConeParams, f: TrialFunction,
-                                 epsilon: float, spec: QuadratureSpec) -> float:
-    """Closed-form second variation with the trace integral cut off at
-    radius ``epsilon`` -- the quantity whose drift to -inf witnesses the
-    two-dimensional instability."""
-    reg = QuadratureSpec(spec.radial_nodes, spec.angular_nodes,
-                         spec.box_nodes_per_axis, spec.support_radius,
-                         epsilon_cutoff=float(epsilon))
-    diri = dirichlet_energy(params, f, spec)
-    return 0.5 * diri - 0.5 * params.lam * boundary_integral(params, f, reg)
-
-
 def instability_witness_n2(params: ConeParams, epsilons,
                            spec: QuadratureSpec | None = None,
                            f: TrialFunction | None = None) -> StabilityVerdict:
@@ -199,18 +176,17 @@ def instability_witness_n2(params: ConeParams, epsilons,
         return StabilityVerdict(
             regime=INCONCLUSIVE, detail="vertex value is zero: trace integral "
             "finite, divergence hypothesis not applicable")
-    vals = np.array([regularized_second_variation(params, f, e, spec) for e in eps])
-    logs = np.log(1.0 / np.asarray(eps))
-    slope, _ = np.polyfit(logs, vals, 1)
+    ladder = cutoff_ladder(params, f, dirichlet_energy(params, f, spec), spec, eps)
+    vals, slope = ladder.values, ladder.slope
     expected = -params.lam * f.value_at_vertex ** 2
     decreasing = bool(np.all(np.diff(vals) < 0.0))
     slope_ok = abs(slope - expected) <= 0.1 * abs(expected)
     if decreasing and slope_ok:
-        return StabilityVerdict(regime=UNSTABLE, witness=f, margin=float(vals[-1]),
-                                margins=tuple(vals),
+        return StabilityVerdict(regime=UNSTABLE, witness=f, margin=vals[-1],
+                                margins=vals,
                                 detail=f"regularized values drift with slope {slope:.6g} "
                                        f"per log(1/eps), expected {expected:.6g}")
-    return StabilityVerdict(regime=INCONCLUSIVE, margins=tuple(vals),
+    return StabilityVerdict(regime=INCONCLUSIVE, margins=vals,
                             detail=f"fit failed: slope {slope:.6g} vs expected "
                                    f"{expected:.6g}, decreasing={decreasing}")
 

@@ -16,7 +16,7 @@ certificate instead of a bare sentinel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,10 +36,13 @@ __all__ = [
     "dirichlet_energy",
     "second_variation_closed_form",
     "variation_report",
+    "cutoff_ladder",
     "regularized_boundary_functional",
 ]
 
 DEFAULT_LEVELS = 10
+# Trace cutoffs of the two-dimensional divergence ladder, largest first.
+DEFAULT_CUTOFFS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -100,24 +103,26 @@ def dirichlet_energy(params: ConeParams, f: TrialFunction, spec: QuadratureSpec)
         params, lambda pts: np.sum(f.gradient(pts) ** 2, axis=-1), spec)
 
 
-def _closed_form_fields(params: ConeParams, f: TrialFunction, spec: QuadratureSpec,
-                        epsilons=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)):
+def cutoff_ladder(params: ConeParams, f: TrialFunction, energy: float,
+                  spec: QuadratureSpec, epsilons=DEFAULT_CUTOFFS) -> LogDivergenceCertificate:
+    """Values (1/2) energy - (1/2) lam * trace integral cut off at each radius
+    in ``epsilons`` (sorted largest first), with their least-squares line
+    against log(1/cutoff).  ``energy`` is the Dirichlet energy of f."""
+    eps = tuple(sorted((float(e) for e in epsilons), reverse=True))
+    vals = tuple(0.5 * energy - 0.5 * params.lam
+                 * boundary_integral(params, f, replace(spec, epsilon_cutoff=e))
+                 for e in eps)
+    slope, intercept = np.polyfit(np.log(1.0 / np.asarray(eps)), np.asarray(vals), 1)
+    return LogDivergenceCertificate(epsilons=eps, values=vals,
+                                    slope=float(slope), intercept=float(intercept))
+
+
+def _closed_form_fields(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
     """(dirichlet, boundary_term, closed_form, certificate-or-None)."""
     diri = dirichlet_energy(params, f, spec)
     if params.n == 2 and f.value_at_vertex != 0.0 and spec.epsilon_cutoff == 0.0:
         # divergent verdict with the fitted log slope as evidence
-        eps = tuple(sorted(epsilons, reverse=True))
-        vals = []
-        for e in eps:
-            reg = QuadratureSpec(spec.radial_nodes, spec.angular_nodes,
-                                 spec.box_nodes_per_axis, spec.support_radius,
-                                 epsilon_cutoff=e)
-            vals.append(0.5 * diri - 0.5 * params.lam * boundary_integral(params, f, reg))
-        logs = np.log(1.0 / np.asarray(eps))
-        slope, intercept = np.polyfit(logs, np.asarray(vals), 1)
-        cert = LogDivergenceCertificate(epsilons=eps, values=tuple(vals),
-                                        slope=float(slope), intercept=float(intercept))
-        return diri, float("-inf"), float("-inf"), cert
+        return diri, float("-inf"), float("-inf"), cutoff_ladder(params, f, diri, spec)
     bdry = boundary_integral(params, f, spec)
     boundary_term = -0.5 * params.lam * bdry
     return diri, boundary_term, 0.5 * diri + boundary_term, None

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conestab.domain import (AmbientPoint, ConeParams, PlanePoint, classify_ambient_point,
-                             classify_plane_point, foliation_lipschitz_bound, gamma_curve,
-                             omega_profile, shear_map)
+                             classify_plane_point, classify_points, foliation_lipschitz_bound,
+                             foliation_map, gamma_curve, omega_profile)
 from conestab.errors import MembershipError
 
 
@@ -128,18 +128,31 @@ def test_foliation_lipschitz_property_sampled(rng):
             assert lhs <= bound * rhs * (1 + 1e-12) + 1e-12
 
 
-def test_shear_map_flattens_boundary():
-    params = ConeParams(3, 2.0)
-    assert np.allclose(shear_map(params, [3.0, 4.0, 1.0]), [3.0, 4.0, 11.0])
-    # lam = 0 is the identity
-    assert np.allclose(shear_map(ConeParams(3, 0.0), [3.0, 4.0, 1.0]), [3.0, 4.0, 1.0])
-    # half-space boundary lands on the slice boundary
-    params2 = ConeParams(2, 1.0)
-    out = shear_map(params2, [0.7, 0.0])
-    assert classify_plane_point(params2, PlanePoint(out[:-1], out[-1])) == "boundary"
-
-
 def test_ambient_membership():
     params = ConeParams(2, 1.0)
     assert classify_ambient_point(params, AmbientPoint([0.0], 1.0, 0.5)) == "interior"
     assert classify_ambient_point(params, AmbientPoint([1.0], 0.0, 0.0)) == "outside"
+
+
+def test_array_forms_match_single_point_wrappers(rng):
+    """Batch foliation points and labels equal the single-point wrappers'."""
+    params = ConeParams(3, 0.9)
+    xp = rng.normal(size=(50, 2))
+    heights = params.lam * np.linalg.norm(xp, axis=1) + rng.uniform(-0.5, 1.5, size=50)
+    heights[:10] = omega_profile(params, xp[:10], 0.0)  # on the slice boundary
+    pts = np.concatenate([xp, heights[:, None]], axis=1)
+    ts = rng.uniform(-2, 2, size=50)
+    labels = classify_points(params, pts)
+    inside = labels != "outside"
+    images = foliation_map(params, pts[inside], ts[inside])
+    ambient = classify_points(params, images)
+    for i, k in enumerate(np.flatnonzero(inside)):
+        x = PlanePoint(pts[k, :-1], pts[k, -1])
+        assert labels[k] == classify_plane_point(params, x)
+        single = gamma_curve(params, x, ts[k])
+        assert np.array_equal(images[i], single.vector)
+        assert ambient[i] == classify_ambient_point(params, single)
+    assert set(labels) == {"interior", "boundary", "outside"}
+    assert np.all(ambient[:10] == "boundary")
+    with pytest.raises(ValueError):
+        classify_points(params, np.zeros((2, 5)))

@@ -8,7 +8,7 @@ import pytest
 from conestab.domain import ConeParams, PlanePoint, classify_ambient_point, omega_profile
 from conestab.errors import MembershipError, NonSmoothPointError
 from conestab.flow import (flow_coefficients, flow_coefficients_batch, flow_map,
-                           flow_map_batch, flow_partials)
+                           flow_map_batch, partials_from_coefficients)
 from conestab.trial import (make_boundary_bump, make_radial_bump, make_tensor_bump,
                             sample_smooth_points)
 
@@ -115,7 +115,8 @@ def test_dimension_mismatch_rejected():
 def test_partials_identity_at_time_zero():
     params = ConeParams(3, 0.7)
     f = make_radial_bump([0.0, 0.0, 1.0], 0.7, 3)
-    v = flow_partials(params, f, PlanePoint([0.2, 0.3], 1.4), 0.0)
+    c = flow_coefficients(params, f, PlanePoint([0.2, 0.3], 1.4), 0.0)
+    v = partials_from_coefficients(c)
     assert v.shape == (3, 4)
     assert np.allclose(v, np.eye(3, 4))
 
@@ -124,7 +125,8 @@ def test_partials_constant_field_gives_shear_rows():
     params = ConeParams(3, 1.0)
     x = np.array([1.0, 0.0, 2.0])
     f = tensor_plateau_at(x, 3)
-    v = flow_partials(params, f, PlanePoint(x[:-1], x[-1]), 1.0)
+    c = flow_coefficients(params, f, PlanePoint(x[:-1], x[-1]), 1.0)
+    v = partials_from_coefficients(c)
     # the axis-direction row stays e_n when the field is locally constant
     assert np.allclose(v[-1], [0.0, 0.0, 1.0, 0.0])
     assert v[0, 2] == pytest.approx(1.0 / math.sqrt(2.0) - 1.0)
@@ -133,10 +135,10 @@ def test_partials_constant_field_gives_shear_rows():
 def test_partials_reject_non_smooth_points():
     params = ConeParams(3, 0.7)
     f = make_radial_bump([0.0, 0.0, 1.0], 0.5, 3)
-    with pytest.raises(NonSmoothPointError):
-        flow_partials(params, f, PlanePoint([0.0, 0.0], 1.5), 0.2)  # axis
-    with pytest.raises(NonSmoothPointError):
-        flow_partials(params, f, PlanePoint([0.0, 0.0], 1.0), 0.2)  # bump tip
+    for x in (PlanePoint([0.0, 0.0], 1.5),   # axis
+              PlanePoint([0.0, 0.0], 1.0)):  # bump tip
+        with pytest.raises(NonSmoothPointError):
+            partials_from_coefficients(flow_coefficients(params, f, x, 0.2))
 
 
 def test_partials_match_finite_differences(rng):
@@ -148,9 +150,7 @@ def test_partials_match_finite_differences(rng):
     for f in fields:
         pts = sample_smooth_points(params, f, rng, 60, margin=2e-3)
         for t in (0.1, 0.7):
-            coeffs = flow_coefficients_batch(params, f, pts, t)
-            from conestab.flow import partials_from_coefficients
-            v = partials_from_coefficients(coeffs)
+            v = partials_from_coefficients(flow_coefficients_batch(params, f, pts, t))
             for j in range(3):
                 e = np.zeros(3)
                 e[j] = step

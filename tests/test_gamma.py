@@ -1,10 +1,9 @@
-"""Certification of the Gamma implementation against 30-digit references."""
-
-import math
+"""The Gamma values behind the trace constant K_n, against 30-digit
+references."""
 
 import pytest
 
-from conestab.gammafn import gamma
+from conestab.stability import kato_constant
 
 # 30-digit references at quarter integers (independent high-precision source).
 QUARTER_INTEGER_REFERENCES = {
@@ -29,33 +28,11 @@ QUARTER_INTEGER_REFERENCES = {
 
 @pytest.mark.parametrize("z,ref", sorted(QUARTER_INTEGER_REFERENCES.items()))
 def test_quarter_integer_certification(z, ref):
-    # contract: relative error <= 1e-13 on [0.25, 2]; we hold the whole table
-    # to that bar
-    assert abs(gamma(z) - ref) <= 1e-13 * ref
-
-
-def test_exact_special_values():
-    assert gamma(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert gamma(5.0) == pytest.approx(24.0, rel=1e-13)
-
-
-def test_recurrence_on_a_grid():
-    z = 0.3
-    while z < 8.0:
-        assert gamma(z + 1.0) == pytest.approx(z * gamma(z), rel=1e-12)
-        z += 0.37
-
-
-def test_large_arguments_stay_accurate():
-    # needed up to n/4 = 16 by the threshold table
-    assert gamma(16.0) == pytest.approx(math.factorial(15), rel=1e-12)
-
-
-def test_poles_rejected():
-    with pytest.raises(ValueError):
-        gamma(0.0)
-    with pytest.raises(ValueError):
-        gamma(-2.0)
-    with pytest.raises(ValueError):
-        gamma(float("nan"))
+    """Every K_n = 2 Gamma(n/4)^2 / Gamma((n-2)/4)^2 with 3 <= n <= 16 that
+    has Gamma(z) as a factor matches the references within 1e-13."""
+    gamma = QUARTER_INTEGER_REFERENCES
+    dims = [n for n in range(3, 17) if z in (n / 4, (n - 2) / 4)]
+    assert dims
+    for n in dims:
+        exact = 2.0 * (gamma[n / 4] / gamma[(n - 2) / 4]) ** 2
+        assert abs(kato_constant(n) - exact) <= 1e-13 * exact

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conestab.domain import ConeParams, PlanePoint
+from conestab.domain import ConeParams
 from conestab.errors import QuadratureError
 from conestab.flow import FlowCoefficients, flow_coefficients_batch, partials_from_coefficients
-from conestab.jacobian import (jacobian_breakdown, jacobian_closed_form,
-                               jacobian_gram_oracle, main_term_batch, remainder,
-                               remainder_uniform_bound, wedge_expansion)
+from conestab.jacobian import (jacobian_closed_form, jacobian_gram_oracle, main_term_batch,
+                               remainder, remainder_uniform_bound, wedge_expansion)
 from conestab.trial import make_radial_bump, make_tensor_bump, sample_smooth_points
 
 SEED = 20260810
@@ -139,11 +138,3 @@ def test_positivity_at_genuine_coefficients(rng):
         j2 = jacobian_closed_form(flow_coefficients_batch(params, f, pts, t))
         assert np.min(j2) > 0.0
 
-
-def test_breakdown_consistency_at_a_point():
-    params = ConeParams(3, 0.9)
-    f = make_radial_bump([0.0, 0.0, 1.2], 0.8, 3)
-    b = jacobian_breakdown(params, f, PlanePoint([0.3, 0.2], 1.3), 0.2)
-    assert b.j_squared == pytest.approx(b.main_term + b.remainder, rel=1e-12)
-    assert b.j_squared == pytest.approx(b.gram_value, rel=1e-10)
-    assert b.j_squared > 0

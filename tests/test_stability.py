@@ -8,10 +8,11 @@ import pytest
 from conestab.domain import ConeParams
 from conestab.quadrature import QuadratureSpec
 from conestab.stability import (INCONCLUSIVE, PROVEN_STABLE, UNSTABLE,
-                                instability_witness_n2, kato_constant, kato_margin,
-                                lambda_star, shear_transform_check, stability_sweep)
+                                instability_witness_n2, kato_constant, lambda_star,
+                                shear_transform_check, stability_sweep)
 from conestab.trial import (make_boundary_bump, make_radial_bump, scaled,
                             standard_battery)
+from conestab.verify import kato_suite
 
 # frozen high-precision references
 K3_REFERENCE = 0.2284732905222318
@@ -68,24 +69,21 @@ def test_threshold_monotone_in_dimension():
 def test_margin_zero_field():
     params = ConeParams(3, 0.2)
     zero = scaled(make_boundary_bump(1.0, 3), 0.0)
-    assert kato_margin(params, zero, SPEC3) == 0.0
+    assert stability_sweep(params, [zero], SPEC3).margins == (0.0,)
 
 
 def test_margin_interior_field_is_dirichlet_energy():
     params = ConeParams(3, 0.2)
     f = make_radial_bump([0.0, 0.0, 2.0], 0.8, 3)
-    m = kato_margin(params, f, SPEC3)
+    (m,) = stability_sweep(params, [f], SPEC3).margins
     assert m > 0.5  # boundary term vanishes; pure Dirichlet energy remains
 
 
 def test_margin_battery_nonnegative():
-    for n in (3, 4):
-        thr = lambda_star(n)
-        spec = SPEC3 if n == 3 else QuadratureSpec(40, 10, 40, 3.1)
-        for lam in (0.0, thr.lambda_star):
-            params = ConeParams(n, lam)
-            for f in standard_battery(n, 6):
-                assert kato_margin(params, f, spec) >= -1e-8
+    specs = {3: SPEC3, 4: QuadratureSpec(40, 10, 40, 3.1)}
+    res = kato_suite(dims=(3, 4), battery_size=6, specs=specs)
+    assert res.passed, res.detail
+    assert res.worst_error >= -1e-8
 
 
 def test_shear_check_identity_at_flat_aperture():

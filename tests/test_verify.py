@@ -1,7 +1,11 @@
 """The randomized invariant suites at reduced sample counts."""
 
+import numpy as np
 import pytest
 
+from conestab import verify
+from conestab.domain import (ConeParams, PlanePoint, classify_ambient_point,
+                             foliation_lipschitz_bound, gamma_curve, omega_profile)
 from conestab.quadrature import QuadratureSpec
 from conestab.verify import (foliation_suite, jacobian_suite, kato_suite,
                              remainder_suite, run_suites)
@@ -16,6 +20,28 @@ def test_jacobian_suite_passes():
     assert res.samples >= 4 * 2000 + 400
 
 
+def test_jacobian_suite_flow_samples_are_distinct(monkeypatch):
+    """Each of the five flow times checks its own points: 5 * per distinct
+    rows per field, all of them counted in ``samples``."""
+    seen = []
+    original = verify.flow_coefficients_batch
+
+    def recording(params, f, pts, t):
+        seen.append((f.label, np.array(pts)))
+        return original(params, f, pts, t)
+
+    monkeypatch.setattr(verify, "flow_coefficients_batch", recording)
+    res = jacobian_suite(flow_samples=400, seed=SEED, dims=())
+    per = 400 // 10
+    labels = sorted({label for label, _ in seen})
+    assert len(labels) == 2 and len(seen) == 10
+    for label in labels:
+        rows = np.concatenate([pts for lab, pts in seen if lab == label])
+        assert rows.shape[0] == 5 * per
+        assert np.unique(rows, axis=0).shape[0] == 5 * per
+    assert res.samples == 10 * per
+
+
 def test_jacobian_suite_negative_control():
     # the deliberately corrupted closed form must trip the suite
     res = jacobian_suite(random_draws=500, flow_samples=100, seed=SEED,
@@ -28,6 +54,47 @@ def test_foliation_suite_passes():
     res = foliation_suite(pairs=300, seed=SEED)
     assert res.passed
     assert "0 violations" in res.detail
+
+
+def _foliation_suite_loop(pairs, seed, lams=(0.0, 0.3, 1.0, 2.5), dims=(2, 3)):
+    """Per-pair reference for foliation_suite, on the single-point API."""
+    rng = np.random.default_rng(seed)
+    violations, worst, total = 0, 0.0, 0
+    per = max(1, pairs // (len(lams) * len(dims)))
+    for n in dims:
+        for lam in lams:
+            params = ConeParams(n, lam)
+            bound = foliation_lipschitz_bound(params)
+            xs, ys, bs = (verify._sample_slice_points(params, rng, per, boundary=b)
+                          for b in (False, False, True))
+            ts = rng.uniform(-2.0, 2.0, size=per)
+            us = rng.uniform(-2.0, 2.0, size=per)
+            for i in range(per):
+                total += 1
+                x, y, b = (PlanePoint(p[i, :-1], p[i, -1]) for p in (xs, ys, bs))
+                t, u = float(ts[i]), float(us[i])
+                gx, gy = gamma_curve(params, x, t), gamma_curve(params, y, u)
+                if np.max(np.abs(gamma_curve(params, x, u).vector - gy.vector)) == 0.0:
+                    violations += 1
+                gb = gamma_curve(params, b, t)
+                worst = max(worst, abs(gb.x_n - omega_profile(params, gb.x_prime, gb.t)))
+                violations += classify_ambient_point(params, gb) != "boundary"
+                violations += classify_ambient_point(params, gx) == "outside"
+                lhs = float(np.linalg.norm(gx.vector - gy.vector))
+                rhs = (np.linalg.norm(x.x_prime - y.x_prime)
+                       + abs(x.x_n - y.x_n) + abs(t - u))
+                if lhs > bound * rhs * (1.0 + 1e-12) + 1e-12:
+                    violations += 1
+                    worst = max(worst, lhs - bound * rhs)
+    return violations, worst, total
+
+
+def test_foliation_suite_matches_per_pair_loop():
+    for seed in (SEED, 101):
+        res = foliation_suite(pairs=400, seed=seed)
+        violations, worst, total = _foliation_suite_loop(400, seed)
+        assert (res.passed, res.worst_error, res.samples) == (violations == 0, worst, total)
+        assert res.detail == f"{violations} violations over {total} sampled pairs"
 
 
 def test_remainder_suite_passes():

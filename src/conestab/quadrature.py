@@ -33,6 +33,8 @@ __all__ = [
     "boundary_integral",
     "liminf_quotient",
     "sigma_grid",
+    "support_sample",
+    "trace_radius",
     "trace_grid",
     "sphere_grid",
     "gauss_legendre",
@@ -72,6 +74,17 @@ class QuadratureSpec:
             raise ValueError(f"epsilon_cutoff must be >= 0, got {self.epsilon_cutoff!r}")
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=_MAX_NODES_PER_PANEL)
+def _leggauss(m: int):
+    return _read_only(*np.polynomial.legendre.leggauss(m))
+
+
 def gauss_legendre(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule with m total nodes on (a, b)."""
     panels = max(1, math.ceil(m / _MAX_NODES_PER_PANEL))
@@ -83,13 +96,14 @@ def gauss_legendre(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
         mk = base + (1 if k < extra else 0)
         if mk == 0:
             continue
-        x0, w0 = np.polynomial.legendre.leggauss(mk)
+        x0, w0 = _leggauss(mk)
         lo, hi = edges[k], edges[k + 1]
         xs.append(0.5 * (hi - lo) * x0 + 0.5 * (hi + lo))
         ws.append(0.5 * (hi - lo) * w0)
     return np.concatenate(xs), np.concatenate(ws)
 
 
+@lru_cache(maxsize=32)
 def sphere_grid(d: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Product grid on the unit sphere S^d in R^(d+1).
 
@@ -99,17 +113,17 @@ def sphere_grid(d: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     is Gauss-Legendre in z = cos t, where the weight is the polynomial
     (1 - z^2)^((d-2)/2); for odd d it is the midpoint rule in t, exact for
     the trigonometric polynomial sin^(d-1) t.  Weights sum to the sphere
-    measure.
+    measure.  Cached per (d, angular_nodes); the arrays are read-only.
     """
     if d < 0:
         raise ValueError("sphere dimension must be >= 0")
     if d == 0:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+        return _read_only(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
     m = angular_nodes
     if d == 1:
         phi = 2.0 * np.pi * (np.arange(m) + 0.5) / m
         pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-        return pts, np.full(m, 2.0 * np.pi / m)
+        return _read_only(pts, np.full(m, 2.0 * np.pi / m))
     if d % 2 == 0:
         cos_t, wz = gauss_legendre(-1.0, 1.0, m)
         sin_t = np.sqrt(1.0 - cos_t * cos_t)
@@ -122,7 +136,7 @@ def sphere_grid(d: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     pts = np.concatenate(
         [np.repeat(cos_t, base_pts.shape[0])[:, None],
          np.kron(sin_t[:, None], base_pts)], axis=1)
-    return pts, np.kron(w_polar, base_w)
+    return _read_only(pts, np.kron(w_polar, base_w))
 
 
 @lru_cache(maxsize=8)
@@ -144,10 +158,7 @@ def _sigma_grid_cached(n: int, lam: float, radial_nodes: int, angular_nodes: int
     radii = np.repeat(R, m_y)
     pts[:, n - 1] = np.tile(y, m_pol) + lam * radii
     weights = np.repeat(wpol, m_y) * np.tile(wy, m_pol)
-    pts.setflags(write=False)
-    weights.setflags(write=False)
-    radii.setflags(write=False)
-    return pts, weights, radii
+    return _read_only(pts, weights, radii)
 
 
 def sigma_grid(params: ConeParams, spec: QuadratureSpec):
@@ -159,6 +170,22 @@ def sigma_grid(params: ConeParams, spec: QuadratureSpec):
     return _sigma_grid_cached(params.n, params.lam, spec.radial_nodes,
                               spec.angular_nodes, spec.box_nodes_per_axis,
                               spec.support_radius)
+
+
+@lru_cache(maxsize=1)
+def support_sample(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
+    """Read-only (pts, weights, radii, grad f) at the sigma-grid nodes where
+    f != 0, in grid order; sums over them drop only exact zeros (see
+    :class:`TrialFunction`).  Non-finite values are rejected.  One entry is
+    cached, as callers finish one field before moving to the next."""
+    pts, weights, radii = sigma_grid(params, spec)
+    fv = f.evaluator(pts)
+    mask = fv != 0.0
+    sub = pts[mask]
+    grads = f.gradient(sub)
+    if not (np.all(np.isfinite(fv[mask])) and np.all(np.isfinite(grads))):
+        raise QuadratureError("field or gradient non-finite at quadrature nodes")
+    return _read_only(sub, weights[mask], radii[mask], grads)
 
 
 def compensated_sum(values: np.ndarray) -> float:
@@ -195,6 +222,11 @@ def integrate_sigma(params: ConeParams, integrand: Callable[[np.ndarray], np.nda
 
 
 # -- boundary trace integral --------------------------------------------------
+
+def trace_radius(params: ConeParams, f: TrialFunction, spec: QuadratureSpec) -> float:
+    """Largest |x'| where f's boundary trace, at |x| = |x'|*sqrt(1+lam^2), can be nonzero."""
+    return min(spec.support_radius, f.support_radius / math.sqrt(1.0 + params.lam ** 2))
+
 
 def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float,
                log_from: float | None = None, radial_power: int | None = None):
@@ -236,22 +268,16 @@ def boundary_integral(params: ConeParams, f: TrialFunction,
     raises :class:`DivergentBoundaryIntegral` -- the instability signature,
     reported explicitly rather than returned as a huge number.
     """
-    n = params.n
-    # the trace vanishes once r*sqrt(1+lam^2) exceeds the support radius
-    r_max = min(spec.support_radius,
-                f.support_radius / math.sqrt(1.0 + params.lam ** 2))
+    r_max = trace_radius(params, f, spec)
     cutoff = spec.epsilon_cutoff
-    if n == 2 and cutoff == 0.0 and f.value_at_vertex != 0.0:
+    if params.n == 2 and cutoff == 0.0 and f.value_at_vertex != 0.0:
         raise DivergentBoundaryIntegral(
             "trace integral diverges: two-dimensional slice with nonzero "
             f"vertex value {f.value_at_vertex}; set epsilon_cutoff > 0 to regularize",
             vertex_value=f.value_at_vertex)
-    if cutoff > 0.0:
-        if cutoff >= r_max:
-            return 0.0
-        pts, weights, _ = trace_grid(params, spec, r_max, log_from=cutoff)
-    else:
-        pts, weights, _ = trace_grid(params, spec, r_max)
+    if cutoff >= r_max:
+        return 0.0
+    pts, weights, _ = trace_grid(params, spec, r_max, log_from=cutoff or None)
     vals = f.evaluator(pts) ** 2
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("trace integrand produced non-finite values")

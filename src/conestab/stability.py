@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ConeParams
-from .quadrature import QuadratureSpec, boundary_integral, integrate_sigma
+from .quadrature import QuadratureSpec, boundary_integral, compensated_sum, support_sample
 from .trial import TrialFunction, make_boundary_bump
 from .variation import cutoff_ladder, dirichlet_energy
 
@@ -132,26 +132,14 @@ def shear_transform_check(params: ConeParams, f: TrialFunction,
     """
     if params.n < 3:
         raise ValueError("shear_transform_check requires n >= 3")
-    lam = params.lam
     energy_f = dirichlet_energy(params, f, spec)
-    half = ConeParams(params.n, 0.0)
-
-    def grad_g_sq(pts):
-        # g(x) = f(x', x_n + lam*|x'|); the axis-direction partial of f
-        # leaks into the in-plane gradient along the radial direction.
-        xp = pts[..., :-1]
-        r = np.linalg.norm(xp, axis=-1)
-        mapped = pts.copy()
-        mapped[..., -1] = pts[..., -1] + lam * r
-        gv = f.gradient(mapped)
-        inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
-        radial = xp * inv_r[..., None]
-        grad = gv[..., :-1] + lam * gv[..., -1:] * radial
-        return np.sum(grad * grad, axis=-1) + gv[..., -1] ** 2
-
-    energy_g = integrate_sigma(half, grad_g_sq, spec)
-    trace = boundary_integral(params, f, spec)
-    return energy_f, energy_g, trace
+    # g(x) = f(x', x_n + lam*|x'|).  The shear maps the flat grid node for node,
+    # with equal weights, onto the slice grid; the axis partial of f leaks into
+    # the in-plane gradient along the radial direction.
+    pts, weights, radii, gv = support_sample(params, f, spec)
+    grad = gv[:, :-1] + params.lam * gv[:, -1:] * (pts[:, :-1] / radii[:, None])
+    energy_g = compensated_sum(weights * (np.sum(grad * grad, axis=-1) + gv[:, -1] ** 2))
+    return energy_f, energy_g, boundary_integral(params, f, spec)
 
 
 def instability_witness_n2(params: ConeParams, epsilons,

@@ -43,7 +43,11 @@ def _fmt(vec) -> str:
 
 @dataclass(frozen=True)
 class TrialFunction:
-    """A compactly supported Lipschitz scalar field on the closed slice."""
+    """A compactly supported Lipschitz scalar field on the closed slice.
+
+    Contract: ``gradient`` is exactly 0 at every quadrature node where
+    ``evaluator`` is 0, so slice integrals may skip the field's zero set.
+    """
 
     dimension: int
     evaluator: Callable[[np.ndarray], np.ndarray]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .errors import JacobianPositivityError
 from .flow import flow_coefficients_batch
 from .jacobian import jacobian_closed_form
 from .quadrature import (LiminfEstimate, QuadratureSpec, boundary_integral,
-                         compensated_sum, integrate_sigma, liminf_quotient,
-                         sigma_grid, trace_grid)
+                         compensated_sum, liminf_quotient, support_sample,
+                         trace_grid, trace_radius)
 from .trial import TrialFunction
 
 __all__ = [
@@ -81,26 +82,22 @@ def area(params: ConeParams, f: TrialFunction, t: float, spec: QuadratureSpec) -
     Aborts with a diagnostic if the squared distortion factor loses
     positivity at any node -- the deformation left the small-|t| regime.
     """
-    pts, weights, _ = sigma_grid(params, spec)
-    fv = f.evaluator(pts)
-    mask = fv != 0.0
-    if t == 0.0 or not np.any(mask):
-        return compensated_sum(weights[mask])
-    sub = pts[mask]
-    coeffs = flow_coefficients_batch(params, f, sub, float(t))
-    j2 = jacobian_closed_form(coeffs)
-    worst = float(np.min(j2)) if j2.size else 1.0
+    pts, weights, _, _ = support_sample(params, f, spec)
+    if t == 0.0 or weights.size == 0:
+        return compensated_sum(weights)
+    j2 = jacobian_closed_form(flow_coefficients_batch(params, f, pts, float(t)))
+    worst = float(np.min(j2))
     if worst <= 0.0:
         raise JacobianPositivityError(
             f"squared distortion factor reached {worst} at t={t}; "
             "deformation too large for this field", t=t, worst_value=worst)
-    return compensated_sum(weights[mask] * np.sqrt(j2))
+    return compensated_sum(weights * np.sqrt(j2))
 
 
 def dirichlet_energy(params: ConeParams, f: TrialFunction, spec: QuadratureSpec) -> float:
     """Integral of |grad f|^2 over the slice."""
-    return integrate_sigma(
-        params, lambda pts: np.sum(f.gradient(pts) ** 2, axis=-1), spec)
+    _, weights, _, grads = support_sample(params, f, spec)
+    return compensated_sum(weights * np.sum(grads ** 2, axis=-1))
 
 
 def cutoff_ladder(params: ConeParams, f: TrialFunction, energy: float,
@@ -117,31 +114,22 @@ def cutoff_ladder(params: ConeParams, f: TrialFunction, energy: float,
                                     slope=float(slope), intercept=float(intercept))
 
 
-def _closed_form_fields(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
-    """(dirichlet, boundary_term, closed_form, certificate-or-None)."""
-    diri = dirichlet_energy(params, f, spec)
-    if params.n == 2 and f.value_at_vertex != 0.0 and spec.epsilon_cutoff == 0.0:
-        # divergent verdict with the fitted log slope as evidence
-        return diri, float("-inf"), float("-inf"), cutoff_ladder(params, f, diri, spec)
-    bdry = boundary_integral(params, f, spec)
-    boundary_term = -0.5 * params.lam * bdry
-    return diri, boundary_term, 0.5 * diri + boundary_term, None
-
-
 def second_variation_closed_form(params: ConeParams, f: TrialFunction,
                                  spec: QuadratureSpec) -> VariationReport:
     """Closed-form second-variation fields only (no finite differences)."""
-    diri, boundary_term, closed, cert = _closed_form_fields(params, f, spec)
-    return VariationReport(
-        first_variation=None,
-        second_variation_fd=None,
-        closed_form=closed,
-        dirichlet_term=0.5 * diri,
-        boundary_term=boundary_term,
-        discrepancy=float("nan") if cert is None else float("inf"),
-        label=f.label,
-        divergence=cert,
-    )
+    diri = dirichlet_energy(params, f, spec)
+    cert = None
+    if params.n == 2 and f.value_at_vertex != 0.0 and spec.epsilon_cutoff == 0.0:
+        # divergent verdict with the fitted log slope as evidence
+        cert = cutoff_ladder(params, f, diri, spec)
+        boundary_term = closed = float("-inf")
+    else:
+        boundary_term = -0.5 * params.lam * boundary_integral(params, f, spec)
+        closed = 0.5 * diri + boundary_term
+    return VariationReport(first_variation=None, second_variation_fd=None,
+                           closed_form=closed, dirichlet_term=0.5 * diri,
+                           boundary_term=boundary_term, label=f.label, divergence=cert,
+                           discrepancy=float("nan") if cert is None else float("inf"))
 
 
 def default_t0(f: TrialFunction) -> float:
@@ -157,29 +145,19 @@ def variation_report(params: ConeParams, f: TrialFunction, t0: float | None = No
     The second variation is estimated as an order-1 quotient in the squared
     time s = t^2 (the area is evaluated at sqrt(s); no separate quadrature
     path exists).  A non-converged estimate marks the report inconclusive,
-    not erroneous.
+    not erroneous.  The area is computed once per distinct t: the even
+    levels of the second ladder repeat t values of the first, exactly.
     """
     spec = spec if spec is not None else QuadratureSpec()
     t0 = float(t0) if t0 is not None else default_t0(f)
-    first = liminf_quotient(lambda t: area(params, f, t, spec), 1, t0, levels, rtol)
-    second = liminf_quotient(lambda s: area(params, f, math.sqrt(s), spec), 1,
-                             t0 * t0, levels, rtol)
-    diri, boundary_term, closed, cert = _closed_form_fields(params, f, spec)
-    if cert is None:
-        discrepancy = abs(second.extrapolated - closed)
-    else:
-        discrepancy = float("inf")
-    return VariationReport(
-        first_variation=first,
-        second_variation_fd=second,
-        closed_form=closed,
-        dirichlet_term=0.5 * diri,
-        boundary_term=boundary_term,
-        discrepancy=discrepancy,
-        reference_area=area(params, f, 0.0, spec),
-        label=f.label,
-        divergence=cert,
-    )
+    area_at = cache(lambda t: area(params, f, t, spec))
+    first = liminf_quotient(area_at, 1, t0, levels, rtol)
+    second = liminf_quotient(lambda s: area_at(math.sqrt(s)), 1, t0 * t0, levels, rtol)
+    closed = second_variation_closed_form(params, f, spec)
+    discrepancy = (abs(second.extrapolated - closed.closed_form)
+                   if closed.divergence is None else closed.discrepancy)
+    return replace(closed, first_variation=first, second_variation_fd=second,
+                   discrepancy=discrepancy, reference_area=area_at(0.0))
 
 
 def regularized_boundary_functional(params: ConeParams, f: TrialFunction, s: float,
@@ -196,9 +174,8 @@ def regularized_boundary_functional(params: ConeParams, f: TrialFunction, s: flo
     """
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    r_max = min(spec.support_radius,
-                f.support_radius / math.sqrt(1.0 + params.lam ** 2))
-    pts, weights, radii = trace_grid(params, spec, r_max, radial_power=params.n - 2)
+    pts, weights, radii = trace_grid(params, spec, trace_radius(params, f, spec),
+                                     radial_power=params.n - 2)
     g = f.evaluator(pts) ** 2
     denom = radii + np.sqrt(radii * radii + s * g)
     return compensated_sum(weights * g / denom)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conestab import quadrature
 from conestab.domain import ConeParams
 from conestab.errors import DivergentBoundaryIntegral, QuadratureError
 from conestab.quadrature import (LiminfEstimate, QuadratureSpec, boundary_integral,
@@ -71,6 +72,20 @@ def test_sphere_measures():
     assert np.sum(w) == pytest.approx(2 * math.pi ** 2, rel=1e-13)
     _, w = sphere_grid(4, 16)
     assert np.sum(w) == pytest.approx(8 * math.pi ** 2 / 3, rel=1e-13)
+
+
+def test_cached_rules_are_read_only_and_match_fresh_builds():
+    for m in (1, 2, 7, 16, 32):
+        for cached, fresh in zip(quadrature._leggauss(m),
+                                 np.polynomial.legendre.leggauss(m)):
+            assert np.array_equal(cached, fresh)
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+    for d, m in ((0, 4), (1, 8), (2, 10), (3, 8), (4, 6)):
+        for cached, fresh in zip(sphere_grid(d, m), sphere_grid.__wrapped__(d, m)):
+            assert np.array_equal(cached, fresh)
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
 
 
 def test_sphere_points_are_unit():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conestab.domain import ConeParams
-from conestab.quadrature import QuadratureSpec
+from conestab.quadrature import QuadratureSpec, integrate_sigma
 from conestab.stability import (INCONCLUSIVE, PROVEN_STABLE, UNSTABLE,
                                 instability_witness_n2, kato_constant, lambda_star,
                                 shear_transform_check, stability_sweep)
@@ -100,6 +100,35 @@ def test_shear_check_contract_inequalities():
         energy_f, energy_g, trace = shear_transform_check(params, f, SPEC3)
         assert energy_g <= (1 + params.lam) ** 2 * energy_f + 1e-8
         assert energy_g >= kato_constant(3) * trace - 1e-8
+
+
+def _flat_grid_energy_g(params, f, spec):
+    """E_g of g = f(x', x_n + lam*|x'|) on the flat (lam = 0) grid, with grad f
+    taken at the sheared points: the reference for the support-sample route."""
+    lam = params.lam
+
+    def grad_g_sq(pts):
+        xp = pts[..., :-1]
+        r = np.linalg.norm(xp, axis=-1)
+        mapped = pts.copy()
+        mapped[..., -1] = pts[..., -1] + lam * r
+        gv = f.gradient(mapped)
+        inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
+        grad = gv[..., :-1] + lam * gv[..., -1:] * (xp * inv_r[..., None])
+        return np.sum(grad * grad, axis=-1) + gv[..., -1] ** 2
+
+    return integrate_sigma(ConeParams(params.n, 0.0), grad_g_sq, spec)
+
+
+def test_shear_check_energy_matches_flat_grid_reference():
+    specs = {3: SPEC3, 4: QuadratureSpec(32, 8, 32, 3.1)}
+    for n, spec in specs.items():
+        for lam in (0.0, 0.3, 1.1):
+            params = ConeParams(n, lam)
+            for f in standard_battery(n):
+                _, energy_g, _ = shear_transform_check(params, f, spec)
+                assert energy_g == pytest.approx(_flat_grid_energy_g(params, f, spec),
+                                                 rel=1e-12), (n, lam, f.label)
 
 
 def test_shear_check_rejects_two_dims():

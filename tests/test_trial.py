@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conestab.domain import ConeParams, PlanePoint
+from conestab.quadrature import QuadratureSpec, sigma_grid
 from conestab.trial import (build_trial, is_smooth_point, make_boundary_bump,
                             make_radial_bump, make_shifted_bump, make_tensor_bump,
                             sample_smooth_points, scaled, standard_battery)
@@ -137,3 +138,15 @@ def test_sampler_emits_smooth_support_points(rng):
     assert is_smooth_point(f, pts)
     # strictly inside the slice
     assert np.all(pts[:, -1] > params.lam * np.linalg.norm(pts[:, :-1], axis=1))
+
+
+def test_gradient_vanishes_where_field_vanishes_on_grid_nodes():
+    """The contract slice integrals rely on to skip the zero set of f."""
+    specs = {2: QuadratureSpec(), 3: QuadratureSpec(), 4: QuadratureSpec(48, 10, 48, 3.1),
+             5: QuadratureSpec(32, 8, 32, 3.1)}
+    for n, spec in specs.items():
+        pts, _, _ = sigma_grid(ConeParams(n, 0.3), spec)
+        battery = standard_battery(n)
+        for f in battery + [scaled(battery[12], -1.7)]:
+            zero = f.evaluator(pts) == 0.0
+            assert np.all(f.gradient(pts[zero]) == 0.0), (n, f.label)

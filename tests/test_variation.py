@@ -1,16 +1,19 @@
 """Deformed area, variation reports, and the closed-form second variation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import conestab.variation
 from conestab.domain import ConeParams
-from conestab.quadrature import QuadratureSpec
+from conestab.errors import QuadratureError
+from conestab.quadrature import QuadratureSpec, integrate_sigma
 from conestab.trial import (make_boundary_bump, make_radial_bump, make_shifted_bump,
-                            scaled)
-from conestab.variation import (area, default_t0, second_variation_closed_form,
-                                variation_report)
+                            scaled, standard_battery)
+from conestab.variation import (area, default_t0, dirichlet_energy,
+                                second_variation_closed_form, variation_report)
 
 SPEC3 = QuadratureSpec(48, 16, 48, 3.0)
 
@@ -136,3 +139,41 @@ def test_report_serializes_expected_fields():
     assert len(rep.second_variation_fd.parameters) == 4
     assert rep.reference_area > 0
     assert rep.label == f.label
+
+
+def test_report_evaluates_each_area_once(monkeypatch):
+    """Each distinct t is evaluated once: at 8 levels the even levels of the
+    s-ladder, sqrt(t0^2 * 4^-j) = t0 * 2^-j, and all three A(0) repeat, so 13
+    area calls serve 19 uses, and the ladders equal direct evaluation."""
+    params = ConeParams(3, 0.2)
+    f = make_radial_bump([0.0, 0.0, 1.5], 0.6, 3)
+    calls = []
+
+    def counted(p, g, t, spec):
+        calls.append(t)
+        return area(p, g, t, spec)
+
+    monkeypatch.setattr(conestab.variation, "area", counted)
+    rep = variation_report(params, f, levels=8, spec=SPEC3)
+    assert len(calls) == 13 and len(set(calls)) == 13
+    a0 = area(params, f, 0.0, SPEC3)
+    assert rep.reference_area == a0
+    for est, at in ((rep.first_variation, lambda t: t),
+                    (rep.second_variation_fd, math.sqrt)):
+        direct = [(area(params, f, at(float(p)), SPEC3) - a0) / p for p in est.parameters]
+        assert est.quotients.tolist() == direct
+
+
+def test_dirichlet_energy_matches_full_grid_integral():
+    for n, spec in ((3, SPEC3), (4, QuadratureSpec(32, 8, 32, 3.1))):
+        params = ConeParams(n, 0.3)
+        for f in standard_battery(n) + [scaled(make_boundary_bump(0.9, n), -1.7)]:
+            full = integrate_sigma(params, lambda p: np.sum(f.gradient(p) ** 2, axis=-1), spec)
+            assert dirichlet_energy(params, f, spec) == pytest.approx(full, rel=1e-13)
+
+
+def test_dirichlet_energy_rejects_non_finite_gradient_in_support():
+    f = make_radial_bump([0.0, 0.0, 1.5], 0.6, 3)
+    nan_gradient = dataclasses.replace(f, gradient=lambda p: np.full(p.shape, np.nan))
+    with pytest.raises(QuadratureError):
+        dirichlet_energy(ConeParams(3, 0.2), nan_gradient, SPEC3)

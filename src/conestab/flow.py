@@ -27,6 +27,7 @@ __all__ = [
     "flow_coefficients",
     "flow_map_batch",
     "flow_coefficients_batch",
+    "coefficients_from_values",
 ]
 
 
@@ -87,11 +88,16 @@ def flow_coefficients_batch(params: ConeParams, f: TrialFunction, pts: np.ndarra
     the limiting alpha = 0.
     """
     pts = np.asarray(pts, dtype=float)
+    return coefficients_from_values(params, pts, f.evaluator(pts), f.gradient(pts), t)
+
+
+def coefficients_from_values(params: ConeParams, pts: np.ndarray, fv: np.ndarray,
+                             gv: np.ndarray, t: float) -> FlowCoefficients:
+    """:func:`flow_coefficients_batch` from the values ``fv`` (...,) and
+    gradients ``gv`` (..., n) of the field at the points ``pts`` (..., n)."""
     lam = params.lam
     xp = pts[..., :-1]
     r = np.linalg.norm(xp, axis=-1)
-    fv = f.evaluator(pts)
-    gv = f.gradient(pts)
     s = np.sqrt(r * r + (t * fv) ** 2)
 
     s_ok = s > 0.0

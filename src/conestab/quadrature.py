@@ -153,12 +153,21 @@ def _sigma_grid_cached(n: int, lam: float, radial_nodes: int, angular_nodes: int
     wpol = np.repeat(wr, m_t) * np.tile(wt, r.shape[0]) * R ** (n - 2)
     m_pol = XP.shape[0]
     m_y = y.shape[0]
+    heights = y[None, :] + lam * r[:, None]
     pts = np.empty((m_pol * m_y, n))
     pts[:, : n - 1] = np.repeat(XP, m_y, axis=0)
+    pts[:, n - 1] = np.broadcast_to(heights[:, None, :], (r.shape[0], m_t, m_y)).ravel()
     radii = np.repeat(R, m_y)
-    pts[:, n - 1] = np.tile(y, m_pol) + lam * radii
     weights = np.repeat(wpol, m_y) * np.tile(wy, m_pol)
-    return _read_only(pts, weights, radii)
+    # the grid, then its tensor factors: x' per (radius, direction) node and
+    # the height x_n per (radius, axis) node
+    return _read_only(pts, weights, radii, XP, heights)
+
+
+def _grid(params: ConeParams, spec: QuadratureSpec):
+    return _sigma_grid_cached(params.n, params.lam, spec.radial_nodes,
+                              spec.angular_nodes, spec.box_nodes_per_axis,
+                              spec.support_radius)
 
 
 def sigma_grid(params: ConeParams, spec: QuadratureSpec):
@@ -167,25 +176,43 @@ def sigma_grid(params: ConeParams, spec: QuadratureSpec):
     Nodes lie strictly inside the slice and strictly off the axis; the grid
     is deterministic for a given (params, spec) and cached.
     """
-    return _sigma_grid_cached(params.n, params.lam, spec.radial_nodes,
-                              spec.angular_nodes, spec.box_nodes_per_axis,
-                              spec.support_radius)
+    return _grid(params, spec)[:3]
+
+
+def _box_nodes(params: ConeParams, spec: QuadratureSpec, box) -> np.ndarray:
+    """Indices, in grid order, of the sigma-grid nodes inside ``box``, padded
+    by a relative 1e-9 so that rounding in a field cannot reach past it.
+
+    A node is inside when its polar node x' is and its height x_n is, so
+    one test per factor node and their product decide every node.
+    """
+    lo, hi = (np.asarray(b, dtype=float) for b in box)
+    lo = lo - 1e-9 * (1.0 + np.abs(lo))
+    hi = hi + 1e-9 * (1.0 + np.abs(hi))
+    _, _, _, xp, heights = _grid(params, spec)
+    polar = np.all((xp >= lo[:-1]) & (xp <= hi[:-1]), axis=-1)
+    axial = (heights >= lo[-1]) & (heights <= hi[-1])
+    return np.flatnonzero(polar.reshape(heights.shape[0], -1, 1) & axial[:, None, :])
 
 
 @lru_cache(maxsize=1)
 def support_sample(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
-    """Read-only (pts, weights, radii, grad f) at the sigma-grid nodes where
+    """Read-only (pts, weights, radii, grad f, f) at the sigma-grid nodes where
     f != 0, in grid order; sums over them drop only exact zeros (see
-    :class:`TrialFunction`).  Non-finite values are rejected.  One entry is
-    cached, as callers finish one field before moving to the next."""
+    :class:`TrialFunction`).  f is evaluated only at the nodes inside its
+    support box, and non-finite values are rejected on the nodes it
+    evaluates.  One entry is cached, as callers finish one field before
+    moving to the next."""
     pts, weights, radii = sigma_grid(params, spec)
-    fv = f.evaluator(pts)
-    mask = fv != 0.0
-    sub = pts[mask]
+    nodes = _box_nodes(params, spec, f.support_box)
+    candidates = np.take(pts, nodes, axis=0)
+    fv = f.evaluator(candidates)
+    keep = fv != 0.0
+    nodes, sub, fv = nodes[keep], candidates[keep], fv[keep]
     grads = f.gradient(sub)
-    if not (np.all(np.isfinite(fv[mask])) and np.all(np.isfinite(grads))):
+    if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(grads))):
         raise QuadratureError("field or gradient non-finite at quadrature nodes")
-    return _read_only(sub, weights[mask], radii[mask], grads)
+    return _read_only(sub, weights[nodes], radii[nodes], grads, fv)
 
 
 def compensated_sum(values: np.ndarray) -> float:

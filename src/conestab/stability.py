@@ -136,7 +136,7 @@ def shear_transform_check(params: ConeParams, f: TrialFunction,
     # g(x) = f(x', x_n + lam*|x'|).  The shear maps the flat grid node for node,
     # with equal weights, onto the slice grid; the axis partial of f leaks into
     # the in-plane gradient along the radial direction.
-    pts, weights, radii, gv = support_sample(params, f, spec)
+    pts, weights, radii, gv, _ = support_sample(params, f, spec)
     grad = gv[:, :-1] + params.lam * gv[:, -1:] * (pts[:, :-1] / radii[:, None])
     energy_g = compensated_sum(weights * (np.sum(grad * grad, axis=-1) + gv[:, -1] ** 2))
     return energy_f, energy_g, boundary_integral(params, f, spec)

@@ -46,7 +46,13 @@ class TrialFunction:
     """A compactly supported Lipschitz scalar field on the closed slice.
 
     Contract: ``gradient`` is exactly 0 at every quadrature node where
-    ``evaluator`` is 0, so slice integrals may skip the field's zero set.
+    ``evaluator`` is 0, so slice integrals may skip the field's zero set;
+    and both are exactly 0 at every point outside ``support_box``, so slice
+    integrals evaluate the field only on the nodes inside it.
+
+    ``support_box`` is the axis-aligned box ((lo_1, ..., lo_n), (hi_1, ...,
+    hi_n)) of float tuples (fields are cache keys, so it must hash).  It
+    defaults to the cube of half-width ``support_radius`` about the origin.
     """
 
     dimension: int
@@ -63,6 +69,12 @@ class TrialFunction:
     inradius: float = 1.0
     label: str = ""
     descriptor: tuple = ()
+    support_box: tuple | None = None
+
+    def __post_init__(self):
+        if self.support_box is None:
+            r = float(self.support_radius)
+            object.__setattr__(self, "support_box", _box(np.zeros(self.dimension), r))
 
     def value(self, x) -> float | np.ndarray:
         single = isinstance(x, PlanePoint) or np.asarray(x).ndim <= 1
@@ -84,6 +96,11 @@ def _as_points(x, n: int) -> np.ndarray:
     if pts.shape[-1] != n:
         raise ValueError(f"expected points of dimension {n}, got shape {pts.shape}")
     return pts
+
+
+def _box(center: np.ndarray, half_width: float) -> tuple:
+    return (tuple(float(v) for v in center - half_width),
+            tuple(float(v) for v in center + half_width))
 
 
 def _center_array(center, n: int) -> np.ndarray:
@@ -146,6 +163,7 @@ def make_radial_bump(center, radius: float, n: int, exponent: int = 1,
         inradius=rho,
         label=label or f"radial(c={_fmt(c)},r={rho:g},p={p})",
         descriptor=("radial_bump", tuple(float(v) for v in c), rho, p),
+        support_box=_box(c, rho),
     )
 
 
@@ -206,6 +224,7 @@ def make_tensor_bump(center, half_width: float, n: int, exponent: int = 1,
         inradius=w,
         label=label or f"tensor(c={_fmt(c)},w={w:g},p={p})",
         descriptor=("tensor_bump", tuple(float(v) for v in c), w, p),
+        support_box=_box(c, w),
     )
 
 
@@ -244,7 +263,8 @@ def make_boundary_bump(radius: float, n: int, exponent: int = 1,
 
 
 def scaled(f: TrialFunction, c: float) -> TrialFunction:
-    """The field c*f (same support and kink set; quantities scale by c^2)."""
+    """The field c*f (same support, support box and kink set; quantities
+    scale by c^2)."""
     c = float(c)
 
     def evaluator(pts):
@@ -264,6 +284,7 @@ def scaled(f: TrialFunction, c: float) -> TrialFunction:
         inradius=f.inradius,
         label=f"{c}*{f.label}",
         descriptor=("scaled", c) + f.descriptor,
+        support_box=f.support_box,
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import ConeParams
 from .errors import JacobianPositivityError
-from .flow import flow_coefficients_batch
+from .flow import coefficients_from_values
 from .jacobian import jacobian_closed_form
 from .quadrature import (LiminfEstimate, QuadratureSpec, boundary_integral,
                          compensated_sum, liminf_quotient, support_sample,
@@ -82,10 +82,10 @@ def area(params: ConeParams, f: TrialFunction, t: float, spec: QuadratureSpec) -
     Aborts with a diagnostic if the squared distortion factor loses
     positivity at any node -- the deformation left the small-|t| regime.
     """
-    pts, weights, _, _ = support_sample(params, f, spec)
+    pts, weights, _, grads, values = support_sample(params, f, spec)
     if t == 0.0 or weights.size == 0:
         return compensated_sum(weights)
-    j2 = jacobian_closed_form(flow_coefficients_batch(params, f, pts, float(t)))
+    j2 = jacobian_closed_form(coefficients_from_values(params, pts, values, grads, float(t)))
     worst = float(np.min(j2))
     if worst <= 0.0:
         raise JacobianPositivityError(
@@ -96,7 +96,7 @@ def area(params: ConeParams, f: TrialFunction, t: float, spec: QuadratureSpec) -
 
 def dirichlet_energy(params: ConeParams, f: TrialFunction, spec: QuadratureSpec) -> float:
     """Integral of |grad f|^2 over the slice."""
-    _, weights, _, grads = support_sample(params, f, spec)
+    _, weights, _, grads, _ = support_sample(params, f, spec)
     return compensated_sum(weights * np.sum(grads ** 2, axis=-1))
 
 

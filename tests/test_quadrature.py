@@ -1,6 +1,7 @@
 """Quadrature over the slice, the weighted trace integral, and the dyadic
 difference-quotient machinery -- each against an independent oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,9 +14,11 @@ from conestab.domain import ConeParams
 from conestab.errors import DivergentBoundaryIntegral, QuadratureError
 from conestab.quadrature import (LiminfEstimate, QuadratureSpec, boundary_integral,
                                  compensated_sum, gauss_legendre, integrate_sigma,
-                                 liminf_quotient, sigma_grid, sphere_grid)
-from conestab.trial import TrialFunction, make_boundary_bump, make_radial_bump
-from conestab.variation import regularized_boundary_functional
+                                 liminf_quotient, sigma_grid, sphere_grid, support_sample)
+from conestab.stability import lambda_star
+from conestab.trial import (TrialFunction, make_boundary_bump, make_radial_bump, scaled,
+                            standard_battery)
+from conestab.variation import area, dirichlet_energy, regularized_boundary_functional
 
 
 def smoothstep(u):
@@ -118,6 +121,98 @@ def test_emitted_nodes_are_smooth_points_of_the_battery():
         pts, _, _ = sigma_grid(ConeParams(n, 0.3), spec)
         for f in standard_battery(n):
             assert is_smooth_point(f, pts), (n, f.label)
+
+
+def whole_grid_sample(params, f, spec):
+    """The support sample found by evaluating f on the whole sigma grid: the
+    reference for :func:`support_sample`."""
+    pts, weights, radii = sigma_grid(params, spec)
+    fv = f.evaluator(pts)
+    mask = fv != 0.0
+    sub = pts[mask]
+    return sub, weights[mask], radii[mask], f.gradient(sub), fv[mask]
+
+
+def assert_same_sample(params, f, spec):
+    got = support_sample(params, f, spec)
+    want = whole_grid_sample(params, f, spec)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b), (params, f.label)
+    return got
+
+
+SAMPLE_SPECS = {2: QuadratureSpec(32, 2, 32, 3.1), 3: QuadratureSpec(24, 8, 24, 3.1),
+                4: QuadratureSpec(16, 6, 16, 3.1), 5: QuadratureSpec(12, 4, 12, 3.1)}
+
+
+def test_support_sample_matches_whole_grid_reference():
+    """Selecting nodes by support box drops no support node and keeps grid
+    order: every array equals the whole-grid sample's exactly, for the
+    battery, a scaled member and the box-less plateau field (default box),
+    at lam = 0, 0.3, lam* and 2 lam* (n = 2 has no lam*)."""
+    for n, spec in SAMPLE_SPECS.items():
+        lams = [0.0, 0.3]
+        if n >= 3:
+            star = lambda_star(n).lambda_star
+            lams += [star, 2.0 * star]
+        battery = standard_battery(n)
+        fields = battery + [scaled(battery[13], -1.7), plateau_field(n)]
+        for lam in lams:
+            for f in fields:
+                assert_same_sample(ConeParams(n, lam), f, spec)
+
+
+def test_support_sample_when_the_box_leaves_the_grid():
+    """A support radius that clips the boxes still gives the reference
+    sample; a box that misses the grid gives an empty sample, on which the
+    area and the Dirichlet energy are 0."""
+    params = ConeParams(3, 0.3)
+    clipped = QuadratureSpec(24, 8, 24, 1.0)
+    for f in standard_battery(3) + [plateau_field(3)]:
+        assert_same_sample(params, f, clipped)
+    far = make_radial_bump([0.0, 0.0, 4.0], 0.5, 3)
+    below = make_radial_bump([0.0, 0.0, -1.0], 0.5, 3)
+    for f in (far, below):
+        pts, weights, radii, grads, values = assert_same_sample(params, f, SAMPLE_SPECS[3])
+        assert pts.shape == (0, 3) and grads.shape == (0, 3)
+        assert weights.size == radii.size == values.size == 0
+        assert dirichlet_energy(params, f, SAMPLE_SPECS[3]) == 0.0
+        for t in (0.0, 0.1):
+            assert area(params, f, t, SAMPLE_SPECS[3]) == 0.0
+
+
+def counting(f, counts):
+    """f with an evaluator and a gradient that add the nodes they receive
+    to ``counts``."""
+    def evaluator(pts):
+        counts["evaluator"] += len(pts)
+        return f.evaluator(pts)
+
+    def gradient(pts):
+        counts["gradient"] += len(pts)
+        return f.gradient(pts)
+
+    return dataclasses.replace(f, evaluator=evaluator, gradient=gradient)
+
+
+def test_support_sample_evaluates_few_nodes_outside_the_support():
+    """On the n = 5 grid of the margin benchmark, the battery's box
+    candidates are at most 1.5 times its support nodes in total and at most
+    2.5 times for any one field."""
+    spec = QuadratureSpec(32, 8, 32, 3.1)
+    star = lambda_star(5).lambda_star
+    for lam in (0.5 * star, star, 2.0 * star):
+        params = ConeParams(5, lam)
+        evaluated = support = 0
+        for f in standard_battery(5):
+            counts = {"evaluator": 0, "gradient": 0}
+            nodes = support_sample(params, counting(f, counts), spec)[1].size
+            assert counts["gradient"] == nodes
+            assert counts["evaluator"] <= 2.5 * nodes, (lam, f.label)
+            evaluated += counts["evaluator"]
+            support += nodes
+        assert evaluated <= 1.5 * support, lam
 
 
 def test_zero_integrand():

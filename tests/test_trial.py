@@ -1,13 +1,16 @@
 """Trial-function families: values, exact gradients, supports, kink sets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conestab.domain import ConeParams, PlanePoint
 from conestab.quadrature import QuadratureSpec, sigma_grid
-from conestab.trial import (build_trial, is_smooth_point, make_boundary_bump,
-                            make_radial_bump, make_shifted_bump, make_tensor_bump,
-                            sample_smooth_points, scaled, standard_battery)
+from conestab.trial import (TrialFunction, build_trial, is_smooth_point,
+                            make_boundary_bump, make_radial_bump, make_shifted_bump,
+                            make_tensor_bump, sample_smooth_points, scaled,
+                            standard_battery)
 
 SEED = 20260810
 
@@ -150,3 +153,47 @@ def test_gradient_vanishes_where_field_vanishes_on_grid_nodes():
         for f in battery + [scaled(battery[12], -1.7)]:
             zero = f.evaluator(pts) == 0.0
             assert np.all(f.gradient(pts[zero]) == 0.0), (n, f.label)
+
+
+def test_fields_vanish_outside_their_support_box_on_grid_nodes():
+    """The contract support_sample relies on to evaluate only the nodes in
+    the box: f and grad f are exactly 0 at every sigma-grid node outside the
+    unpadded box, for every family at exponents 1 and 2, a scaled field and
+    the battery's descriptors."""
+    specs = {2: QuadratureSpec(48, 2, 48, 3.1), 3: QuadratureSpec(32, 16, 32, 3.1),
+             4: QuadratureSpec(24, 8, 24, 3.1), 5: QuadratureSpec(16, 6, 16, 3.1)}
+    for n, spec in specs.items():
+        pts, _, _ = sigma_grid(ConeParams(n, 0.3), spec)
+        off = np.zeros(n)
+        off[0], off[-1] = 0.3, 1.2
+        fields = standard_battery(n)
+        for p in (1, 2):
+            fields += [make_radial_bump(off, 0.7, n, exponent=p),
+                       make_tensor_bump(off, 0.5, n, exponent=p),
+                       make_shifted_bump(off, 0.6, n, shift=0.4, exponent=p),
+                       make_boundary_bump(0.9, n, exponent=p)]
+        fields.append(scaled(fields[-3], -2.5))
+        for f in fields:
+            lo, hi = (np.array(b) for b in f.support_box)
+            assert lo.shape == hi.shape == (n,) and np.all(lo < hi), f.label
+            outside = np.any((pts < lo) | (pts > hi), axis=-1)
+            assert np.any(outside)
+            assert np.all(f.evaluator(pts[outside]) == 0.0), (n, f.label)
+            assert np.all(f.gradient(pts[outside]) == 0.0), (n, f.label)
+
+
+def test_support_box_defaults_hashes_and_survives_replace():
+    f = make_radial_bump([0.1, 0.0, 1.2], 0.5, 3, exponent=2)
+    assert f.support_box == ((-0.4, -0.5, 0.7), (0.6, 0.5, 1.7))
+    assert make_tensor_bump([0.0, 0.0, 1.0], 0.25, 3).support_box == \
+        ((-0.25, -0.25, 0.75), (0.25, 0.25, 1.25))
+    assert scaled(f, 3.0).support_box == f.support_box
+    assert all(isinstance(v, float) for bound in f.support_box for v in bound)
+    hand_built = TrialFunction(dimension=3, evaluator=f.evaluator, gradient=f.gradient,
+                               support_radius=1.5, lipschitz_bound=1.0,
+                               value_at_vertex=0.0)
+    assert hand_built.support_box == ((-1.5,) * 3, (1.5,) * 3)
+    for g in (f, hand_built):
+        assert {g: 1}[g] == 1 and hash(g) == hash(g)
+        traced = dataclasses.replace(g, evaluator=lambda p: g.evaluator(p))
+        assert traced.support_box == g.support_box

@@ -9,10 +9,12 @@ import pytest
 import conestab.variation
 from conestab.domain import ConeParams
 from conestab.errors import QuadratureError
-from conestab.quadrature import QuadratureSpec, integrate_sigma
+from conestab.flow import flow_coefficients_batch
+from conestab.jacobian import jacobian_closed_form
+from conestab.quadrature import QuadratureSpec, compensated_sum, integrate_sigma, sigma_grid
 from conestab.trial import (make_boundary_bump, make_radial_bump, make_shifted_bump,
                             scaled, standard_battery)
-from conestab.variation import (area, default_t0, dirichlet_energy,
+from conestab.variation import (DEFAULT_LEVELS, area, default_t0, dirichlet_energy,
                                 second_variation_closed_form, variation_report)
 
 SPEC3 = QuadratureSpec(48, 16, 48, 3.0)
@@ -177,3 +179,37 @@ def test_dirichlet_energy_rejects_non_finite_gradient_in_support():
     nan_gradient = dataclasses.replace(f, gradient=lambda p: np.full(p.shape, np.nan))
     with pytest.raises(QuadratureError):
         dirichlet_energy(ConeParams(3, 0.2), nan_gradient, SPEC3)
+
+
+def test_area_from_sampled_values_matches_flow_coefficients_batch():
+    """area builds its flow coefficients from the sampled f and grad f; on
+    every t of a default report's ladders that equals evaluating f again
+    through flow_coefficients_batch, bit for bit."""
+    for n, spec in ((3, SPEC3), (4, QuadratureSpec(32, 8, 32, 3.1))):
+        params = ConeParams(n, 0.2)
+        pts, weights, _ = sigma_grid(params, spec)
+        for f in standard_battery(n):
+            support = f.evaluator(pts) != 0.0
+            sub, w = pts[support], weights[support]
+            t0 = default_t0(f)
+            steps = 0.5 ** np.arange(DEFAULT_LEVELS)
+            ts = [0.0] + (t0 * steps).tolist() + [math.sqrt(s) for s in t0 * t0 * steps]
+            for t in ts:
+                j2 = jacobian_closed_form(flow_coefficients_batch(params, f, sub, t))
+                assert area(params, f, t, spec) == compensated_sum(w * np.sqrt(j2)), (f.label, t)
+
+
+def test_report_evaluates_the_gradient_once():
+    """The report's 13 areas and its Dirichlet energy share one support
+    sample, so the field's gradient runs once."""
+    params = ConeParams(3, 0.2)
+    for f in standard_battery(3)[::4]:
+        calls = []
+
+        def gradient(pts, f=f):
+            calls.append(len(pts))
+            return f.gradient(pts)
+
+        variation_report(params, dataclasses.replace(f, gradient=gradient), levels=8,
+                         spec=SPEC3)
+        assert len(calls) == 1, f.label

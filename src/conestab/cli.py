@@ -29,7 +29,7 @@ from .quadrature import QuadratureSpec
 from .stability import (UNSTABLE, instability_witness_n2, lambda_star,
                         stability_sweep)
 from .trial import battery_descriptors, build_trial
-from .variation import DEFAULT_CUTOFFS, variation_report
+from .variation import DEFAULT_CUTOFFS, DEFAULT_LEVELS, variation_report
 from .verify import ALL_SUITES, run_suites
 
 EXIT_OK = 0
@@ -38,7 +38,7 @@ EXIT_QUADRATURE = 3
 EXIT_SUITE_FAILURE = 4
 EXIT_WITNESS = 5
 
-SUITE_VERSIONS = {"package": None, "jacobian": "2", "foliation": "1",
+SUITE_VERSIONS = {"package": None, "jacobian": "3", "foliation": "1",
                   "remainder": "1", "kato": "1"}
 
 _CONFIG_KEYS = {
@@ -56,7 +56,7 @@ class RunConfig:
     n: int = 3
     lam: float = 0.5
     t0: float | None = None
-    levels: int = 8
+    levels: int = DEFAULT_LEVELS
     epsilons: tuple = DEFAULT_CUTOFFS
     seed: int = 20260810
     quadrature: QuadratureSpec = dataclasses.field(default_factory=QuadratureSpec)
@@ -376,18 +376,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _write(json.dumps({"error": {"code": EXIT_CONFIG, "message": str(exc)}},
-                          sort_keys=True) + "\n", None)
-        return EXIT_CONFIG
-    except QuadratureError as exc:
-        _write(json.dumps({"error": {"code": EXIT_QUADRATURE, "message": str(exc)}},
-                          sort_keys=True) + "\n", None)
-        return EXIT_QUADRATURE
     except ConeStabError as exc:
-        _write(json.dumps({"error": {"code": EXIT_CONFIG, "message": str(exc)}},
+        code = EXIT_QUADRATURE if isinstance(exc, QuadratureError) else EXIT_CONFIG
+        _write(json.dumps({"error": {"code": code, "message": str(exc)}},
                           sort_keys=True) + "\n", None)
-        return EXIT_CONFIG
+        return code
 
 
 if __name__ == "__main__":

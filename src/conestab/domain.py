@@ -71,11 +71,6 @@ class PlanePoint:
         object.__setattr__(self, "x_prime", xp)
         object.__setattr__(self, "x_n", float(self.x_n))
 
-    @classmethod
-    def from_vector(cls, vec) -> "PlanePoint":
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        return cls(vec[:-1], vec[-1])
-
     @property
     def vector(self) -> np.ndarray:
         return np.concatenate([self.x_prime, [self.x_n]])

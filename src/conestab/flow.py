@@ -25,7 +25,6 @@ __all__ = [
     "FlowCoefficients",
     "flow_map",
     "flow_coefficients",
-    "flow_map_batch",
     "flow_coefficients_batch",
     "coefficients_from_values",
 ]
@@ -55,16 +54,6 @@ class FlowCoefficients:
         return self.alpha.shape[-1]
 
 
-def flow_map_batch(params: ConeParams, f: TrialFunction, pts: np.ndarray,
-                   t: float) -> np.ndarray:
-    """Flow images of a (..., n) batch, as a (..., n+1) array. No checks.
-
-    Each image is the foliation point at parameter t*f(x).
-    """
-    pts = np.asarray(pts, dtype=float)
-    return foliation_map(params, pts, t * f.evaluator(pts))
-
-
 def flow_map(params: ConeParams, f: TrialFunction, x: PlanePoint, t: float) -> AmbientPoint:
     """Image of x under the flow at time t.
 
@@ -75,7 +64,8 @@ def flow_map(params: ConeParams, f: TrialFunction, x: PlanePoint, t: float) -> A
         raise ValueError("point, field, and cone dimensions must agree")
     if classify_plane_point(params, x) == "outside":
         raise MembershipError("flow_map: point lies outside the closed slice")
-    out = flow_map_batch(params, f, x.vector, float(t))
+    v = x.vector
+    out = foliation_map(params, v, float(t) * f.evaluator(v))
     return AmbientPoint(out[:-2], out[-2], out[-1])
 
 

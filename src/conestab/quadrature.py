@@ -139,47 +139,45 @@ def sphere_grid(d: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(pts, np.kron(w_polar, base_w))
 
 
-@lru_cache(maxsize=8)
-def _sigma_grid_cached(n: int, lam: float, radial_nodes: int, angular_nodes: int,
-                       box_nodes: int, support_radius: float):
-    r, wr = gauss_legendre(0.0, support_radius, radial_nodes)
-    y, wy = gauss_legendre(0.0, support_radius, box_nodes)
+def _polar_nodes(n: int, r: np.ndarray, wr: np.ndarray, angular_nodes: int):
+    """The polar product of radii r (weights wr) with the sphere grid on
+    S^(n-2): x' nodes (m, n-1), their radii (m,) and weights wr * w_theta
+    (m,), radius major."""
     theta, wt = sphere_grid(n - 2, angular_nodes)
-    # tensor order: radius (major) x direction x axis (minor)
     m_t = theta.shape[0]
-    R = np.repeat(r, m_t)
-    XP = (r[:, None, None] * theta[None, :, :]).reshape(-1, n - 1)
-    # polar volume element r^(n-2)
-    wpol = np.repeat(wr, m_t) * np.tile(wt, r.shape[0]) * R ** (n - 2)
-    m_pol = XP.shape[0]
-    m_y = y.shape[0]
-    heights = y[None, :] + lam * r[:, None]
-    pts = np.empty((m_pol * m_y, n))
-    pts[:, : n - 1] = np.repeat(XP, m_y, axis=0)
-    pts[:, n - 1] = np.broadcast_to(heights[:, None, :], (r.shape[0], m_t, m_y)).ravel()
-    radii = np.repeat(R, m_y)
-    weights = np.repeat(wpol, m_y) * np.tile(wy, m_pol)
-    # the grid, then its tensor factors: x' per (radius, direction) node and
-    # the height x_n per (radius, axis) node
-    return _read_only(pts, weights, radii, XP, heights)
+    xp = (r[:, None, None] * theta[None, :, :]).reshape(-1, n - 1)
+    return xp, np.repeat(r, m_t), np.repeat(wr, m_t) * np.tile(wt, r.size)
 
 
-def _grid(params: ConeParams, spec: QuadratureSpec):
-    return _sigma_grid_cached(params.n, params.lam, spec.radial_nodes,
-                              spec.angular_nodes, spec.box_nodes_per_axis,
-                              spec.support_radius)
+@lru_cache(maxsize=32)
+def _sigma_factors(params: ConeParams, spec: QuadratureSpec):
+    """The sigma grid's tensor factors, in its order radius (major) x
+    direction x axis (minor): x', its radius and its polar weight (with the
+    volume element r^(n-2)) per (radius, direction) node, the height x_n
+    per (radius, axis) node, and the axis weights."""
+    r, wr = gauss_legendre(0.0, spec.support_radius, spec.radial_nodes)
+    y, wy = gauss_legendre(0.0, spec.support_radius, spec.box_nodes_per_axis)
+    xp, radii, w = _polar_nodes(params.n, r, wr, spec.angular_nodes)
+    return _read_only(xp, radii, w * radii ** (params.n - 2),
+                      y[None, :] + params.lam * r[:, None], wy)
 
 
 def sigma_grid(params: ConeParams, spec: QuadratureSpec):
     """Nodes (m, n), weights (m,) and x'-radii (m,) for the slice integral.
 
     Nodes lie strictly inside the slice and strictly off the axis; the grid
-    is deterministic for a given (params, spec) and cached.
+    is deterministic for a given (params, spec).  Assembled afresh from the
+    cached tensor factors on each call, by broadcasting them in grid order.
     """
-    return _grid(params, spec)[:3]
+    xp, radii, wpol, heights, wy = _sigma_factors(params, spec)
+    n_r, m_y = heights.shape
+    pts = np.empty((n_r, xp.shape[0] // n_r, m_y, params.n))
+    pts[..., :-1] = xp.reshape(n_r, -1, 1, params.n - 1)
+    pts[..., -1] = heights[:, None, :]
+    return pts.reshape(-1, params.n), (wpol[:, None] * wy).ravel(), np.repeat(radii, m_y)
 
 
-def _box_nodes(params: ConeParams, spec: QuadratureSpec, box) -> np.ndarray:
+def _box_nodes(xp: np.ndarray, heights: np.ndarray, box) -> np.ndarray:
     """Indices, in grid order, of the sigma-grid nodes inside ``box``, padded
     by a relative 1e-9 so that rounding in a field cannot reach past it.
 
@@ -189,7 +187,6 @@ def _box_nodes(params: ConeParams, spec: QuadratureSpec, box) -> np.ndarray:
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     lo = lo - 1e-9 * (1.0 + np.abs(lo))
     hi = hi + 1e-9 * (1.0 + np.abs(hi))
-    _, _, _, xp, heights = _grid(params, spec)
     polar = np.all((xp >= lo[:-1]) & (xp <= hi[:-1]), axis=-1)
     axial = (heights >= lo[-1]) & (heights <= hi[-1])
     return np.flatnonzero(polar.reshape(heights.shape[0], -1, 1) & axial[:, None, :])
@@ -200,19 +197,23 @@ def support_sample(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
     """Read-only (pts, weights, radii, grad f, f) at the sigma-grid nodes where
     f != 0, in grid order; sums over them drop only exact zeros (see
     :class:`TrialFunction`).  f is evaluated only at the nodes inside its
-    support box, and non-finite values are rejected on the nodes it
-    evaluates.  One entry is cached, as callers finish one field before
-    moving to the next."""
-    pts, weights, radii = sigma_grid(params, spec)
-    nodes = _box_nodes(params, spec, f.support_box)
-    candidates = np.take(pts, nodes, axis=0)
+    support box, gathered from the grid's tensor factors, and non-finite
+    values are rejected on the nodes it evaluates.  One entry is cached, as
+    callers finish one field before moving to the next."""
+    xp, radii, wpol, heights, wy = _sigma_factors(params, spec)
+    # node k is polar node k // m_y at axis node k % m_y
+    polar, axial = np.divmod(_box_nodes(xp, heights, f.support_box), wy.size)
+    candidates = np.empty((polar.size, params.n))
+    candidates[:, :-1] = np.take(xp, polar, axis=0)
+    candidates[:, -1] = heights[polar // (xp.shape[0] // heights.shape[0]), axial]
     fv = f.evaluator(candidates)
     keep = fv != 0.0
-    nodes, sub, fv = nodes[keep], candidates[keep], fv[keep]
+    polar, axial, sub, fv = polar[keep], axial[keep], candidates[keep], fv[keep]
     grads = f.gradient(sub)
     if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(grads))):
         raise QuadratureError("field or gradient non-finite at quadrature nodes")
-    return _read_only(sub, weights[nodes], radii[nodes], grads, fv)
+    weights = np.take(wpol, polar) * np.take(wy, axial)
+    return _read_only(sub, weights, np.take(radii, polar), grads, fv)
 
 
 def compensated_sum(values: np.ndarray) -> float:
@@ -275,14 +276,8 @@ def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float,
         u, wu = gauss_legendre(math.log(log_from), math.log(r_max), spec.radial_nodes)
         r = np.exp(u)
         wr = wu * r ** (p + 1)  # du = dr/r
-    theta, wt = sphere_grid(n - 2, spec.angular_nodes)
-    m_t = theta.shape[0]
-    pts = np.empty((r.size * m_t, n))
-    pts[:, : n - 1] = np.repeat(r, m_t)[:, None] * np.tile(theta, (r.size, 1))
-    radii = np.repeat(r, m_t)
-    pts[:, n - 1] = params.lam * radii
-    weights = np.repeat(wr, m_t) * np.tile(wt, r.size)
-    return pts, weights, radii
+    xp, radii, weights = _polar_nodes(n, r, wr, spec.angular_nodes)
+    return np.column_stack([xp, params.lam * radii]), weights, radii
 
 
 def boundary_integral(params: ConeParams, f: TrialFunction,

@@ -363,16 +363,13 @@ def battery_descriptors(size: int = 20) -> list[dict]:
 
 
 def _resolve_center(center, n: int):
-    # "offaxis:h:a" puts the center at height h, displaced by a along x_1.
+    # "offaxis:h:a" puts the center at height h, displaced by a along x_1; a
+    # number h is the center at height h on the axis (see _center_array).
     if isinstance(center, str) and center.startswith("offaxis:"):
         _, h, a = center.split(":")
         c = np.zeros(n)
         c[0] = float(a)
         c[-1] = float(h)
-        return c
-    if isinstance(center, (int, float)):
-        c = np.zeros(n)
-        c[-1] = float(center)
         return c
     return center
 

@@ -41,7 +41,7 @@ __all__ = [
     "regularized_boundary_functional",
 ]
 
-DEFAULT_LEVELS = 10
+DEFAULT_LEVELS = 8
 # Trace cutoffs of the two-dimensional divergence ladder, largest first.
 DEFAULT_CUTOFFS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 

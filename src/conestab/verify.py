@@ -41,8 +41,9 @@ class SuiteResult:
     detail: str = ""
 
 
-def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
+def _rel_err(a: np.ndarray, b: np.ndarray, floor=0.0) -> float:
+    """Worst |a - b| / max(|a|, |b|, floor)."""
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(floor, 1e-300))
     return float(np.max(np.abs(a - b) / denom))
 
 
@@ -53,16 +54,30 @@ def _flow_sample_fields(n: int):
             make_tensor_bump(up * (1.0 / 1.2), 0.5, n, exponent=2)]
 
 
-def _four_way_error(coeffs: FlowCoefficients, main: np.ndarray, bad: float) -> float:
+def _four_way_error(coeffs: FlowCoefficients, main: np.ndarray, bad: float,
+                    tol: float) -> float:
     """Worst relative disagreement among closed form, wedge norm and Gram
-    determinant, and of closed form minus remainder against ``main``."""
+    determinant, and of closed form minus remainder against ``main``.
+
+    The three routes to J^2 share a value of at least the closed form's
+    summed terms over 1 + 2 max(sum a_i^2, sum b_i^2), but the main term
+    1 + 2 a_n + sum b_i^2 can cancel far below its terms.  Each of the ten
+    terms of J^2, R and the main term is at most P = (1 + |a_n| + |b_n|)^2
+    (1 + sum a_i^2 + sum b_i^2) and carries at most n + 8 roundings, so the
+    two sides of that check differ by at most 10 (n + 8) u P through
+    rounding; its denominator is floored at that bound over tol.
+    """
+    a, b = coeffs.alpha, coeffs.beta
+    size = ((1.0 + np.abs(a[..., -1]) + np.abs(b[..., -1])) ** 2
+            * (1.0 + np.sum(a[..., :-1] ** 2 + b[..., :-1] ** 2, axis=-1)))
+    rounding = 10.0 * (coeffs.dimension + 8) * (np.finfo(float).eps / 2) * size
     closed = jacobian_closed_form(coeffs) * bad
     wedge_sq = np.sum(wedge_expansion(coeffs) ** 2, axis=-1)
     gram = jacobian_gram_oracle(partials_from_coefficients(coeffs))
     return max(_rel_err(closed, wedge_sq),
                _rel_err(closed, gram),
                _rel_err(wedge_sq, gram),
-               _rel_err(closed - remainder(coeffs), main))
+               _rel_err(closed - remainder(coeffs), main, rounding / tol))
 
 
 def jacobian_suite(random_draws: int = 10_000, flow_samples: int = 1000,
@@ -85,7 +100,7 @@ def jacobian_suite(random_draws: int = 10_000, flow_samples: int = 1000,
         draws = rng.uniform(-1.0, 1.0, size=(random_draws, 2 * n))
         coeffs = FlowCoefficients(alpha=draws[:, :n], beta=draws[:, n:])
         algebra_main = 1.0 + 2.0 * coeffs.alpha[:, -1] + np.sum(coeffs.beta ** 2, axis=-1)
-        worst = max(worst, _four_way_error(coeffs, algebra_main, bad))
+        worst = max(worst, _four_way_error(coeffs, algebra_main, bad, tol))
         total += random_draws
 
     params = ConeParams(3, 0.7)
@@ -97,7 +112,7 @@ def jacobian_suite(random_draws: int = 10_000, flow_samples: int = 1000,
             sel = pts[i * per:(i + 1) * per]
             coeffs = flow_coefficients_batch(params, f, sel, float(t))
             main = main_term_batch(params, f, sel, float(t))
-            worst = max(worst, _four_way_error(coeffs, main, bad))
+            worst = max(worst, _four_way_error(coeffs, main, bad, tol))
             total += sel.shape[0]
 
     return SuiteResult("jacobian", worst <= tol, worst, total,

@@ -15,10 +15,11 @@ from conestab.errors import DivergentBoundaryIntegral, QuadratureError
 from conestab.quadrature import (LiminfEstimate, QuadratureSpec, boundary_integral,
                                  compensated_sum, gauss_legendre, integrate_sigma,
                                  liminf_quotient, sigma_grid, sphere_grid, support_sample)
-from conestab.stability import lambda_star
+from conestab.stability import lambda_star, shear_transform_check, stability_sweep
 from conestab.trial import (TrialFunction, make_boundary_bump, make_radial_bump, scaled,
                             standard_battery)
-from conestab.variation import area, dirichlet_energy, regularized_boundary_functional
+from conestab.variation import (area, dirichlet_energy, regularized_boundary_functional,
+                                variation_report)
 
 
 def smoothstep(u):
@@ -180,6 +181,39 @@ def test_support_sample_when_the_box_leaves_the_grid():
         assert dirichlet_energy(params, f, SAMPLE_SPECS[3]) == 0.0
         for t in (0.0, 0.1):
             assert area(params, f, t, SAMPLE_SPECS[3]) == 0.0
+
+
+def plain(x):
+    """x with dataclasses as tuples and arrays as lists, comparable by ==."""
+    if dataclasses.is_dataclass(x):
+        return tuple(plain(getattr(x, field.name)) for field in dataclasses.fields(x))
+    if isinstance(x, (tuple, list)):
+        return tuple(plain(v) for v in x)
+    return x.tolist() if isinstance(x, np.ndarray) else x
+
+
+def test_program_paths_never_materialise_the_whole_grid(monkeypatch):
+    """Reports, sweeps and the shear check read the grid only through its
+    tensor factors: with sigma_grid raising and the grid caches emptied they
+    return exactly the values of an unpatched run."""
+    spec = QuadratureSpec(16, 6, 16, 3.1)
+    params = ConeParams(3, 0.3)
+    battery = standard_battery(3)[:4]
+
+    def run():
+        quadrature._sigma_factors.cache_clear()
+        support_sample.cache_clear()
+        return plain((variation_report(params, battery[0], levels=4, spec=spec),
+                      stability_sweep(params, battery, spec),
+                      [shear_transform_check(params, f, spec) for f in battery]))
+
+    want = run()
+
+    def whole_grid(*args):
+        raise AssertionError("sigma_grid called on a program path")
+
+    monkeypatch.setattr(quadrature, "sigma_grid", whole_grid)
+    assert run() == want
 
 
 def counting(f, counts):

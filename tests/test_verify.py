@@ -50,6 +50,21 @@ def test_jacobian_suite_negative_control():
     assert res.worst_error > 1e-10
 
 
+def test_jacobian_suite_passes_where_the_main_term_cancels():
+    """On seed 15 at n = 3 and seed 104 at n = 4 a random draw's main term
+    1 + 2 a_n + sum b_i^2 cancels to about 1e-6, and closed form minus
+    remainder differs from it by one rounding unit: that agreement is within
+    the rounding bound of the terms, so the suite passes.  The corrupted
+    closed form still fails on the same draws.  Fewer dims keep a prefix
+    of the draw stream of the default dims, which holds both draws."""
+    for seed, dims in ((15, (2, 3)), (104, (4,))):
+        res = jacobian_suite(random_draws=100_000, flow_samples=100, seed=seed, dims=dims)
+        assert res.passed and res.worst_error <= 1e-10, seed
+        bad = jacobian_suite(random_draws=100_000, flow_samples=100, seed=seed, dims=dims,
+                             corrupt_closed_form=True)
+        assert not bad.passed and bad.worst_error > 1e-10, seed
+
+
 def test_foliation_suite_passes():
     res = foliation_suite(pairs=300, seed=SEED)
     assert res.passed

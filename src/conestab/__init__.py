@@ -11,12 +11,10 @@ aperture parameter below which the slice is provably strictly stable.
 __version__ = "0.1.0"
 
 from .domain import (AmbientPoint, ConeParams, PlanePoint, classify_ambient_point,
-                     classify_plane_point, foliation_lipschitz_bound, gamma_curve,
-                     omega_profile)
+                     foliation_lipschitz_bound, gamma_curve, omega_profile)
 from .errors import (ConeStabError, ConfigError, DivergentBoundaryIntegral,
-                     JacobianPositivityError, MembershipError, NonSmoothPointError,
-                     QuadratureError)
-from .flow import FlowCoefficients, flow_coefficients, flow_map
+                     JacobianPositivityError, MembershipError, QuadratureError)
+from .flow import FlowCoefficients
 from .jacobian import (jacobian_closed_form, jacobian_gram_oracle, remainder,
                        remainder_uniform_bound, wedge_expansion)
 from .quadrature import (LiminfEstimate, QuadratureSpec, boundary_integral,
@@ -28,7 +26,6 @@ from .trial import (TrialFunction, build_trial, is_smooth_point, make_boundary_b
                     make_radial_bump, make_shifted_bump, make_tensor_bump, scaled,
                     standard_battery)
 from .variation import (VariationReport, area, dirichlet_energy,
-                        regularized_boundary_functional, second_variation_closed_form,
-                        variation_report)
+                        second_variation_closed_form, variation_report)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

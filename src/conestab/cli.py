@@ -46,8 +46,8 @@ _CONFIG_KEYS = {
     "trial_functions", "format", "out", "samples", "discrepancy_rtol",
     "corrupt_closed_form",
 }
-_QUAD_KEYS = {"radial_nodes", "angular_nodes", "box_nodes_per_axis",
-              "support_radius", "epsilon_cutoff"}
+# Each QuadratureSpec field with the type of its default (int or float).
+_QUAD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(QuadratureSpec)}
 _SAMPLE_KEYS = {"random_draws", "flow_samples", "pairs", "points", "battery_size"}
 
 
@@ -83,6 +83,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     merged = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
     cfg = RunConfig()
+    for key in ("quadrature", "samples"):
+        if not isinstance(merged.get(key, {}), dict):
+            raise ConfigError(f"{key} must be a JSON object")
     try:
         if "n" in merged:
             cfg.n = int(merged["n"])
@@ -100,15 +103,13 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if "seed" in merged:
             cfg.seed = int(merged["seed"])
         quad = merged.get("quadrature", {})
-        if isinstance(quad, QuadratureSpec):
-            cfg.quadrature = quad
-        else:
-            unknown = set(quad) - _QUAD_KEYS
-            if unknown:
-                raise ConfigError(f"unknown quadrature keys: {sorted(unknown)}")
-            cfg.quadrature = QuadratureSpec(**{k: (float(v) if "radius" in k or "cutoff" in k
-                                                  else int(v))
-                                               for k, v in quad.items()})
+        unknown = set(quad) - set(_QUAD_TYPES)
+        if unknown:
+            raise ConfigError(f"unknown quadrature keys: {sorted(unknown)}")
+        quad = {k: _QUAD_TYPES[k](v) for k, v in quad.items()}
+        if "epsilon_cutoff" in merged:  # the --epsilon-cutoff flag
+            quad["epsilon_cutoff"] = float(merged["epsilon_cutoff"])
+        cfg.quadrature = QuadratureSpec(**quad)
         if "trial_functions" in merged:
             tf = merged["trial_functions"]
             if not isinstance(tf, (list, tuple)):
@@ -138,6 +139,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(f"n must be >= 2, got {cfg.n}")
     if not (math.isfinite(cfg.lam) and cfg.lam >= 0.0):
         raise ConfigError(f"lambda must be finite and >= 0, got {cfg.lam}")
+    if cfg.t0 is not None and not (math.isfinite(cfg.t0) and cfg.t0 > 0.0):
+        raise ConfigError(f"t0 must be finite and > 0, got {cfg.t0}")
     if cfg.levels < 3:
         raise ConfigError(f"levels must be >= 3, got {cfg.levels}")
     return cfg
@@ -221,7 +224,7 @@ def cmd_threshold(args) -> int:
     rows = []
     for n in range(n_min, n_max + 1):
         thr = lambda_star(n)
-        aperture = 2.0 * math.atan2(1.0, thr.lambda_star)
+        aperture = ConeParams(n, thr.lambda_star).aperture
         rows.append((n, thr.k_n, thr.lambda_star, aperture, thr.residual))
     cfg = RunConfig(format=args.format, out=args.out)
     payload = _report(cfg, [{"n": r[0], "k_n": r[1], "lambda_star": r[2],
@@ -247,7 +250,6 @@ def _variation_rows(cfg: RunConfig, reports):
 
 def cmd_variation(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    _apply_epsilon_cutoff(cfg, args)
     params = ConeParams(cfg.n, cfg.lam)
     reports = []
     witness_found = False
@@ -272,7 +274,6 @@ def cmd_variation(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    _apply_epsilon_cutoff(cfg, args)
     if cfg.n < 3:
         raise ConfigError("sweep requires n >= 3; use witness-n2 for n = 2")
     params = ConeParams(cfg.n, cfg.lam)
@@ -288,7 +289,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_witness_n2(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    _apply_epsilon_cutoff(cfg, args)
     params = ConeParams(2, cfg.lam)
     verdict = instability_witness_n2(params, cfg.epsilons, spec=cfg.quadrature)
     payload = _report(cfg, verdict)
@@ -303,10 +303,8 @@ def cmd_witness_n2(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    sizes = {"random_draws": 10_000, "flow_samples": 1000, "pairs": 1000,
-             "points": 1000, "battery_size": 20, **cfg.samples}
     results = run_suites(ALL_SUITES, seed=cfg.seed,
-                         corrupt_closed_form=cfg.corrupt_closed_form, **sizes)
+                         corrupt_closed_form=cfg.corrupt_closed_form, **cfg.samples)
     payload = _report(cfg, results)
     rows = [(r.name, int(r.passed), r.worst_error, r.samples, r.detail)
             for r in results]
@@ -318,13 +316,8 @@ def cmd_verify(args) -> int:
 def _overrides(args) -> dict:
     """Command-line values; load_config drops the flags left unset (None)."""
     return {k: getattr(args, k, None)
-            for k in ("n", "lambda", "t0", "levels", "seed", "format", "out")}
-
-
-def _apply_epsilon_cutoff(cfg: RunConfig, args):
-    eps = getattr(args, "epsilon_cutoff", None)
-    if eps is not None:
-        cfg.quadrature = dataclasses.replace(cfg.quadrature, epsilon_cutoff=float(eps))
+            for k in ("n", "lambda", "t0", "levels", "seed", "format", "out",
+                      "epsilon_cutoff")}
 
 
 def build_parser() -> argparse.ArgumentParser:

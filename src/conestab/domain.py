@@ -27,7 +27,6 @@ __all__ = [
     "foliation_lipschitz_bound",
     "profile_gap",
     "classify_points",
-    "classify_plane_point",
     "classify_ambient_point",
 ]
 
@@ -99,10 +98,6 @@ class AmbientPoint:
     def vector(self) -> np.ndarray:
         return np.concatenate([self.x_prime, [self.x_n, self.t]])
 
-    @property
-    def plane_part(self) -> PlanePoint:
-        return PlanePoint(self.x_prime, self.x_n)
-
 
 def omega_profile(params: ConeParams, x_prime, t) -> float | np.ndarray:
     """Profile height lam*sqrt(|x'|^2 + t^2).
@@ -135,21 +130,14 @@ def classify_points(params: ConeParams, pts, tol: float | None = None) -> np.nda
     """'interior' / 'boundary' / 'outside' per point, by :func:`profile_gap`.
 
     A point is 'boundary' when its gap is within ``tol``, by default
-    1e-12*(1+|x|) with |x| the point's Euclidean norm.
+    1e-12*(1+|x|) with |x| the point's Euclidean norm.  The vertex of the
+    slice classifies as 'boundary' (its height equals the profile, both
+    zero there).
     """
     pts = np.asarray(pts, dtype=float)
     gap = profile_gap(params, pts)
     eps = 1e-12 * (1.0 + np.linalg.norm(pts, axis=-1)) if tol is None else float(tol)
     return np.where(gap > eps, "interior", np.where(gap >= -eps, "boundary", "outside"))
-
-
-def classify_plane_point(params: ConeParams, x: PlanePoint, tol: float | None = None) -> str:
-    """'interior' / 'boundary' / 'outside' relative to the closed slice.
-
-    The vertex classifies as 'boundary' (its height equals the profile, both
-    zero there).
-    """
-    return str(classify_points(params, x.vector, tol))
 
 
 def classify_ambient_point(params: ConeParams, p: AmbientPoint, tol: float | None = None) -> str:
@@ -179,7 +167,7 @@ def gamma_curve(params: ConeParams, x: PlanePoint, t: float) -> AmbientPoint:
     """
     if x.dimension != params.n:
         raise ValueError(f"point dimension {x.dimension} != slice dimension {params.n}")
-    if classify_plane_point(params, x) == "outside":
+    if classify_points(params, x.vector) == "outside":
         raise MembershipError(
             f"gamma_curve: point with height {x.x_n} lies below the profile "
             f"{omega_profile(params, x.x_prime, 0.0)}"

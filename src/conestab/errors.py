@@ -9,15 +9,6 @@ class MembershipError(ConeStabError):
     """A point lies outside the closed region it must belong to."""
 
 
-class NonSmoothPointError(ConeStabError):
-    """A pointwise derivative was requested at a non-differentiability point.
-
-    Seeing this from integration code means the node generator emitted a bad
-    node; nodes are required to be smooth points of both the deformation
-    field and the flow map.
-    """
-
-
 class QuadratureError(ConeStabError):
     """Numerical integration could not produce a trustworthy value."""
 

@@ -3,11 +3,13 @@
 Moving each point of the slice along its foliation curve, proportionally to
 a scalar field f, gives the flow
 
-    (x, t)  ->  (x', lam*sqrt(|x'|^2 + t^2 f(x)^2) + x_n - lam*|x'|, t*f(x)).
+    (x, t)  ->  (x', lam*sqrt(|x'|^2 + t^2 f(x)^2) + x_n - lam*|x'|, t*f(x)),
 
-At smooth points the i-th partial is e_i + alpha_i e_n + beta_i e_(n+1)
-with algebraic coefficients; those coefficients are all the downstream
-area computations ever need.
+the foliation point of x at parameter t*f(x), i.e.
+``foliation_map(params, x, t * f.evaluator(x))``.  At smooth points the
+i-th partial is e_i + alpha_i e_n + beta_i e_(n+1) with algebraic
+coefficients; those coefficients are all the downstream area computations
+ever need.
 """
 
 from __future__ import annotations
@@ -16,15 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (AmbientPoint, ConeParams, PlanePoint, classify_plane_point,
-                     foliation_map)
-from .errors import MembershipError, NonSmoothPointError
-from .trial import TrialFunction, is_smooth_point
+from .domain import ConeParams
+from .trial import TrialFunction
 
 __all__ = [
     "FlowCoefficients",
-    "flow_map",
-    "flow_coefficients",
     "flow_coefficients_batch",
     "coefficients_from_values",
 ]
@@ -52,21 +50,6 @@ class FlowCoefficients:
     @property
     def dimension(self) -> int:
         return self.alpha.shape[-1]
-
-
-def flow_map(params: ConeParams, f: TrialFunction, x: PlanePoint, t: float) -> AmbientPoint:
-    """Image of x under the flow at time t.
-
-    Fixes x when t = 0 or f(x) = 0; the image equals the foliation point of
-    x at parameter t*f(x) and lies in the closed container.
-    """
-    if x.dimension != params.n or f.dimension != params.n:
-        raise ValueError("point, field, and cone dimensions must agree")
-    if classify_plane_point(params, x) == "outside":
-        raise MembershipError("flow_map: point lies outside the closed slice")
-    v = x.vector
-    out = foliation_map(params, v, float(t) * f.evaluator(v))
-    return AmbientPoint(out[:-2], out[-2], out[-1])
 
 
 def flow_coefficients_batch(params: ConeParams, f: TrialFunction, pts: np.ndarray,
@@ -104,13 +87,6 @@ def coefficients_from_values(params: ConeParams, pts: np.ndarray, fv: np.ndarray
     return FlowCoefficients(alpha=alpha, beta=beta)
 
 
-def flow_coefficients(params: ConeParams, f: TrialFunction, x: PlanePoint,
-                      t: float) -> FlowCoefficients:
-    """Coefficients at a single smooth point (checked)."""
-    _require_smooth(params, f, x)
-    return flow_coefficients_batch(params, f, x.vector, float(t))
-
-
 def partials_from_coefficients(coeffs: FlowCoefficients) -> np.ndarray:
     """Assemble (..., n, n+1) derivative vectors from coefficients."""
     a = coeffs.alpha
@@ -123,13 +99,3 @@ def partials_from_coefficients(coeffs: FlowCoefficients) -> np.ndarray:
     v[..., :, n - 1] += a
     v[..., :, n] += b
     return v
-
-
-def _require_smooth(params: ConeParams, f: TrialFunction, x: PlanePoint):
-    if classify_plane_point(params, x) == "outside":
-        raise MembershipError("point lies outside the closed slice")
-    if not is_smooth_point(f, x):
-        raise NonSmoothPointError(
-            "derivatives requested at a non-smooth point (on the axis or on "
-            "a kink of the deformation field); quadrature nodes must avoid these"
-        )

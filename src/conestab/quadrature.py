@@ -257,25 +257,23 @@ def trace_radius(params: ConeParams, f: TrialFunction, spec: QuadratureSpec) -> 
 
 
 def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float,
-               log_from: float | None = None, radial_power: int | None = None):
+               log_from: float | None = None):
     """Nodes on the slice boundary, in polar trace form.
 
     Returns (pts (m, n), weights (m,), radii (m,)) such that
-    sum w * h(pts) approximates the integral of r^p * h(r*theta, lam*r) dr
-    dsigma(theta), with p = ``radial_power`` (default n-3, the weight of the
-    1/|x'| trace integral).  With ``log_from`` set, radii are Gauss-Legendre
-    in log r on (log_from, r_max) with the extra 1/r folded into the
-    weights.
+    sum w * h(pts) approximates the integral of r^(n-3) * h(r*theta, lam*r)
+    dr dsigma(theta), the 1/|x'| trace integral in polar form.  With
+    ``log_from`` set, radii are Gauss-Legendre in log r on (log_from, r_max)
+    with the extra 1/r folded into the weights.
     """
     n = params.n
-    p = n - 3 if radial_power is None else radial_power
     if log_from is None:
         r, wr = gauss_legendre(0.0, r_max, spec.radial_nodes)
-        wr = wr * r ** p
+        wr = wr * r ** (n - 3)
     else:
         u, wu = gauss_legendre(math.log(log_from), math.log(r_max), spec.radial_nodes)
         r = np.exp(u)
-        wr = wu * r ** (p + 1)  # du = dr/r
+        wr = wu * r ** (n - 2)  # du = dr/r
     xp, radii, weights = _polar_nodes(n, r, wr, spec.angular_nodes)
     return np.column_stack([xp, params.lam * radii]), weights, radii
 
@@ -363,6 +361,10 @@ def liminf_quotient(values: Callable[[float], float], order: int, t0: float,
         raise ValueError(f"levels must be >= 3, got {levels}")
     if not t0 > 0:
         raise ValueError(f"t0 must be positive, got {t0}")
+    # checked before the ladder is allocated, so a huge ``levels`` costs nothing
+    if t0 * 0.5 ** (levels - 1) == 0.0:
+        raise QuadratureError(f"the step t0 * 2^-k underflows to 0 within {levels} "
+                              f"levels from t0 = {t0}")
     f0 = float(values(0.0))
     ts = t0 * 0.5 ** np.arange(levels)
     quotients = np.empty(levels)

@@ -195,10 +195,14 @@ def make_tensor_bump(center, half_width: float, n: int, exponent: int = 1,
         inside = np.abs(u) < 1.0
         h = np.where(inside, (1.0 - np.minimum(u * u, 1.0)) ** p, 0.0)
         hp = np.where(inside, -2.0 * p * u * (1.0 - np.minimum(u * u, 1.0)) ** (p - 1) / w, 0.0)
-        # prod over the other axes; recompute per axis to stay exact at zeros
+        # prod over the other axes, left to right as np.prod takes it;
+        # recomputed per axis to stay exact at zeros
         grad = np.empty_like(u)
         for j in range(n):
-            others = np.prod(np.delete(h, j, axis=-1), axis=-1)
+            others = None
+            for i in range(n):
+                if i != j:
+                    others = h[..., i] if others is None else others * h[..., i]
             grad[..., j] = hp[..., j] * others
         return grad
 
@@ -295,13 +299,15 @@ def is_smooth_point(f: TrialFunction, x, tol: float = 1e-9) -> bool:
     slice restriction has no gradient there).  Quadrature nodes must all be
     smooth points.
     """
-    pts = _as_points(x, f.dimension)
-    r = np.linalg.norm(pts[..., :-1], axis=-1)
-    scale = 1.0 + np.linalg.norm(pts, axis=-1)
-    off_axis = r > tol * scale
-    off_kinks = f.kink_distance(pts) > tol * scale
-    ok = bool(np.all(off_axis & off_kinks))
-    return ok
+    return bool(np.all(_smooth_mask(f, _as_points(x, f.dimension), tol)))
+
+
+def _smooth_mask(f: TrialFunction, pts: np.ndarray, tol: float) -> np.ndarray:
+    """Per point of ``pts`` (..., n): its distances to the axis x' = 0 and to
+    the kink set of f both exceed tol*(1+|x|)."""
+    scale = tol * (1.0 + np.linalg.norm(pts, axis=-1))
+    return ((np.linalg.norm(pts[..., :-1], axis=-1) > scale)
+            & (f.kink_distance(pts) > scale))
 
 
 # -- serializable descriptors -------------------------------------------------
@@ -402,8 +408,7 @@ def sample_smooth_points(params: ConeParams, f: TrialFunction, rng: np.random.Ge
         theta /= np.linalg.norm(theta, axis=1, keepdims=True)
         y = rng.uniform(margin, R, size=m)
         cand = np.concatenate([r[:, None] * theta, (y + params.lam * r)[:, None]], axis=1)
-        scale = 1.0 + np.linalg.norm(cand, axis=1)
-        keep = (r > margin * scale) & (f.kink_distance(cand) > margin * scale)
+        keep = _smooth_mask(f, cand, margin)
         if inside_support:
             keep &= f.evaluator(cand) != 0.0
         pts = np.concatenate([pts, cand[keep]], axis=0)

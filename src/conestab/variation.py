@@ -22,12 +22,11 @@ from functools import cache
 import numpy as np
 
 from .domain import ConeParams
-from .errors import JacobianPositivityError
+from .errors import DivergentBoundaryIntegral, JacobianPositivityError
 from .flow import coefficients_from_values
 from .jacobian import jacobian_closed_form
 from .quadrature import (LiminfEstimate, QuadratureSpec, boundary_integral,
-                         compensated_sum, liminf_quotient, support_sample,
-                         trace_grid, trace_radius)
+                         compensated_sum, liminf_quotient, support_sample)
 from .trial import TrialFunction
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "second_variation_closed_form",
     "variation_report",
     "cutoff_ladder",
-    "regularized_boundary_functional",
 ]
 
 DEFAULT_LEVELS = 8
@@ -119,13 +117,13 @@ def second_variation_closed_form(params: ConeParams, f: TrialFunction,
     """Closed-form second-variation fields only (no finite differences)."""
     diri = dirichlet_energy(params, f, spec)
     cert = None
-    if params.n == 2 and f.value_at_vertex != 0.0 and spec.epsilon_cutoff == 0.0:
+    try:
+        boundary_term = -0.5 * params.lam * boundary_integral(params, f, spec)
+    except DivergentBoundaryIntegral:
         # divergent verdict with the fitted log slope as evidence
         cert = cutoff_ladder(params, f, diri, spec)
-        boundary_term = closed = float("-inf")
-    else:
-        boundary_term = -0.5 * params.lam * boundary_integral(params, f, spec)
-        closed = 0.5 * diri + boundary_term
+        boundary_term = float("-inf")
+    closed = 0.5 * diri + boundary_term
     return VariationReport(first_variation=None, second_variation_fd=None,
                            closed_form=closed, dirichlet_term=0.5 * diri,
                            boundary_term=boundary_term, label=f.label, divergence=cert,
@@ -158,24 +156,3 @@ def variation_report(params: ConeParams, f: TrialFunction, t0: float | None = No
                    if closed.divergence is None else closed.discrepancy)
     return replace(closed, first_variation=first, second_variation_fd=second,
                    discrepancy=discrepancy, reference_area=area_at(0.0))
-
-
-def regularized_boundary_functional(params: ConeParams, f: TrialFunction, s: float,
-                                    spec: QuadratureSpec) -> float:
-    """The s-regularized trace functional
-
-        integral of  g / (|x'| + sqrt(|x'|^2 + s*g))  over x',
-
-    with g the squared boundary trace of f.  Positive, non-increasing in s
-    pointwise, and converging monotonically (as s decreases to 0) to half
-    the weighted trace integral -- the monotone-convergence diagnostic used
-    by the test suite.  Finite for every s > 0, including the divergent
-    two-dimensional configuration.
-    """
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    pts, weights, radii = trace_grid(params, spec, trace_radius(params, f, spec),
-                                     radial_power=params.n - 2)
-    g = f.evaluator(pts) ** 2
-    denom = radii + np.sqrt(radii * radii + s * g)
-    return compensated_sum(weights * g / denom)

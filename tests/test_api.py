@@ -12,17 +12,16 @@ import conestab
 PUBLIC_API = [
     "AmbientPoint", "ConeParams", "ConeStabError", "ConfigError",
     "DivergentBoundaryIntegral", "FlowCoefficients", "JacobianPositivityError",
-    "LiminfEstimate", "MembershipError", "NonSmoothPointError", "PlanePoint",
-    "QuadratureError", "QuadratureSpec", "StabilityVerdict", "ThresholdResult",
-    "TrialFunction", "VariationReport", "area", "boundary_integral", "build_trial",
-    "classify_ambient_point", "classify_plane_point", "dirichlet_energy", "domain",
-    "errors", "flow", "flow_coefficients", "flow_map", "foliation_lipschitz_bound",
-    "gamma_curve", "instability_witness_n2", "integrate_sigma", "is_smooth_point",
-    "jacobian", "jacobian_closed_form", "jacobian_gram_oracle", "kato_constant",
-    "lambda_star", "liminf_quotient", "make_boundary_bump", "make_radial_bump",
-    "make_shifted_bump", "make_tensor_bump", "omega_profile", "quadrature",
-    "regularized_boundary_functional", "remainder", "remainder_uniform_bound",
-    "scaled", "second_variation_closed_form", "shear_transform_check", "stability",
+    "LiminfEstimate", "MembershipError", "PlanePoint", "QuadratureError",
+    "QuadratureSpec", "StabilityVerdict", "ThresholdResult", "TrialFunction",
+    "VariationReport", "area", "boundary_integral", "build_trial",
+    "classify_ambient_point", "dirichlet_energy", "domain", "errors", "flow",
+    "foliation_lipschitz_bound", "gamma_curve", "instability_witness_n2",
+    "integrate_sigma", "is_smooth_point", "jacobian", "jacobian_closed_form",
+    "jacobian_gram_oracle", "kato_constant", "lambda_star", "liminf_quotient",
+    "make_boundary_bump", "make_radial_bump", "make_shifted_bump", "make_tensor_bump",
+    "omega_profile", "quadrature", "remainder", "remainder_uniform_bound", "scaled",
+    "second_variation_closed_form", "shear_transform_check", "stability",
     "stability_sweep", "standard_battery", "trial", "variation", "variation_report",
     "wedge_expansion",
 ]

@@ -196,7 +196,29 @@ def test_invalid_configs(tmp_path, capsys):
                        quadrature={**SMALL_QUAD, "radial_nodes": 1})
     assert run(["verify", "--config", cfg]) == EXIT_CONFIG
 
+    for key in ("quadrature", "samples"):
+        cfg = write_config(tmp_path, name="list.json", **{key: []})
+        assert run(["verify", "--config", cfg]) == EXIT_CONFIG
+
     assert run(["variation", "--config", tmp_path / "missing.json"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["variation", "--t0", "0"], EXIT_CONFIG),
+    (["variation", "--t0", "-1"], EXIT_CONFIG),
+    (["variation", "--t0", "nan"], EXIT_CONFIG),
+    (["variation", "--t0", "inf"], EXIT_CONFIG),
+    (["variation", "--epsilon-cutoff", "-1"], EXIT_CONFIG),
+    (["sweep", "--epsilon-cutoff", "-1"], EXIT_CONFIG),
+    (["witness-n2", "--epsilon-cutoff", "-1"], EXIT_CONFIG),
+    # the step t0 * 2^-k underflows to 0 before the last level
+    (["variation", "--levels", "1100"], EXIT_QUADRATURE),
+], ids=["t0-zero", "t0-negative", "t0-nan", "t0-inf", "variation-cutoff", "sweep-cutoff",
+        "witness-cutoff", "levels-underflow"])
+def test_bad_flags_exit_with_documented_codes(argv, code, capsys):
+    assert run(argv) == code
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["code"] == code
 
 
 def test_reports_are_deterministic(tmp_path):

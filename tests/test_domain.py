@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conestab.domain import (AmbientPoint, ConeParams, PlanePoint, classify_ambient_point,
-                             classify_plane_point, classify_points, foliation_lipschitz_bound,
-                             foliation_map, gamma_curve, omega_profile)
+                             classify_points, foliation_lipschitz_bound, foliation_map,
+                             gamma_curve, omega_profile)
 from conestab.errors import MembershipError
 
 
@@ -55,11 +55,11 @@ def test_profile_positively_homogeneous(c, x1, x2, t):
 
 def test_membership_classification():
     params = ConeParams(2, 1.0)
-    assert classify_plane_point(params, PlanePoint([1.0], 2.0)) == "interior"
-    assert classify_plane_point(params, PlanePoint([1.0], 1.0)) == "boundary"
-    assert classify_plane_point(params, PlanePoint([1.0], 0.5)) == "outside"
+    assert classify_points(params, [1.0, 2.0]) == "interior"
+    assert classify_points(params, [1.0, 1.0]) == "boundary"
+    assert classify_points(params, [1.0, 0.5]) == "outside"
     # the vertex is a boundary point
-    assert classify_plane_point(params, PlanePoint([0.0], 0.0)) == "boundary"
+    assert classify_points(params, [0.0, 0.0]) == "boundary"
 
 
 def test_gamma_curve_fixes_initial_point():
@@ -67,7 +67,7 @@ def test_gamma_curve_fixes_initial_point():
     x = PlanePoint([0.4], 1.0)
     out = gamma_curve(params, x, 0.0)
     assert np.allclose(out.vector, [0.4, 1.0, 0.0])
-    assert np.allclose(out.plane_part.vector, x.vector)
+    assert np.allclose(out.vector[:-1], x.vector)
 
 
 def test_gamma_curve_substitution():
@@ -148,7 +148,7 @@ def test_array_forms_match_single_point_wrappers(rng):
     ambient = classify_points(params, images)
     for i, k in enumerate(np.flatnonzero(inside)):
         x = PlanePoint(pts[k, :-1], pts[k, -1])
-        assert labels[k] == classify_plane_point(params, x)
+        assert labels[k] == classify_points(params, pts[k])
         single = gamma_curve(params, x, ts[k])
         assert np.array_equal(images[i], single.vector)
         assert ambient[i] == classify_ambient_point(params, single)

@@ -18,8 +18,7 @@ from conestab.quadrature import (LiminfEstimate, QuadratureSpec, boundary_integr
 from conestab.stability import lambda_star, shear_transform_check, stability_sweep
 from conestab.trial import (TrialFunction, make_boundary_bump, make_radial_bump, scaled,
                             standard_battery)
-from conestab.variation import (area, dirichlet_energy, regularized_boundary_functional,
-                                variation_report)
+from conestab.variation import area, dirichlet_energy, variation_report
 
 
 def smoothstep(u):
@@ -419,22 +418,3 @@ def test_estimate_invariants_enforced():
         LiminfEstimate(parameters=np.array([1.0, 2.0, 3.0]),
                        quotients=np.zeros(3), extrapolated=0.0,
                        converged=True, tail_min=0.0)
-
-
-def test_regularized_trace_functional_monotone():
-    """The s-regularized trace functional decreases in s and converges to
-    half the weighted trace integral as s -> 0 (monotone limit)."""
-    params = ConeParams(3, 1.0)
-    f = make_boundary_bump(1.0, 3)
-    spec = QuadratureSpec(64, 16, 64, 3.0)
-    s_values = [0.5 ** k for k in range(18)]  # sqrt(s) convergence rate
-    vals = [regularized_boundary_functional(params, f, s, spec) for s in s_values]
-    assert np.all(np.diff(vals) > 0)  # increasing as s decreases
-    half_trace = 0.5 * boundary_integral(params, f, spec)
-    assert vals[-1] <= half_trace
-    assert vals[-1] == pytest.approx(half_trace, rel=0.02)
-    # the divergent two-dimensional configuration is still finite for s > 0
-    params2 = ConeParams(2, 1.0)
-    f2 = make_boundary_bump(1.0, 2)
-    assert math.isfinite(regularized_boundary_functional(params2, f2, 1e-3,
-                                                         QuadratureSpec(64, 2, 8, 2.0)))

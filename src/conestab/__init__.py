@@ -22,9 +22,8 @@ from .quadrature import (LiminfEstimate, QuadratureSpec, boundary_integral,
 from .stability import (StabilityVerdict, ThresholdResult, instability_witness_n2,
                         kato_constant, lambda_star, shear_transform_check,
                         stability_sweep)
-from .trial import (TrialFunction, build_trial, is_smooth_point, make_boundary_bump,
-                    make_radial_bump, make_shifted_bump, make_tensor_bump, scaled,
-                    standard_battery)
+from .trial import (TrialFunction, build_trial, make_boundary_bump, make_radial_bump,
+                    make_shifted_bump, make_tensor_bump, scaled, standard_battery)
 from .variation import (VariationReport, area, dirichlet_energy,
                         second_variation_closed_form, variation_report)
 

@@ -68,6 +68,14 @@ class RunConfig:
     corrupt_closed_form: bool = False  # negative-control hook for `verify`
 
 
+def _integral(key: str, value) -> int:
+    """``value`` as an int; a value with a fractional part is rejected."""
+    out = int(value)
+    if out != value:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return out
+
+
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     raw = {}
     if path is not None:
@@ -88,25 +96,28 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"{key} must be a JSON object")
     try:
         if "n" in merged:
-            cfg.n = int(merged["n"])
+            cfg.n = _integral("n", merged["n"])
         if "lambda" in merged:
             cfg.lam = float(merged["lambda"])
+        ConeParams(cfg.n, cfg.lam)  # validates n and lambda
         if "t0" in merged and merged["t0"] is not None:
             cfg.t0 = float(merged["t0"])
         if "levels" in merged:
-            cfg.levels = int(merged["levels"])
+            cfg.levels = _integral("levels", merged["levels"])
         if "epsilons" in merged:
             eps = tuple(float(e) for e in merged["epsilons"])
-            if not eps or any(not 0.0 < e < 1.0 for e in eps):
-                raise ConfigError("epsilons must lie in (0, 1)")
+            # the divergence witness fits a line to at least three cutoffs
+            if len(eps) < 3 or any(not 0.0 < e < 1.0 for e in eps):
+                raise ConfigError("epsilons must be at least three cutoffs in (0, 1)")
             cfg.epsilons = tuple(sorted(eps, reverse=True))
         if "seed" in merged:
-            cfg.seed = int(merged["seed"])
+            cfg.seed = _integral("seed", merged["seed"])
         quad = merged.get("quadrature", {})
         unknown = set(quad) - set(_QUAD_TYPES)
         if unknown:
             raise ConfigError(f"unknown quadrature keys: {sorted(unknown)}")
-        quad = {k: _QUAD_TYPES[k](v) for k, v in quad.items()}
+        quad = {k: _integral(k, v) if _QUAD_TYPES[k] is int else float(v)
+                for k, v in quad.items()}
         if "epsilon_cutoff" in merged:  # the --epsilon-cutoff flag
             quad["epsilon_cutoff"] = float(merged["epsilon_cutoff"])
         cfg.quadrature = QuadratureSpec(**quad)
@@ -126,19 +137,15 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             unknown = set(smp) - _SAMPLE_KEYS
             if unknown:
                 raise ConfigError(f"unknown sample keys: {sorted(unknown)}")
-            if any(int(v) <= 0 for v in smp.values()):
+            cfg.samples = {k: _integral(k, v) for k, v in smp.items()}
+            if any(v <= 0 for v in cfg.samples.values()):
                 raise ConfigError("sample counts must be positive")
-            cfg.samples = {k: int(v) for k, v in smp.items()}
         if "discrepancy_rtol" in merged:
             cfg.discrepancy_rtol = float(merged["discrepancy_rtol"])
         if "corrupt_closed_form" in merged:
             cfg.corrupt_closed_form = bool(merged["corrupt_closed_form"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
-    if cfg.n < 2:
-        raise ConfigError(f"n must be >= 2, got {cfg.n}")
-    if not (math.isfinite(cfg.lam) and cfg.lam >= 0.0):
-        raise ConfigError(f"lambda must be finite and >= 0, got {cfg.lam}")
     if cfg.t0 is not None and not (math.isfinite(cfg.t0) and cfg.t0 > 0.0):
         raise ConfigError(f"t0 must be finite and > 0, got {cfg.t0}")
     if cfg.levels < 3:

@@ -333,10 +333,10 @@ class LiminfEstimate:
         object.__setattr__(self, "quotients", q)
 
 
-def _richardson_tail(quotients: np.ndarray, window: int = 4) -> float:
-    """Richardson table on the last ``window`` quotients (step ratio 2,
-    integer error orders starting at 1)."""
-    tail = list(quotients[-window:]) if len(quotients) >= window else list(quotients)
+def _richardson_tail(quotients: np.ndarray) -> float:
+    """Richardson table on the last four quotients (step ratio 2, integer
+    error orders starting at 1)."""
+    tail = list(quotients[-4:])
     level = 1
     while len(tail) > 1:
         factor = 2.0 ** level
@@ -346,17 +346,16 @@ def _richardson_tail(quotients: np.ndarray, window: int = 4) -> float:
     return float(tail[0])
 
 
-def liminf_quotient(values: Callable[[float], float], order: int, t0: float,
-                    levels: int, rtol: float = 1e-3) -> LiminfEstimate:
-    """Difference quotients of ``values`` on the dyadic sequence t0 * 2^-k.
+def liminf_quotient(values: Callable[[float], float], t0: float, levels: int,
+                    rtol: float = 1e-3) -> LiminfEstimate:
+    """Difference quotients (F(t) - F(0)) / t of ``values`` on the dyadic
+    sequence t0 * 2^-k.
 
-    order 1: (F(t) - F(0)) / t; order 2: 2 (F(t) - F(0)) / t^2.  The
+    A second variation is the quotient of F(sqrt(s)) in s = t^2.  The
     convergence flag requires the last three quotients to agree within
     ``rtol`` relative to max(1, |tail|), so sequences decaying to zero also
     register as converged once they are absolutely small.
     """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
     if levels < 3:
         raise ValueError(f"levels must be >= 3, got {levels}")
     if not t0 > 0:
@@ -372,8 +371,7 @@ def liminf_quotient(values: Callable[[float], float], order: int, t0: float,
         ft = float(values(float(t)))
         if not math.isfinite(ft):
             raise QuadratureError(f"non-finite evaluation at parameter {t}")
-        diff = ft - f0
-        quotients[k] = diff / t if order == 1 else 2.0 * diff / (t * t)
+        quotients[k] = (ft - f0) / t
     tail = quotients[-3:]
     scale = max(1.0, float(np.max(np.abs(tail))))
     converged = bool(np.max(tail) - np.min(tail) <= rtol * scale)

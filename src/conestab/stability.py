@@ -160,13 +160,14 @@ def instability_witness_n2(params: ConeParams, epsilons,
         raise ValueError("need >= 3 cutoffs in (0, 1), decreasing")
     spec = spec if spec is not None else QuadratureSpec()
     f = f if f is not None else make_boundary_bump(1.0, 2, label="witness")
-    if f.value_at_vertex == 0.0:
+    vertex = f.value_at_vertex
+    if vertex == 0.0:
         return StabilityVerdict(
             regime=INCONCLUSIVE, detail="vertex value is zero: trace integral "
             "finite, divergence hypothesis not applicable")
     ladder = cutoff_ladder(params, f, dirichlet_energy(params, f, spec), spec, eps)
     vals, slope = ladder.values, ladder.slope
-    expected = -params.lam * f.value_at_vertex ** 2
+    expected = -params.lam * vertex ** 2
     decreasing = bool(np.all(np.diff(vals) < 0.0))
     slope_ok = abs(slope - expected) <= 0.1 * abs(expected)
     if decreasing and slope_ok:

@@ -7,18 +7,19 @@ evaluator, exact gradient, a support radius, a Lipschitz upper bound, and
 an analytic description of its kink set so smooth points can be recognized
 exactly rather than detected numerically.
 
-Evaluators and gradients are vectorized: they accept a single point of
-shape (n,) or a batch of shape (..., n).
+Evaluators and gradients are vectorized: they take a batch of points of
+shape (..., n) and return the values, shape (...), or the gradients,
+shape (..., n).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .domain import ConeParams, PlanePoint
+from .domain import ConeParams
 
 __all__ = [
     "TrialFunction",
@@ -27,7 +28,6 @@ __all__ = [
     "make_shifted_bump",
     "make_boundary_bump",
     "scaled",
-    "is_smooth_point",
     "build_trial",
     "standard_battery",
     "battery_descriptors",
@@ -60,7 +60,6 @@ class TrialFunction:
     gradient: Callable[[np.ndarray], np.ndarray]
     support_radius: float
     lipschitz_bound: float
-    value_at_vertex: float
     # Distance from a point to the non-differentiability set of f
     # (+inf when the field is C^1 everywhere).
     kink_distance: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
@@ -76,26 +75,10 @@ class TrialFunction:
             r = float(self.support_radius)
             object.__setattr__(self, "support_box", _box(np.zeros(self.dimension), r))
 
-    def value(self, x) -> float | np.ndarray:
-        single = isinstance(x, PlanePoint) or np.asarray(x).ndim <= 1
-        out = self.evaluator(_as_points(x, self.dimension))
-        return float(out[0]) if single else out
-
-    def grad(self, x) -> np.ndarray:
-        single = isinstance(x, PlanePoint) or np.asarray(x).ndim <= 1
-        out = self.gradient(_as_points(x, self.dimension))
-        return out[0] if single else out
-
-
-def _as_points(x, n: int) -> np.ndarray:
-    if isinstance(x, PlanePoint):
-        vec = x.vector
-    else:
-        vec = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(vec)
-    if pts.shape[-1] != n:
-        raise ValueError(f"expected points of dimension {n}, got shape {pts.shape}")
-    return pts
+    @property
+    def value_at_vertex(self) -> float:
+        """f at the vertex x = 0, read from the evaluator."""
+        return float(self.evaluator(np.zeros((1, self.dimension)))[0])
 
 
 def _box(center: np.ndarray, half_width: float) -> tuple:
@@ -104,10 +87,15 @@ def _box(center: np.ndarray, half_width: float) -> tuple:
 
 
 def _center_array(center, n: int) -> np.ndarray:
-    if isinstance(center, PlanePoint):
-        c = center.vector
-    else:
-        c = np.asarray(center, dtype=float).reshape(-1)
+    """The center as an (n,) array.  Besides a vector, ``center`` may be a
+    number h (height h on the axis) or "offaxis:h:a" (height h, displaced by
+    a along x_1)."""
+    if isinstance(center, str) and center.startswith("offaxis:"):
+        _, h, a = center.split(":")
+        c = np.zeros(n)
+        c[0], c[-1] = float(a), float(h)
+        return c
+    c = np.asarray(center, dtype=float).reshape(-1)
     if c.size == 1 and n > 1:
         c = np.concatenate([np.zeros(n - 1), c])
     if c.size != n:
@@ -151,14 +139,12 @@ def make_radial_bump(center, radius: float, n: int, exponent: int = 1,
         def kink_distance(pts):
             return np.linalg.norm(pts - c, axis=-1)
 
-    vertex = float(evaluator(np.zeros((1, n)))[0])
     return TrialFunction(
         dimension=n,
         evaluator=evaluator,
         gradient=gradient,
         support_radius=float(np.linalg.norm(c)) + rho,
         lipschitz_bound=p / rho,
-        value_at_vertex=vertex,
         kink_distance=kink_distance,
         inradius=rho,
         label=label or f"radial(c={_fmt(c)},r={rho:g},p={p})",
@@ -216,14 +202,12 @@ def make_tensor_bump(center, half_width: float, n: int, exponent: int = 1,
             out.fill(np.inf)
             return out
 
-    vertex = float(evaluator(np.zeros((1, n)))[0])
     return TrialFunction(
         dimension=n,
         evaluator=evaluator,
         gradient=gradient,
         support_radius=float(np.linalg.norm(c)) + w * float(np.sqrt(n)),
         lipschitz_bound=2.0 * p * float(np.sqrt(n)) / w,
-        value_at_vertex=vertex,
         kink_distance=kink_distance,
         inradius=w,
         label=label or f"tensor(c={_fmt(c)},w={w:g},p={p})",
@@ -239,15 +223,12 @@ def make_shifted_bump(center, radius: float, n: int, shift: float,
     Convenience constructor for the translation-covariance checks: pushing a
     bump deep into the interior detaches its support from the slice boundary.
     """
-    c = _center_array(center, n).copy()
-    c[-1] += float(shift)
-    f = make_radial_bump(c, radius, n, exponent=exponent, label=label)
-    base = tuple(float(v) for v in _center_array(center, n))
-    return TrialFunction(
-        **{**f.__dict__,
-           "descriptor": ("shifted_bump", base, float(radius), int(exponent), float(shift)),
-           "label": label or f"shifted(h=+{shift:g},r={radius:g},p={exponent})"}
-    )
+    c = _center_array(center, n)
+    f = make_radial_bump(np.concatenate([c[:-1], c[-1:] + float(shift)]), radius, n,
+                         exponent=exponent, label=label)
+    return replace(f, descriptor=("shifted_bump", tuple(float(v) for v in c), float(radius),
+                                  int(exponent), float(shift)),
+                   label=label or f"shifted(h=+{shift:g},r={radius:g},p={exponent})")
 
 
 def make_boundary_bump(radius: float, n: int, exponent: int = 1,
@@ -259,11 +240,9 @@ def make_boundary_bump(radius: float, n: int, exponent: int = 1,
     needs.
     """
     f = make_radial_bump(np.zeros(n), radius, n, exponent=exponent, label=label)
-    return TrialFunction(
-        **{**f.__dict__, "descriptor": ("boundary_concentrated", (0.0,) * n,
-                                        float(radius), int(exponent)),
-           "label": label or f"boundary(r={radius:g},p={exponent})"}
-    )
+    return replace(f, descriptor=("boundary_concentrated", (0.0,) * n, float(radius),
+                                  int(exponent)),
+                   label=label or f"boundary(r={radius:g},p={exponent})")
 
 
 def scaled(f: TrialFunction, c: float) -> TrialFunction:
@@ -277,29 +256,9 @@ def scaled(f: TrialFunction, c: float) -> TrialFunction:
     def gradient(pts):
         return c * f.gradient(pts)
 
-    return TrialFunction(
-        dimension=f.dimension,
-        evaluator=evaluator,
-        gradient=gradient,
-        support_radius=f.support_radius,
-        lipschitz_bound=abs(c) * f.lipschitz_bound,
-        value_at_vertex=c * f.value_at_vertex,
-        kink_distance=f.kink_distance,
-        inradius=f.inradius,
-        label=f"{c}*{f.label}",
-        descriptor=("scaled", c) + f.descriptor,
-        support_box=f.support_box,
-    )
-
-
-def is_smooth_point(f: TrialFunction, x, tol: float = 1e-9) -> bool:
-    """True iff both the field and the flow map are differentiable at x.
-
-    Excluded: the kink set of f, and the whole axis x' = 0 (the profile's
-    slice restriction has no gradient there).  Quadrature nodes must all be
-    smooth points.
-    """
-    return bool(np.all(_smooth_mask(f, _as_points(x, f.dimension), tol)))
+    return replace(f, evaluator=evaluator, gradient=gradient,
+                   lipschitz_bound=abs(c) * f.lipschitz_bound, label=f"{c}*{f.label}",
+                   descriptor=("scaled", c) + f.descriptor)
 
 
 def _smooth_mask(f: TrialFunction, pts: np.ndarray, tol: float) -> np.ndarray:
@@ -323,7 +282,7 @@ def build_trial(desc: dict, n: int) -> TrialFunction:
         raise ValueError(f"unknown trial-function kind {kind!r}; expected one of {TRIAL_KINDS}")
     label = desc.get("id", "")
     exponent = int(desc.get("exponent", 1))
-    center = _resolve_center(desc.get("center", [0.0] * n), n)
+    center = desc.get("center", [0.0] * n)
     if kind == "radial_bump":
         f = make_radial_bump(center, float(desc["radius"]), n, exponent, label)
     elif kind == "tensor_bump":
@@ -366,18 +325,6 @@ def battery_descriptors(size: int = 20) -> list[dict]:
         {"id": "offaxis-b", "kind": "radial_bump", "center": "offaxis:1.8:0.5", "radius": 0.6},
     ]
     return descs[:size]
-
-
-def _resolve_center(center, n: int):
-    # "offaxis:h:a" puts the center at height h, displaced by a along x_1; a
-    # number h is the center at height h on the axis (see _center_array).
-    if isinstance(center, str) and center.startswith("offaxis:"):
-        _, h, a = center.split(":")
-        c = np.zeros(n)
-        c[0] = float(a)
-        c[-1] = float(h)
-        return c
-    return center
 
 
 def standard_battery(n: int, size: int = 20) -> list[TrialFunction]:

@@ -8,9 +8,9 @@ the first variation with respect to s = t^2: its closed form is
     (1/2) * (Dirichlet energy of f  -  lam * weighted trace integral of f^2),
 
 and the finite-difference route must reproduce it.  For a two-dimensional
-slice with a nonzero vertex value the trace integral diverges; the closed
-form is then reported as -inf together with a fitted log-divergence
-certificate instead of a bare sentinel.
+slice with a nonzero vertex value the trace integral diverges; for lam > 0
+the closed form is then reported as -inf together with a fitted
+log-divergence certificate instead of a bare sentinel.
 """
 
 from __future__ import annotations
@@ -120,9 +120,12 @@ def second_variation_closed_form(params: ConeParams, f: TrialFunction,
     try:
         boundary_term = -0.5 * params.lam * boundary_integral(params, f, spec)
     except DivergentBoundaryIntegral:
-        # divergent verdict with the fitted log slope as evidence
-        cert = cutoff_ladder(params, f, diri, spec)
-        boundary_term = float("-inf")
+        if params.lam == 0.0:
+            boundary_term = -0.0  # -0.5 * lam * T at lam = 0, as at every n >= 3
+        else:
+            # divergent verdict with the fitted log slope as evidence
+            cert = cutoff_ladder(params, f, diri, spec)
+            boundary_term = float("-inf")
     closed = 0.5 * diri + boundary_term
     return VariationReport(first_variation=None, second_variation_fd=None,
                            closed_form=closed, dirichlet_term=0.5 * diri,
@@ -149,8 +152,8 @@ def variation_report(params: ConeParams, f: TrialFunction, t0: float | None = No
     spec = spec if spec is not None else QuadratureSpec()
     t0 = float(t0) if t0 is not None else default_t0(f)
     area_at = cache(lambda t: area(params, f, t, spec))
-    first = liminf_quotient(area_at, 1, t0, levels, rtol)
-    second = liminf_quotient(lambda s: area_at(math.sqrt(s)), 1, t0 * t0, levels, rtol)
+    first = liminf_quotient(area_at, t0, levels, rtol)
+    second = liminf_quotient(lambda s: area_at(math.sqrt(s)), t0 * t0, levels, rtol)
     closed = second_variation_closed_form(params, f, spec)
     discrepancy = (abs(second.extrapolated - closed.closed_form)
                    if closed.divergence is None else closed.discrepancy)

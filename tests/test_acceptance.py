@@ -76,7 +76,7 @@ def test_criterion_3_first_variation_vanishes():
         for n, lam, f in battery:
             params = ConeParams(n, lam)
             est = liminf_quotient(lambda t: area(params, f, t, specs[n]),
-                                  order=1, t0=0.05, levels=10)
+                                  t0=0.05, levels=10)
             assert abs(est.extrapolated) <= 1e-4, (n, lam, f.label)
             # |area difference / t| decays linearly: dyadic ratios sit at 1/2
             q = np.abs(est.quotients)

@@ -17,7 +17,7 @@ PUBLIC_API = [
     "VariationReport", "area", "boundary_integral", "build_trial",
     "classify_ambient_point", "dirichlet_energy", "domain", "errors", "flow",
     "foliation_lipschitz_bound", "gamma_curve", "instability_witness_n2",
-    "integrate_sigma", "is_smooth_point", "jacobian", "jacobian_closed_form",
+    "integrate_sigma", "jacobian", "jacobian_closed_form",
     "jacobian_gram_oracle", "kato_constant", "lambda_star", "liminf_quotient",
     "make_boundary_bump", "make_radial_bump", "make_shifted_bump", "make_tensor_bump",
     "omega_profile", "quadrature", "remainder", "remainder_uniform_bound", "scaled",

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from conestab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_SUITE_FAILURE,
-                          EXIT_WITNESS, main)
+                          EXIT_WITNESS, load_config, main)
 
 SMALL_QUAD = {"radial_nodes": 32, "angular_nodes": 8, "box_nodes_per_axis": 32,
               "support_radius": 3.0}
@@ -105,6 +105,21 @@ def test_variation_divergent_two_dims_exits_witness(tmp_path):
     assert rep["divergence"] is not None
     assert float(rep["divergence"]["slope"]) == pytest.approx(-1.0, rel=0.05)
     assert rep["closed_form"] == "-inf"
+
+
+def test_variation_two_dims_flat_reference_is_finite(tmp_path):
+    out = tmp_path / "flat.json"
+    cfg = write_config(
+        tmp_path, n=2, out=str(out), **{"lambda": 0.0},
+        quadrature={"radial_nodes": 64, "angular_nodes": 2,
+                    "box_nodes_per_axis": 64, "support_radius": 2.0},
+        trial_functions=[{"id": "vertex", "kind": "boundary_concentrated",
+                          "radius": 1.0}])
+    assert run(["variation", "--config", cfg]) != EXIT_WITNESS
+    rep = json.loads(out.read_text())["results"][0]
+    assert rep["divergence"] is None
+    assert math.isfinite(float(rep["closed_form"]))
+    assert rep["closed_form"] == rep["dirichlet_term"]
 
 
 def test_epsilon_cutoff_flag_regularizes_two_dims(tmp_path):
@@ -219,6 +234,42 @@ def test_bad_flags_exit_with_documented_codes(argv, code, capsys):
     assert run(argv) == code
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["code"] == code
+
+
+def test_witness_needs_three_cutoffs(tmp_path, capsys):
+    cfg = write_config(tmp_path, n=2, epsilons=[0.1, 0.01])
+    assert run(["witness-n2", "--config", cfg]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["code"] == EXIT_CONFIG
+    assert "three cutoffs" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"n": 3.5}, "n must be an integer, got 3.5"),
+    ({"levels": 3.9}, "levels must be an integer, got 3.9"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"levels": float("inf")}, "cannot convert float infinity to integer"),
+    ({"quadrature": {**SMALL_QUAD, "radial_nodes": 32.7}},
+     "radial_nodes must be an integer, got 32.7"),
+    ({"samples": {**SMALL_SAMPLES, "pairs": 0.5}}, "pairs must be an integer, got 0.5"),
+    ({"n": 1}, "dimension n must be an integer >= 2"),
+    ({"lambda": -0.5}, "aperture parameter must be finite and >= 0"),
+    ({"lambda": float("nan")}, "aperture parameter must be finite and >= 0"),
+], ids=["n", "levels", "seed", "levels-inf", "radial-nodes", "pairs", "n-small",
+        "lambda-negative", "lambda-nan"])
+def test_config_values_out_of_type_or_range_exit_2(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, **{"samples": dict(SMALL_SAMPLES), **overrides})
+    assert run(["verify", "--config", cfg]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["code"] == EXIT_CONFIG
+    assert message in err["error"]["message"]
+
+
+def test_integral_config_floats_load_as_ints(tmp_path):
+    cfg = load_config(str(write_config(tmp_path, n=4.0, levels=6.0,
+                                       quadrature={**SMALL_QUAD, "radial_nodes": 16.0})), {})
+    assert (cfg.n, cfg.levels, cfg.quadrature.radial_nodes) == (4, 6, 16)
+    assert all(type(v) is int for v in (cfg.n, cfg.levels, cfg.quadrature.radial_nodes))
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -68,7 +68,7 @@ def test_coefficient_bounds_sampled(rng):
         assert np.max(np.abs(c.alpha[:, -1])) <= params.lam * f.lipschitz_bound * t * (1 + 1e-12)
         assert np.max(np.abs(c.beta)) <= f.lipschitz_bound * t * (1 + 1e-12)
         # beta is t * grad f, bit-for-bit
-        assert np.array_equal(c.beta, t * f.grad(pts))
+        assert np.array_equal(c.beta, t * f.gradient(pts))
 
 
 def test_constant_field_coefficients():

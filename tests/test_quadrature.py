@@ -45,7 +45,7 @@ def plateau_field(n, flat=1.0, ramp=0.5):
     return TrialFunction(
         dimension=n, evaluator=evaluator, gradient=gradient,
         support_radius=flat + ramp, lipschitz_bound=1.0 / ramp,
-        value_at_vertex=1.0, kink_distance=kink_distance, inradius=flat,
+        kink_distance=kink_distance, inradius=flat,
         label=f"plateau({flat},{ramp})")
 
 
@@ -113,7 +113,7 @@ def test_nodes_avoid_axis_and_stay_inside():
 def test_emitted_nodes_are_smooth_points_of_the_battery():
     """Node generation must only emit smooth points: off the axis and off
     every kink set of the standard battery."""
-    from conestab.trial import is_smooth_point, standard_battery
+    from conftest import is_smooth_point
     for n, spec in ((2, QuadratureSpec(64, 2, 64, 3.0)),
                     (3, QuadratureSpec(64, 16, 64, 3.0)),
                     (3, QuadratureSpec(128, 64, 128, 3.0)),
@@ -378,39 +378,44 @@ def test_compensated_sum_reproducible():
 
 # -- dyadic quotients ----------------------------------------------------------
 
+# A second-order quotient 2 (F(t) - F(0)) / t^2 is taken, as variation_report
+# takes it, as the first-order quotient of 2 F(sqrt(s)) in s = t^2.
+
 def test_quotient_exact_quadratic_order_two():
-    est = liminf_quotient(lambda t: t * t, order=2, t0=0.5, levels=6)
+    est = liminf_quotient(lambda s: 2.0 * s, t0=0.5 ** 2, levels=6)   # F(t) = t^2
     assert est.extrapolated == pytest.approx(2.0, abs=1e-12)
     assert est.converged
 
 
 def test_quotient_exact_quadratic_order_one():
-    est = liminf_quotient(lambda t: t * t, order=1, t0=0.5, levels=8)
+    est = liminf_quotient(lambda t: t * t, t0=0.5, levels=8)
     assert est.extrapolated == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(est.quotients, est.parameters)
 
 
 def test_quotient_with_cubic_correction():
-    est = liminf_quotient(lambda t: t * t + t ** 3, order=2, t0=0.25, levels=6)
+    # F(t) = t^2 + t^4: the correction is of first order in s
+    est = liminf_quotient(lambda s: 2.0 * (s + s * s), t0=0.25 ** 2, levels=6)
     assert np.allclose(est.quotients, 2.0 + 2.0 * est.parameters)
     assert est.extrapolated == pytest.approx(2.0, abs=1e-10)
 
 
 @given(a=st.floats(min_value=-5, max_value=5), b=st.floats(min_value=-5, max_value=5))
 def test_quotient_generic_smooth_function(a, b):
-    est = liminf_quotient(lambda t: a * t * t + b * t ** 3, order=2, t0=0.25, levels=6)
+    # F(t) = a t^2 + b t^4
+    est = liminf_quotient(lambda s: 2.0 * (a * s + b * s * s), t0=0.25 ** 2, levels=6)
     assert est.extrapolated == pytest.approx(2.0 * a, abs=1e-8)
 
 
 def test_quotient_validation():
+    with pytest.raises(TypeError):  # the quotient is first order only
+        liminf_quotient(lambda t: t, order=1, t0=0.1, levels=4)
     with pytest.raises(ValueError):
-        liminf_quotient(lambda t: t, order=3, t0=0.1, levels=4)
+        liminf_quotient(lambda t: t, t0=0.1, levels=2)
     with pytest.raises(ValueError):
-        liminf_quotient(lambda t: t, order=1, t0=0.1, levels=2)
-    with pytest.raises(ValueError):
-        liminf_quotient(lambda t: t, order=1, t0=-0.1, levels=4)
+        liminf_quotient(lambda t: t, t0=-0.1, levels=4)
     with pytest.raises(QuadratureError):
-        liminf_quotient(lambda t: float("nan") if t else 0.0, order=1, t0=0.1, levels=4)
+        liminf_quotient(lambda t: float("nan") if t else 0.0, t0=0.1, levels=4)
 
 
 def test_estimate_invariants_enforced():

@@ -125,6 +125,20 @@ def test_divergent_verdict_two_dims():
     assert all(b < a for a, b in zip(cert.values, cert.values[1:]))
 
 
+def test_two_dims_flat_reference_has_no_divergence():
+    """At lam = 0 the trace term lam * T is 0 even where T diverges: the
+    closed form is the Dirichlet term, as at every n >= 3."""
+    f = make_boundary_bump(1.0, 2)
+    spec = QuadratureSpec(96, 2, 96, 2.0)
+    rep = second_variation_closed_form(ConeParams(2, 0.0), f, spec)
+    assert not rep.divergent and rep.divergence is None
+    assert math.copysign(1.0, rep.boundary_term) == -1.0 and rep.boundary_term == 0.0
+    assert rep.closed_form == rep.dirichlet_term
+    flat = second_variation_closed_form(ConeParams(3, 0.0), make_boundary_bump(1.0, 3),
+                                        QuadratureSpec(32, 8, 32, 2.0))
+    assert math.copysign(1.0, flat.boundary_term) == -1.0 and flat.boundary_term == 0.0
+
+
 def test_two_dim_zero_vertex_value_is_finite():
     params = ConeParams(2, 0.8)
     f = make_radial_bump([0.0, 1.5], 0.8, 2)  # f(0) = 0

@@ -143,13 +143,18 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if "discrepancy_rtol" in merged:
             cfg.discrepancy_rtol = float(merged["discrepancy_rtol"])
         if "corrupt_closed_form" in merged:
-            cfg.corrupt_closed_form = bool(merged["corrupt_closed_form"])
+            if not isinstance(merged["corrupt_closed_form"], bool):
+                raise ConfigError("corrupt_closed_form must be true or false, "
+                                  f"got {merged['corrupt_closed_form']!r}")
+            cfg.corrupt_closed_form = merged["corrupt_closed_form"]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
     if cfg.t0 is not None and not (math.isfinite(cfg.t0) and cfg.t0 > 0.0):
         raise ConfigError(f"t0 must be finite and > 0, got {cfg.t0}")
     if cfg.levels < 3:
         raise ConfigError(f"levels must be >= 3, got {cfg.levels}")
+    if not (math.isfinite(cfg.discrepancy_rtol) and cfg.discrepancy_rtol >= 0.0):
+        raise ConfigError(f"discrepancy_rtol must be finite and >= 0, got {cfg.discrepancy_rtol}")
     return cfg
 
 

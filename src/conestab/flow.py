@@ -24,7 +24,6 @@ from .trial import TrialFunction
 __all__ = [
     "FlowCoefficients",
     "flow_coefficients_batch",
-    "coefficients_from_values",
 ]
 
 
@@ -61,13 +60,8 @@ def flow_coefficients_batch(params: ConeParams, f: TrialFunction, pts: np.ndarra
     the limiting alpha = 0.
     """
     pts = np.asarray(pts, dtype=float)
-    return coefficients_from_values(params, pts, f.evaluator(pts), f.gradient(pts), t)
-
-
-def coefficients_from_values(params: ConeParams, pts: np.ndarray, fv: np.ndarray,
-                             gv: np.ndarray, t: float) -> FlowCoefficients:
-    """:func:`flow_coefficients_batch` from the values ``fv`` (...,) and
-    gradients ``gv`` (..., n) of the field at the points ``pts`` (..., n)."""
+    fv = f.evaluator(pts)
+    gv = f.gradient(pts)
     lam = params.lam
     xp = pts[..., :-1]
     r = np.linalg.norm(xp, axis=-1)

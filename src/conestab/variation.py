@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .domain import ConeParams
 from .errors import DivergentBoundaryIntegral, JacobianPositivityError
-from .flow import coefficients_from_values
-from .jacobian import jacobian_closed_form
 from .quadrature import (LiminfEstimate, QuadratureSpec, boundary_integral,
                          compensated_sum, liminf_quotient, support_sample)
 from .trial import TrialFunction
@@ -74,16 +72,47 @@ class VariationReport:
         return math.isinf(self.closed_form)
 
 
+@lru_cache(maxsize=1)
+def _flow_scalars(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
+    """Weights and the per-node scalars |x'|^2, 1/|x'|, f, axis partial of f,
+    P = |grad' f|^2 and Q = x'.grad' f on the support sample (primes drop
+    the axis component).  Keyed and cached like :func:`support_sample`."""
+    pts, weights, _, grads, values = support_sample(params, f, spec)
+    xp, gp = pts[:, :-1], grads[:, :-1]
+    r = np.linalg.norm(xp, axis=-1)  # > 0: grid nodes lie strictly off the axis
+    return (weights, r * r, 1.0 / r, values, grads[:, -1],
+            np.sum(gp * gp, axis=-1), np.sum(xp * gp, axis=-1))
+
+
 def area(params: ConeParams, f: TrialFunction, t: float, spec: QuadratureSpec) -> float:
     """Deformed area at time t (the support measure at t = 0).
+
+    The flow's coefficients are a' = lam (c grad' f + d x'), a_n = lam c
+    (axis partial of f) and b = t grad f, with s = sqrt(|x'|^2 + t^2 f^2),
+    c = t^2 f / s and d = 1/s - 1/|x'|.  So the squared distortion factor
+    (1+a_n)^2 (1+|b'|^2) + b_n^2 (1+|a'|^2) - 2 (1+a_n) b_n a'.b' needs
+    only |b'|^2 = t^2 P, |a'|^2 = lam^2 (c^2 P + 2cd Q + d^2 |x'|^2) and
+    a'.b' = lam t (c P + d Q), from per-node scalars built once per field
+    (P = |grad' f|^2, Q = x'.grad' f); each t costs elementwise work only.
 
     Aborts with a diagnostic if the squared distortion factor loses
     positivity at any node -- the deformation left the small-|t| regime.
     """
-    pts, weights, _, grads, values = support_sample(params, f, spec)
+    weights, r2, inv_r, fv, gn, p, q = _flow_scalars(params, f, spec)
     if t == 0.0 or weights.size == 0:
         return compensated_sum(weights)
-    j2 = jacobian_closed_form(coefficients_from_values(params, pts, values, grads, float(t)))
+    t = float(t)
+    lam = params.lam
+    inv_s = 1.0 / np.sqrt(r2 + (t * fv) ** 2)
+    c = (t * t) * fv * inv_s
+    d = inv_s - inv_r
+    an = lam * c * gn
+    bn = t * gn
+    sa2 = (lam * lam) * (c * c * p + 2.0 * c * d * q + d * d * r2)
+    sb2 = (t * t) * p
+    sab = (lam * t) * (c * p + d * q)
+    j2 = (1.0 + an) ** 2 * (1.0 + sb2) + bn ** 2 * (1.0 + sa2) \
+        - 2.0 * (1.0 + an) * bn * sab
     worst = float(np.min(j2))
     if worst <= 0.0:
         raise JacobianPositivityError(

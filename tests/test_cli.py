@@ -255,8 +255,14 @@ def test_witness_needs_three_cutoffs(tmp_path, capsys):
     ({"n": 1}, "dimension n must be an integer >= 2"),
     ({"lambda": -0.5}, "aperture parameter must be finite and >= 0"),
     ({"lambda": float("nan")}, "aperture parameter must be finite and >= 0"),
+    ({"corrupt_closed_form": "false"}, "corrupt_closed_form must be true or false"),
+    ({"corrupt_closed_form": 0}, "corrupt_closed_form must be true or false"),
+    ({"discrepancy_rtol": -1}, "discrepancy_rtol must be finite and >= 0"),
+    ({"discrepancy_rtol": float("nan")}, "discrepancy_rtol must be finite and >= 0"),
+    ({"discrepancy_rtol": float("inf")}, "discrepancy_rtol must be finite and >= 0"),
 ], ids=["n", "levels", "seed", "levels-inf", "radial-nodes", "pairs", "n-small",
-        "lambda-negative", "lambda-nan"])
+        "lambda-negative", "lambda-nan", "corrupt-string", "corrupt-int", "rtol-negative",
+        "rtol-nan", "rtol-inf"])
 def test_config_values_out_of_type_or_range_exit_2(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **{"samples": dict(SMALL_SAMPLES), **overrides})
     assert run(["verify", "--config", cfg]) == EXIT_CONFIG

@@ -12,6 +12,7 @@ from conestab.errors import QuadratureError
 from conestab.flow import flow_coefficients_batch
 from conestab.jacobian import jacobian_closed_form
 from conestab.quadrature import QuadratureSpec, compensated_sum, integrate_sigma, sigma_grid
+from conestab.stability import lambda_star
 from conestab.trial import (make_boundary_bump, make_radial_bump, make_shifted_bump,
                             scaled, standard_battery)
 from conestab.variation import (DEFAULT_LEVELS, area, default_t0, dirichlet_energy,
@@ -211,6 +212,53 @@ def test_area_from_sampled_values_matches_flow_coefficients_batch():
             for t in ts:
                 j2 = jacobian_closed_form(flow_coefficients_batch(params, f, sub, t))
                 assert area(params, f, t, spec) == compensated_sum(w * np.sqrt(j2)), (f.label, t)
+
+
+def _reference_area(params, f, t, spec):
+    """The deformed area through the flow coefficients and the closed-form
+    distortion factor, on the whole-grid nodes where f != 0."""
+    pts, weights, _ = sigma_grid(params, spec)
+    support = f.evaluator(pts) != 0.0
+    j2 = jacobian_closed_form(flow_coefficients_batch(params, f, pts[support], t))
+    return compensated_sum(weights[support] * np.sqrt(j2))
+
+
+def _ladder_times(f):
+    """Every t of a default report's two quotient ladders, and t = 0."""
+    t0 = default_t0(f)
+    steps = 0.5 ** np.arange(DEFAULT_LEVELS)
+    return [0.0] + (t0 * steps).tolist() + [math.sqrt(s) for s in t0 * t0 * steps]
+
+
+@pytest.mark.parametrize("n, spec", [(2, QuadratureSpec(32, 2, 32, 3.0)),
+                                     (5, QuadratureSpec(12, 4, 12, 3.1))], ids=["n2", "n5"])
+def test_area_matches_flow_coefficient_reference_in_low_and_high_dimension(n, spec):
+    """At n = 2 (x' one-dimensional) and n = 5, on a default report's
+    ladders, area equals the closed form on flow_coefficients_batch's
+    coefficients bit for bit, at lam = 0, 0.2 and lam*(n) where it exists."""
+    lams = (0.0, 0.2) + ((lambda_star(n).lambda_star,) if n >= 3 else ())
+    for lam in lams:
+        params = ConeParams(n, lam)
+        for f in standard_battery(n):
+            for t in _ladder_times(f):
+                assert area(params, f, t, spec) == _reference_area(params, f, t, spec), \
+                    (lam, f.label, t)
+
+
+def test_area_scalars_follow_cone_spec_and_field():
+    """area keeps its per-node scalars for one (cone, spec, field).  Calls
+    that change one of the three at a time, back and forth, must each match
+    the reference, so a scalar set kept past its key fails here."""
+    fields = standard_battery(3)[:2]
+    apertures = (ConeParams(3, 0.2), ConeParams(3, 0.6))
+    specs = (SPEC3, QuadratureSpec(32, 8, 32, 3.1))
+    # Gray-code order: each step flips exactly one of field, aperture, spec
+    order = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1),
+             (1, 0, 0), (0, 0, 0)]
+    for i, j, k in order:
+        params, f, spec = apertures[j], fields[i], specs[k]
+        t = default_t0(f)
+        assert area(params, f, t, spec) == _reference_area(params, f, t, spec), (i, j, k)
 
 
 def test_report_evaluates_the_gradient_once():

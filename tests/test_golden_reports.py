@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from conestab.cli import main as cli_main
+from conestab.trial import battery_descriptors
 
 DATA = Path(__file__).resolve().parent / "data"
 QUADRATURE = {"radial_nodes": 16, "angular_nodes": 4, "box_nodes_per_axis": 16,
@@ -31,11 +32,20 @@ FIELDS = [
     {"id": "vertex-a", "kind": "boundary_concentrated", "radius": 0.6, "exponent": 1},
     {"id": "box-b", "kind": "tensor_bump", "center": 1.4, "half_width": 0.6, "exponent": 2},
 ]
+# A tensor field with face kinks, an off-axis field and a field shifted off
+# the boundary, at a dimension where the tensor product has four factors.
+FIELDS_N4 = [desc for desc in battery_descriptors(20)
+             if desc["id"] in ("box-c", "offaxis-a", "deep-a")]
 # file name -> (command line, config, exit code)
 CASES = {
     "variation-n3.json": (["variation", "--n", "3", "--lambda", "0.1"],
                           {"quadrature": QUADRATURE, "trial_functions": FIELDS}, 0),
+    "variation-n4.json": (["variation", "--n", "4", "--lambda", "0.3"],
+                          {"quadrature": QUADRATURE, "trial_functions": FIELDS_N4}, 0),
     "sweep-n4.json": (["sweep", "--n", "4"], {"quadrature": QUADRATURE}, 0),
+    "sweep-n5.json": (["sweep", "--n", "5"],
+                      {"quadrature": QUADRATURE, "trial_functions": battery_descriptors(20)},
+                      0),
     "witness-n2.json": (["witness-n2"], {"quadrature": QUADRATURE}, 5),
 }
 

@@ -31,6 +31,36 @@ __all__ = [
 ]
 
 
+# Sums and products over the coordinate (last) axis of a batch of points.
+# The columns are combined left to right, which is the order numpy's own
+# reductions use for axes shorter than 8: np.sum(a * b, axis=-1),
+# np.linalg.norm(a, axis=-1) and np.prod(a, axis=-1) give the same bits as
+# _dot(a, b), np.sqrt(_sumsq(a)) and _prod(a).  Elementwise column
+# operations skip the reduction machinery, which is slow on short axes.
+# 0-d results come back as numpy scalars.
+
+def _sumsq(a: np.ndarray):
+    """Sum of squares over the last axis; sqrt of it is np.linalg.norm."""
+    return _dot(a, a)
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Sum of a*b over the last axis (a and b of one shape)."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
+    return out[()]
+
+
+def _prod(a: np.ndarray, skip: int | None = None):
+    """Product over the last axis, leaving out column ``skip`` if given."""
+    cols = [j for j in range(a.shape[-1]) if j != skip]
+    out = a[..., cols[0]].copy()
+    for j in cols[1:]:
+        out *= a[..., j]
+    return out[()]
+
+
 @dataclass(frozen=True)
 class ConeParams:
     """Dimension n of the slice and slope ``lam`` of the conical profile.
@@ -106,7 +136,7 @@ def omega_profile(params: ConeParams, x_prime, t) -> float | np.ndarray:
     may carry leading batch axes; ``t`` broadcasts against them.
     """
     xp = np.atleast_1d(np.asarray(x_prime, dtype=float))
-    rsq = np.sum(xp * xp, axis=-1)
+    rsq = _sumsq(xp)
     out = params.lam * np.sqrt(rsq + np.square(np.asarray(t, dtype=float)))
     return float(out) if np.ndim(out) == 0 else out
 
@@ -136,7 +166,7 @@ def classify_points(params: ConeParams, pts, tol: float | None = None) -> np.nda
     """
     pts = np.asarray(pts, dtype=float)
     gap = profile_gap(params, pts)
-    eps = 1e-12 * (1.0 + np.linalg.norm(pts, axis=-1)) if tol is None else float(tol)
+    eps = 1e-12 * (1.0 + np.sqrt(_sumsq(pts))) if tol is None else float(tol)
     return np.where(gap > eps, "interior", np.where(gap >= -eps, "boundary", "outside"))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ConeParams
+from .domain import ConeParams, _sumsq
 from .trial import TrialFunction
 
 __all__ = [
@@ -64,7 +64,7 @@ def flow_coefficients_batch(params: ConeParams, f: TrialFunction, pts: np.ndarra
     gv = f.gradient(pts)
     lam = params.lam
     xp = pts[..., :-1]
-    r = np.linalg.norm(xp, axis=-1)
+    r = np.sqrt(_sumsq(xp))
     s = np.sqrt(r * r + (t * fv) ** 2)
 
     s_ok = s > 0.0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import ConeParams
+from .domain import ConeParams, _dot, _sumsq
 from .errors import QuadratureError
 from .flow import FlowCoefficients
 from .trial import TrialFunction
@@ -36,9 +36,9 @@ def _split(coeffs: FlowCoefficients):
     b = coeffs.beta
     an = a[..., -1]
     bn = b[..., -1]
-    sa2 = np.sum(a[..., :-1] ** 2, axis=-1)
-    sb2 = np.sum(b[..., :-1] ** 2, axis=-1)
-    sab = np.sum(a[..., :-1] * b[..., :-1], axis=-1)
+    sa2 = _sumsq(a[..., :-1])
+    sb2 = _sumsq(b[..., :-1])
+    sab = _dot(a[..., :-1], b[..., :-1])
     return an, bn, sa2, sb2, sab
 
 
@@ -93,12 +93,12 @@ def main_term_batch(params: ConeParams, f: TrialFunction, pts: np.ndarray,
                     t: float) -> np.ndarray:
     """1 + t^2 (|grad f|^2 + 2 lam f (axis partial of f)/sqrt(|x'|^2+t^2 f^2))."""
     pts = np.asarray(pts, dtype=float)
-    r = np.linalg.norm(pts[..., :-1], axis=-1)
+    r = np.sqrt(_sumsq(pts[..., :-1]))
     fv = f.evaluator(pts)
     gv = f.gradient(pts)
     s = np.sqrt(r * r + (t * fv) ** 2)
     inv_s = np.where(s > 0.0, 1.0 / np.where(s > 0.0, s, 1.0), 0.0)
-    grad_sq = np.sum(gv * gv, axis=-1)
+    grad_sq = _sumsq(gv)
     return 1.0 + t * t * (grad_sq + 2.0 * params.lam * fv * gv[..., -1] * inv_s)
 
 

@@ -152,13 +152,15 @@ def _polar_nodes(n: int, r: np.ndarray, wr: np.ndarray, angular_nodes: int):
 @lru_cache(maxsize=32)
 def _sigma_factors(params: ConeParams, spec: QuadratureSpec):
     """The sigma grid's tensor factors, in its order radius (major) x
-    direction x axis (minor): x', its radius and its polar weight (with the
-    volume element r^(n-2)) per (radius, direction) node, the height x_n
-    per (radius, axis) node, and the axis weights."""
+    direction x axis (minor): the row (x', 0), the radius and the polar
+    weight (with the volume element r^(n-2)) per (radius, direction) node,
+    the height x_n per (radius, axis) node, and the axis weights."""
     r, wr = gauss_legendre(0.0, spec.support_radius, spec.radial_nodes)
     y, wy = gauss_legendre(0.0, spec.support_radius, spec.box_nodes_per_axis)
     xp, radii, w = _polar_nodes(params.n, r, wr, spec.angular_nodes)
-    return _read_only(xp, radii, w * radii ** (params.n - 2),
+    rows = np.zeros((xp.shape[0], params.n))
+    rows[:, :-1] = xp
+    return _read_only(rows, radii, w * radii ** (params.n - 2),
                       y[None, :] + params.lam * r[:, None], wy)
 
 
@@ -169,27 +171,39 @@ def sigma_grid(params: ConeParams, spec: QuadratureSpec):
     is deterministic for a given (params, spec).  Assembled afresh from the
     cached tensor factors on each call, by broadcasting them in grid order.
     """
-    xp, radii, wpol, heights, wy = _sigma_factors(params, spec)
+    rows, radii, wpol, heights, wy = _sigma_factors(params, spec)
     n_r, m_y = heights.shape
-    pts = np.empty((n_r, xp.shape[0] // n_r, m_y, params.n))
-    pts[..., :-1] = xp.reshape(n_r, -1, 1, params.n - 1)
+    pts = np.empty((n_r, rows.shape[0] // n_r, m_y, params.n))
+    pts[...] = rows.reshape(n_r, -1, 1, params.n)
     pts[..., -1] = heights[:, None, :]
     return pts.reshape(-1, params.n), (wpol[:, None] * wy).ravel(), np.repeat(radii, m_y)
 
 
-def _box_nodes(xp: np.ndarray, heights: np.ndarray, box) -> np.ndarray:
-    """Indices, in grid order, of the sigma-grid nodes inside ``box``, padded
-    by a relative 1e-9 so that rounding in a field cannot reach past it.
+def _box_nodes(rows: np.ndarray, heights: np.ndarray, box):
+    """Polar index, axis index and height x_n of each sigma-grid node inside
+    ``box``, in grid order; the box is padded by a relative 1e-9 so that
+    rounding in a field cannot reach past it.
 
-    A node is inside when its polar node x' is and its height x_n is, so
-    one test per factor node and their product decide every node.
+    A node is inside when its polar node x' is and its height is, so one
+    test per factor node decides every node: each polar node inside brings
+    the axis nodes inside at its radius.
     """
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     lo = lo - 1e-9 * (1.0 + np.abs(lo))
     hi = hi + 1e-9 * (1.0 + np.abs(hi))
-    polar = np.all((xp >= lo[:-1]) & (xp <= hi[:-1]), axis=-1)
+    polar = np.ones(rows.shape[0], dtype=bool)
+    for j in range(rows.shape[1] - 1):
+        polar &= (rows[:, j] >= lo[j]) & (rows[:, j] <= hi[j])
+    polar = np.flatnonzero(polar)
     axial = (heights >= lo[-1]) & (heights <= hi[-1])
-    return np.flatnonzero(polar.reshape(heights.shape[0], -1, 1) & axial[:, None, :])
+    per_radius = np.count_nonzero(axial, axis=1)
+    radius = polar // (rows.shape[0] // heights.shape[0])
+    counts = per_radius.take(radius)
+    # each node's place in the list of axis nodes inside, radius by radius
+    first = (np.cumsum(per_radius) - per_radius).take(radius)
+    place = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    return (np.repeat(polar, counts), np.nonzero(axial)[1].take(place),
+            heights[axial].take(place))
 
 
 @lru_cache(maxsize=1)
@@ -197,18 +211,21 @@ def support_sample(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
     """Read-only (pts, weights, radii, grad f, f) at the sigma-grid nodes where
     f != 0, in grid order; sums over them drop only exact zeros (see
     :class:`TrialFunction`).  f is evaluated only at the nodes inside its
-    support box, gathered from the grid's tensor factors, and non-finite
-    values are rejected on the nodes it evaluates.  One entry is cached, as
-    callers finish one field before moving to the next."""
-    xp, radii, wpol, heights, wy = _sigma_factors(params, spec)
-    # node k is polar node k // m_y at axis node k % m_y
-    polar, axial = np.divmod(_box_nodes(xp, heights, f.support_box), wy.size)
-    candidates = np.empty((polar.size, params.n))
-    candidates[:, :-1] = np.take(xp, polar, axis=0)
-    candidates[:, -1] = heights[polar // (xp.shape[0] // heights.shape[0]), axial]
+    support box, gathered from the grid's tensor factors by row, and
+    non-finite values are rejected on the nodes it evaluates.
+
+    One entry is cached.  That serves a caller that finishes one field
+    before it moves to the next (a variation report, one sweep); a caller
+    that comes back to a field rebuilds its sample, as the shear check at
+    lam* does after a sweep has gone on to other fields or another lam."""
+    rows, radii, wpol, heights, wy = _sigma_factors(params, spec)
+    polar, axial, height = _box_nodes(rows, heights, f.support_box)
+    candidates = rows.take(polar, axis=0)
+    candidates[:, -1] = height
     fv = f.evaluator(candidates)
-    keep = fv != 0.0
-    polar, axial, sub, fv = polar[keep], axial[keep], candidates[keep], fv[keep]
+    keep = np.flatnonzero(fv)
+    polar, axial, fv = polar.take(keep), axial.take(keep), fv.take(keep)
+    sub = candidates.take(keep, axis=0)
     grads = f.gradient(sub)
     if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(grads))):
         raise QuadratureError("field or gradient non-finite at quadrature nodes")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ConeParams
+from .domain import ConeParams, _sumsq
 from .quadrature import QuadratureSpec, boundary_integral, compensated_sum, support_sample
 from .trial import TrialFunction, make_boundary_bump
 from .variation import cutoff_ladder, dirichlet_energy
@@ -138,7 +138,7 @@ def shear_transform_check(params: ConeParams, f: TrialFunction,
     # the in-plane gradient along the radial direction.
     pts, weights, radii, gv, _ = support_sample(params, f, spec)
     grad = gv[:, :-1] + params.lam * gv[:, -1:] * (pts[:, :-1] / radii[:, None])
-    energy_g = compensated_sum(weights * (np.sum(grad * grad, axis=-1) + gv[:, -1] ** 2))
+    energy_g = compensated_sum(weights * (_sumsq(grad) + gv[:, -1] ** 2))
     return energy_f, energy_g, boundary_integral(params, f, spec)
 
 

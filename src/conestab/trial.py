@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import ConeParams
+from .domain import ConeParams, _prod, _sumsq
 
 __all__ = [
     "TrialFunction",
@@ -120,24 +120,25 @@ def make_radial_bump(center, radius: float, n: int, exponent: int = 1,
     p = int(exponent)
 
     def evaluator(pts):
-        u = np.linalg.norm(pts - c, axis=-1) / rho
+        u = np.sqrt(_sumsq(pts - c)) / rho
         return np.where(u < 1.0, (1.0 - np.minimum(u, 1.0)) ** p, 0.0)
 
     def gradient(pts):
         d = pts - c
-        u = np.linalg.norm(d, axis=-1)
+        u = np.sqrt(_sumsq(d))
         inside = (u > 0.0) & (u < rho)
         safe = np.where(inside, u, 1.0)
         mag = np.where(inside, p * (1.0 - np.minimum(u / rho, 1.0)) ** (p - 1) / rho, 0.0)
-        return -d * (mag / safe)[..., None]
+        d *= -(mag / safe)[..., None]  # the bits of -d * (mag / safe)
+        return d
 
     if p == 1:
         def kink_distance(pts):
-            u = np.linalg.norm(pts - c, axis=-1)
+            u = np.sqrt(_sumsq(pts - c))
             return np.minimum(u, np.abs(rho - u))
     else:
         def kink_distance(pts):
-            return np.linalg.norm(pts - c, axis=-1)
+            return np.sqrt(_sumsq(pts - c))
 
     return TrialFunction(
         dimension=n,
@@ -169,27 +170,20 @@ def make_tensor_bump(center, half_width: float, n: int, exponent: int = 1,
     w = float(half_width)
     p = int(exponent)
 
-    def factors(pts):
-        u = (pts - c) / w
-        return np.where(np.abs(u) < 1.0, (1.0 - np.minimum(u * u, 1.0)) ** p, 0.0)
-
     def evaluator(pts):
-        return np.prod(factors(pts), axis=-1)
+        u = (pts - c) / w
+        return _prod(np.where(np.abs(u) < 1.0, (1.0 - np.minimum(u * u, 1.0)) ** p, 0.0))
 
     def gradient(pts):
         u = (pts - c) / w
         inside = np.abs(u) < 1.0
         h = np.where(inside, (1.0 - np.minimum(u * u, 1.0)) ** p, 0.0)
         hp = np.where(inside, -2.0 * p * u * (1.0 - np.minimum(u * u, 1.0)) ** (p - 1) / w, 0.0)
-        # prod over the other axes, left to right as np.prod takes it;
-        # recomputed per axis to stay exact at zeros
+        # the product over the other axes is recomputed per axis (not divided
+        # out of the full product) to stay exact at zeros
         grad = np.empty_like(u)
         for j in range(n):
-            others = None
-            for i in range(n):
-                if i != j:
-                    others = h[..., i] if others is None else others * h[..., i]
-            grad[..., j] = hp[..., j] * others
+            grad[..., j] = hp[..., j] * _prod(h, skip=j)
         return grad
 
     if p == 1:
@@ -264,8 +258,8 @@ def scaled(f: TrialFunction, c: float) -> TrialFunction:
 def _smooth_mask(f: TrialFunction, pts: np.ndarray, tol: float) -> np.ndarray:
     """Per point of ``pts`` (..., n): its distances to the axis x' = 0 and to
     the kink set of f both exceed tol*(1+|x|)."""
-    scale = tol * (1.0 + np.linalg.norm(pts, axis=-1))
-    return ((np.linalg.norm(pts[..., :-1], axis=-1) > scale)
+    scale = tol * (1.0 + np.sqrt(_sumsq(pts)))
+    return ((np.sqrt(_sumsq(pts[..., :-1])) > scale)
             & (f.kink_distance(pts) > scale))
 
 

@@ -21,7 +21,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .domain import ConeParams
+from .domain import ConeParams, _dot, _sumsq
 from .errors import DivergentBoundaryIntegral, JacobianPositivityError
 from .quadrature import (LiminfEstimate, QuadratureSpec, boundary_integral,
                          compensated_sum, liminf_quotient, support_sample)
@@ -79,9 +79,9 @@ def _flow_scalars(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
     the axis component).  Keyed and cached like :func:`support_sample`."""
     pts, weights, _, grads, values = support_sample(params, f, spec)
     xp, gp = pts[:, :-1], grads[:, :-1]
-    r = np.linalg.norm(xp, axis=-1)  # > 0: grid nodes lie strictly off the axis
+    r = np.sqrt(_sumsq(xp))  # > 0: grid nodes lie strictly off the axis
     return (weights, r * r, 1.0 / r, values, grads[:, -1],
-            np.sum(gp * gp, axis=-1), np.sum(xp * gp, axis=-1))
+            _sumsq(gp), _dot(xp, gp))
 
 
 def area(params: ConeParams, f: TrialFunction, t: float, spec: QuadratureSpec) -> float:
@@ -124,7 +124,7 @@ def area(params: ConeParams, f: TrialFunction, t: float, spec: QuadratureSpec) -
 def dirichlet_energy(params: ConeParams, f: TrialFunction, spec: QuadratureSpec) -> float:
     """Integral of |grad f|^2 over the slice."""
     _, weights, _, grads, _ = support_sample(params, f, spec)
-    return compensated_sum(weights * np.sum(grads ** 2, axis=-1))
+    return compensated_sum(weights * _sumsq(grads))
 
 
 def cutoff_ladder(params: ConeParams, f: TrialFunction, energy: float,

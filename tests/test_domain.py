@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conestab.domain import (AmbientPoint, ConeParams, PlanePoint, classify_ambient_point,
-                             classify_points, foliation_lipschitz_bound, foliation_map,
-                             gamma_curve, omega_profile)
+from conestab.domain import (AmbientPoint, ConeParams, PlanePoint, _dot, _prod, _sumsq,
+                             classify_ambient_point, classify_points,
+                             foliation_lipschitz_bound, foliation_map, gamma_curve,
+                             omega_profile)
 from conestab.errors import MembershipError
 
 
@@ -156,3 +157,27 @@ def test_array_forms_match_single_point_wrappers(rng):
     assert np.all(ambient[:10] == "boundary")
     with pytest.raises(ValueError):
         classify_points(params, np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("length", range(1, 8))
+@pytest.mark.parametrize("lead", [(), (1000,), (40, 25)], ids=["0d", "1d", "2d"])
+def test_coordinate_sums_match_numpy_bit_for_bit(lead, length):
+    """The column-order helpers reproduce numpy's reductions exactly for
+    coordinate axes shorter than 8, on values spread over many binades and
+    on a strided view (the x' columns of a point batch)."""
+    rng = np.random.default_rng(length)
+    shape = lead + (length + 1,)
+    wide = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+    other = rng.standard_normal(shape)
+    for a, b in ((wide[..., :-1], other[..., :-1]), (wide[..., 1:].copy(), other[..., 1:])):
+        cases = [(np.sqrt(_sumsq(a)), np.linalg.norm(a, axis=-1)),
+                 (_sumsq(a), np.sum(a * a, axis=-1)),
+                 (_dot(a, b), np.sum(a * b, axis=-1)),
+                 (_prod(a), np.prod(a, axis=-1))]
+        cases += [(_prod(a, skip=j), np.prod(np.delete(a, j, axis=-1), axis=-1))
+                  for j in range(length) if length > 1]
+        for got, want in cases:
+            assert np.shape(got) == np.shape(want)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))

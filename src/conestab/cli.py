@@ -201,9 +201,12 @@ def _emit(payload: dict, cfg: RunConfig, csv_rows=None, csv_header=None) -> str:
 def _write(text: str, out: str | None):
     if out is None or out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report to {out}: {exc}") from exc
 
 
 def _report(cfg: RunConfig, results) -> dict:

@@ -54,7 +54,8 @@ class QuadratureSpec:
     slice; ``angular_nodes`` is the node count per angular coordinate of
     the sphere grid; ``epsilon_cutoff`` > 0 opts in to the regularized
     trace integral (required to get a finite number in the divergent
-    two-dimensional case).
+    two-dimensional case).  ``support_radius`` must be finite and > 0,
+    ``epsilon_cutoff`` finite and >= 0.
     """
 
     radial_nodes: int = 64
@@ -68,10 +69,12 @@ class QuadratureSpec:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 2:
                 raise ValueError(f"{name} must be an integer >= 2, got {v!r}")
-        if not self.support_radius > 0:
-            raise ValueError(f"support_radius must be positive, got {self.support_radius!r}")
-        if self.epsilon_cutoff < 0:
-            raise ValueError(f"epsilon_cutoff must be >= 0, got {self.epsilon_cutoff!r}")
+        if not (math.isfinite(self.support_radius) and self.support_radius > 0):
+            raise ValueError("support_radius must be finite and > 0, "
+                             f"got {self.support_radius!r}")
+        if not (math.isfinite(self.epsilon_cutoff) and self.epsilon_cutoff >= 0):
+            raise ValueError("epsilon_cutoff must be finite and >= 0, "
+                             f"got {self.epsilon_cutoff!r}")
 
 
 def _read_only(*arrays):

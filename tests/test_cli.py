@@ -292,3 +292,41 @@ def test_reports_are_deterministic(tmp_path):
     first = out.read_bytes()
     run(["verify", "--config", cfg])
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("argv, quadrature", [
+    (["sweep", "--n", "3", "--lambda", "0.1"], {"support_radius": math.inf}),
+    (["sweep", "--n", "3", "--lambda", "0.1"], {"support_radius": math.nan}),
+    (["sweep", "--n", "3", "--lambda", "0.5", "--epsilon-cutoff", "nan"], {}),
+    (["sweep", "--n", "3", "--lambda", "0.5", "--epsilon-cutoff", "inf"], {}),
+    (["variation", "--epsilon-cutoff", "inf"], {}),
+    (["witness-n2", "--epsilon-cutoff", "nan"], {}),
+], ids=["radius-inf", "radius-nan", "sweep-cutoff-nan", "sweep-cutoff-inf",
+        "variation-cutoff-inf", "witness-cutoff-nan"])
+def test_non_finite_quadrature_geometry_exits_2(tmp_path, capsys, argv, quadrature):
+    """Before this was checked, an infinite support radius gave a
+    `proven_stable` sweep with negative margins, a NaN cutoff all-NaN
+    margins, and an infinite cutoff zeroed every trace, each with exit 0."""
+    cfg = write_config(tmp_path, quadrature={**SMALL_QUAD, **quadrature})
+    assert run(argv + ["--config", cfg]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["code"] == EXIT_CONFIG
+    assert "must be finite" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--n-min", "3", "--n-max", "4"],
+    ["variation", "--levels", "4"],
+    ["sweep"],
+    ["witness-n2"],
+    ["verify"],
+], ids=["threshold", "variation", "sweep", "witness-n2", "verify"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "missing-dir" / "report.json"
+    if argv[0] != "threshold":
+        argv = argv + ["--config", write_config(tmp_path, samples=dict(SMALL_SAMPLES))]
+    assert run(argv + ["--out", out]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["code"] == EXIT_CONFIG
+    assert "cannot write report" in err["error"]["message"]
+    assert not out.exists()

@@ -58,6 +58,16 @@ def test_spec_validation():
         QuadratureSpec(epsilon_cutoff=-1e-3)
 
 
+@pytest.mark.parametrize("geometry", [
+    {"support_radius": math.inf}, {"support_radius": math.nan},
+    {"support_radius": -math.inf}, {"epsilon_cutoff": math.inf},
+    {"epsilon_cutoff": math.nan}],
+    ids=["radius-inf", "radius-nan", "radius-minus-inf", "cutoff-inf", "cutoff-nan"])
+def test_spec_rejects_non_finite_geometry(geometry):
+    with pytest.raises(ValueError, match="must be finite"):
+        QuadratureSpec(**geometry)
+
+
 def test_gauss_legendre_polynomial_exactness():
     x, w = gauss_legendre(0.0, 2.0, 12)
     assert np.dot(w, x ** 5) == pytest.approx(2.0 ** 6 / 6.0, rel=1e-13)

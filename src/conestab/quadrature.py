@@ -194,10 +194,10 @@ def _box_nodes(rows: np.ndarray, heights: np.ndarray, box):
     lo, hi = (np.asarray(b, dtype=float) for b in box)
     lo = lo - 1e-9 * (1.0 + np.abs(lo))
     hi = hi + 1e-9 * (1.0 + np.abs(hi))
-    polar = np.ones(rows.shape[0], dtype=bool)
+    inside = np.ones(rows.shape[0], dtype=bool)
     for j in range(rows.shape[1] - 1):
-        polar &= (rows[:, j] >= lo[j]) & (rows[:, j] <= hi[j])
-    polar = np.flatnonzero(polar)
+        inside &= (rows[:, j] >= lo[j]) & (rows[:, j] <= hi[j])
+    polar = np.flatnonzero(inside)
     axial = (heights >= lo[-1]) & (heights <= hi[-1])
     per_radius = np.count_nonzero(axial, axis=1)
     radius = polar // (rows.shape[0] // heights.shape[0])

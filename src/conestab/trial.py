@@ -129,7 +129,7 @@ def make_radial_bump(center, radius: float, n: int, exponent: int = 1,
         inside = (u > 0.0) & (u < rho)
         safe = np.where(inside, u, 1.0)
         mag = np.where(inside, p * (1.0 - np.minimum(u / rho, 1.0)) ** (p - 1) / rho, 0.0)
-        d *= -(mag / safe)[..., None]  # the bits of -d * (mag / safe)
+        d *= -(mag / safe)[..., None]
         return d
 
     if p == 1:

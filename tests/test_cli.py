@@ -226,10 +226,16 @@ def test_invalid_configs(tmp_path, capsys):
     (["variation", "--epsilon-cutoff", "-1"], EXIT_CONFIG),
     (["sweep", "--epsilon-cutoff", "-1"], EXIT_CONFIG),
     (["witness-n2", "--epsilon-cutoff", "-1"], EXIT_CONFIG),
+    # a NaN cutoff gave all-NaN margins, an infinite one zeroed every trace
+    (["sweep", "--epsilon-cutoff", "nan"], EXIT_CONFIG),
+    (["sweep", "--epsilon-cutoff", "inf"], EXIT_CONFIG),
+    (["variation", "--epsilon-cutoff", "inf"], EXIT_CONFIG),
+    (["witness-n2", "--epsilon-cutoff", "nan"], EXIT_CONFIG),
     # the step t0 * 2^-k underflows to 0 before the last level
     (["variation", "--levels", "1100"], EXIT_QUADRATURE),
 ], ids=["t0-zero", "t0-negative", "t0-nan", "t0-inf", "variation-cutoff", "sweep-cutoff",
-        "witness-cutoff", "levels-underflow"])
+        "witness-cutoff", "sweep-cutoff-nan", "sweep-cutoff-inf", "variation-cutoff-inf",
+        "witness-cutoff-nan", "levels-underflow"])
 def test_bad_flags_exit_with_documented_codes(argv, code, capsys):
     assert run(argv) == code
     err = json.loads(capsys.readouterr().out)
@@ -260,9 +266,16 @@ def test_witness_needs_three_cutoffs(tmp_path, capsys):
     ({"discrepancy_rtol": -1}, "discrepancy_rtol must be finite and >= 0"),
     ({"discrepancy_rtol": float("nan")}, "discrepancy_rtol must be finite and >= 0"),
     ({"discrepancy_rtol": float("inf")}, "discrepancy_rtol must be finite and >= 0"),
+    # an infinite support radius gave a proven_stable sweep with negative margins
+    ({"quadrature": {**SMALL_QUAD, "support_radius": float("inf")}},
+     "support_radius must be finite and > 0"),
+    ({"quadrature": {**SMALL_QUAD, "support_radius": float("nan")}},
+     "support_radius must be finite and > 0"),
+    ({"quadrature": {**SMALL_QUAD, "epsilon_cutoff": float("nan")}},
+     "epsilon_cutoff must be finite and >= 0"),
 ], ids=["n", "levels", "seed", "levels-inf", "radial-nodes", "pairs", "n-small",
         "lambda-negative", "lambda-nan", "corrupt-string", "corrupt-int", "rtol-negative",
-        "rtol-nan", "rtol-inf"])
+        "rtol-nan", "rtol-inf", "radius-inf", "radius-nan", "cutoff-nan"])
 def test_config_values_out_of_type_or_range_exit_2(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **{"samples": dict(SMALL_SAMPLES), **overrides})
     assert run(["verify", "--config", cfg]) == EXIT_CONFIG
@@ -292,26 +305,6 @@ def test_reports_are_deterministic(tmp_path):
     first = out.read_bytes()
     run(["verify", "--config", cfg])
     assert out.read_bytes() == first
-
-
-@pytest.mark.parametrize("argv, quadrature", [
-    (["sweep", "--n", "3", "--lambda", "0.1"], {"support_radius": math.inf}),
-    (["sweep", "--n", "3", "--lambda", "0.1"], {"support_radius": math.nan}),
-    (["sweep", "--n", "3", "--lambda", "0.5", "--epsilon-cutoff", "nan"], {}),
-    (["sweep", "--n", "3", "--lambda", "0.5", "--epsilon-cutoff", "inf"], {}),
-    (["variation", "--epsilon-cutoff", "inf"], {}),
-    (["witness-n2", "--epsilon-cutoff", "nan"], {}),
-], ids=["radius-inf", "radius-nan", "sweep-cutoff-nan", "sweep-cutoff-inf",
-        "variation-cutoff-inf", "witness-cutoff-nan"])
-def test_non_finite_quadrature_geometry_exits_2(tmp_path, capsys, argv, quadrature):
-    """Before this was checked, an infinite support radius gave a
-    `proven_stable` sweep with negative margins, a NaN cutoff all-NaN
-    margins, and an infinite cutoff zeroed every trace, each with exit 0."""
-    cfg = write_config(tmp_path, quadrature={**SMALL_QUAD, **quadrature})
-    assert run(argv + ["--config", cfg]) == EXIT_CONFIG
-    err = json.loads(capsys.readouterr().out)
-    assert err["error"]["code"] == EXIT_CONFIG
-    assert "must be finite" in err["error"]["message"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -36,12 +36,17 @@ FIELDS = [
 # the boundary, at a dimension where the tensor product has four factors.
 FIELDS_N4 = [desc for desc in battery_descriptors(20)
              if desc["id"] in ("box-c", "offaxis-a", "deep-a")]
+# All four tensor fields: with three or more factors per node, these
+# reports move when the order of the tensor product does.
+BOXES = [desc for desc in battery_descriptors(20) if desc["kind"] == "tensor_bump"]
 # file name -> (command line, config, exit code)
 CASES = {
     "variation-n3.json": (["variation", "--n", "3", "--lambda", "0.1"],
                           {"quadrature": QUADRATURE, "trial_functions": FIELDS}, 0),
     "variation-n4.json": (["variation", "--n", "4", "--lambda", "0.3"],
                           {"quadrature": QUADRATURE, "trial_functions": FIELDS_N4}, 0),
+    "variation-n4-boxes.json": (["variation", "--n", "4", "--lambda", "0.3"],
+                                {"quadrature": QUADRATURE, "trial_functions": BOXES}, 0),
     "sweep-n4.json": (["sweep", "--n", "4"], {"quadrature": QUADRATURE}, 0),
     "sweep-n5.json": (["sweep", "--n", "5"],
                       {"quadrature": QUADRATURE, "trial_functions": battery_descriptors(20)},

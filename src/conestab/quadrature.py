@@ -1,12 +1,37 @@
 """Integration over the slice and over the boundary trace, plus the
 finite-difference machinery for lower-right derivative estimates.
 
-The slice integral is flattened by the unit-Jacobian shear
-(x', x_n) -> (x', x_n + lam*|x'|) onto the half-space x_n > 0, then
-integrated by tensor Gauss-Legendre in the axis direction times a polar
-grid in x' (Gauss-Legendre radii times a uniform sphere grid).  Nodes
-never touch the axis x' = 0, where the flow's derivatives live only as
-one-sided limits.
+Slice integrals (:func:`support_sample`) run on a rule chosen by the
+field's :class:`~conestab.trial.Geometry`, so that the field's kinks fall on
+panel ends instead of inside panels:
+
+* a "radial" field is integrated in polar coordinates about its centre c:
+  Gauss-Legendre in the distance s on the part of each ray c + s*omega that
+  lies in the slice and in the ball (split at the field's radial breaks),
+  with the volume element s^(n-1).  Along a ray |grad f|^2 is then a
+  polynomial in s, integrated exactly by at least ceil((n + 2p)/2) nodes
+  for a profile of degree p.
+  - Centred on the axis, the field is axisymmetric.  The polar angle phi
+    from the axis runs on Gauss-Legendre panels split at the angles where a
+    ray leaves the slice at the ball's radius (the kinks of the ray
+    length), and one x'-direction carries the measure |S^(n-2)|, so the
+    node count does not grow with n.
+  - Centred off the axis, the directions are the sphere S^(n-1) up to the
+    rotations that fix the axis and the centre: the polar angle and one
+    angle about the centre's x'-direction, each on a rule exact for its
+    sine-power weight.  The exit distance of a ray solves
+    (c_n + s w_n)^2 = lam^2 |c' + s w'|^2.
+* a "box" field is integrated by Cartesian Gauss-Legendre on its cube, each
+  x_n column clipped at lam*|x'|; exact when the cube lies inside the slice.
+* a field that states only a "ball" (the default for hand-built fields)
+  gets the polar rule about the ball's centre with a full sphere grid of
+  x'-directions.
+
+Nodes never touch the axis x' = 0, where the flow's derivatives live only
+as one-sided limits.  The sheared sigma grid (:func:`sigma_grid`,
+:func:`integrate_sigma`: tensor Gauss-Legendre in the axis direction times
+a polar grid in x', after the unit-Jacobian shear onto a half-space) is no
+longer used by any slice integral of the program.
 
 The boundary trace integral carries a 1/|x'| weight: written in polar form
 it is regular for n >= 3, log-divergent for n = 2 with a nonzero vertex
@@ -22,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import ConeParams
+from .domain import ConeParams, _sumsq
 from .errors import DivergentBoundaryIntegral, QuadratureError
 from .trial import TrialFunction
 
@@ -34,7 +59,7 @@ __all__ = [
     "liminf_quotient",
     "sigma_grid",
     "support_sample",
-    "trace_radius",
+    "trace_span",
     "trace_grid",
     "sphere_grid",
     "gauss_legendre",
@@ -48,14 +73,21 @@ _MAX_NODES_PER_PANEL = 32
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and geometry for the quadrature grids.
+    """Node counts and geometry for the quadrature rules.
 
-    ``box_nodes_per_axis`` is used for the axis direction of the sheared
-    slice; ``angular_nodes`` is the node count per angular coordinate of
-    the sphere grid; ``epsilon_cutoff`` > 0 opts in to the regularized
-    trace integral (required to get a finite number in the divergent
-    two-dimensional case).  ``support_radius`` must be finite and > 0,
-    ``epsilon_cutoff`` finite and >= 0.
+    ``radial_nodes`` sets the radii of the trace grid and, divided by 8,
+    the nodes per ray segment of the polar slice rules; ``angular_nodes``
+    is the node count per angular coordinate of the sphere grids and the
+    off-axis rule, and half the count per polar-angle panel of the axis
+    rule; ``box_nodes_per_axis`` divided by 8 is the count per axis of the
+    box rule.  Each count is raised where needed to the least that keeps
+    the field's rule exact (see the slice rules); above that, doubling the
+    spec's counts doubles the rule's.  ``support_radius`` bounds the trace
+    grid and the sigma grid; the slice rules follow each field's geometry.
+    ``epsilon_cutoff`` > 0 opts in to the regularized trace integral
+    (required to get a finite number in the divergent two-dimensional
+    case).  ``support_radius`` must be finite and > 0, ``epsilon_cutoff``
+    finite and >= 0.
     """
 
     radial_nodes: int = 64
@@ -127,19 +159,26 @@ def sphere_grid(d: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
         phi = 2.0 * np.pi * (np.arange(m) + 0.5) / m
         pts = np.stack([np.cos(phi), np.sin(phi)], axis=1)
         return _read_only(pts, np.full(m, 2.0 * np.pi / m))
-    if d % 2 == 0:
-        cos_t, wz = gauss_legendre(-1.0, 1.0, m)
-        sin_t = np.sqrt(1.0 - cos_t * cos_t)
-        w_polar = wz * sin_t ** (d - 2)
-    else:
-        theta = np.pi * (np.arange(m) + 0.5) / m
-        cos_t, sin_t = np.cos(theta), np.sin(theta)
-        w_polar = sin_t ** (d - 1) * (np.pi / m)
+    cos_t, sin_t, w_polar = _polar_factor(d, m)
     base_pts, base_w = sphere_grid(d - 1, m)
     pts = np.concatenate(
         [np.repeat(cos_t, base_pts.shape[0])[:, None],
          np.kron(sin_t[:, None], base_pts)], axis=1)
     return _read_only(pts, np.kron(w_polar, base_w))
+
+
+def _polar_factor(d: int, m: int):
+    """(cos t, sin t, weights) of m nodes t in (0, pi) whose weights carry
+    sin^(d-1) t and integrate it exactly: Gauss-Legendre in z = cos t for
+    even d, where the weight is the polynomial (1 - z^2)^((d-2)/2), else the
+    midpoint rule in t, exact for the trigonometric polynomial sin^(d-1) t."""
+    if d % 2 == 0:
+        cos_t, wz = gauss_legendre(-1.0, 1.0, m)
+        sin_t = np.sqrt(1.0 - cos_t * cos_t)
+        return cos_t, sin_t, wz * sin_t ** (d - 2)
+    theta = np.pi * (np.arange(m) + 0.5) / m
+    sin_t = np.sin(theta)
+    return np.cos(theta), sin_t, sin_t ** (d - 1) * (np.pi / m)
 
 
 def _polar_nodes(n: int, r: np.ndarray, wr: np.ndarray, angular_nodes: int):
@@ -182,58 +221,176 @@ def sigma_grid(params: ConeParams, spec: QuadratureSpec):
     return pts.reshape(-1, params.n), (wpol[:, None] * wy).ravel(), np.repeat(radii, m_y)
 
 
-def _box_nodes(rows: np.ndarray, heights: np.ndarray, box):
-    """Polar index, axis index and height x_n of each sigma-grid node inside
-    ``box``, in grid order; the box is padded by a relative 1e-9 so that
-    rounding in a field cannot reach past it.
+# -- slice rules ------------------------------------------------------------------
 
-    A node is inside when its polar node x' is and its height is, so one
-    test per factor node decides every node: each polar node inside brings
-    the axis nodes inside at its radius.
-    """
-    lo, hi = (np.asarray(b, dtype=float) for b in box)
-    lo = lo - 1e-9 * (1.0 + np.abs(lo))
-    hi = hi + 1e-9 * (1.0 + np.abs(hi))
-    inside = np.ones(rows.shape[0], dtype=bool)
-    for j in range(rows.shape[1] - 1):
-        inside &= (rows[:, j] >= lo[j]) & (rows[:, j] <= hi[j])
-    polar = np.flatnonzero(inside)
-    axial = (heights >= lo[-1]) & (heights <= hi[-1])
-    per_radius = np.count_nonzero(axial, axis=1)
-    radius = polar // (rows.shape[0] // heights.shape[0])
-    counts = per_radius.take(radius)
-    # each node's place in the list of axis nodes inside, radius by radius
-    first = (np.cumsum(per_radius) - per_radius).take(radius)
-    place = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-    return (np.repeat(polar, counts), np.nonzero(axial)[1].take(place),
-            heights[axial].take(place))
+def _sphere_measure(k: int) -> float:
+    """Measure of the unit sphere S^k in R^(k+1)."""
+    return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+
+
+def _ray_spans(params: ConeParams, c: np.ndarray, omega: np.ndarray, reach: float):
+    """The s-interval (lo, hi) of each ray c + s*omega, 0 <= s <= reach, that
+    lies in the slice; lo == hi where the ray misses it.
+
+    g(s) = x_n - lam*|x'| along a ray is concave, so {g > 0} is one
+    interval, bounded by roots of (c_n + s w_n)^2 = lam^2 |c' + s w'|^2.
+    The roots cut [0, reach] into pieces; the interval is the union of the
+    pieces whose midpoint has g > 0."""
+    lam = params.lam
+    wp, wn = omega[:, :-1], omega[:, -1]
+    a = wn * wn - lam * lam * _sumsq(wp)
+    b = c[-1] * wn - lam * lam * (wp @ c[:-1])
+    cc = c[-1] ** 2 - lam * lam * float(c[:-1] @ c[:-1])
+    disc = b * b - a * cc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -(b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+        roots = np.stack([q / a, cc / q], axis=1)
+    roots = np.where((disc >= 0.0)[:, None] & np.isfinite(roots), roots, 0.0)
+    edges = np.sort(np.concatenate([np.zeros((len(a), 1)), np.clip(roots, 0.0, reach),
+                                    np.full((len(a), 1), reach)], axis=1), axis=1)
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    x = c + mid[..., None] * omega[:, None, :]
+    inside = x[..., -1] - lam * np.sqrt(_sumsq(x[..., :-1])) > 0.0
+    lo = np.min(np.where(inside, edges[:, :-1], reach), axis=1)
+    hi = np.max(np.where(inside, edges[:, 1:], 0.0), axis=1)
+    return lo, np.maximum(lo, hi)
+
+
+def _ray_rule(params: ConeParams, geom, spec: QuadratureSpec, omega, w_omega):
+    """Nodes c + s*omega and weights for the directions omega (weights
+    w_omega on the unit sphere): Gauss-Legendre in s on each ray's part of
+    the slice within the geometry's radius, split at its radial breaks, with
+    the volume element s^(n-1).  Exact for a "radial" geometry whose profile
+    has the stated degree: |grad f|^2 s^(n-1) has degree n - 3 + 2*degree."""
+    n = params.n
+    c = np.asarray(geom.center, dtype=float)
+    lo, hi = _ray_spans(params, c, omega, geom.radius)
+    edges = np.column_stack([lo, np.clip(np.asarray(geom.breaks, dtype=float)[None, :],
+                                         lo[:, None], hi[:, None]), hi])
+    m = max((n + 2 * geom.degree + 1) // 2, spec.radial_nodes // 8)
+    x0, w0 = _leggauss(m)
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    s = (half + edges[:, :-1])[..., None] + half[..., None] * x0
+    w = (half * w_omega[:, None])[..., None] * w0 * s ** (n - 1)
+    pts = c + s[..., None] * omega[:, None, None, :]
+    keep = np.flatnonzero(w.ravel() > 0.0)
+    return pts.reshape(-1, n).take(keep, axis=0), w.ravel().take(keep)
+
+
+def _cut_angles(params: ConeParams, height: float, radius: float) -> np.ndarray:
+    """Panel ends in the polar angle phi from the axis, for rays from the
+    axis point at ``height``: 0, pi, and the angles at which a ray leaves
+    the slice at distance ``radius`` (lam sin(phi) - cos(phi) = height /
+    radius), where the length of its part inside the ball has a kink."""
+    alpha = math.atan2(1.0, params.lam)
+    gap = height / (radius * math.sqrt(1.0 + params.lam ** 2))
+    cuts = {0.0, math.pi}
+    if abs(gap) <= 1.0:
+        b = math.asin(gap)
+        cuts |= {phi for phi in (alpha + b, alpha + math.pi - b) if 0.0 < phi < math.pi}
+    return np.array(sorted(cuts))
+
+
+def _panel_angles(n: int, cuts: np.ndarray, angular_nodes: int):
+    """(cos, sin, weights) of Gauss-Legendre nodes in the polar angle on each
+    panel between ``cuts``, with the weight sin^(n-2) folded in.  Twice the
+    spec's angular count, and at least n + 12 nodes, integrate sin^(n-2) to
+    rounding on any panel (checked for n <= 16)."""
+    m = max(2 * angular_nodes, n + 12)
+    phi, w = (np.concatenate(a) for a in zip(*(
+        gauss_legendre(lo, hi, m) for lo, hi in zip(cuts[:-1], cuts[1:]))))
+    sin_p = np.sin(phi)
+    return np.cos(phi), sin_p, w * sin_p ** (n - 2)
+
+
+def _plane_directions(n: int, axis: np.ndarray, angular_nodes: int):
+    """Unit x'-directions cos(psi) axis + sin(psi) e, e a unit vector normal
+    to ``axis``, with weights that integrate over S^(n-2) the functions
+    invariant under the rotations fixing ``axis`` (psi in (0, pi), weight
+    |S^(n-3)| sin^(n-3) psi); n >= 3."""
+    e = np.zeros(n - 1)
+    e[np.argmin(np.abs(axis))] = 1.0
+    e -= (e @ axis) * axis
+    e /= np.linalg.norm(e)
+    cos_p, sin_p, w = _polar_factor(n - 2, angular_nodes)
+    return cos_p[:, None] * axis + sin_p[:, None] * e, w * _sphere_measure(n - 3)
+
+
+def _box_rule(params: ConeParams, geom, spec: QuadratureSpec):
+    """Cartesian Gauss-Legendre on the cube, each x_n column clipped to the
+    slice (x_n > lam*|x'|).  An even node count per axis keeps every node off
+    the axis; with at least degree + 1 nodes the rule is exact for
+    |grad f|^2 of a "box" geometry whose cube lies inside the slice."""
+    n, lam = params.n, params.lam
+    c, w = np.asarray(geom.center, dtype=float), geom.radius
+    m = max(geom.degree + 1, spec.box_nodes_per_axis // 8)
+    m += m % 2
+    x0, w0 = _leggauss(m)
+    xp = np.stack(np.meshgrid(*(c[j] + w * x0 for j in range(n - 1)), indexing="ij"),
+                  axis=-1).reshape(-1, n - 1)
+    w_col = np.ones(1)
+    for _ in range(n - 1):
+        w_col = np.multiply.outer(w_col, w * w0).ravel()
+    lo = np.maximum(c[-1] - w, lam * np.sqrt(_sumsq(xp)))
+    half = 0.5 * np.maximum(c[-1] + w - lo, 0.0)
+    pts = np.empty((xp.shape[0], m, n))
+    pts[..., :-1] = xp[:, None, :]
+    pts[..., -1] = (lo + half)[:, None] + half[:, None] * x0
+    wts = (w_col * half)[:, None] * w0
+    keep = np.flatnonzero(wts.ravel() > 0.0)
+    return pts.reshape(-1, n).take(keep, axis=0), wts.ravel().take(keep)
+
+
+def _slice_rule(params: ConeParams, geom, spec: QuadratureSpec):
+    """Nodes (m, n) and weights (m,) of the rule for a field of geometry
+    ``geom``: all inside the slice and inside the field's region."""
+    if geom.shape == "box":
+        return _box_rule(params, geom, spec)
+    n, m = params.n, spec.angular_nodes
+    c = np.asarray(geom.center, dtype=float)
+    offset = math.sqrt(float(c[:-1] @ c[:-1]))
+    if offset == 0.0:
+        polar = _panel_angles(n, _cut_angles(params, float(c[-1]), geom.radius), m)
+    else:
+        polar = _polar_factor(n - 1, m)
+    if geom.shape == "radial" and offset == 0.0:
+        # f depends on |x'| and x_n only: one x'-direction stands for S^(n-2)
+        xi, w_xi = np.eye(1, n - 1), np.array([_sphere_measure(n - 2)])
+    elif geom.shape == "ball" or n == 2:
+        xi, w_xi = sphere_grid(n - 2, m)
+    else:
+        xi, w_xi = _plane_directions(n, c[:-1] / offset, m)
+    cos_t, sin_t, w_t = polar
+    omega = np.empty((cos_t.size, xi.shape[0], n))
+    omega[..., :-1] = sin_t[:, None, None] * xi
+    omega[..., -1] = cos_t[:, None]
+    return _ray_rule(params, geom, spec, omega.reshape(-1, n), (w_t[:, None] * w_xi).ravel())
 
 
 @lru_cache(maxsize=1)
 def support_sample(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
-    """Read-only (pts, weights, radii, grad f, f) at the sigma-grid nodes where
-    f != 0, in grid order; sums over them drop only exact zeros (see
-    :class:`TrialFunction`).  f is evaluated only at the nodes inside its
-    support box, gathered from the grid's tensor factors by row, and
-    non-finite values are rejected on the nodes it evaluates.
+    """Read-only (pts, weights, radii, grad f, f) at the nodes of f's slice
+    rule where f != 0, in rule order; radii are |x'|.  Sums over them drop
+    only exact zeros (see :class:`TrialFunction`), and non-finite values of
+    f or grad f are rejected.
+
+    The rule follows f's geometry (see the module docstring).  Its
+    Dirichlet energy is exact when the field's profile is the stated
+    polynomial and, for a box or an off-axis ball, its region lies inside
+    the slice.
 
     One entry is cached.  That serves a caller that finishes one field
     before it moves to the next (a variation report, one sweep); a caller
     that comes back to a field rebuilds its sample, as the shear check at
     lam* does after a sweep has gone on to other fields or another lam."""
-    rows, radii, wpol, heights, wy = _sigma_factors(params, spec)
-    polar, axial, height = _box_nodes(rows, heights, f.support_box)
-    candidates = rows.take(polar, axis=0)
-    candidates[:, -1] = height
-    fv = f.evaluator(candidates)
+    pts, weights = _slice_rule(params, f.geometry, spec)
+    fv = f.evaluator(pts)
     keep = np.flatnonzero(fv)
-    polar, axial, fv = polar.take(keep), axial.take(keep), fv.take(keep)
-    sub = candidates.take(keep, axis=0)
+    sub, fv = pts.take(keep, axis=0), fv.take(keep)
     grads = f.gradient(sub)
     if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(grads))):
         raise QuadratureError("field or gradient non-finite at quadrature nodes")
-    weights = np.take(wpol, polar) * np.take(wy, axial)
-    return _read_only(sub, weights, np.take(radii, polar), grads, fv)
+    return _read_only(sub, weights.take(keep), np.sqrt(_sumsq(sub[:, :-1])), grads, fv)
 
 
 def compensated_sum(values: np.ndarray) -> float:
@@ -271,9 +428,25 @@ def integrate_sigma(params: ConeParams, integrand: Callable[[np.ndarray], np.nda
 
 # -- boundary trace integral --------------------------------------------------
 
-def trace_radius(params: ConeParams, f: TrialFunction, spec: QuadratureSpec) -> float:
-    """Largest |x'| where f's boundary trace, at |x| = |x'|*sqrt(1+lam^2), can be nonzero."""
-    return min(spec.support_radius, f.support_radius / math.sqrt(1.0 + params.lam ** 2))
+def trace_span(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
+    """(lo, hi): the range of |x'| where f's boundary trace, at the boundary
+    point (x', lam |x'|), can be nonzero; hi is at most the spec's support
+    radius.  For a radial field centred on the axis this is the exact
+    range, so the trace integrand is smooth on it."""
+    lam = params.lam
+    q = 1.0 + lam * lam
+    lo, hi = 0.0, f.support_radius / math.sqrt(q)
+    geom = f.geometry
+    if geom.shape == "radial" and not any(geom.center[:-1]):
+        # |(r e, lam r) - (0, h)| = radius at the roots of
+        # q r^2 - 2 lam h r + h^2 - radius^2
+        h = geom.center[-1]
+        disc = (lam * h) ** 2 - q * (h * h - geom.radius ** 2)
+        if disc <= 0.0:
+            return 0.0, 0.0
+        lo = max(0.0, (lam * h - math.sqrt(disc)) / q)
+        hi = (lam * h + math.sqrt(disc)) / q
+    return lo, min(spec.support_radius, hi)
 
 
 def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float,
@@ -308,16 +481,17 @@ def boundary_integral(params: ConeParams, f: TrialFunction,
     raises :class:`DivergentBoundaryIntegral` -- the instability signature,
     reported explicitly rather than returned as a huge number.
     """
-    r_max = trace_radius(params, f, spec)
+    r_min, r_max = trace_span(params, f, spec)
     cutoff = spec.epsilon_cutoff
     if params.n == 2 and cutoff == 0.0 and f.value_at_vertex != 0.0:
         raise DivergentBoundaryIntegral(
             "trace integral diverges: two-dimensional slice with nonzero "
             f"vertex value {f.value_at_vertex}; set epsilon_cutoff > 0 to regularize",
             vertex_value=f.value_at_vertex)
-    if cutoff >= r_max:
+    lower = max(cutoff, r_min)
+    if lower >= r_max:
         return 0.0
-    pts, weights, _ = trace_grid(params, spec, r_max, log_from=cutoff or None)
+    pts, weights, _ = trace_grid(params, spec, r_max, log_from=lower or None)
     vals = f.evaluator(pts) ** 2
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("trace integrand produced non-finite values")

@@ -133,9 +133,9 @@ def shear_transform_check(params: ConeParams, f: TrialFunction,
     if params.n < 3:
         raise ValueError("shear_transform_check requires n >= 3")
     energy_f = dirichlet_energy(params, f, spec)
-    # g(x) = f(x', x_n + lam*|x'|).  The shear maps the flat grid node for node,
-    # with equal weights, onto the slice grid; the axis partial of f leaks into
-    # the in-plane gradient along the radial direction.
+    # g(x) = f(x', x_n + lam*|x'|).  The shear has unit Jacobian, so E_g is the
+    # slice integral of |grad g|^2 at the sheared points, on f's own nodes; the
+    # axis partial of f leaks into the in-plane gradient along the radial direction.
     pts, weights, radii, gv, _ = support_sample(params, f, spec)
     grad = gv[:, :-1] + params.lam * gv[:, -1:] * (pts[:, :-1] / radii[:, None])
     energy_g = compensated_sum(weights * (_sumsq(grad) + gv[:, -1] ** 2))

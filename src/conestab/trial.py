@@ -22,6 +22,7 @@ import numpy as np
 from .domain import ConeParams, _prod, _sumsq
 
 __all__ = [
+    "Geometry",
     "TrialFunction",
     "make_radial_bump",
     "make_tensor_bump",
@@ -42,17 +43,44 @@ def _fmt(vec) -> str:
 
 
 @dataclass(frozen=True)
+class Geometry:
+    """What the slice rules need to know about where a field lives.
+
+    ``shape`` is one of
+      * "radial": f depends only on the distance s = |x - center| and
+        vanishes for s >= radius; between consecutive ``breaks`` (radii in
+        (0, radius)) it is a polynomial of ``degree`` in s;
+      * "box": f is a product of one-variable polynomials of ``degree`` in
+        x_i - center_i on the cube of half-width ``radius``, 0 outside it;
+      * "ball": f vanishes outside the ball of ``radius`` about ``center``;
+        nothing else is known.
+    Fields are cache keys, so every entry is hashable (tuples of floats).
+    """
+
+    shape: str
+    center: tuple
+    radius: float
+    degree: int = 1
+    breaks: tuple = ()
+
+    def __post_init__(self):
+        if self.shape not in ("radial", "box", "ball"):
+            raise ValueError(f"unknown geometry shape {self.shape!r}")
+        if not self.radius > 0 or not all(0.0 < b < self.radius for b in self.breaks):
+            raise ValueError("geometry needs radius > 0 and breaks inside (0, radius)")
+
+
+@dataclass(frozen=True)
 class TrialFunction:
     """A compactly supported Lipschitz scalar field on the closed slice.
 
     Contract: ``gradient`` is exactly 0 at every quadrature node where
     ``evaluator`` is 0, so slice integrals may skip the field's zero set;
-    and both are exactly 0 at every point outside ``support_box``, so slice
-    integrals evaluate the field only on the nodes inside it.
+    and both are exactly 0 outside the region ``geometry`` states, so the
+    slice rules place nodes only there.
 
-    ``support_box`` is the axis-aligned box ((lo_1, ..., lo_n), (hi_1, ...,
-    hi_n)) of float tuples (fields are cache keys, so it must hash).  It
-    defaults to the cube of half-width ``support_radius`` about the origin.
+    ``geometry`` defaults to a "ball" of radius ``support_radius`` about
+    the origin, which assumes nothing about the field's shape.
     """
 
     dimension: int
@@ -68,22 +96,19 @@ class TrialFunction:
     inradius: float = 1.0
     label: str = ""
     descriptor: tuple = ()
-    support_box: tuple | None = None
+    geometry: Geometry | None = None
 
     def __post_init__(self):
-        if self.support_box is None:
-            r = float(self.support_radius)
-            object.__setattr__(self, "support_box", _box(np.zeros(self.dimension), r))
+        if self.geometry is None:
+            object.__setattr__(self, "geometry", Geometry(
+                "ball", (0.0,) * self.dimension, float(self.support_radius)))
+        if len(self.geometry.center) != self.dimension:
+            raise ValueError("geometry center must have one entry per dimension")
 
     @property
     def value_at_vertex(self) -> float:
         """f at the vertex x = 0, read from the evaluator."""
         return float(self.evaluator(np.zeros((1, self.dimension)))[0])
-
-
-def _box(center: np.ndarray, half_width: float) -> tuple:
-    return (tuple(float(v) for v in center - half_width),
-            tuple(float(v) for v in center + half_width))
 
 
 def _center_array(center, n: int) -> np.ndarray:
@@ -150,7 +175,7 @@ def make_radial_bump(center, radius: float, n: int, exponent: int = 1,
         inradius=rho,
         label=label or f"radial(c={_fmt(c)},r={rho:g},p={p})",
         descriptor=("radial_bump", tuple(float(v) for v in c), rho, p),
-        support_box=_box(c, rho),
+        geometry=Geometry("radial", tuple(float(v) for v in c), rho, p),
     )
 
 
@@ -206,7 +231,7 @@ def make_tensor_bump(center, half_width: float, n: int, exponent: int = 1,
         inradius=w,
         label=label or f"tensor(c={_fmt(c)},w={w:g},p={p})",
         descriptor=("tensor_bump", tuple(float(v) for v in c), w, p),
-        support_box=_box(c, w),
+        geometry=Geometry("box", tuple(float(v) for v in c), w, 2 * p),
     )
 
 
@@ -240,8 +265,8 @@ def make_boundary_bump(radius: float, n: int, exponent: int = 1,
 
 
 def scaled(f: TrialFunction, c: float) -> TrialFunction:
-    """The field c*f (same support, support box and kink set; quantities
-    scale by c^2)."""
+    """The field c*f (same support, geometry and kink set; quantities scale
+    by c^2)."""
     c = float(c)
 
     def evaluator(pts):

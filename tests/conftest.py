@@ -1,6 +1,17 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+# The benchmark's exact values (bench/oracle.py, written without conestab),
+# imported from there so that one copy exists.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+try:
+    import oracle  # noqa: F401  (tests import it from here)
+finally:
+    sys.path.pop(0)
 
 settings.register_profile(
     "ci", max_examples=60, deadline=None, derandomize=True,

@@ -16,8 +16,8 @@ from conestab.quadrature import (LiminfEstimate, QuadratureSpec, boundary_integr
                                  compensated_sum, gauss_legendre, integrate_sigma,
                                  liminf_quotient, sigma_grid, sphere_grid, support_sample)
 from conestab.stability import lambda_star, shear_transform_check, stability_sweep
-from conestab.trial import (TrialFunction, make_boundary_bump, make_radial_bump, scaled,
-                            standard_battery)
+from conestab.trial import (TrialFunction, make_boundary_bump, make_radial_bump,
+                            make_tensor_bump, scaled, standard_battery)
 from conestab.variation import area, dirichlet_energy, variation_report
 
 
@@ -121,31 +121,33 @@ def test_nodes_avoid_axis_and_stay_inside():
 
 
 def test_emitted_nodes_are_smooth_points_of_the_battery():
-    """Node generation must only emit smooth points: off the axis and off
-    every kink set of the standard battery."""
+    """Node generation must only emit smooth points: each battery member's
+    nodes lie off the axis and off its kink set (the centre and support
+    sphere of a radial hat, the faces of a box)."""
     from conftest import is_smooth_point
     for n, spec in ((2, QuadratureSpec(64, 2, 64, 3.0)),
                     (3, QuadratureSpec(64, 16, 64, 3.0)),
                     (3, QuadratureSpec(128, 64, 128, 3.0)),
                     (4, QuadratureSpec(32, 8, 32, 3.1))):
-        pts, _, _ = sigma_grid(ConeParams(n, 0.3), spec)
-        for f in standard_battery(n):
-            assert is_smooth_point(f, pts), (n, f.label)
+        for lam in (0.0, 0.3, 1.1):
+            for f in standard_battery(n):
+                pts = support_sample(ConeParams(n, lam), f, spec)[0]
+                assert pts.shape[0] > 0 and is_smooth_point(f, pts), (n, lam, f.label)
 
 
-def whole_grid_sample(params, f, spec):
-    """The support sample found by evaluating f on the whole sigma grid: the
-    reference for :func:`support_sample`."""
-    pts, weights, radii = sigma_grid(params, spec)
+def whole_rule_sample(params, f, spec):
+    """The support sample found by evaluating f on every node of its rule:
+    the reference for :func:`support_sample`."""
+    pts, weights = quadrature._slice_rule(params, f.geometry, spec)
     fv = f.evaluator(pts)
     mask = fv != 0.0
     sub = pts[mask]
-    return sub, weights[mask], radii[mask], f.gradient(sub), fv[mask]
+    return sub, weights[mask], np.linalg.norm(sub[:, :-1], axis=-1), f.gradient(sub), fv[mask]
 
 
 def assert_same_sample(params, f, spec):
     got = support_sample(params, f, spec)
-    want = whole_grid_sample(params, f, spec)
+    want = whole_rule_sample(params, f, spec)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert np.array_equal(a, b), (params, f.label)
@@ -157,10 +159,12 @@ SAMPLE_SPECS = {2: QuadratureSpec(32, 2, 32, 3.1), 3: QuadratureSpec(24, 8, 24, 
 
 
 def test_support_sample_matches_whole_grid_reference():
-    """Selecting nodes by support box drops no support node and keeps grid
-    order: every array equals the whole-grid sample's exactly, for the
-    battery, a scaled member and the box-less plateau field (default box),
-    at lam = 0, 0.3, lam* and 2 lam* (n = 2 has no lam*)."""
+    """The sample drops only the exact zeros of f from the field's whole
+    rule and keeps rule order: every array equals the whole-rule sample's
+    exactly, for the battery, a scaled member and the plateau field (default
+    ball geometry), at lam = 0, 0.3, lam* and 2 lam* (n = 2 has no lam*).
+    Every node lies strictly inside the slice and off the axis, with a
+    positive weight."""
     for n, spec in SAMPLE_SPECS.items():
         lams = [0.0, 0.3]
         if n >= 3:
@@ -170,20 +174,27 @@ def test_support_sample_matches_whole_grid_reference():
         fields = battery + [scaled(battery[13], -1.7), plateau_field(n)]
         for lam in lams:
             for f in fields:
-                assert_same_sample(ConeParams(n, lam), f, spec)
+                pts, weights, radii, _, _ = assert_same_sample(ConeParams(n, lam), f, spec)
+                assert pts.shape[0] > 0, (n, lam, f.label)
+                assert np.all(radii > 0.0) and np.all(weights > 0.0), (n, lam, f.label)
+                assert np.all(pts[:, -1] > lam * radii), (n, lam, f.label)
 
 
 def test_support_sample_when_the_box_leaves_the_grid():
-    """A support radius that clips the boxes still gives the reference
-    sample; a box that misses the grid gives an empty sample, on which the
+    """The slice rules follow the field's geometry, not the spec's support
+    radius: a radius that would clip the supports leaves every sample as it
+    is.  A support that misses the slice gives an empty sample, on which the
     area and the Dirichlet energy are 0."""
     params = ConeParams(3, 0.3)
     clipped = QuadratureSpec(24, 8, 24, 1.0)
     for f in standard_battery(3) + [plateau_field(3)]:
-        assert_same_sample(params, f, clipped)
-    far = make_radial_bump([0.0, 0.0, 4.0], 0.5, 3)
+        got = assert_same_sample(params, f, clipped)
+        for a, b in zip(got, support_sample(params, f, SAMPLE_SPECS[3])):
+            assert np.array_equal(a, b), f.label
     below = make_radial_bump([0.0, 0.0, -1.0], 0.5, 3)
-    for f in (far, below):
+    beside = make_radial_bump([2.0, 0.0, 0.1], 0.3, 3)
+    box_below = make_tensor_bump([0.0, 0.0, -1.0], 0.4, 3)
+    for f in (below, beside, box_below):
         pts, weights, radii, grads, values = assert_same_sample(params, f, SAMPLE_SPECS[3])
         assert pts.shape == (0, 3) and grads.shape == (0, 3)
         assert weights.size == radii.size == values.size == 0
@@ -202,9 +213,9 @@ def plain(x):
 
 
 def test_program_paths_never_materialise_the_whole_grid(monkeypatch):
-    """Reports, sweeps and the shear check read the grid only through its
-    tensor factors: with sigma_grid raising and the grid caches emptied they
-    return exactly the values of an unpatched run."""
+    """Reports, sweeps and the shear check never build the sigma grid: with
+    sigma_grid raising and the grid caches emptied they return exactly the
+    values of an unpatched run."""
     spec = QuadratureSpec(16, 6, 16, 3.1)
     params = ConeParams(3, 0.3)
     battery = standard_battery(3)[:4]
@@ -240,9 +251,9 @@ def counting(f, counts):
 
 
 def test_support_sample_evaluates_few_nodes_outside_the_support():
-    """On the n = 5 grid of the margin benchmark, the battery's box
-    candidates are at most 1.5 times its support nodes in total and at most
-    2.5 times for any one field."""
+    """At the n = 5 spec of the margin benchmark, the nodes each battery
+    member's rule evaluates are at most 1.5 times its support nodes in
+    total and at most 2.5 times for any one field."""
     spec = QuadratureSpec(32, 8, 32, 3.1)
     star = lambda_star(5).lambda_star
     for lam in (0.5 * star, star, 2.0 * star):

@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from conftest import oracle
 
 from conestab.domain import ConeParams
-from conestab.quadrature import QuadratureSpec, integrate_sigma
+from conestab.quadrature import QuadratureSpec, support_sample
 from conestab.stability import (INCONCLUSIVE, PROVEN_STABLE, UNSTABLE,
                                 instability_witness_n2, kato_constant, lambda_star,
                                 shear_transform_check, stability_sweep)
-from conestab.trial import (make_boundary_bump, make_radial_bump, scaled,
-                            standard_battery)
+from conestab.trial import (battery_descriptors, build_trial, make_boundary_bump,
+                            make_radial_bump, scaled, standard_battery)
 from conestab.verify import kato_suite
 
 # frozen high-precision references
@@ -102,33 +103,58 @@ def test_shear_check_contract_inequalities():
         assert energy_g >= kato_constant(3) * trace - 1e-8
 
 
-def _flat_grid_energy_g(params, f, spec):
-    """E_g of g = f(x', x_n + lam*|x'|) on the flat (lam = 0) grid, with grad f
-    taken at the sheared points: the reference for the support-sample route."""
-    lam = params.lam
+def _energy_g_closed_form(desc, n, lam):
+    """E_g of g = f(x', x_n + lam*|x'|) for an axis-centred radial field, or
+    None.  The shear has unit Jacobian and grad f = f'(s) omega, with omega
+    at polar angle phi from the axis, so |grad g|^2 = f'(s)^2 ((sin phi +
+    lam cos phi)^2 + cos^2 phi): the radial energy integral times |S^(n-2)|
+    times the integral of that factor against sin^(n-2) phi over the rays
+    inside the slice -- phi < atan(1/lam) for a vertex bump, all of (0, pi)
+    for a ball inside the slice."""
+    exact = oracle.energy_and_trace(desc, n, lam)
+    if desc["kind"] == "tensor_bump" or isinstance(desc.get("center"), str) or exact is None:
+        return None
+    p, rho = int(desc.get("exponent", 1)), float(desc["radius"])
+    if desc["kind"] == "boundary_concentrated":
+        top = math.atan2(1.0, lam)
+    elif exact[1] == 0.0:
+        top = math.pi
+    else:
+        return None  # the ball crosses the boundary
+    j = [oracle._sin_power_integral(k, top) for k in (n - 2, n)]
+    angular = j[1] + 2.0 * lam * math.sin(top) ** n / n + (1.0 + lam * lam) * (j[0] - j[1])
+    return (oracle.sphere_measure(n - 2) * angular
+            * oracle._radial_energy_partial(n, rho, p, rho))
 
-    def grad_g_sq(pts):
-        xp = pts[..., :-1]
-        r = np.linalg.norm(xp, axis=-1)
-        mapped = pts.copy()
-        mapped[..., -1] = pts[..., -1] + lam * r
-        gv = f.gradient(mapped)
-        inv_r = np.where(r > 0, 1.0 / np.where(r > 0, r, 1.0), 0.0)
-        grad = gv[..., :-1] + lam * gv[..., -1:] * (xp * inv_r[..., None])
-        return np.sum(grad * grad, axis=-1) + gv[..., -1] ** 2
 
-    return integrate_sigma(ConeParams(params.n, 0.0), grad_g_sq, spec)
-
-
-def test_shear_check_energy_matches_flat_grid_reference():
+def test_shear_check_energy_matches_closed_form():
+    """E_g against its closed form for the axis-centred members (vertex
+    bumps, and balls inside the slice, where E_g = (1 + lam^2/n) E_f), and
+    against the same algebra done with numpy's reductions on the field's own
+    nodes for the others (boxes, off-axis and crossing balls)."""
     specs = {3: SPEC3, 4: QuadratureSpec(32, 8, 32, 3.1)}
     for n, spec in specs.items():
         for lam in (0.0, 0.3, 1.1):
             params = ConeParams(n, lam)
-            for f in standard_battery(n):
-                _, energy_g, _ = shear_transform_check(params, f, spec)
-                assert energy_g == pytest.approx(_flat_grid_energy_g(params, f, spec),
-                                                 rel=1e-12), (n, lam, f.label)
+            closed = 0
+            for desc in battery_descriptors(20):
+                f = build_trial(desc, n)
+                energy_f, energy_g, _ = shear_transform_check(params, f, spec)
+                want = _energy_g_closed_form(desc, n, lam)
+                if want is None:
+                    pts, weights, _, gv, _ = support_sample(params, f, spec)
+                    xp = pts[:, :-1]
+                    grad = gv[:, :-1] + lam * gv[:, -1:] * xp / np.linalg.norm(
+                        xp, axis=-1, keepdims=True)
+                    want = float(np.sum(weights * (np.sum(grad ** 2, axis=-1)
+                                                   + gv[:, -1] ** 2)))
+                else:
+                    closed += 1
+                    if lam == 0.0 or desc["kind"] != "boundary_concentrated":
+                        assert want == pytest.approx((1.0 + lam * lam / n) * energy_f,
+                                                     rel=1e-12), desc["id"]
+                assert energy_g == pytest.approx(want, rel=1e-12), (n, lam, desc["id"])
+            assert closed >= 12, (n, lam)
 
 
 def test_shear_check_rejects_two_dims():

@@ -8,10 +8,10 @@ from conftest import is_smooth_point
 
 from conestab import trial
 from conestab.domain import ConeParams, PlanePoint
-from conestab.quadrature import QuadratureSpec, sigma_grid
-from conestab.trial import (TrialFunction, build_trial, make_boundary_bump, make_radial_bump,
-                            make_shifted_bump, make_tensor_bump, sample_smooth_points, scaled,
-                            standard_battery)
+from conestab.quadrature import QuadratureSpec, _slice_rule
+from conestab.trial import (Geometry, TrialFunction, build_trial, make_boundary_bump,
+                            make_radial_bump, make_shifted_bump, make_tensor_bump,
+                            sample_smooth_points, scaled, standard_battery)
 
 SEED = 20260810
 
@@ -154,27 +154,47 @@ def test_sampler_emits_smooth_support_points(rng):
     assert np.all(pts[:, -1] > params.lam * np.linalg.norm(pts[:, :-1], axis=1))
 
 
+def _ball_rule(n, spec, lam=0.3, radius=3.1):
+    """Nodes of the rule a hand-built field gets (polar about the origin,
+    full sphere grid of directions) out to ``radius``: they cover the slice
+    there, in and outside every battery member's support."""
+    geom = Geometry("ball", (0.0,) * n, radius)
+    return _slice_rule(ConeParams(n, lam), geom, spec)[0]
+
+
 def test_gradient_vanishes_where_field_vanishes_on_grid_nodes():
-    """The contract slice integrals rely on to skip the zero set of f."""
+    """The contract slice integrals rely on to skip the zero set of f, on
+    the nodes of the default ball rule and of each field's own rule."""
     specs = {2: QuadratureSpec(), 3: QuadratureSpec(), 4: QuadratureSpec(48, 10, 48, 3.1),
              5: QuadratureSpec(32, 8, 32, 3.1)}
     for n, spec in specs.items():
-        pts, _, _ = sigma_grid(ConeParams(n, 0.3), spec)
+        ball = _ball_rule(n, spec)
         battery = standard_battery(n)
         for f in battery + [scaled(battery[12], -1.7)]:
+            pts = np.concatenate([ball, _slice_rule(ConeParams(n, 0.3), f.geometry, spec)[0]])
             zero = f.evaluator(pts) == 0.0
+            assert np.any(zero), (n, f.label)
             assert np.all(f.gradient(pts[zero]) == 0.0), (n, f.label)
 
 
-def test_fields_vanish_outside_their_support_box_on_grid_nodes():
-    """The contract support_sample relies on to evaluate only the nodes in
-    the box: f and grad f are exactly 0 at every sigma-grid node outside the
-    unpadded box, for every family at exponents 1 and 2, a scaled field and
-    the battery's descriptors."""
+def _outside(geom, pts):
+    """Points of ``pts`` outside the region the geometry states."""
+    d = pts - np.asarray(geom.center)
+    if geom.shape == "box":
+        return np.any(np.abs(d) >= geom.radius, axis=-1)
+    return np.linalg.norm(d, axis=-1) >= geom.radius
+
+
+def test_fields_vanish_outside_their_geometry(rng):
+    """The contract the slice rules rely on to place nodes only in the
+    field's region: f and grad f are exactly 0 at every point outside the
+    ball or cube its geometry states, for every family at exponents 1 and 2,
+    a scaled field and the battery's descriptors, on the nodes of the
+    default ball rule and on random points."""
     specs = {2: QuadratureSpec(48, 2, 48, 3.1), 3: QuadratureSpec(32, 16, 32, 3.1),
              4: QuadratureSpec(24, 8, 24, 3.1), 5: QuadratureSpec(16, 6, 16, 3.1)}
     for n, spec in specs.items():
-        pts, _, _ = sigma_grid(ConeParams(n, 0.3), spec)
+        pts = np.concatenate([_ball_rule(n, spec), rng.uniform(-3.2, 3.2, size=(20000, n))])
         off = np.zeros(n)
         off[0], off[-1] = 0.3, 1.2
         fields = standard_battery(n)
@@ -185,25 +205,33 @@ def test_fields_vanish_outside_their_support_box_on_grid_nodes():
                        make_boundary_bump(0.9, n, exponent=p)]
         fields.append(scaled(fields[-3], -2.5))
         for f in fields:
-            lo, hi = (np.array(b) for b in f.support_box)
-            assert lo.shape == hi.shape == (n,) and np.all(lo < hi), f.label
-            outside = np.any((pts < lo) | (pts > hi), axis=-1)
-            assert np.any(outside)
+            outside = _outside(f.geometry, pts)
+            assert np.any(outside) and not np.all(outside), (n, f.label)
             assert np.all(f.evaluator(pts[outside]) == 0.0), (n, f.label)
             assert np.all(f.gradient(pts[outside]) == 0.0), (n, f.label)
 
 
-def test_support_box_defaults_hashes_and_survives_replace():
+def test_geometry_defaults_hashes_and_survives_replace():
     f = make_radial_bump([0.1, 0.0, 1.2], 0.5, 3, exponent=2)
-    assert f.support_box == ((-0.4, -0.5, 0.7), (0.6, 0.5, 1.7))
-    assert make_tensor_bump([0.0, 0.0, 1.0], 0.25, 3).support_box == \
-        ((-0.25, -0.25, 0.75), (0.25, 0.25, 1.25))
-    assert scaled(f, 3.0).support_box == f.support_box
-    assert all(isinstance(v, float) for bound in f.support_box for v in bound)
+    assert f.geometry == Geometry("radial", (0.1, 0.0, 1.2), 0.5, 2)
+    assert make_tensor_bump([0.0, 0.0, 1.0], 0.25, 3).geometry == \
+        Geometry("box", (0.0, 0.0, 1.0), 0.25, 2)
+    assert make_shifted_bump([0.0, 0.0, 0.5], 0.6, 3, shift=1.0).geometry == \
+        Geometry("radial", (0.0, 0.0, 1.5), 0.6, 1)
+    assert make_boundary_bump(0.9, 4, exponent=3).geometry == \
+        Geometry("radial", (0.0,) * 4, 0.9, 3)
+    assert scaled(f, 3.0).geometry == f.geometry
+    assert all(isinstance(v, float) for v in f.geometry.center)
     hand_built = TrialFunction(dimension=3, evaluator=f.evaluator, gradient=f.gradient,
                                support_radius=1.5, lipschitz_bound=1.0)
-    assert hand_built.support_box == ((-1.5,) * 3, (1.5,) * 3)
+    assert hand_built.geometry == Geometry("ball", (0.0,) * 3, 1.5)
     for g in (f, hand_built):
         assert {g: 1}[g] == 1 and hash(g) == hash(g)
         traced = dataclasses.replace(g, evaluator=lambda p: g.evaluator(p))
-        assert traced.support_box == g.support_box
+        assert traced.geometry == g.geometry
+    with pytest.raises(ValueError):
+        Geometry("cone", (0.0, 1.0), 1.0)
+    with pytest.raises(ValueError):
+        Geometry("radial", (0.0, 1.0), 1.0, breaks=(1.5,))
+    with pytest.raises(ValueError):
+        dataclasses.replace(f, geometry=Geometry("radial", (0.0, 1.0), 1.0))

@@ -5,16 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from conftest import oracle
 
 import conestab.variation
 from conestab.domain import ConeParams
 from conestab.errors import QuadratureError
 from conestab.flow import flow_coefficients_batch
 from conestab.jacobian import jacobian_closed_form
-from conestab.quadrature import QuadratureSpec, compensated_sum, integrate_sigma, sigma_grid
+from conestab.quadrature import QuadratureSpec, _slice_rule, compensated_sum, support_sample
 from conestab.stability import lambda_star
-from conestab.trial import (make_boundary_bump, make_radial_bump, make_shifted_bump,
-                            scaled, standard_battery)
+from conestab.trial import (battery_descriptors, build_trial, make_boundary_bump,
+                            make_radial_bump, make_shifted_bump, scaled, standard_battery)
 from conestab.variation import (DEFAULT_LEVELS, area, default_t0, dirichlet_energy,
                                 second_variation_closed_form, variation_report)
 
@@ -182,11 +183,21 @@ def test_report_evaluates_each_area_once(monkeypatch):
 
 
 def test_dirichlet_energy_matches_full_grid_integral():
+    """The energy of the support sample equals the integral of |grad f|^2
+    over every node of the field's rule, zeros included, and the exact
+    energy: at lam = 0.3 the oracle covers every battery member at n = 3, 4
+    (the oracle test covers the other apertures)."""
+    scaled_vertex = {"kind": "boundary_concentrated", "radius": 0.9, "scale": -1.7}
     for n, spec in ((3, SPEC3), (4, QuadratureSpec(32, 8, 32, 3.1))):
         params = ConeParams(n, 0.3)
-        for f in standard_battery(n) + [scaled(make_boundary_bump(0.9, n), -1.7)]:
-            full = integrate_sigma(params, lambda p: np.sum(f.gradient(p) ** 2, axis=-1), spec)
-            assert dirichlet_energy(params, f, spec) == pytest.approx(full, rel=1e-13)
+        for desc in battery_descriptors(20) + [scaled_vertex]:
+            f = build_trial(desc, n)
+            pts, weights = _slice_rule(params, f.geometry, spec)
+            full = compensated_sum(weights * np.sum(f.gradient(pts) ** 2, axis=-1))
+            got = dirichlet_energy(params, f, spec)
+            assert got == pytest.approx(full, rel=1e-13), f.label
+            energy, _ = oracle.energy_and_trace(desc, n, params.lam)
+            assert got == pytest.approx(desc.get("scale", 1.0) ** 2 * energy, rel=1e-13), f.label
 
 
 def test_dirichlet_energy_rejects_non_finite_gradient_in_support():
@@ -196,38 +207,32 @@ def test_dirichlet_energy_rejects_non_finite_gradient_in_support():
         dirichlet_energy(ConeParams(3, 0.2), nan_gradient, SPEC3)
 
 
+def _ladder_times(f):
+    """Every t of a default report's two quotient ladders, and t = 0."""
+    t0 = default_t0(f)
+    steps = 0.5 ** np.arange(DEFAULT_LEVELS)
+    return [0.0] + (t0 * steps).tolist() + [math.sqrt(s) for s in t0 * t0 * steps]
+
+
+def _reference_area(params, f, t, spec):
+    """The deformed area through the flow coefficients and the closed-form
+    distortion factor, with f evaluated afresh at the nodes of its support
+    sample."""
+    pts, weights = support_sample(params, f, spec)[:2]
+    j2 = jacobian_closed_form(flow_coefficients_batch(params, f, pts, t))
+    return compensated_sum(weights * np.sqrt(j2))
+
+
 def test_area_from_sampled_values_matches_flow_coefficients_batch():
     """area builds its flow coefficients from the sampled f and grad f; on
     every t of a default report's ladders that equals evaluating f again
     through flow_coefficients_batch, bit for bit."""
     for n, spec in ((3, SPEC3), (4, QuadratureSpec(32, 8, 32, 3.1))):
         params = ConeParams(n, 0.2)
-        pts, weights, _ = sigma_grid(params, spec)
         for f in standard_battery(n):
-            support = f.evaluator(pts) != 0.0
-            sub, w = pts[support], weights[support]
-            t0 = default_t0(f)
-            steps = 0.5 ** np.arange(DEFAULT_LEVELS)
-            ts = [0.0] + (t0 * steps).tolist() + [math.sqrt(s) for s in t0 * t0 * steps]
-            for t in ts:
-                j2 = jacobian_closed_form(flow_coefficients_batch(params, f, sub, t))
-                assert area(params, f, t, spec) == compensated_sum(w * np.sqrt(j2)), (f.label, t)
-
-
-def _reference_area(params, f, t, spec):
-    """The deformed area through the flow coefficients and the closed-form
-    distortion factor, on the whole-grid nodes where f != 0."""
-    pts, weights, _ = sigma_grid(params, spec)
-    support = f.evaluator(pts) != 0.0
-    j2 = jacobian_closed_form(flow_coefficients_batch(params, f, pts[support], t))
-    return compensated_sum(weights[support] * np.sqrt(j2))
-
-
-def _ladder_times(f):
-    """Every t of a default report's two quotient ladders, and t = 0."""
-    t0 = default_t0(f)
-    steps = 0.5 ** np.arange(DEFAULT_LEVELS)
-    return [0.0] + (t0 * steps).tolist() + [math.sqrt(s) for s in t0 * t0 * steps]
+            for t in _ladder_times(f):
+                assert area(params, f, t, spec) == _reference_area(params, f, t, spec), \
+                    (f.label, t)
 
 
 @pytest.mark.parametrize("n, spec", [(2, QuadratureSpec(32, 2, 32, 3.0)),

@@ -18,6 +18,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -155,6 +156,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(f"levels must be >= 3, got {cfg.levels}")
     if not (math.isfinite(cfg.discrepancy_rtol) and cfg.discrepancy_rtol >= 0.0):
         raise ConfigError(f"discrepancy_rtol must be finite and >= 0, got {cfg.discrepancy_rtol}")
+    _check_out(cfg.out)
     return cfg
 
 
@@ -198,6 +200,16 @@ def _emit(payload: dict, cfg: RunConfig, csv_rows=None, csv_header=None) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _check_out(out: str | None):
+    """Fail before any computation when the report cannot be written to
+    ``out``: its directory must exist and be writable."""
+    if out is None or out == "-":
+        return
+    folder = os.path.dirname(os.path.abspath(out))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ConfigError(f"cannot write report to {out}: {folder} is not a writable directory")
+
+
 def _write(text: str, out: str | None):
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -236,6 +248,11 @@ def cmd_threshold(args) -> int:
     if n_min < 3 or n_max > 64:
         print("threshold: range must lie within [3, 64]", file=sys.stderr)
         return EXIT_CONFIG
+    if n_min > n_max:
+        print(f"threshold: empty range, --n-min {n_min} exceeds --n-max {n_max}",
+              file=sys.stderr)
+        return EXIT_CONFIG
+    _check_out(args.out)
     rows = []
     for n in range(n_min, n_max + 1):
         thr = lambda_star(n)

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from conestab import cli
 from conestab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_SUITE_FAILURE,
                           EXIT_WITNESS, load_config, main)
 
@@ -63,10 +64,11 @@ def test_threshold_csv_format(tmp_path):
     assert float(rows[1]["k_n"]) == pytest.approx(2.0 / math.pi, abs=1e-12)
 
 
-def test_threshold_empty_range_succeeds(capsys):
-    assert run(["threshold", "--n-min", "12", "--n-max", "11"]) == EXIT_OK
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["results"] == []
+def test_threshold_empty_range_exits_2(capsys):
+    assert run(["threshold", "--n-min", "12", "--n-max", "11"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty range" in captured.err
 
 
 def test_threshold_invalid_range():
@@ -323,3 +325,25 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     assert err["error"]["code"] == EXIT_CONFIG
     assert "cannot write report" in err["error"]["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, compute", [
+    (["threshold", "--n-min", "3", "--n-max", "4"], "lambda_star"),
+    (["variation", "--levels", "4"], "variation_report"),
+    (["sweep"], "stability_sweep"),
+    (["witness-n2"], "instability_witness_n2"),
+    (["verify"], "run_suites"),
+], ids=["threshold", "variation", "sweep", "witness-n2", "verify"])
+def test_unwritable_out_fails_before_computing(tmp_path, capsys, monkeypatch, argv, compute):
+    """An --out whose directory does not exist exits 2 with the JSON error
+    line before any computation: the subcommand's work raises if reached."""
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{compute} ran before --out was checked")
+
+    monkeypatch.setattr(cli, compute, reached)
+    if argv[0] != "threshold":
+        argv = argv + ["--config", write_config(tmp_path, samples=dict(SMALL_SAMPLES))]
+    assert run(argv + ["--out", tmp_path / "missing-dir" / "report.json"]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"]["code"] == EXIT_CONFIG
+    assert "cannot write report" in err["error"]["message"]

@@ -77,9 +77,9 @@ def _flow_scalars(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
     """Weights and the per-node scalars |x'|^2, 1/|x'|, f, axis partial of f,
     P = |grad' f|^2 and Q = x'.grad' f on the support sample (primes drop
     the axis component).  Keyed and cached like :func:`support_sample`."""
-    pts, weights, _, grads, values = support_sample(params, f, spec)
+    pts, weights, r, grads, values = support_sample(params, f, spec)
+    # r = |x'| > 0: the nodes lie strictly off the axis
     xp, gp = pts[:, :-1], grads[:, :-1]
-    r = np.sqrt(_sumsq(xp))  # > 0: grid nodes lie strictly off the axis
     return (weights, r * r, 1.0 / r, values, grads[:, -1],
             _sumsq(gp), _dot(xp, gp))
 

@@ -7,10 +7,9 @@ panel ends instead of inside panels:
 
 * a "radial" field is integrated in polar coordinates about its centre c:
   Gauss-Legendre in the distance s on the part of each ray c + s*omega that
-  lies in the slice and in the ball (split at the field's radial breaks),
-  with the volume element s^(n-1).  Along a ray |grad f|^2 is then a
-  polynomial in s, integrated exactly by at least ceil((n + 2p)/2) nodes
-  for a profile of degree p.
+  lies in the slice and in the ball, with the volume element s^(n-1).
+  Along a ray |grad f|^2 is then a polynomial in s, integrated exactly by
+  at least ceil((n + 2p)/2) nodes for a profile of degree p.
   - Centred on the axis, the field is axisymmetric.  The polar angle phi
     from the axis runs on Gauss-Legendre panels split at the angles where a
     ray leaves the slice at the ball's radius (the kinks of the ray
@@ -82,12 +81,12 @@ class QuadratureSpec:
     rule; ``box_nodes_per_axis`` divided by 8 is the count per axis of the
     box rule.  Each count is raised where needed to the least that keeps
     the field's rule exact (see the slice rules); above that, doubling the
-    spec's counts doubles the rule's.  ``support_radius`` bounds the trace
-    grid and the sigma grid; the slice rules follow each field's geometry.
-    ``epsilon_cutoff`` > 0 opts in to the regularized trace integral
-    (required to get a finite number in the divergent two-dimensional
-    case).  ``support_radius`` must be finite and > 0, ``epsilon_cutoff``
-    finite and >= 0.
+    spec's counts doubles the rule's.  ``support_radius`` sets the extent
+    of the sigma grid only: the slice rules and the trace grid follow each
+    field's own geometry.  ``epsilon_cutoff`` > 0 opts in to the
+    regularized trace integral (required to get a finite number in the
+    divergent two-dimensional case).  ``support_radius`` must be finite and
+    > 0, ``epsilon_cutoff`` finite and >= 0.
     """
 
     radial_nodes: int = 64
@@ -259,20 +258,18 @@ def _ray_spans(params: ConeParams, c: np.ndarray, omega: np.ndarray, reach: floa
 def _ray_rule(params: ConeParams, geom, spec: QuadratureSpec, omega, w_omega):
     """Nodes c + s*omega and weights for the directions omega (weights
     w_omega on the unit sphere): Gauss-Legendre in s on each ray's part of
-    the slice within the geometry's radius, split at its radial breaks, with
-    the volume element s^(n-1).  Exact for a "radial" geometry whose profile
-    has the stated degree: |grad f|^2 s^(n-1) has degree n - 3 + 2*degree."""
+    the slice within the geometry's radius, with the volume element
+    s^(n-1).  Exact for a "radial" geometry whose profile has the stated
+    degree: |grad f|^2 s^(n-1) has degree n - 3 + 2*degree."""
     n = params.n
     c = np.asarray(geom.center, dtype=float)
     lo, hi = _ray_spans(params, c, omega, geom.radius)
-    edges = np.column_stack([lo, np.clip(np.asarray(geom.breaks, dtype=float)[None, :],
-                                         lo[:, None], hi[:, None]), hi])
     m = max((n + 2 * geom.degree + 1) // 2, spec.radial_nodes // 8)
     x0, w0 = _leggauss(m)
-    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
-    s = (half + edges[:, :-1])[..., None] + half[..., None] * x0
-    w = (half * w_omega[:, None])[..., None] * w0 * s ** (n - 1)
-    pts = c + s[..., None] * omega[:, None, None, :]
+    half = 0.5 * (hi - lo)
+    s = (half + lo)[:, None] + half[:, None] * x0
+    w = (half * w_omega)[:, None] * w0 * s ** (n - 1)
+    pts = c + s[..., None] * omega[:, None, :]
     keep = np.flatnonzero(w.ravel() > 0.0)
     return pts.reshape(-1, n).take(keep, axis=0), w.ravel().take(keep)
 
@@ -428,11 +425,11 @@ def integrate_sigma(params: ConeParams, integrand: Callable[[np.ndarray], np.nda
 
 # -- boundary trace integral --------------------------------------------------
 
-def trace_span(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
+def trace_span(params: ConeParams, f: TrialFunction):
     """(lo, hi): the range of |x'| where f's boundary trace, at the boundary
-    point (x', lam |x'|), can be nonzero; hi is at most the spec's support
-    radius.  For a radial field centred on the axis this is the exact
-    range, so the trace integrand is smooth on it."""
+    point (x', lam |x'|), can be nonzero, read from the field alone.  For a
+    radial field centred on the axis this is the exact range, so the trace
+    integrand is smooth on it; otherwise |x| <= f.support_radius bounds it."""
     lam = params.lam
     q = 1.0 + lam * lam
     lo, hi = 0.0, f.support_radius / math.sqrt(q)
@@ -446,7 +443,7 @@ def trace_span(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
             return 0.0, 0.0
         lo = max(0.0, (lam * h - math.sqrt(disc)) / q)
         hi = (lam * h + math.sqrt(disc)) / q
-    return lo, min(spec.support_radius, hi)
+    return lo, hi
 
 
 def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float,
@@ -481,7 +478,7 @@ def boundary_integral(params: ConeParams, f: TrialFunction,
     raises :class:`DivergentBoundaryIntegral` -- the instability signature,
     reported explicitly rather than returned as a huge number.
     """
-    r_min, r_max = trace_span(params, f, spec)
+    r_min, r_max = trace_span(params, f)
     cutoff = spec.epsilon_cutoff
     if params.n == 2 and cutoff == 0.0 and f.value_at_vertex != 0.0:
         raise DivergentBoundaryIntegral(

@@ -48,8 +48,8 @@ class Geometry:
 
     ``shape`` is one of
       * "radial": f depends only on the distance s = |x - center| and
-        vanishes for s >= radius; between consecutive ``breaks`` (radii in
-        (0, radius)) it is a polynomial of ``degree`` in s;
+        vanishes for s >= radius; on (0, radius) it is a polynomial of
+        ``degree`` in s;
       * "box": f is a product of one-variable polynomials of ``degree`` in
         x_i - center_i on the cube of half-width ``radius``, 0 outside it;
       * "ball": f vanishes outside the ball of ``radius`` about ``center``;
@@ -61,13 +61,12 @@ class Geometry:
     center: tuple
     radius: float
     degree: int = 1
-    breaks: tuple = ()
 
     def __post_init__(self):
         if self.shape not in ("radial", "box", "ball"):
             raise ValueError(f"unknown geometry shape {self.shape!r}")
-        if not self.radius > 0 or not all(0.0 < b < self.radius for b in self.breaks):
-            raise ValueError("geometry needs radius > 0 and breaks inside (0, radius)")
+        if not self.radius > 0:
+            raise ValueError(f"geometry needs radius > 0, got {self.radius!r}")
 
 
 @dataclass(frozen=True)

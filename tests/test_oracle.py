@@ -15,7 +15,7 @@ from conftest import oracle
 
 from conestab.domain import ConeParams
 from conestab.quadrature import QuadratureSpec, boundary_integral, support_sample
-from conestab.trial import (Geometry, TrialFunction, battery_descriptors, build_trial,
+from conestab.trial import (TrialFunction, battery_descriptors, build_trial,
                             make_boundary_bump, make_radial_bump, make_tensor_bump, scaled)
 from conestab.variation import area, dirichlet_energy
 
@@ -121,32 +121,3 @@ def test_doubling_the_spec_refines_every_rule():
         for f in fields:
             assert (support_sample(params, f, doubled)[1].size
                     > support_sample(params, f, spec)[1].size), (n, f.label)
-
-
-def test_radial_breaks_split_the_ray_panels():
-    """A radial profile with a kink inside the ball, f = min(1, 2 - 2s/rho):
-    with the kink stated as a break the energy is exact,
-    (2/rho)^2 |S^(n-1)| rho^n (1 - 2^-n) / n for a ball inside the slice;
-    without it the kink cuts a ray panel and the energy is off."""
-    rho, n = 0.8, 4
-    c = np.zeros(n)
-    c[-1] = 2.0
-
-    def evaluator(pts):
-        s = np.linalg.norm(pts - c, axis=-1)
-        return np.clip(2.0 - 2.0 * s / rho, 0.0, 1.0)
-
-    def gradient(pts):
-        d = pts - c
-        s = np.linalg.norm(d, axis=-1, keepdims=True)
-        ramp = (s > 0.5 * rho) & (s < rho)
-        return np.where(ramp, -2.0 / rho * d / np.where(ramp, s, 1.0), 0.0)
-
-    exact = (2.0 / rho) ** 2 * oracle.sphere_measure(n - 1) * rho ** n * (1.0 - 2.0 ** -n) / n
-    params = ConeParams(n, 0.3)
-    for breaks, ok in (((0.5 * rho,), True), ((), False)):
-        f = TrialFunction(dimension=n, evaluator=evaluator, gradient=gradient,
-                          support_radius=2.0 + rho, lipschitz_bound=2.0 / rho,
-                          geometry=Geometry("radial", tuple(c), rho, 1, breaks))
-        error = abs(dirichlet_energy(params, f, SPECS[n]) / exact - 1.0)
-        assert (error <= 1e-13) if ok else (error > 1e-4), (breaks, error)

@@ -203,6 +203,20 @@ def test_support_sample_when_the_box_leaves_the_grid():
             assert area(params, f, t, SAMPLE_SPECS[3]) == 0.0
 
 
+def test_spec_support_radius_changes_neither_energy_nor_trace():
+    """E and T follow the field alone: a spec radius of 1.0, below the reach
+    of most battery supports (out to 2.9), gives E and T bit for bit as a
+    radius of 3.1 does, so the two are never cut off apart."""
+    wide, clipped = QuadratureSpec(24, 8, 24, 3.1), QuadratureSpec(24, 8, 24, 1.0)
+    for n in (3, 4):
+        for lam in (0.0, 0.3, 1.1):
+            params = ConeParams(n, lam)
+            for f in standard_battery(n) + [plateau_field(n)]:
+                for quantity in (dirichlet_energy, boundary_integral):
+                    assert quantity(params, f, clipped) == quantity(params, f, wide), \
+                        (n, lam, f.label, quantity.__name__)
+
+
 def plain(x):
     """x with dataclasses as tuples and arrays as lists, comparable by ==."""
     if dataclasses.is_dataclass(x):

@@ -232,6 +232,6 @@ def test_geometry_defaults_hashes_and_survives_replace():
     with pytest.raises(ValueError):
         Geometry("cone", (0.0, 1.0), 1.0)
     with pytest.raises(ValueError):
-        Geometry("radial", (0.0, 1.0), 1.0, breaks=(1.5,))
+        Geometry("radial", (0.0, 1.0), 0.0)
     with pytest.raises(ValueError):
         dataclasses.replace(f, geometry=Geometry("radial", (0.0, 1.0), 1.0))

@@ -42,11 +42,15 @@ def _split(coeffs: FlowCoefficients):
     return an, bn, sa2, sb2, sab
 
 
+def _distortion_squared(an, bn, sa2, sb2, sab):
+    """The closed form from a_n, b_n, |a'|^2, |b'|^2 and a'.b' (also read by area)."""
+    return (1.0 + an) ** 2 * (1.0 + sb2) + bn ** 2 * (1.0 + sa2) \
+        - 2.0 * (1.0 + an) * bn * sab
+
+
 def jacobian_closed_form(coeffs: FlowCoefficients) -> float | np.ndarray:
     """(1+a_n)^2 (1+sum b_i^2) + b_n^2 (1+sum a_i^2) - 2(1+a_n) b_n sum a_i b_i."""
-    an, bn, sa2, sb2, sab = _split(coeffs)
-    out = (1.0 + an) ** 2 * (1.0 + sb2) + bn ** 2 * (1.0 + sa2) \
-        - 2.0 * (1.0 + an) * bn * sab
+    out = _distortion_squared(*_split(coeffs))
     return float(out) if np.ndim(out) == 0 else out
 
 

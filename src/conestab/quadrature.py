@@ -1,36 +1,31 @@
 """Integration over the slice and over the boundary trace, plus the
 finite-difference machinery for lower-right derivative estimates.
 
-Slice integrals (:func:`support_sample`) run on a rule chosen by the
-field's :class:`~conestab.trial.Geometry`, so that the field's kinks fall on
-panel ends instead of inside panels:
+Both integrals of a field, over the slice (:func:`support_sample`) and over
+its boundary (:func:`boundary_integral`), read the field's
+:class:`~conestab.trial.Geometry`, so that its kinks fall on panel ends and
+its symmetry is summed once:
 
-* a "radial" field is integrated in polar coordinates about its centre c:
-  Gauss-Legendre in the distance s on the part of each ray c + s*omega that
-  lies in the slice and in the ball, with the volume element s^(n-1).
-  Along a ray |grad f|^2 is then a polynomial in s, integrated exactly by
-  at least ceil((n + 2p)/2) nodes for a profile of degree p.
-  - Centred on the axis, the field is axisymmetric.  The polar angle phi
-    from the axis runs on Gauss-Legendre panels split at the angles where a
-    ray leaves the slice at the ball's radius (the kinks of the ray
-    length), and one x'-direction carries the measure |S^(n-2)|, so the
-    node count does not grow with n.
-  - Centred off the axis, the directions are the sphere S^(n-1) up to the
-    rotations that fix the axis and the centre: the polar angle and one
-    angle about the centre's x'-direction, each on a rule exact for its
-    sine-power weight.  The exit distance of a ray solves
-    (c_n + s w_n)^2 = lam^2 |c' + s w'|^2.
-* a "box" field is integrated by Cartesian Gauss-Legendre on its cube, each
+* a "radial" field's slice rule is polar about its centre c: Gauss-Legendre
+  in the distance s on the part of each ray c + s*omega in the slice and the
+  ball, with the volume element s^(n-1), exact for its polynomial profile.
+  The polar angle from the axis runs, for a centre on the axis, on panels
+  split where a ray leaves the slice at the ball's radius, else on a rule
+  exact for its sine-power weight.  A "ball" gets the same rule.
+* a "box" field's slice rule is Cartesian Gauss-Legendre on its cube, each
   x_n column clipped at lam*|x'|; exact when the cube lies inside the slice.
-* a field that states only a "ball" (the default for hand-built fields)
-  gets the polar rule about the ball's centre with a full sphere grid of
-  x'-directions.
+* the trace rule is polar in |x'| on the range where the trace can be
+  nonzero.
+* both take their x'-directions from :func:`_directions`: one for a radial
+  field centred on the axis, so that its cost does not grow with n; a
+  half-circle of them about the centre's x'-direction for one off the axis;
+  the full sphere grid for a box or a ball.
 
-Nodes never touch the axis x' = 0, where the flow's derivatives live only
-as one-sided limits.  The sheared sigma grid (:func:`sigma_grid`,
-:func:`integrate_sigma`: tensor Gauss-Legendre in the axis direction times
-a polar grid in x', after the unit-Jacobian shear onto a half-space) is no
-longer used by any slice integral of the program.
+Each rule counts its nodes before it builds them and refuses more than
+``MAX_RULE_NODES``.  Nodes never touch the axis x' = 0, where the flow's
+derivatives live only as one-sided limits.  The sheared sigma grid
+(:func:`sigma_grid`, :func:`integrate_sigma`) serves no integral of the
+program.
 
 The boundary trace integral carries a 1/|x'| weight: written in polar form
 it is regular for n >= 3, log-divergent for n = 2 with a nonzero vertex
@@ -68,25 +63,27 @@ __all__ = [
 # Composite panels keep long Gauss-Legendre rules well-conditioned across
 # the support kinks of the trial families.
 _MAX_NODES_PER_PANEL = 32
+# Most nodes one rule may place: the box rule and the sphere grids grow like a
+# power of n, so each rule counts its nodes before it allocates them.
+MAX_RULE_NODES = 2 ** 23
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and geometry for the quadrature rules.
+    """Node counts for the quadrature rules; each field's geometry sets
+    where they go.
 
     ``radial_nodes`` sets the radii of the trace grid and, divided by 8,
-    the nodes per ray segment of the polar slice rules; ``angular_nodes``
-    is the node count per angular coordinate of the sphere grids and the
-    off-axis rule, and half the count per polar-angle panel of the axis
-    rule; ``box_nodes_per_axis`` divided by 8 is the count per axis of the
-    box rule.  Each count is raised where needed to the least that keeps
-    the field's rule exact (see the slice rules); above that, doubling the
-    spec's counts doubles the rule's.  ``support_radius`` sets the extent
-    of the sigma grid only: the slice rules and the trace grid follow each
-    field's own geometry.  ``epsilon_cutoff`` > 0 opts in to the
-    regularized trace integral (required to get a finite number in the
-    divergent two-dimensional case).  ``support_radius`` must be finite and
-    > 0, ``epsilon_cutoff`` finite and >= 0.
+    the nodes per ray of the polar slice rules; ``angular_nodes`` the nodes
+    per angular coordinate of the x'-directions and of the off-axis polar
+    angle, and half the nodes per polar-angle panel of the axis rule;
+    ``box_nodes_per_axis`` divided by 8 the nodes per axis of the box rule.
+    Each count is raised where needed to the least that keeps the field's
+    rule exact; above that, doubling the spec's counts doubles the rule's.
+    A rule of more than MAX_RULE_NODES nodes is refused.  ``support_radius``
+    (finite, > 0) sets the extent of the sigma grid only.
+    ``epsilon_cutoff`` (finite, >= 0) > 0 opts in to the regularized trace
+    integral, which the divergent two-dimensional case needs.
     """
 
     radial_nodes: int = 64
@@ -143,11 +140,9 @@ def sphere_grid(d: int, angular_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
     d = 0 is the two-point sphere {-1, +1} with counting measure; d = 1 a
     uniform circle; d >= 2 a latitude-longitude product x = (cos t, sin t y)
-    with y on S^(d-1) and weight sin^(d-1) t dt.  For even d the polar rule
-    is Gauss-Legendre in z = cos t, where the weight is the polynomial
-    (1 - z^2)^((d-2)/2); for odd d it is the midpoint rule in t, exact for
-    the trigonometric polynomial sin^(d-1) t.  Weights sum to the sphere
-    measure.  Cached per (d, angular_nodes); the arrays are read-only.
+    with y on S^(d-1) and t on the rule of :func:`_polar_factor`.  Weights
+    sum to the sphere measure.  Cached per (d, angular_nodes); the arrays
+    are read-only.
     """
     if d < 0:
         raise ValueError("sphere dimension must be >= 0")
@@ -180,14 +175,10 @@ def _polar_factor(d: int, m: int):
     return np.cos(theta), sin_t, sin_t ** (d - 1) * (np.pi / m)
 
 
-def _polar_nodes(n: int, r: np.ndarray, wr: np.ndarray, angular_nodes: int):
-    """The polar product of radii r (weights wr) with the sphere grid on
-    S^(n-2): x' nodes (m, n-1), their radii (m,) and weights wr * w_theta
-    (m,), radius major."""
-    theta, wt = sphere_grid(n - 2, angular_nodes)
-    m_t = theta.shape[0]
-    xp = (r[:, None, None] * theta[None, :, :]).reshape(-1, n - 1)
-    return xp, np.repeat(r, m_t), np.repeat(wr, m_t) * np.tile(wt, r.size)
+def _count_nodes(count: int, rule: str) -> None:
+    """Refuse a rule of more than MAX_RULE_NODES nodes before it is built."""
+    if count > MAX_RULE_NODES:
+        raise QuadratureError(f"the {rule} needs {count} nodes; a rule may place {MAX_RULE_NODES}")
 
 
 @lru_cache(maxsize=32)
@@ -196,12 +187,16 @@ def _sigma_factors(params: ConeParams, spec: QuadratureSpec):
     direction x axis (minor): the row (x', 0), the radius and the polar
     weight (with the volume element r^(n-2)) per (radius, direction) node,
     the height x_n per (radius, axis) node, and the axis weights."""
+    n, m = params.n, spec.angular_nodes
+    _count_nodes(spec.radial_nodes * max(2, m ** (n - 2)) * spec.box_nodes_per_axis,
+                 "sigma grid")
     r, wr = gauss_legendre(0.0, spec.support_radius, spec.radial_nodes)
     y, wy = gauss_legendre(0.0, spec.support_radius, spec.box_nodes_per_axis)
-    xp, radii, w = _polar_nodes(params.n, r, wr, spec.angular_nodes)
-    rows = np.zeros((xp.shape[0], params.n))
-    rows[:, :-1] = xp
-    return _read_only(rows, radii, w * radii ** (params.n - 2),
+    theta, wt = sphere_grid(n - 2, m)
+    rows = np.zeros((r.size, wt.size, n))
+    rows[..., :-1] = r[:, None, None] * theta
+    radii = np.repeat(r, wt.size)
+    return _read_only(rows.reshape(-1, n), radii, (wr[:, None] * wt).ravel() * radii ** (n - 2),
                       y[None, :] + params.lam * r[:, None], wy)
 
 
@@ -255,16 +250,14 @@ def _ray_spans(params: ConeParams, c: np.ndarray, omega: np.ndarray, reach: floa
     return lo, np.maximum(lo, hi)
 
 
-def _ray_rule(params: ConeParams, geom, spec: QuadratureSpec, omega, w_omega):
+def _ray_rule(params: ConeParams, geom, m: int, omega, w_omega):
     """Nodes c + s*omega and weights for the directions omega (weights
-    w_omega on the unit sphere): Gauss-Legendre in s on each ray's part of
-    the slice within the geometry's radius, with the volume element
-    s^(n-1).  Exact for a "radial" geometry whose profile has the stated
-    degree: |grad f|^2 s^(n-1) has degree n - 3 + 2*degree."""
+    w_omega on the unit sphere): m Gauss-Legendre nodes in s on each ray's
+    part of the slice within the geometry's radius, with the volume element
+    s^(n-1)."""
     n = params.n
     c = np.asarray(geom.center, dtype=float)
     lo, hi = _ray_spans(params, c, omega, geom.radius)
-    m = max((n + 2 * geom.degree + 1) // 2, spec.radial_nodes // 8)
     x0, w0 = _leggauss(m)
     half = 0.5 * (hi - lo)
     s = (half + lo)[:, None] + half[:, None] * x0
@@ -274,43 +267,27 @@ def _ray_rule(params: ConeParams, geom, spec: QuadratureSpec, omega, w_omega):
     return pts.reshape(-1, n).take(keep, axis=0), w.ravel().take(keep)
 
 
-def _cut_angles(params: ConeParams, height: float, radius: float) -> np.ndarray:
-    """Panel ends in the polar angle phi from the axis, for rays from the
-    axis point at ``height``: 0, pi, and the angles at which a ray leaves
-    the slice at distance ``radius`` (lam sin(phi) - cos(phi) = height /
-    radius), where the length of its part inside the ball has a kink."""
-    alpha = math.atan2(1.0, params.lam)
-    gap = height / (radius * math.sqrt(1.0 + params.lam ** 2))
+def _panel_angles(params: ConeParams, geom, angular_nodes: int):
+    """(cos, sin, weights) of Gauss-Legendre nodes in the polar angle phi from
+    the axis, for rays from a centre on the axis at height h, with the weight
+    sin^(n-2) folded in.  Panels end at 0, pi and the angles at which a ray
+    leaves the slice at the geometry's radius (lam sin(phi) - cos(phi) =
+    h / radius), where the length of its part inside the ball has a kink.
+    Twice the spec's angular count, and at least n + 12 nodes, integrate
+    sin^(n-2) to rounding on any panel (checked for n <= 16)."""
+    n, lam = params.n, params.lam
+    alpha = math.atan2(1.0, lam)
+    gap = geom.center[-1] / (geom.radius * math.sqrt(1.0 + lam ** 2))
     cuts = {0.0, math.pi}
     if abs(gap) <= 1.0:
         b = math.asin(gap)
         cuts |= {phi for phi in (alpha + b, alpha + math.pi - b) if 0.0 < phi < math.pi}
-    return np.array(sorted(cuts))
-
-
-def _panel_angles(n: int, cuts: np.ndarray, angular_nodes: int):
-    """(cos, sin, weights) of Gauss-Legendre nodes in the polar angle on each
-    panel between ``cuts``, with the weight sin^(n-2) folded in.  Twice the
-    spec's angular count, and at least n + 12 nodes, integrate sin^(n-2) to
-    rounding on any panel (checked for n <= 16)."""
+    cuts = sorted(cuts)
     m = max(2 * angular_nodes, n + 12)
     phi, w = (np.concatenate(a) for a in zip(*(
         gauss_legendre(lo, hi, m) for lo, hi in zip(cuts[:-1], cuts[1:]))))
     sin_p = np.sin(phi)
     return np.cos(phi), sin_p, w * sin_p ** (n - 2)
-
-
-def _plane_directions(n: int, axis: np.ndarray, angular_nodes: int):
-    """Unit x'-directions cos(psi) axis + sin(psi) e, e a unit vector normal
-    to ``axis``, with weights that integrate over S^(n-2) the functions
-    invariant under the rotations fixing ``axis`` (psi in (0, pi), weight
-    |S^(n-3)| sin^(n-3) psi); n >= 3."""
-    e = np.zeros(n - 1)
-    e[np.argmin(np.abs(axis))] = 1.0
-    e -= (e @ axis) * axis
-    e /= np.linalg.norm(e)
-    cos_p, sin_p, w = _polar_factor(n - 2, angular_nodes)
-    return cos_p[:, None] * axis + sin_p[:, None] * e, w * _sphere_measure(n - 3)
 
 
 def _box_rule(params: ConeParams, geom, spec: QuadratureSpec):
@@ -322,6 +299,7 @@ def _box_rule(params: ConeParams, geom, spec: QuadratureSpec):
     c, w = np.asarray(geom.center, dtype=float), geom.radius
     m = max(geom.degree + 1, spec.box_nodes_per_axis // 8)
     m += m % 2
+    _count_nodes(m ** n, "box rule")
     x0, w0 = _leggauss(m)
     xp = np.stack(np.meshgrid(*(c[j] + w * x0 for j in range(n - 1)), indexing="ij"),
                   axis=-1).reshape(-1, n - 1)
@@ -338,30 +316,50 @@ def _box_rule(params: ConeParams, geom, spec: QuadratureSpec):
     return pts.reshape(-1, n).take(keep, axis=0), wts.ravel().take(keep)
 
 
+def _directions(n: int, geom, m: int, per_direction: int, rule: str):
+    """Unit x'-directions (k, n-1) with weights that integrate the field's
+    functions of x' over the sphere S^(n-2), for a rule that places
+    ``per_direction`` nodes on each; the node count is checked first.
+
+    At n = 2 they are S^0, for every shape.  A "radial" field centred on the
+    axis depends on |x'| only: one direction carries |S^(n-2)|.  Centred off
+    the axis, it is invariant under the rotations that fix its centre's
+    x'-direction a: cos(psi) a + sin(psi) e with e normal to a, psi in
+    (0, pi) with the weight |S^(n-3)| sin^(n-3) psi.  A box, a ball or no
+    geometry gets the full sphere grid."""
+    radial = n > 2 and geom is not None and geom.shape == "radial"
+    offset = geom.offset if radial else 0.0
+    _count_nodes(((m if offset else 1) if radial else max(2, m ** (n - 2))) * per_direction,
+                 rule)
+    if not radial:
+        return sphere_grid(n - 2, m)
+    if offset == 0.0:
+        return np.eye(1, n - 1), np.array([_sphere_measure(n - 2)])
+    a = np.asarray(geom.center[:-1], dtype=float) / offset
+    e = np.zeros(n - 1)
+    e[np.argmin(np.abs(a))] = 1.0
+    e -= (e @ a) * a
+    e /= np.linalg.norm(e)
+    cos_p, sin_p, w = _polar_factor(n - 2, m)
+    return cos_p[:, None] * a + sin_p[:, None] * e, w * _sphere_measure(n - 3)
+
+
 def _slice_rule(params: ConeParams, geom, spec: QuadratureSpec):
     """Nodes (m, n) and weights (m,) of the rule for a field of geometry
-    ``geom``: all inside the slice and inside the field's region."""
+    ``geom``: all inside the slice and inside the field's region.  The s
+    rule has at least ceil((n + 2*degree)/2) nodes, so it is exact for a
+    "radial" profile: |grad f|^2 s^(n-1) has degree n - 3 + 2*degree."""
     if geom.shape == "box":
         return _box_rule(params, geom, spec)
     n, m = params.n, spec.angular_nodes
-    c = np.asarray(geom.center, dtype=float)
-    offset = math.sqrt(float(c[:-1] @ c[:-1]))
-    if offset == 0.0:
-        polar = _panel_angles(n, _cut_angles(params, float(c[-1]), geom.radius), m)
-    else:
-        polar = _polar_factor(n - 1, m)
-    if geom.shape == "radial" and offset == 0.0:
-        # f depends on |x'| and x_n only: one x'-direction stands for S^(n-2)
-        xi, w_xi = np.eye(1, n - 1), np.array([_sphere_measure(n - 2)])
-    elif geom.shape == "ball" or n == 2:
-        xi, w_xi = sphere_grid(n - 2, m)
-    else:
-        xi, w_xi = _plane_directions(n, c[:-1] / offset, m)
-    cos_t, sin_t, w_t = polar
+    cos_t, sin_t, w_t = (_polar_factor(n - 1, m) if geom.offset
+                         else _panel_angles(params, geom, m))
+    m_s = max((n + 2 * geom.degree + 1) // 2, spec.radial_nodes // 8)
+    xi, w_xi = _directions(n, geom, m, cos_t.size * m_s, "slice rule")
     omega = np.empty((cos_t.size, xi.shape[0], n))
     omega[..., :-1] = sin_t[:, None, None] * xi
     omega[..., -1] = cos_t[:, None]
-    return _ray_rule(params, geom, spec, omega.reshape(-1, n), (w_t[:, None] * w_xi).ravel())
+    return _ray_rule(params, geom, m_s, omega.reshape(-1, n), (w_t[:, None] * w_xi).ravel())
 
 
 @lru_cache(maxsize=1)
@@ -429,12 +427,12 @@ def trace_span(params: ConeParams, f: TrialFunction):
     """(lo, hi): the range of |x'| where f's boundary trace, at the boundary
     point (x', lam |x'|), can be nonzero, read from the field alone.  For a
     radial field centred on the axis this is the exact range, so the trace
-    integrand is smooth on it; otherwise |x| <= f.support_radius bounds it."""
+    integrand is smooth on it; otherwise the geometry's reach bounds |x|."""
     lam = params.lam
     q = 1.0 + lam * lam
-    lo, hi = 0.0, f.support_radius / math.sqrt(q)
     geom = f.geometry
-    if geom.shape == "radial" and not any(geom.center[:-1]):
+    lo, hi = 0.0, geom.reach / math.sqrt(q)
+    if geom.shape == "radial" and geom.offset == 0.0:
         # |(r e, lam r) - (0, h)| = radius at the roots of
         # q r^2 - 2 lam h r + h^2 - radius^2
         h = geom.center[-1]
@@ -447,14 +445,16 @@ def trace_span(params: ConeParams, f: TrialFunction):
 
 
 def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float,
-               log_from: float | None = None):
+               log_from: float | None = None, geometry=None):
     """Nodes on the slice boundary, in polar trace form.
 
     Returns (pts (m, n), weights (m,), radii (m,)) such that
     sum w * h(pts) approximates the integral of r^(n-3) * h(r*theta, lam*r)
     dr dsigma(theta), the 1/|x'| trace integral in polar form.  With
     ``log_from`` set, radii are Gauss-Legendre in log r on (log_from, r_max)
-    with the extra 1/r folded into the weights.
+    with the extra 1/r folded into the weights.  theta runs over the
+    directions of ``geometry`` (:func:`_directions`; all of a sphere grid
+    without one), so h must have the symmetry the geometry states.
     """
     n = params.n
     if log_from is None:
@@ -464,8 +464,11 @@ def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float,
         u, wu = gauss_legendre(math.log(log_from), math.log(r_max), spec.radial_nodes)
         r = np.exp(u)
         wr = wu * r ** (n - 2)  # du = dr/r
-    xp, radii, weights = _polar_nodes(n, r, wr, spec.angular_nodes)
-    return np.column_stack([xp, params.lam * radii]), weights, radii
+    xi, w_xi = _directions(n, geometry, spec.angular_nodes, r.size, "trace grid")
+    pts = np.empty((r.size, w_xi.size, n))
+    pts[..., :-1] = r[:, None, None] * xi
+    pts[..., -1] = (params.lam * r)[:, None]
+    return pts.reshape(-1, n), (wr[:, None] * w_xi).ravel(), np.repeat(r, w_xi.size)
 
 
 def boundary_integral(params: ConeParams, f: TrialFunction,
@@ -488,7 +491,8 @@ def boundary_integral(params: ConeParams, f: TrialFunction,
     lower = max(cutoff, r_min)
     if lower >= r_max:
         return 0.0
-    pts, weights, _ = trace_grid(params, spec, r_max, log_from=lower or None)
+    pts, weights, _ = trace_grid(params, spec, r_max, log_from=lower or None,
+                                 geometry=f.geometry)
     vals = f.evaluator(pts) ** 2
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("trace integrand produced non-finite values")

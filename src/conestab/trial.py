@@ -3,8 +3,8 @@
 Every variational quantity in this package is driven by a scalar field on
 the closed slice.  The fields come from four parameterized families (so
 they can be serialized through the CLI config); each instance carries its
-evaluator, exact gradient, a support radius, a Lipschitz upper bound, and
-an analytic description of its kink set so smooth points can be recognized
+evaluator, exact gradient, a Lipschitz upper bound and its geometry, which
+states its region and so its kink set, so smooth points can be recognized
 exactly rather than detected numerically.
 
 Evaluators and gradients are vectorized: they take a batch of points of
@@ -14,7 +14,8 @@ shape (..., n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -44,7 +45,8 @@ def _fmt(vec) -> str:
 
 @dataclass(frozen=True)
 class Geometry:
-    """What the slice rules need to know about where a field lives.
+    """Where a field lives, stated once: the slice rules, the trace range,
+    the smooth-point sampler and the default deformation scale read it.
 
     ``shape`` is one of
       * "radial": f depends only on the distance s = |x - center| and
@@ -54,7 +56,8 @@ class Geometry:
         x_i - center_i on the cube of half-width ``radius``, 0 outside it;
       * "ball": f vanishes outside the ball of ``radius`` about ``center``;
         nothing else is known.
-    Fields are cache keys, so every entry is hashable (tuples of floats).
+    The dimension is ``len(center)``.  Fields are cache keys, so every entry
+    is hashable (tuples of floats).
     """
 
     shape: str
@@ -68,6 +71,33 @@ class Geometry:
         if not self.radius > 0:
             raise ValueError(f"geometry needs radius > 0, got {self.radius!r}")
 
+    @property
+    def offset(self) -> float:
+        """Distance of the centre from the axis x' = 0."""
+        return math.sqrt(float(np.dot(self.center[:-1], self.center[:-1])))
+
+    @property
+    def reach(self) -> float:
+        """Radius of a ball about the origin that holds the region: |c| plus
+        the radius, or plus the half-diagonal radius*sqrt(n) of a box."""
+        c = np.asarray(self.center, dtype=float)
+        return float(np.linalg.norm(c)) + self.radius * (
+            float(np.sqrt(c.size)) if self.shape == "box" else 1.0)
+
+    def kink_distance(self, pts: np.ndarray) -> np.ndarray:
+        """Distance from each point of ``pts`` (..., n) to the set where f is
+        not differentiable (+inf where there is none): the centre of a
+        radial field, and its sphere at degree 1; the faces of a box at
+        degree 2.  A "ball" states no kink set and raises ValueError."""
+        d = np.asarray(pts, dtype=float) - np.asarray(self.center, dtype=float)
+        if self.shape == "radial":
+            u = np.sqrt(_sumsq(d))
+            return np.minimum(u, np.abs(self.radius - u)) if self.degree == 1 else u
+        if self.shape == "ball":
+            raise ValueError("a 'ball' geometry states no kink set")
+        return np.min(np.abs(np.abs(d) - self.radius), axis=-1) if self.degree == 2 \
+            else np.full(d.shape[:-1], np.inf)
+
 
 @dataclass(frozen=True)
 class TrialFunction:
@@ -75,34 +105,20 @@ class TrialFunction:
 
     Contract: ``gradient`` is exactly 0 at every quadrature node where
     ``evaluator`` is 0, so slice integrals may skip the field's zero set;
-    and both are exactly 0 outside the region ``geometry`` states, so the
-    slice rules place nodes only there.
-
-    ``geometry`` defaults to a "ball" of radius ``support_radius`` about
-    the origin, which assumes nothing about the field's shape.
+    and both are exactly 0 outside the region ``geometry`` states (which
+    also gives the dimension and the kink set), so rules place nodes only there.
     """
 
-    dimension: int
     evaluator: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    support_radius: float
     lipschitz_bound: float
-    # Distance from a point to the non-differentiability set of f
-    # (+inf when the field is C^1 everywhere).
-    kink_distance: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
-    # Radius of the largest ball contained in the support; sets the default
-    # deformation scale t0.
-    inradius: float = 1.0
+    geometry: Geometry
     label: str = ""
     descriptor: tuple = ()
-    geometry: Geometry | None = None
 
-    def __post_init__(self):
-        if self.geometry is None:
-            object.__setattr__(self, "geometry", Geometry(
-                "ball", (0.0,) * self.dimension, float(self.support_radius)))
-        if len(self.geometry.center) != self.dimension:
-            raise ValueError("geometry center must have one entry per dimension")
+    @property
+    def dimension(self) -> int:
+        return len(self.geometry.center)
 
     @property
     def value_at_vertex(self) -> float:
@@ -156,22 +172,10 @@ def make_radial_bump(center, radius: float, n: int, exponent: int = 1,
         d *= -(mag / safe)[..., None]
         return d
 
-    if p == 1:
-        def kink_distance(pts):
-            u = np.sqrt(_sumsq(pts - c))
-            return np.minimum(u, np.abs(rho - u))
-    else:
-        def kink_distance(pts):
-            return np.sqrt(_sumsq(pts - c))
-
     return TrialFunction(
-        dimension=n,
         evaluator=evaluator,
         gradient=gradient,
-        support_radius=float(np.linalg.norm(c)) + rho,
         lipschitz_bound=p / rho,
-        kink_distance=kink_distance,
-        inradius=rho,
         label=label or f"radial(c={_fmt(c)},r={rho:g},p={p})",
         descriptor=("radial_bump", tuple(float(v) for v in c), rho, p),
         geometry=Geometry("radial", tuple(float(v) for v in c), rho, p),
@@ -210,24 +214,10 @@ def make_tensor_bump(center, half_width: float, n: int, exponent: int = 1,
             grad[..., j] = hp[..., j] * _prod(h, skip=j)
         return grad
 
-    if p == 1:
-        def kink_distance(pts):
-            u = np.abs(pts - c)
-            return np.min(np.abs(u - w), axis=-1)
-    else:
-        def kink_distance(pts):
-            out = np.empty(pts.shape[:-1], dtype=float)
-            out.fill(np.inf)
-            return out
-
     return TrialFunction(
-        dimension=n,
         evaluator=evaluator,
         gradient=gradient,
-        support_radius=float(np.linalg.norm(c)) + w * float(np.sqrt(n)),
         lipschitz_bound=2.0 * p * float(np.sqrt(n)) / w,
-        kink_distance=kink_distance,
-        inradius=w,
         label=label or f"tensor(c={_fmt(c)},w={w:g},p={p})",
         descriptor=("tensor_bump", tuple(float(v) for v in c), w, p),
         geometry=Geometry("box", tuple(float(v) for v in c), w, 2 * p),
@@ -284,7 +274,7 @@ def _smooth_mask(f: TrialFunction, pts: np.ndarray, tol: float) -> np.ndarray:
     the kink set of f both exceed tol*(1+|x|)."""
     scale = tol * (1.0 + np.sqrt(_sumsq(pts)))
     return ((np.sqrt(_sumsq(pts[..., :-1])) > scale)
-            & (f.kink_distance(pts) > scale))
+            & (f.geometry.kink_distance(pts) > scale))
 
 
 # -- serializable descriptors -------------------------------------------------
@@ -357,10 +347,11 @@ def sample_smooth_points(params: ConeParams, f: TrialFunction, rng: np.random.Ge
 
     Points are drawn in sheared coordinates (so they sit strictly inside the
     slice), rejected while they come closer than ``margin`` to the axis or
-    to the kink set of f, and optionally restricted to spt(f).
+    to the kink set of f, and optionally restricted to spt(f).  A "ball"
+    geometry states no kink set, so its field is refused.
     """
     n = f.dimension
-    R = f.support_radius
+    R = f.geometry.reach
     pts = np.empty((0, n))
     attempts = 0
     while pts.shape[0] < count:

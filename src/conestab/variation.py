@@ -23,6 +23,7 @@ import numpy as np
 
 from .domain import ConeParams, _dot, _sumsq
 from .errors import DivergentBoundaryIntegral, JacobianPositivityError
+from .jacobian import _distortion_squared
 from .quadrature import (LiminfEstimate, QuadratureSpec, boundary_integral,
                          compensated_sum, liminf_quotient, support_sample)
 from .trial import TrialFunction
@@ -111,8 +112,7 @@ def area(params: ConeParams, f: TrialFunction, t: float, spec: QuadratureSpec) -
     sa2 = (lam * lam) * (c * c * p + 2.0 * c * d * q + d * d * r2)
     sb2 = (t * t) * p
     sab = (lam * t) * (c * p + d * q)
-    j2 = (1.0 + an) ** 2 * (1.0 + sb2) + bn ** 2 * (1.0 + sa2) \
-        - 2.0 * (1.0 + an) * bn * sab
+    j2 = _distortion_squared(an, bn, sa2, sb2, sab)
     worst = float(np.min(j2))
     if worst <= 0.0:
         raise JacobianPositivityError(
@@ -164,7 +164,7 @@ def second_variation_closed_form(params: ConeParams, f: TrialFunction,
 
 def default_t0(f: TrialFunction) -> float:
     """Deformation scale keeping the flow in the positivity regime."""
-    return 0.1 * f.inradius / (1.0 + f.lipschitz_bound)
+    return 0.1 * f.geometry.radius / (1.0 + f.lipschitz_bound)
 
 
 def variation_report(params: ConeParams, f: TrialFunction, t0: float | None = None,

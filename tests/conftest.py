@@ -34,4 +34,4 @@ def is_smooth_point(f, pts, tol: float = 1e-9) -> bool:
     pts = np.asarray(pts, dtype=float)
     scale = tol * (1.0 + np.linalg.norm(pts, axis=-1))
     return bool(np.all(np.linalg.norm(pts[..., :-1], axis=-1) > scale)
-                and np.all(f.kink_distance(pts) > scale))
+                and np.all(f.geometry.kink_distance(pts) > scale))

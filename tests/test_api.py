@@ -1,6 +1,7 @@
 """Guards on the public surface: the package exports and the functions the
-benchmark's traced run wraps by name."""
+benchmark's traced run wraps by name or its workloads call."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -47,3 +48,12 @@ def test_benchmark_trace_targets_resolve():
     trial = importlib.import_module("conestab.trial")
     for name in spans.FIELD_FACTORIES:
         assert inspect.isfunction(getattr(trial, name, None)), f"trial.{name}"
+
+
+def test_benchmark_entry_points_keep_their_signatures():
+    """The workloads build QuadratureSpec positionally from its first four
+    fields and call sigma_grid(params, spec) in their set-ups."""
+    from conestab.quadrature import QuadratureSpec, sigma_grid
+    assert [f.name for f in dataclasses.fields(QuadratureSpec)][:4] == [
+        "radial_nodes", "angular_nodes", "box_nodes_per_axis", "support_radius"]
+    assert list(inspect.signature(sigma_grid).parameters) == ["params", "spec"]

@@ -8,6 +8,7 @@ import math
 import pytest
 
 from conestab import cli
+from conestab.trial import battery_descriptors
 from conestab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_SUITE_FAILURE,
                           EXIT_WITNESS, load_config, main)
 
@@ -177,6 +178,20 @@ def test_sweep_exit_codes(tmp_path):
     assert json.loads(out.read_text())["results"]["regime"] == "proven_stable"
     assert run(["sweep", "--config", cfg, "--lambda", "500.0"]) == EXIT_WITNESS
     assert run(["sweep", "--config", cfg, "--n", "2"]) == EXIT_CONFIG
+
+
+def test_sweep_at_n8_runs_on_bounded_rules(tmp_path, capsys):
+    """`sweep --n 8` at its defaults (the 8 axis-centred default fields) runs
+    on rules whose size does not grow with n; the full battery's boxes ask
+    for more nodes than a rule may place and exit 3 with the JSON error."""
+    out = tmp_path / "sweep.json"
+    assert run(["sweep", "--n", "8", "--out", out]) == EXIT_OK
+    assert json.loads(out.read_text())["results"]["regime"] == "proven_stable"
+    cfg = tmp_path / "battery.json"
+    cfg.write_text(json.dumps({"n": 8, "trial_functions": battery_descriptors(20)}))
+    assert run(["sweep", "--config", cfg]) == EXIT_QUADRATURE
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == EXIT_QUADRATURE and "box rule" in error["message"]
 
 
 def test_witness_command(tmp_path):

@@ -14,8 +14,8 @@ import pytest
 from conftest import oracle
 
 from conestab.domain import ConeParams
-from conestab.quadrature import QuadratureSpec, boundary_integral, support_sample
-from conestab.trial import (TrialFunction, battery_descriptors, build_trial,
+from conestab.quadrature import QuadratureSpec, boundary_integral, support_sample, trace_grid
+from conestab.trial import (Geometry, TrialFunction, battery_descriptors, build_trial,
                             make_boundary_bump, make_radial_bump, make_tensor_bump, scaled)
 from conestab.variation import area, dirichlet_energy
 
@@ -69,8 +69,9 @@ def test_scaled_field_energy_on_the_same_nodes():
 
 
 def test_axis_centred_node_count_does_not_grow_with_n():
-    """At the default spec, an axis-centred field's rule has one node count
-    for every n from 3 to 8: one x'-direction stands for the sphere S^(n-2)."""
+    """At the default spec, an axis-centred field's slice rule has one node
+    count for every n from 3 to 8, and its trace grid one node per radius:
+    one x'-direction stands for the sphere S^(n-2) in both."""
     spec = QuadratureSpec()
     for desc in battery_descriptors(18):
         if desc["kind"] == "tensor_bump":
@@ -78,6 +79,10 @@ def test_axis_centred_node_count_does_not_grow_with_n():
         counts = {support_sample(ConeParams(n, 0.3), build_trial(desc, n), spec)[1].size
                   for n in range(3, 9)}
         assert len(counts) == 1, (desc["id"], counts)
+        for n in range(3, 9):
+            geometry = build_trial(desc, n).geometry
+            pts = trace_grid(ConeParams(n, 0.3), spec, 1.0, geometry=geometry)[0]
+            assert pts.shape == (spec.radial_nodes, n), (desc["id"], n)
 
 
 def _ball_volume(n, rho):
@@ -115,9 +120,8 @@ def test_doubling_the_spec_refines_every_rule():
         params = ConeParams(n, oracle.lambda_star(n))
         fields = [build_trial(desc, n) for desc in battery_descriptors(20)]
         vertex = fields[0]
-        fields.append(TrialFunction(dimension=n, evaluator=vertex.evaluator,
-                                    gradient=vertex.gradient, support_radius=0.6,
-                                    lipschitz_bound=1.0 / 0.6, label="hand-built"))
+        fields.append(TrialFunction(vertex.evaluator, vertex.gradient, 1.0 / 0.6,
+                                    Geometry("ball", (0.0,) * n, 0.6), label="hand-built"))
         for f in fields:
             assert (support_sample(params, f, doubled)[1].size
                     > support_sample(params, f, spec)[1].size), (n, f.label)

@@ -16,8 +16,9 @@ from conestab.quadrature import (LiminfEstimate, QuadratureSpec, boundary_integr
                                  compensated_sum, gauss_legendre, integrate_sigma,
                                  liminf_quotient, sigma_grid, sphere_grid, support_sample)
 from conestab.stability import lambda_star, shear_transform_check, stability_sweep
-from conestab.trial import (TrialFunction, make_boundary_bump, make_radial_bump,
-                            make_tensor_bump, scaled, standard_battery)
+from conestab.trial import (Geometry, TrialFunction, battery_descriptors, build_trial,
+                            make_boundary_bump, make_radial_bump, make_tensor_bump, scaled,
+                            standard_battery)
 from conestab.variation import area, dirichlet_energy, variation_report
 
 
@@ -38,15 +39,9 @@ def plateau_field(n, flat=1.0, ramp=0.5):
         safe = np.where(r > 0, r, 1.0)
         return pts * np.where(inside, -1.0 / (ramp * safe), 0.0)[..., None]
 
-    def kink_distance(pts):
-        r = np.linalg.norm(pts, axis=-1)
-        return np.minimum(np.abs(r - flat), np.abs(r - flat - ramp))
-
-    return TrialFunction(
-        dimension=n, evaluator=evaluator, gradient=gradient,
-        support_radius=flat + ramp, lipschitz_bound=1.0 / ramp,
-        kink_distance=kink_distance, inradius=flat,
-        label=f"plateau({flat},{ramp})")
+    return TrialFunction(evaluator=evaluator, gradient=gradient, lipschitz_bound=1.0 / ramp,
+                         geometry=Geometry("ball", (0.0,) * n, flat + ramp),
+                         label=f"plateau({flat},{ramp})")
 
 
 def test_spec_validation():
@@ -283,6 +278,30 @@ def test_support_sample_evaluates_few_nodes_outside_the_support():
         assert evaluated <= 1.5 * support, lam
 
 
+def test_rules_above_the_node_budget_are_refused():
+    """A rule that would place more than MAX_RULE_NODES nodes is refused with
+    a QuadratureError before it is built: the box rule at n = 5 with 512 box
+    nodes per axis (64^5 nodes), and at n = 8 with the default spec the
+    box's rule (8^8) and trace (64 * 16^6), a ball's sphere grid of
+    directions and the sigma grid."""
+    box5 = make_tensor_bump(1.0, 0.5, 5)
+    with pytest.raises(QuadratureError, match=f"box rule needs {64 ** 5} nodes"):
+        dirichlet_energy(ConeParams(5, 0.3), box5, QuadratureSpec(64, 16, 512, 3.1))
+    params, spec = ConeParams(8, 0.3), QuadratureSpec()
+    box8 = make_tensor_bump(1.0, 0.5, 8)
+    ball8 = dataclasses.replace(box8, geometry=Geometry("ball", (0.0,) * 7 + (1.0,), 0.8))
+    for compute, rule in ((lambda: dirichlet_energy(params, box8, spec), "box rule"),
+                          (lambda: boundary_integral(params, box8, spec), "trace grid"),
+                          (lambda: dirichlet_energy(params, ball8, spec), "slice rule"),
+                          (lambda: sigma_grid(params, spec), "sigma grid")):
+        with pytest.raises(QuadratureError, match=rule):
+            compute()
+    # the radial rules stay small at any n
+    for f in (make_boundary_bump(1.0, 8), make_radial_bump("offaxis:1.4:0.4", 0.5, 8)):
+        assert dirichlet_energy(params, f, spec) > 0.0
+        assert boundary_integral(params, f, spec) >= 0.0
+
+
 def test_zero_integrand():
     params = ConeParams(3, 0.5)
     assert integrate_sigma(params, lambda pts: np.zeros(len(pts)),
@@ -354,6 +373,48 @@ def test_boundary_integral_polar_and_cutoff_agree():
     cut = boundary_integral(params, f, QuadratureSpec(64, 16, 64, 3.0,
                                                       epsilon_cutoff=1e-8))
     assert cut == pytest.approx(plain, rel=1e-6)
+
+
+def divergence_trace(params, f, spec):
+    """T by the divergence theorem, from the slice instead of its boundary.
+    V = -e_n/|x'| is divergence-free off the axis, and on the boundary
+    V.nu dS = dx'/|x'|, so T = -2 int f (axis partial of f)/|x'| over the
+    slice (n >= 3, where 1/|x'| is integrable), summed on the support
+    sample."""
+    _, weights, radii, grads, values = support_sample(params, f, spec)
+    return -2.0 * math.fsum((weights * values * grads[:, -1] / radii).tolist())
+
+
+MARGIN_SPECS = {3: QuadratureSpec(64, 16, 64, 3.1), 4: QuadratureSpec(48, 10, 48, 3.1),
+                5: QuadratureSpec(32, 8, 32, 3.1)}
+
+
+def test_trace_matches_the_divergence_theorem():
+    """The trace rule and the slice rule, which share no nodes, give the
+    same T for the radial members on the axis (vertex, axis, deep) at the
+    margin benchmark's specs: within 1e-12 relative, and within rounding
+    of E where T is 0.  An off-axis bump that crosses the boundary agrees
+    within 1e-5 at four times those specs, where the slice rule is not
+    aligned with the 1/|x'| weight."""
+    for n, spec in MARGIN_SPECS.items():
+        star = lambda_star(n).lambda_star
+        for lam in (0.5 * star, star, 2.0 * star):
+            params = ConeParams(n, lam)
+            for desc in battery_descriptors(18):
+                if desc["kind"] == "tensor_bump":
+                    continue
+                f = build_trial(desc, n)
+                scale = dirichlet_energy(params, f, spec)
+                assert divergence_trace(params, f, spec) == pytest.approx(
+                    boundary_integral(params, f, spec), rel=1e-12, abs=1e-14 * scale), \
+                    (n, lam, desc["id"])
+        fine = QuadratureSpec(4 * spec.radial_nodes, 4 * spec.angular_nodes,
+                              4 * spec.box_nodes_per_axis, spec.support_radius)
+        params = ConeParams(n, 0.6)
+        f = make_radial_bump("offaxis:0.9:0.4", 0.7, n, exponent=2)
+        trace = boundary_integral(params, f, fine)
+        assert trace > 0.0
+        assert divergence_trace(params, f, fine) == pytest.approx(trace, rel=1e-5), n
 
 
 def test_divergent_trace_is_signalled():

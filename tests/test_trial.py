@@ -23,7 +23,7 @@ def test_radial_bump_examples():
     assert f.evaluator(x) == pytest.approx(0.5)             # 1 - |x|
     assert f.evaluator(np.array([0.0, 0.0, 1.7])) == 0.0    # support cutoff
     assert f.lipschitz_bound == pytest.approx(1.0)
-    assert f.support_radius == pytest.approx(1.0)
+    assert f.geometry.reach == pytest.approx(1.0)
 
 
 def test_radial_bump_rejects_bad_shape():
@@ -61,7 +61,7 @@ def test_compact_support_sampled(rng):
               make_tensor_bump([0.0, 0.0, 1.0], 0.5, 3, exponent=2)):
         direction = rng.normal(size=(1000, 3))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        radii = f.support_radius * rng.uniform(1.0, 3.0, size=1000)
+        radii = f.geometry.reach * rng.uniform(1.0, 3.0, size=1000)
         pts = direction * radii[:, None]
         assert np.all(f.evaluator(pts) == 0.0)
         assert np.all(f.gradient(pts) == 0.0)
@@ -135,11 +135,11 @@ def test_standard_battery_members_are_valid():
         assert len({f.label for f in battery}) == 20
         for f in battery:
             assert f.dimension == n
-            assert f.support_radius <= 3.1
+            assert f.geometry.reach <= 3.1
             assert f.lipschitz_bound > 0
             # support descriptor honest: zero outside the stated ball
             far = np.zeros(n)
-            far[0] = f.support_radius * 1.01
+            far[0] = f.geometry.reach * 1.01
             assert f.evaluator(far) == 0.0
 
 
@@ -222,9 +222,10 @@ def test_geometry_defaults_hashes_and_survives_replace():
         Geometry("radial", (0.0,) * 4, 0.9, 3)
     assert scaled(f, 3.0).geometry == f.geometry
     assert all(isinstance(v, float) for v in f.geometry.center)
-    hand_built = TrialFunction(dimension=3, evaluator=f.evaluator, gradient=f.gradient,
-                               support_radius=1.5, lipschitz_bound=1.0)
-    assert hand_built.geometry == Geometry("ball", (0.0,) * 3, 1.5)
+    with pytest.raises(TypeError):  # a field states its region
+        TrialFunction(evaluator=f.evaluator, gradient=f.gradient, lipschitz_bound=1.0)
+    hand_built = TrialFunction(f.evaluator, f.gradient, 1.0, Geometry("ball", (0.0,) * 3, 1.5))
+    assert hand_built.dimension == 3 and hand_built.geometry.reach == 1.5
     for g in (f, hand_built):
         assert {g: 1}[g] == 1 and hash(g) == hash(g)
         traced = dataclasses.replace(g, evaluator=lambda p: g.evaluator(p))
@@ -233,5 +234,5 @@ def test_geometry_defaults_hashes_and_survives_replace():
         Geometry("cone", (0.0, 1.0), 1.0)
     with pytest.raises(ValueError):
         Geometry("radial", (0.0, 1.0), 0.0)
-    with pytest.raises(ValueError):
-        dataclasses.replace(f, geometry=Geometry("radial", (0.0, 1.0), 1.0))
+    # the dimension is the geometry's
+    assert dataclasses.replace(f, geometry=Geometry("radial", (0.0, 1.0), 1.0)).dimension == 2

@@ -16,10 +16,10 @@ its symmetry is summed once:
   x_n column clipped at lam*|x'|; exact when the cube lies inside the slice.
 * the trace rule is polar in |x'| on the range where the trace can be
   nonzero.
-* both take their x'-directions from :func:`_directions`: one for a radial
-  field centred on the axis, so that its cost does not grow with n; a
-  half-circle of them about the centre's x'-direction for one off the axis;
-  the full sphere grid for a box or a ball.
+* the polar rules of both take their x'-directions from :func:`_directions`:
+  one for a radial field centred on the axis, so that its cost does not grow
+  with n; a half-circle about the centre's x'-direction for one off the
+  axis; the full sphere grid for a ball and for a box's trace.
 
 Each rule counts its nodes before it builds them and refuses more than
 ``MAX_RULE_NODES``.  Nodes never touch the axis x' = 0, where the flow's

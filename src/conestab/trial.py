@@ -4,8 +4,8 @@ Every variational quantity in this package is driven by a scalar field on
 the closed slice.  The fields come from four parameterized families (so
 they can be serialized through the CLI config); each instance carries its
 evaluator, exact gradient, a Lipschitz upper bound and its geometry, which
-states its region and so its kink set, so smooth points can be recognized
-exactly rather than detected numerically.
+states its region and with it its kink set, so that smooth points can be
+recognized exactly rather than detected numerically.
 
 Evaluators and gradients are vectorized: they take a batch of points of
 shape (..., n) and return the values, shape (...), or the gradients,

@@ -78,19 +78,40 @@ def remainder(coeffs: FlowCoefficients) -> float | np.ndarray:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def jacobian_gram_oracle(partials: np.ndarray) -> float | np.ndarray:
-    """det of the n x n matrix of inner products of the partial vectors.
+def _lu_det(a: np.ndarray) -> np.ndarray:
+    """Determinants of the k x k matrices a[:, :, ...] (batch on the trailing
+    axes) by LU elimination with partial pivoting, one step at a time over
+    the whole batch, with no per-matrix library call.  Overwrites ``a``."""
+    det = np.ones(a.shape[2:])
+    for s in range(len(a)):
+        for i in range(s + 1, len(a)):
+            swap = np.abs(a[i, s]) > np.abs(a[s, s])
+            if swap.any():
+                top = np.where(swap, a[i, s:], a[s, s:])
+                a[i, s:] = np.where(swap, a[s, s:], a[i, s:])
+                a[s, s:] = top
+                np.negative(det, out=det, where=swap)
+        det *= a[s, s]
+        # a zero pivot heads a zero column: det is already 0, skip the division
+        pivot = np.where(a[s, s] != 0.0, a[s, s], 1.0)
+        a[s + 1:, s + 1:] -= (a[s + 1:, s] / pivot)[:, None] * a[s, s + 1:]
+    return det
 
-    ``partials`` has shape (..., n, n+1).  The determinant goes through LU
-    elimination with partial pivoting (LAPACK), independent of the closed
-    form; non-finite entries are rejected.
-    """
+
+def jacobian_gram_oracle(partials: np.ndarray) -> float | np.ndarray:
+    """det of the k x k matrix of inner products of the k partial vectors
+    (``partials`` has shape (..., k, d)), through ``_lu_det``: independent of
+    the closed form.  Non-finite entries are rejected."""
     v = np.asarray(partials, dtype=float)
     if not np.all(np.isfinite(v)):
         raise QuadratureError("gram oracle: non-finite partial-derivative entries")
-    gram = v @ np.swapaxes(v, -1, -2)
-    out = np.linalg.det(gram)
-    return float(out) if np.ndim(out) == 0 else out
+    # batch axis first in memory, so each column w[:, i, c] is contiguous
+    w = np.asfortranarray(v.reshape((-1,) + v.shape[-2:]))
+    gram = np.empty((w.shape[1], w.shape[1], w.shape[0]))
+    for i, j in zip(*np.triu_indices(w.shape[1])):
+        gram[i, j] = gram[j, i] = _dot(w[:, i], w[:, j])
+    out = _lu_det(gram).reshape(v.shape[:-2])
+    return float(out) if out.ndim == 0 else out
 
 
 def main_term_batch(params: ConeParams, f: TrialFunction, pts: np.ndarray,

@@ -137,8 +137,19 @@ def test_partials_match_finite_differences(rng):
 def test_flow_injective_at_fixed_time(rng):
     params = ConeParams(3, 1.1)
     f = make_boundary_bump(1.3, 3)
-    xs = sample_smooth_points(params, f, rng, 1000, inside_support=False)
-    ys = sample_smooth_points(params, f, rng, 1000, inside_support=False)
+    reach = f.geometry.reach
+
+    def slice_points(count):
+        # sheared coordinates on the cylinder r, y < reach: in and out of spt f
+        theta = rng.normal(size=(count, 2))
+        r = rng.uniform(1e-3, reach, size=count)
+        xp = r[:, None] * theta / np.linalg.norm(theta, axis=1, keepdims=True)
+        y = rng.uniform(1e-3, reach, size=count)
+        return np.concatenate([xp, (y + params.lam * r)[:, None]], axis=1)
+
+    xs, ys = slice_points(1000), slice_points(1000)
+    inside = np.count_nonzero(f.evaluator(np.concatenate([xs, ys])))
+    assert 100 <= inside <= 1900
     t = 0.35
     # the flow image of x is the foliation point at parameter t*f(x)
     fx = flow_image(params, f, xs, t)

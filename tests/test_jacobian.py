@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from conestab.domain import ConeParams
 from conestab.errors import QuadratureError
 from conestab.flow import FlowCoefficients, flow_coefficients_batch, partials_from_coefficients
-from conestab.jacobian import (jacobian_closed_form, jacobian_gram_oracle, main_term_batch,
-                               remainder, remainder_uniform_bound, wedge_expansion)
+from conestab.jacobian import (_lu_det, jacobian_closed_form, jacobian_gram_oracle,
+                               main_term_batch, remainder, remainder_uniform_bound,
+                               wedge_expansion)
 from conestab.trial import make_radial_bump, make_tensor_bump, sample_smooth_points
 
 SEED = 20260810
@@ -43,8 +44,46 @@ def test_gram_oracle_single_scaled_vector():
 
 
 def test_gram_oracle_rejects_non_finite():
-    with pytest.raises(QuadratureError):
-        jacobian_gram_oracle(np.array([[np.inf, 0.0]]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(QuadratureError):
+            jacobian_gram_oracle(np.array([[bad, 0.0]]))
+        with pytest.raises(QuadratureError):
+            jacobian_gram_oracle(np.full((5, 2, 3), bad))
+
+
+def test_gram_oracle_matches_lapack_on_random_partials(rng):
+    """The batched elimination agrees with LAPACK's det(v v^T) to 1e-13
+    relative on flow partials from random coefficients at n = 1..6, on a
+    flat batch, a two-axis batch and one matrix at a time (a float)."""
+    for n in range(1, 7):
+        draws = rng.uniform(-1.0, 1.0, size=(2000, 2 * n))
+        v = partials_from_coefficients(coeffs(draws[:, :n], draws[:, n:]))
+        ref = np.linalg.det(v @ np.swapaxes(v, -1, -2))
+        assert np.max(np.abs(jacobian_gram_oracle(v) - ref) / np.abs(ref)) <= 1e-13
+        grid = jacobian_gram_oracle(v.reshape(40, 50, n, n + 1))
+        assert grid.shape == (40, 50)
+        assert np.max(np.abs(grid.reshape(-1) - ref) / np.abs(ref)) <= 1e-13
+        for k in range(10):
+            one = jacobian_gram_oracle(v[k])
+            assert isinstance(one, float)
+            assert abs(one - ref[k]) <= 1e-13 * abs(ref[k])
+
+
+def test_gram_elimination_swaps_rows_at_a_zero_pivot(rng):
+    """A leading pivot of 0 forces a row swap, and every swap flips the
+    determinant's sign; a column of zeros gives 0, not nan."""
+    sym = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 1.0]])
+    assert _lu_det(sym.copy()) == pytest.approx(11.0, rel=1e-15)
+    assert _lu_det(np.array([[0.0, 2.0], [3.0, 0.0]])) == -6.0
+    assert _lu_det(np.array([[0.0, 1.0], [0.0, 2.0]])) == 0.0
+    # a batch on the trailing axis mixing both cases
+    mats = rng.normal(size=(500, 4, 4))
+    mats[::2, 0, 0] = 0.0
+    got = _lu_det(np.moveaxis(mats, 0, -1).copy())
+    scale = np.prod(np.linalg.norm(mats, axis=-1), axis=-1)   # Hadamard's bound
+    assert np.max(np.abs(got - np.linalg.det(mats)) / scale) <= 1e-14
+    # through the oracle: |v0 . v1| > |v0|^2 swaps at the first step
+    assert jacobian_gram_oracle(np.array([[1.0, 0.0], [2.0, 1.0]])) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_three_way_agreement_on_random_draws(rng):

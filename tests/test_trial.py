@@ -9,9 +9,11 @@ from conftest import is_smooth_point
 from conestab import trial
 from conestab.domain import ConeParams, PlanePoint
 from conestab.quadrature import QuadratureSpec, _slice_rule
+from conestab.stability import lambda_star
 from conestab.trial import (Geometry, TrialFunction, build_trial, make_boundary_bump,
                             make_radial_bump, make_shifted_bump, make_tensor_bump,
                             sample_smooth_points, scaled, standard_battery)
+from conestab.verify import _flow_sample_fields
 
 SEED = 20260810
 
@@ -153,6 +155,57 @@ def test_sampler_emits_smooth_support_points(rng):
     # strictly inside the slice
     assert np.all(pts[:, -1] > params.lam * np.linalg.norm(pts[:, :-1], axis=1))
 
+
+
+def _reach_cylinder_sample(params, f, rng, count, margin=1e-3):
+    """Reference for sample_smooth_points: ``count`` draws on the whole
+    cylinder margin < r, y < reach, with the sampler's rejections."""
+    n, reach = f.dimension, f.geometry.reach
+    r = rng.uniform(margin, reach, size=count)
+    theta = rng.normal(size=(count, n - 1))
+    theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+    y = rng.uniform(margin, reach, size=count)
+    pts = np.concatenate([r[:, None] * theta, (y + params.lam * r)[:, None]], axis=1)
+    return pts[(f.evaluator(pts) != 0.0) & trial._smooth_mask(f, pts, margin)]
+
+
+def test_draw_box_holds_every_support_point_of_the_reach_cylinder(rng):
+    """The sampler draws (r, y) from a box inside the cylinder margin < r,
+    y < reach that holds every point of spt f the cylinder holds, for a
+    radial, vertex, shifted, off-axis and box member at n = 3, 4, 5 and
+    lam in {0, lam*(n), 2.5}: so its points keep the cylinder's distribution."""
+    for n in (3, 4, 5):
+        fields = [f for f in standard_battery(n)
+                  if f.label in ("axis-b", "vertex-b", "deep-a", "offaxis-a", "box-a")]
+        assert len(fields) == 5
+        for lam in (0.0, lambda_star(n).lambda_star, 2.5):
+            params = ConeParams(n, lam)
+            for f in fields:
+                r_hi, y_lo, y_hi = trial._draw_box(params, f.geometry, 1e-3)
+                assert r_hi <= f.geometry.reach and 1e-3 <= y_lo < y_hi <= f.geometry.reach
+                pts = _reach_cylinder_sample(params, f, rng, 20_000)
+                assert pts.shape[0] >= 100, (n, lam, f.label)
+                r = np.linalg.norm(pts[:, :-1], axis=1)
+                y = pts[:, -1] - lam * r
+                assert np.all(r <= r_hi), (n, lam, f.label)
+                assert np.all((y_lo <= y) & (y <= y_hi)), (n, lam, f.label)
+
+
+def test_sampler_keeps_the_reach_cylinder_distribution():
+    """Seeded two-sample check, reach cylinder against draw box, for both
+    fields the flow suites sample: at each level q of the cylinder sample's
+    quantiles of |x'| and of x_n, the share of sampler points below lies
+    within 0.02 of q (about 4 standard errors at these sizes)."""
+    params = ConeParams(3, 0.7)
+    levels = np.linspace(0.05, 0.95, 19)
+    for f in _flow_sample_fields(3):
+        new = sample_smooth_points(params, f, np.random.default_rng(SEED), 20_000)
+        old = _reach_cylinder_sample(params, f, np.random.default_rng(SEED + 1), 200_000)
+        assert old.shape[0] >= 20_000
+        for a, b in ((new[:, :-1], old[:, :-1]), (new[:, -1:], old[:, -1:])):
+            a, b = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+            share = np.searchsorted(np.sort(a), np.quantile(b, levels)) / a.size
+            assert np.max(np.abs(share - levels)) <= 0.02, f.label
 
 def _ball_rule(n, spec, lam=0.3, radius=3.1):
     """Nodes of the rule a hand-built field gets (polar about the origin,

@@ -156,7 +156,6 @@ def test_sampler_emits_smooth_support_points(rng):
     assert np.all(pts[:, -1] > params.lam * np.linalg.norm(pts[:, :-1], axis=1))
 
 
-
 def _reach_cylinder_sample(params, f, rng, count, margin=1e-3):
     """Reference for sample_smooth_points: ``count`` draws on the whole
     cylinder margin < r, y < reach, with the sampler's rejections."""
@@ -202,10 +201,11 @@ def test_sampler_keeps_the_reach_cylinder_distribution():
         new = sample_smooth_points(params, f, np.random.default_rng(SEED), 20_000)
         old = _reach_cylinder_sample(params, f, np.random.default_rng(SEED + 1), 200_000)
         assert old.shape[0] >= 20_000
-        for a, b in ((new[:, :-1], old[:, :-1]), (new[:, -1:], old[:, -1:])):
-            a, b = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+        for column in (lambda p: np.linalg.norm(p[:, :-1], axis=1), lambda p: p[:, -1]):
+            a, b = column(new), column(old)
             share = np.searchsorted(np.sort(a), np.quantile(b, levels)) / a.size
             assert np.max(np.abs(share - levels)) <= 0.02, f.label
+
 
 def _ball_rule(n, spec, lam=0.3, radius=3.1):
     """Nodes of the rule a hand-built field gets (polar about the origin,

@@ -10,6 +10,10 @@ the foliation point of x at parameter t*f(x), i.e.
 i-th partial is e_i + alpha_i e_n + beta_i e_(n+1) with algebraic
 coefficients; those coefficients are all the downstream area computations
 ever need.
+
+``flow_coefficients_batch`` is a field evaluation (f and its gradient on the
+points) followed by the per-t step ``_coefficients``, which callers that need
+several times on one point set run per t on values computed once.
 """
 
 from __future__ import annotations
@@ -60,8 +64,13 @@ def flow_coefficients_batch(params: ConeParams, f: TrialFunction, pts: np.ndarra
     the limiting alpha = 0.
     """
     pts = np.asarray(pts, dtype=float)
-    fv = f.evaluator(pts)
-    gv = f.gradient(pts)
+    return _coefficients(params, pts, f.evaluator(pts), f.gradient(pts), t)
+
+
+def _coefficients(params: ConeParams, pts: np.ndarray, fv: np.ndarray, gv: np.ndarray,
+                  t: float) -> FlowCoefficients:
+    """The per-t step of ``flow_coefficients_batch``, from the values ``fv``
+    and gradients ``gv`` of f on ``pts``."""
     lam = params.lam
     xp = pts[..., :-1]
     r = np.sqrt(_sumsq(xp))

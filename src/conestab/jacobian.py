@@ -118,9 +118,14 @@ def main_term_batch(params: ConeParams, f: TrialFunction, pts: np.ndarray,
                     t: float) -> np.ndarray:
     """1 + t^2 (|grad f|^2 + 2 lam f (axis partial of f)/sqrt(|x'|^2+t^2 f^2))."""
     pts = np.asarray(pts, dtype=float)
+    return _main_term(params, pts, f.evaluator(pts), f.gradient(pts), t)
+
+
+def _main_term(params: ConeParams, pts: np.ndarray, fv: np.ndarray, gv: np.ndarray,
+               t: float) -> np.ndarray:
+    """The per-t step of ``main_term_batch``, from the values ``fv`` and
+    gradients ``gv`` of f on ``pts``."""
     r = np.sqrt(_sumsq(pts[..., :-1]))
-    fv = f.evaluator(pts)
-    gv = f.gradient(pts)
     s = np.sqrt(r * r + (t * fv) ** 2)
     inv_s = np.where(s > 0.0, 1.0 / np.where(s > 0.0, s, 1.0), 0.0)
     grad_sq = _sumsq(gv)

@@ -360,6 +360,8 @@ def sample_smooth_points(params: ConeParams, f: TrialFunction, rng: np.random.Ge
     where f = 0 or closer than ``margin`` to the axis or the kink set of f:
     they are distributed as if drawn on the whole cylinder margin < r,
     y < reach.  A "ball" geometry states no kink set, so its field is refused.
+    The (count, n) result is coordinate-major, the transpose of an (n, count)
+    array: each coordinate's column is contiguous.
     """
     n = f.dimension
     r_hi, y_lo, y_hi = _draw_box(params, f.geometry, margin)
@@ -369,12 +371,13 @@ def sample_smooth_points(params: ConeParams, f: TrialFunction, rng: np.random.Ge
         m = max(2 * (count - got), 64)
         r = rng.uniform(margin, r_hi, size=m)
         cols = np.empty((n, m))  # one contiguous row per coordinate
-        cols[:-1] = rng.normal(size=(n - 1, m))
+        rng.standard_normal(out=cols[:-1])
         cols[:-1] *= r / np.sqrt(_sumsq(cols[:-1].T))
         cols[-1] = rng.uniform(y_lo, y_hi, size=m) + params.lam * r
-        cand = cols.T[f.evaluator(cols.T) != 0.0]
-        chunks.append(cand[_smooth_mask(f, cand, margin)])
-        got += chunks[-1].shape[0]
-        if got >= count:
-            return np.concatenate(chunks)[:count]
+        cand = cols.take(np.flatnonzero(f.evaluator(cols.T) != 0.0), axis=1)
+        keep = np.flatnonzero(_smooth_mask(f, cand.T, margin))[:count - got]
+        chunks.append(cand.take(keep, axis=1))
+        got += keep.size
+        if got == count:
+            return np.concatenate(chunks, axis=1).T
     raise RuntimeError("smooth-point sampling failed to converge")

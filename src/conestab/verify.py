@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (ConeParams, classify_points, foliation_lipschitz_bound, foliation_map,
-                     profile_gap)
-from .flow import FlowCoefficients, flow_coefficients_batch, partials_from_coefficients
-from .jacobian import (jacobian_closed_form, jacobian_gram_oracle, main_term_batch,
-                       remainder, remainder_uniform_bound, wedge_expansion)
+from . import flow, jacobian
+from .domain import (ConeParams, _sumsq, classify_points, foliation_lipschitz_bound,
+                     foliation_map, profile_gap)
+from .flow import FlowCoefficients, partials_from_coefficients
+from .jacobian import (jacobian_closed_form, jacobian_gram_oracle, remainder,
+                       remainder_uniform_bound, wedge_expansion)
 from .quadrature import QuadratureSpec
 from .stability import lambda_star, shear_transform_check
 from .trial import make_radial_bump, make_tensor_bump, sample_smooth_points, standard_battery
@@ -72,7 +73,7 @@ def _four_way_error(coeffs: FlowCoefficients, main: np.ndarray, bad: float,
             * (1.0 + np.sum(a[..., :-1] ** 2 + b[..., :-1] ** 2, axis=-1)))
     rounding = 10.0 * (coeffs.dimension + 8) * (np.finfo(float).eps / 2) * size
     closed = jacobian_closed_form(coeffs) * bad
-    wedge_sq = np.sum(wedge_expansion(coeffs) ** 2, axis=-1)
+    wedge_sq = _sumsq(wedge_expansion(coeffs))
     gram = jacobian_gram_oracle(partials_from_coefficients(coeffs))
     return max(_rel_err(closed, wedge_sq),
                _rel_err(closed, gram),
@@ -108,12 +109,13 @@ def jacobian_suite(random_draws: int = 10_000, flow_samples: int = 1000,
     per = max(1, flow_samples // (len(fields) * 5))
     for f in fields:
         pts = sample_smooth_points(params, f, rng, per * 5)
+        fv, gv = f.evaluator(pts), f.gradient(pts)
         for i, t in enumerate(np.linspace(0.08, 0.75, 5)):
-            sel = pts[i * per:(i + 1) * per]
-            coeffs = flow_coefficients_batch(params, f, sel, float(t))
-            main = main_term_batch(params, f, sel, float(t))
-            worst = max(worst, _four_way_error(coeffs, main, bad, tol))
-            total += sel.shape[0]
+            sel = slice(i * per, (i + 1) * per)
+            args = (params, pts[sel], fv[sel], gv[sel], float(t))
+            coeffs = flow._coefficients(*args)
+            worst = max(worst, _four_way_error(coeffs, jacobian._main_term(*args), bad, tol))
+            total += per
 
     return SuiteResult("jacobian", worst <= tol, worst, total,
                        f"three-way and main/remainder agreement over {total} samples")
@@ -183,10 +185,11 @@ def remainder_suite(points: int = 1000, max_level: int = 20, seed: int = 0,
     for f in _flow_sample_fields(3):
         bound = remainder_uniform_bound(params, f)
         pts = sample_smooth_points(params, f, rng, points)
+        fv, gv = f.evaluator(pts), f.gradient(pts)
         sup_by_level = []
         for k in range(max_level + 1):
             t = 2.0 ** (-k)
-            coeffs = flow_coefficients_batch(params, f, pts, t)
+            coeffs = flow._coefficients(params, pts, fv, gv, t)
             ratio = np.max(np.abs(remainder(coeffs))) / (t * t)
             sup_by_level.append(ratio)
             worst_ratio = max(worst_ratio, ratio / bound)

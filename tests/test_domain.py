@@ -163,13 +163,17 @@ def test_array_forms_match_single_point_wrappers(rng):
 @pytest.mark.parametrize("lead", [(), (1000,), (40, 25)], ids=["0d", "1d", "2d"])
 def test_coordinate_sums_match_numpy_bit_for_bit(lead, length):
     """The column-order helpers reproduce numpy's reductions exactly for
-    coordinate axes shorter than 8, on values spread over many binades and
-    on a strided view (the x' columns of a point batch)."""
+    coordinate axes shorter than 8, on values spread over many binades, on a
+    strided view (the x' columns of a point batch) and on Fortran-ordered
+    (coordinate-major) batches and their x' columns."""
     rng = np.random.default_rng(length)
     shape = lead + (length + 1,)
     wide = rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
     other = rng.standard_normal(shape)
-    for a, b in ((wide[..., :-1], other[..., :-1]), (wide[..., 1:].copy(), other[..., 1:])):
+    fwide, fother = np.asfortranarray(wide), np.asfortranarray(other)
+    for a, b in ((wide[..., :-1], other[..., :-1]), (wide[..., 1:].copy(), other[..., 1:]),
+                 (np.asfortranarray(wide[..., 1:]), np.asfortranarray(other[..., 1:])),
+                 (fwide[..., :-1], fother[..., :-1])):
         cases = [(np.sqrt(_sumsq(a)), np.linalg.norm(a, axis=-1)),
                  (_sumsq(a), np.sum(a * a, axis=-1)),
                  (_dot(a, b), np.sum(a * b, axis=-1)),

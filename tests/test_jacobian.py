@@ -11,7 +11,8 @@ from conestab.flow import FlowCoefficients, flow_coefficients_batch, partials_fr
 from conestab.jacobian import (_lu_det, jacobian_closed_form, jacobian_gram_oracle,
                                main_term_batch, remainder, remainder_uniform_bound,
                                wedge_expansion)
-from conestab.trial import make_radial_bump, make_tensor_bump, sample_smooth_points
+from conestab.trial import (make_boundary_bump, make_radial_bump, make_shifted_bump,
+                            make_tensor_bump, sample_smooth_points)
 
 SEED = 20260810
 
@@ -177,3 +178,29 @@ def test_positivity_at_genuine_coefficients(rng):
         j2 = jacobian_closed_form(flow_coefficients_batch(params, f, pts, t))
         assert np.min(j2) > 0.0
 
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_coordinate_major_batches_give_the_same_bits(n):
+    """Field values, gradients, flow coefficients, the main term and the
+    three routes to J^2 are the same bits on a C-ordered point batch and on
+    its coordinate-major copy (the layout sample_smooth_points returns), for
+    all four trial families; the scaled half of the batch leaves the support."""
+    params = ConeParams(n, 0.7)
+    fields = (make_radial_bump(1.2, 0.7, n), make_tensor_bump(1.0, 0.5, n, exponent=2),
+              make_shifted_bump(0.0, 0.6, n, 1.5), make_boundary_bump(0.9, n, exponent=2))
+    rng = np.random.default_rng(SEED + n)
+    for f in fields:
+        smooth = sample_smooth_points(params, f, rng, 300)
+        rows = np.ascontiguousarray(np.concatenate([smooth, 1.8 * smooth]))
+        cols = np.asfortranarray(rows)
+        assert cols.T.flags.c_contiguous
+        outs = []
+        for pts in (rows, cols):
+            c = flow_coefficients_batch(params, f, pts, 0.3)
+            outs.append((f.evaluator(pts), f.gradient(pts), c.alpha, c.beta,
+                         main_term_batch(params, f, pts, 0.3), jacobian_closed_form(c),
+                         wedge_expansion(c),
+                         jacobian_gram_oracle(partials_from_coefficients(c))))
+        for got, want in zip(*outs):
+            assert got.shape == want.shape and np.array_equal(got, want), f.label

@@ -1,12 +1,15 @@
 """The randomized invariant suites at reduced sample counts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from conestab import verify
+from conestab import flow, verify
 from conestab.domain import (ConeParams, PlanePoint, classify_ambient_point,
                              foliation_lipschitz_bound, gamma_curve, omega_profile)
 from conestab.quadrature import QuadratureSpec
+from conestab.trial import sample_smooth_points, standard_battery
 from conestab.verify import (foliation_suite, jacobian_suite, kato_suite,
                              remainder_suite, run_suites)
 
@@ -22,24 +25,79 @@ def test_jacobian_suite_passes():
 
 def test_jacobian_suite_flow_samples_are_distinct(monkeypatch):
     """Each of the five flow times checks its own points: 5 * per distinct
-    rows per field, all of them counted in ``samples``."""
+    rows per field, all of them counted in ``samples``.  The suite
+    evaluates each field once and calls the per-t step five times per field,
+    field by field."""
     seen = []
-    original = verify.flow_coefficients_batch
+    original = flow._coefficients
 
-    def recording(params, f, pts, t):
-        seen.append((f.label, np.array(pts)))
-        return original(params, f, pts, t)
+    def recording(params, pts, fv, gv, t):
+        seen.append(np.array(pts))
+        return original(params, pts, fv, gv, t)
 
-    monkeypatch.setattr(verify, "flow_coefficients_batch", recording)
+    monkeypatch.setattr(flow, "_coefficients", recording)
     res = jacobian_suite(flow_samples=400, seed=SEED, dims=())
     per = 400 // 10
-    labels = sorted({label for label, _ in seen})
-    assert len(labels) == 2 and len(seen) == 10
-    for label in labels:
-        rows = np.concatenate([pts for lab, pts in seen if lab == label])
+    assert len(seen) == 10
+    for field in range(2):
+        rows = np.concatenate(seen[5 * field:5 * field + 5])
         assert rows.shape[0] == 5 * per
         assert np.unique(rows, axis=0).shape[0] == 5 * per
     assert res.samples == 10 * per
+
+
+# Suite values and smooth-point digests of the row-major sampler that
+# evaluated each field per flow time: neither the sample layout nor where
+# the fields are evaluated may move a bit.  (worst_error.hex(), samples).
+PINNED_SUITES = {
+    20260810: {"jacobian": ("0x1.dcc9ee98782ecp-45", 8400),
+               "flow-only": ("0x1.af6505c683f18p-51", 400),
+               "negative": ("0x1.55242af8ee48cp-15", 2100),
+               "remainder": ("0x1.a5c90ed7e7e7ap-5", 5200)},
+    15: {"jacobian": ("0x1.4d2b0e2201673p-45", 8400),
+         "flow-only": ("0x1.27bac509efe0cp-50", 400),
+         "negative": ("0x1.b3692236c2769p-13", 2100),
+         "remainder": ("0x1.943647fc46932p-5", 5200)},
+    104: {"jacobian": ("0x1.e2127d66e8999p-45", 8400),
+          "flow-only": ("0x1.cfef6ce786379p-50", 400),
+          "negative": ("0x1.251b7c6a6efe5p-14", 2100),
+          "remainder": ("0x1.81471dfe916a4p-5", 5200)},
+}
+PINNED_SAMPLE_SHA256 = (
+    "5d27ae0aed617685450b45cd469332d8823e9968cc0c1a20aa9418d0c2e19eb0",
+    "deca60462e94368ceef29a145e3dce1a99ca2e47d45a9abcb2211ed6f84086e1",
+)
+# box-a at n = 4 takes three draw rounds for 500 points
+PINNED_BOX_A_N4_SHA256 = "68937c3b9d5c8c41f6a3f78f095a374e424d9a57f23f1f4d40f612826feadb50"
+
+
+def _digest(pts):
+    return hashlib.sha256(np.ascontiguousarray(pts).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_SUITES))
+def test_suite_values_are_pinned(seed):
+    results = {
+        "jacobian": jacobian_suite(random_draws=2000, flow_samples=400, seed=seed),
+        "flow-only": jacobian_suite(flow_samples=400, seed=seed, dims=()),
+        "negative": jacobian_suite(random_draws=500, flow_samples=100, seed=seed,
+                                   corrupt_closed_form=True),
+        "remainder": remainder_suite(points=200, max_level=12, seed=seed),
+    }
+    got = {k: (float(r.worst_error).hex(), r.samples) for k, r in results.items()}
+    assert got == PINNED_SUITES[seed]
+
+
+def test_smooth_point_samples_are_pinned():
+    """Same points, bit for bit, in coordinate-major layout: the transpose of
+    a C-ordered (n, count) array."""
+    cases = [(ConeParams(3, 0.7), f) for f in verify._flow_sample_fields(3)]
+    cases.append((ConeParams(4, 0.7), next(f for f in standard_battery(4) if f.label == "box-a")))
+    want = PINNED_SAMPLE_SHA256 + (PINNED_BOX_A_N4_SHA256,)
+    for (params, f), digest in zip(cases, want):
+        pts = sample_smooth_points(params, f, np.random.default_rng(SEED), 500)
+        assert pts.shape == (500, params.n) and pts.T.flags.c_contiguous
+        assert _digest(pts) == digest, f.label
 
 
 def test_jacobian_suite_negative_control():

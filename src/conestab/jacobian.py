@@ -8,8 +8,9 @@ The three routes are algebraically equal but numerically independent:
 * a brute-force Gram determinant of the partials (LU elimination with
   partial pivoting, nothing shared with the formula under test).
 
-The module also exposes the main-term/remainder split: the part of J^2
-that survives as t -> 0 scaled by t^2, and the higher-order remainder.
+The module also splits J^2 into its main term, the part that survives as
+t -> 0 scaled by t^2 (a per-t step the invariant suites run), and the
+higher-order remainder.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "jacobian_gram_oracle",
     "wedge_expansion",
     "remainder",
-    "main_term_batch",
     "remainder_uniform_bound",
 ]
 
@@ -114,17 +114,10 @@ def jacobian_gram_oracle(partials: np.ndarray) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def main_term_batch(params: ConeParams, f: TrialFunction, pts: np.ndarray,
-                    t: float) -> np.ndarray:
-    """1 + t^2 (|grad f|^2 + 2 lam f (axis partial of f)/sqrt(|x'|^2+t^2 f^2))."""
-    pts = np.asarray(pts, dtype=float)
-    return _main_term(params, pts, f.evaluator(pts), f.gradient(pts), t)
-
-
 def _main_term(params: ConeParams, pts: np.ndarray, fv: np.ndarray, gv: np.ndarray,
                t: float) -> np.ndarray:
-    """The per-t step of ``main_term_batch``, from the values ``fv`` and
-    gradients ``gv`` of f on ``pts``."""
+    """1 + t^2 (|grad f|^2 + 2 lam f (axis partial of f)/sqrt(|x'|^2+t^2 f^2))
+    at one t, from the values ``fv`` and gradients ``gv`` of f on ``pts``."""
     r = np.sqrt(_sumsq(pts[..., :-1]))
     s = np.sqrt(r * r + (t * fv) ** 2)
     inv_s = np.where(s > 0.0, 1.0 / np.where(s > 0.0, s, 1.0), 0.0)

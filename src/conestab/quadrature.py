@@ -541,6 +541,20 @@ def _richardson_tail(quotients: np.ndarray) -> float:
     return float(tail[0])
 
 
+def _dyadic_ladder(t0: float, levels: int) -> np.ndarray:
+    """The parameters t0 * 2^-k, k < ``levels``, of :func:`liminf_quotient`,
+    after its checks on ``t0`` and ``levels``."""
+    if levels < 3:
+        raise ValueError(f"levels must be >= 3, got {levels}")
+    if not t0 > 0:
+        raise ValueError(f"t0 must be positive, got {t0}")
+    # checked before the ladder is allocated, so a huge ``levels`` costs nothing
+    if t0 * 0.5 ** (levels - 1) == 0.0:
+        raise QuadratureError(f"the step t0 * 2^-k underflows to 0 within {levels} "
+                              f"levels from t0 = {t0}")
+    return t0 * 0.5 ** np.arange(levels)
+
+
 def liminf_quotient(values: Callable[[float], float], t0: float, levels: int,
                     rtol: float = 1e-3) -> LiminfEstimate:
     """Difference quotients (F(t) - F(0)) / t of ``values`` on the dyadic
@@ -551,16 +565,8 @@ def liminf_quotient(values: Callable[[float], float], t0: float, levels: int,
     ``rtol`` relative to max(1, |tail|), so sequences decaying to zero also
     register as converged once they are absolutely small.
     """
-    if levels < 3:
-        raise ValueError(f"levels must be >= 3, got {levels}")
-    if not t0 > 0:
-        raise ValueError(f"t0 must be positive, got {t0}")
-    # checked before the ladder is allocated, so a huge ``levels`` costs nothing
-    if t0 * 0.5 ** (levels - 1) == 0.0:
-        raise QuadratureError(f"the step t0 * 2^-k underflows to 0 within {levels} "
-                              f"levels from t0 = {t0}")
+    ts = _dyadic_ladder(t0, levels)
     f0 = float(values(0.0))
-    ts = t0 * 0.5 ** np.arange(levels)
     quotients = np.empty(levels)
     for k, t in enumerate(ts):
         ft = float(values(float(t)))

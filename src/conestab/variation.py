@@ -11,20 +11,24 @@ and the finite-difference route must reproduce it.  For a two-dimensional
 slice with a nonzero vertex value the trace integral diverges; for lam > 0
 the closed form is then reported as -inf together with a fitted
 log-divergence certificate instead of a bare sentinel.
+
+A variation report evaluates the area at every distinct time of its two
+quotient ladders in one vectorised pass: the times form a column against
+the row of per-node scalars, which are built once per field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .domain import ConeParams, _dot, _sumsq
 from .errors import DivergentBoundaryIntegral, JacobianPositivityError
 from .jacobian import _distortion_squared
-from .quadrature import (LiminfEstimate, QuadratureSpec, boundary_integral,
+from .quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder, boundary_integral,
                          compensated_sum, liminf_quotient, support_sample)
 from .trial import TrialFunction
 
@@ -41,6 +45,9 @@ __all__ = [
 DEFAULT_LEVELS = 8
 # Trace cutoffs of the two-dimensional divergence ladder, largest first.
 DEFAULT_CUTOFFS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+# Most elements of one t-by-node array of _areas, unless a single t at every
+# node is more: bounds the memory of a ladder at any number of levels.
+_BLOCK_ELEMENTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -94,31 +101,57 @@ def area(params: ConeParams, f: TrialFunction, t: float, spec: QuadratureSpec) -
     (1+a_n)^2 (1+|b'|^2) + b_n^2 (1+|a'|^2) - 2 (1+a_n) b_n a'.b' needs
     only |b'|^2 = t^2 P, |a'|^2 = lam^2 (c^2 P + 2cd Q + d^2 |x'|^2) and
     a'.b' = lam t (c P + d Q), from per-node scalars built once per field
-    (P = |grad' f|^2, Q = x'.grad' f); each t costs elementwise work only.
+    (P = |grad' f|^2, Q = x'.grad' f).  This is the one-t case of the batch
+    that serves a variation report's ladders.
 
     Aborts with a diagnostic if the squared distortion factor loses
     positivity at any node -- the deformation left the small-|t| regime.
     """
+    return _areas(params, f, [t], spec)[0]
+
+
+def _areas(params: ConeParams, f: TrialFunction, ts, spec: QuadratureSpec) -> list:
+    """Deformed areas at the times ``ts``, in order, as :func:`area`.
+
+    The nonzero t are evaluated together, each t a row against the node
+    columns, in blocks of at most max(N, _BLOCK_ELEMENTS) elements for N
+    nodes; each row is reduced by ``compensated_sum``.  Positivity is
+    checked in the order of ``ts``: the first t whose squared distortion
+    factor is <= 0 somewhere raises.  A non-finite area ends the list
+    there, since a quotient ladder stops at it before any later t.
+    """
     weights, r2, inv_r, fv, gn, p, q = _flow_scalars(params, f, spec)
-    if t == 0.0 or weights.size == 0:
-        return compensated_sum(weights)
-    t = float(t)
+    out = [compensated_sum(weights)] * len(ts)
+    if weights.size == 0:
+        return out
     lam = params.lam
-    inv_s = 1.0 / np.sqrt(r2 + (t * fv) ** 2)
-    c = (t * t) * fv * inv_s
-    d = inv_s - inv_r
-    an = lam * c * gn
-    bn = t * gn
-    sa2 = (lam * lam) * (c * c * p + 2.0 * c * d * q + d * d * r2)
-    sb2 = (t * t) * p
-    sab = (lam * t) * (c * p + d * q)
-    j2 = _distortion_squared(an, bn, sa2, sb2, sab)
-    worst = float(np.min(j2))
-    if worst <= 0.0:
-        raise JacobianPositivityError(
-            f"squared distortion factor reached {worst} at t={t}; "
-            "deformation too large for this field", t=t, worst_value=worst)
-    return compensated_sum(weights * np.sqrt(j2))
+    nonzero = [i for i, t in enumerate(ts) if t != 0.0]
+    rows = max(1, _BLOCK_ELEMENTS // weights.size)
+    for start in range(0, len(nonzero), rows):
+        block = nonzero[start:start + rows]
+        t = np.array([float(ts[i]) for i in block])[:, None]
+        inv_s = 1.0 / np.sqrt(r2 + (t * fv) ** 2)
+        c = (t * t) * fv * inv_s
+        d = inv_s - inv_r
+        an = lam * c * gn
+        bn = t * gn
+        sa2 = (lam * lam) * (c * c * p + 2.0 * c * d * q + d * d * r2)
+        sb2 = (t * t) * p
+        sab = (lam * t) * (c * p + d * q)
+        j2 = _distortion_squared(an, bn, sa2, sb2, sab)
+        worst = np.min(j2, axis=1)
+        bad = np.flatnonzero(worst <= 0.0)
+        stop = bad[0] if bad.size else len(block)
+        for i, row in zip(block, weights * np.sqrt(j2[:stop])):
+            out[i] = compensated_sum(row)
+            if not math.isfinite(out[i]):
+                return out[:i + 1]
+        if bad.size:
+            at, value = float(ts[block[stop]]), float(worst[stop])
+            raise JacobianPositivityError(
+                f"squared distortion factor reached {value} at t={at}; "
+                "deformation too large for this field", t=at, worst_value=value)
+    return out
 
 
 def dirichlet_energy(params: ConeParams, f: TrialFunction, spec: QuadratureSpec) -> float:
@@ -175,16 +208,21 @@ def variation_report(params: ConeParams, f: TrialFunction, t0: float | None = No
     The second variation is estimated as an order-1 quotient in the squared
     time s = t^2 (the area is evaluated at sqrt(s); no separate quadrature
     path exists).  A non-converged estimate marks the report inconclusive,
-    not erroneous.  The area is computed once per distinct t: the even
-    levels of the second ladder repeat t values of the first, exactly.
+    not erroneous.  The areas of both ladders are computed before either is
+    read, in one batched pass over the distinct t (the even levels of the
+    second ladder repeat t values of the first, exactly); the ladders' checks,
+    underflow included, run before it.
     """
     spec = spec if spec is not None else QuadratureSpec()
     t0 = float(t0) if t0 is not None else default_t0(f)
-    area_at = cache(lambda t: area(params, f, t, spec))
-    first = liminf_quotient(area_at, t0, levels, rtol)
-    second = liminf_quotient(lambda s: area_at(math.sqrt(s)), t0 * t0, levels, rtol)
+    # both ladders' checks run before any area is evaluated
+    steps, squares = _dyadic_ladder(t0, levels), _dyadic_ladder(t0 * t0, levels)
+    times = dict.fromkeys([0.0, *steps.tolist(), *map(math.sqrt, squares.tolist())])
+    area_at = dict(zip(times, _areas(params, f, list(times), spec)))
+    first = liminf_quotient(area_at.__getitem__, t0, levels, rtol)
+    second = liminf_quotient(lambda s: area_at[math.sqrt(s)], t0 * t0, levels, rtol)
     closed = second_variation_closed_form(params, f, spec)
     discrepancy = (abs(second.extrapolated - closed.closed_form)
                    if closed.divergence is None else closed.discrepancy)
     return replace(closed, first_variation=first, second_variation_fd=second,
-                   discrepancy=discrepancy, reference_area=area_at(0.0))
+                   discrepancy=discrepancy, reference_area=area_at[0.0])

@@ -7,6 +7,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
 import conestab
 
 # A change to this list is a public-API change: record it in CHANGES.md.
@@ -27,6 +29,20 @@ PUBLIC_API = [
     "wedge_expansion",
 ]
 
+# The public names of the modules the benchmark and the tests reach into
+# directly; a change to one of these lists is a public-API change too.
+MODULE_API = {
+    "flow": ["FlowCoefficients", "flow_coefficients_batch"],
+    "jacobian": ["jacobian_closed_form", "jacobian_gram_oracle", "remainder",
+                 "remainder_uniform_bound", "wedge_expansion"],
+    "quadrature": ["LiminfEstimate", "QuadratureSpec", "boundary_integral",
+                   "compensated_sum", "gauss_legendre", "integrate_sigma",
+                   "liminf_quotient", "sigma_grid", "sphere_grid", "support_sample",
+                   "trace_grid", "trace_span"],
+    "variation": ["LogDivergenceCertificate", "VariationReport", "area", "cutoff_ladder",
+                  "dirichlet_energy", "second_variation_closed_form", "variation_report"],
+}
+
 
 def _bench_spans():
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -38,6 +54,14 @@ def _bench_spans():
 
 def test_public_api_is_pinned():
     assert sorted(conestab.__all__) == sorted(PUBLIC_API)
+
+
+
+@pytest.mark.parametrize("name", sorted(MODULE_API))
+def test_module_public_names_are_pinned(name):
+    module = importlib.import_module(f"conestab.{name}")
+    assert sorted(module.__all__) == sorted(MODULE_API[name])
+    assert all(hasattr(module, attr) for attr in module.__all__)
 
 
 def test_benchmark_trace_targets_resolve():

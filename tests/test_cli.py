@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from conestab import cli
+from conestab import cli, variation
 from conestab.trial import battery_descriptors
 from conestab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_SUITE_FAILURE,
                           EXIT_WITNESS, load_config, main)
@@ -257,6 +257,20 @@ def test_bad_flags_exit_with_documented_codes(argv, code, capsys):
     assert run(argv) == code
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["code"] == code
+
+
+@pytest.mark.parametrize("flags", [["--levels", "1100"], ["--t0", "1e-100", "--levels", "500"]],
+                         ids=["both-ladders", "s-ladder-only"])
+def test_underflowing_ladder_exits_before_any_area(flags, monkeypatch, capsys):
+    """Both ladders are checked before the report's batch of areas, so an
+    underflow exits 3 with no area evaluated, also when only the s-ladder
+    t0^2 * 2^-k underflows (1e-100 * 2^-499 is still a normal number)."""
+    batches = []
+    monkeypatch.setattr(variation, "_areas", lambda *args: batches.append(args))
+    assert run(["variation", *flags]) == EXIT_QUADRATURE
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == EXIT_QUADRATURE and "underflows to 0" in err["message"]
+    assert batches == []
 
 
 def test_witness_needs_three_cutoffs(tmp_path, capsys):

@@ -8,13 +8,19 @@ from hypothesis import strategies as st
 from conestab.domain import ConeParams
 from conestab.errors import QuadratureError
 from conestab.flow import FlowCoefficients, flow_coefficients_batch, partials_from_coefficients
-from conestab.jacobian import (_lu_det, jacobian_closed_form, jacobian_gram_oracle,
-                               main_term_batch, remainder, remainder_uniform_bound,
-                               wedge_expansion)
+from conestab.jacobian import (_lu_det, _main_term, jacobian_closed_form, jacobian_gram_oracle,
+                               remainder, remainder_uniform_bound, wedge_expansion)
 from conestab.trial import (make_boundary_bump, make_radial_bump, make_shifted_bump,
                             make_tensor_bump, sample_smooth_points)
 
 SEED = 20260810
+
+
+def main_term_batch(params, f, pts, t):
+    """The main term 1 + t^2 (|grad f|^2 + 2 lam f (axis partial of f)/sqrt(|x'|^2+t^2 f^2))
+    on a (..., n) batch, with f and its gradient evaluated afresh on ``pts``."""
+    pts = np.asarray(pts, dtype=float)
+    return _main_term(params, pts, f.evaluator(pts), f.gradient(pts), t)
 
 
 def coeffs(alpha, beta):

@@ -9,7 +9,7 @@ from conftest import oracle
 
 import conestab.variation
 from conestab.domain import ConeParams
-from conestab.errors import QuadratureError
+from conestab.errors import JacobianPositivityError, QuadratureError
 from conestab.flow import flow_coefficients_batch
 from conestab.jacobian import jacobian_closed_form
 from conestab.quadrature import QuadratureSpec, _slice_rule, compensated_sum, support_sample
@@ -160,20 +160,24 @@ def test_report_serializes_expected_fields():
 
 
 def test_report_evaluates_each_area_once(monkeypatch):
-    """Each distinct t is evaluated once: at 8 levels the even levels of the
-    s-ladder, sqrt(t0^2 * 4^-j) = t0 * 2^-j, and all three A(0) repeat, so 13
-    area calls serve 19 uses, and the ladders equal direct evaluation."""
+    """Each distinct t is evaluated once, all in one batch: at 8 levels the
+    even levels of the s-ladder, sqrt(t0^2 * 4^-j) = t0 * 2^-j, and all three
+    A(0) repeat, so one batch of 13 distinct t serves 19 uses, and the
+    ladders equal direct evaluation."""
     params = ConeParams(3, 0.2)
     f = make_radial_bump([0.0, 0.0, 1.5], 0.6, 3)
-    calls = []
+    batches = []
+    batch = conestab.variation._areas
 
-    def counted(p, g, t, spec):
-        calls.append(t)
-        return area(p, g, t, spec)
+    def counted(p, g, ts, spec):
+        batches.append(list(ts))
+        return batch(p, g, ts, spec)
 
-    monkeypatch.setattr(conestab.variation, "area", counted)
+    monkeypatch.setattr(conestab.variation, "_areas", counted)
     rep = variation_report(params, f, levels=8, spec=SPEC3)
-    assert len(calls) == 13 and len(set(calls)) == 13
+    monkeypatch.undo()
+    assert len(batches) == 1
+    assert len(batches[0]) == 13 and len(set(batches[0])) == 13
     a0 = area(params, f, 0.0, SPEC3)
     assert rep.reference_area == a0
     for est, at in ((rep.first_variation, lambda t: t),
@@ -280,3 +284,75 @@ def test_report_evaluates_the_gradient_once():
         variation_report(params, dataclasses.replace(f, gradient=gradient), levels=8,
                          spec=SPEC3)
         assert len(calls) == 1, f.label
+
+
+def _rows_per_block(monkeypatch, params, f, spec, rows):
+    """Make _areas evaluate ``rows`` times per block for this field."""
+    nodes = support_sample(params, f, spec)[1].size
+    monkeypatch.setattr(conestab.variation, "_BLOCK_ELEMENTS", rows * nodes)
+
+
+@pytest.mark.parametrize("n, spec", [(2, QuadratureSpec(32, 2, 32, 3.0)), (3, SPEC3),
+                                     (4, QuadratureSpec(32, 8, 32, 3.1)),
+                                     (5, QuadratureSpec(12, 4, 12, 3.1))],
+                         ids=["n2", "n3", "n4", "n5"])
+def test_ladders_split_across_blocks_match_per_t_area(n, spec, monkeypatch):
+    """A report's 12 nonzero times split into blocks of 1 or 5 rows give the
+    areas and quotients of per-t area bit for bit."""
+    params = ConeParams(n, 0.2)
+    for f in standard_battery(n):
+        times = list(dict.fromkeys(_ladder_times(f)))
+        direct = [area(params, f, t, spec) for t in times]
+        for rows in (1, 5):
+            _rows_per_block(monkeypatch, params, f, spec, rows)
+            assert conestab.variation._areas(params, f, times, spec) == direct, f.label
+            rep = variation_report(params, f, spec=spec)
+            for est, at in ((rep.first_variation, lambda t: t),
+                            (rep.second_variation_fd, math.sqrt)):
+                want = [(area(params, f, at(float(p)), spec) - direct[0]) / p
+                        for p in est.parameters]
+                assert est.quotients.tolist() == want, (f.label, rows)
+
+
+def _poison_rows(monkeypatch, values):
+    """Make the squared distortion factor of the k-th nonzero time of a batch
+    take ``values[k]`` at its first node, whatever the blocks."""
+    real = conestab.jacobian._distortion_squared
+    seen = [0]
+
+    def poisoned(*args):
+        j2 = real(*args)
+        for k in range(len(j2)):
+            if seen[0] + k in values:
+                j2[k, 0] = values[seen[0] + k]
+        seen[0] += len(j2)
+        return j2
+
+    monkeypatch.setattr(conestab.variation, "_distortion_squared", poisoned)
+
+
+@pytest.mark.parametrize("rows", [1, 4, 13])
+def test_positivity_abort_names_the_first_failing_t(rows, monkeypatch):
+    """A squared distortion factor that turns negative at two times aborts
+    the report at the first of them in ladder order, with that t and the
+    minimum, however the times fall into blocks; a non-finite area at an
+    earlier time ends the ladder there, as a per-t evaluation does."""
+    params = ConeParams(3, 0.2)
+    f = make_radial_bump([0.0, 0.0, 1.5], 0.6, 3)
+    times = [t for t in dict.fromkeys(_ladder_times(f)) if t != 0.0]
+    _rows_per_block(monkeypatch, params, f, SPEC3, rows)
+    _poison_rows(monkeypatch, {9: -0.5, 6: -0.25})
+    with pytest.raises(JacobianPositivityError) as err:
+        variation_report(params, f, spec=SPEC3)
+    assert (err.value.t, err.value.worst_value) == (times[6], -0.25)
+    assert str(err.value) == (f"squared distortion factor reached -0.25 at t={times[6]}; "
+                              "deformation too large for this field")
+    # the s-ladder's first new time, after all eight of the t-ladder
+    _poison_rows(monkeypatch, {8: -0.5, 11: -1.0})
+    with pytest.raises(JacobianPositivityError) as err:
+        variation_report(params, f, spec=SPEC3)
+    assert (err.value.t, err.value.worst_value) == (times[8], -0.5)
+    _poison_rows(monkeypatch, {4: math.nan, 6: -0.25})
+    with pytest.raises(QuadratureError, match="non-finite evaluation") as err:
+        variation_report(params, f, spec=SPEC3)
+    assert not isinstance(err.value, JacobianPositivityError)

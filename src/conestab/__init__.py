@@ -10,8 +10,8 @@ aperture parameter below which the slice is provably strictly stable.
 
 __version__ = "0.1.0"
 
-from .domain import (AmbientPoint, ConeParams, PlanePoint, classify_ambient_point,
-                     foliation_lipschitz_bound, gamma_curve, omega_profile)
+from .domain import (ConeParams, classify_ambient_point, foliation_lipschitz_bound,
+                     gamma_curve, omega_profile)
 from .errors import (ConeStabError, ConfigError, DivergentBoundaryIntegral,
                      JacobianPositivityError, MembershipError, QuadratureError)
 from .flow import FlowCoefficients

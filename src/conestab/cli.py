@@ -150,8 +150,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             cfg.corrupt_closed_form = merged["corrupt_closed_form"]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
-    if cfg.t0 is not None and not (math.isfinite(cfg.t0) and cfg.t0 > 0.0):
-        raise ConfigError(f"t0 must be finite and > 0, got {cfg.t0}")
+    # the second variation's ladder starts at t0^2, which must not underflow
+    if cfg.t0 is not None and not (math.isfinite(cfg.t0) and cfg.t0 > 0.0
+                                   and cfg.t0 * cfg.t0 > 0.0):
+        raise ConfigError(f"t0 must be finite and > 0 with t0^2 > 0, got {cfg.t0}")
     if cfg.levels < 3:
         raise ConfigError(f"levels must be >= 3, got {cfg.levels}")
     if not (math.isfinite(cfg.discrepancy_rtol) and cfg.discrepancy_rtol >= 0.0):

@@ -19,8 +19,6 @@ from .errors import MembershipError
 
 __all__ = [
     "ConeParams",
-    "PlanePoint",
-    "AmbientPoint",
     "omega_profile",
     "foliation_map",
     "gamma_curve",
@@ -87,48 +85,6 @@ class ConeParams:
         return 2.0 * math.atan2(1.0, self.lam)
 
 
-@dataclass(frozen=True)
-class PlanePoint:
-    """A point x = (x', x_n) of the slice hyperplane R^n."""
-
-    x_prime: np.ndarray
-    x_n: float
-
-    def __post_init__(self):
-        xp = np.asarray(self.x_prime, dtype=float).reshape(-1)
-        xp.setflags(write=False)
-        object.__setattr__(self, "x_prime", xp)
-        object.__setattr__(self, "x_n", float(self.x_n))
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.x_prime, [self.x_n]])
-
-    @property
-    def dimension(self) -> int:
-        return self.x_prime.size + 1
-
-
-@dataclass(frozen=True)
-class AmbientPoint:
-    """A point (x', x_n, t) of the ambient space R^(n+1)."""
-
-    x_prime: np.ndarray
-    x_n: float
-    t: float
-
-    def __post_init__(self):
-        xp = np.asarray(self.x_prime, dtype=float).reshape(-1)
-        xp.setflags(write=False)
-        object.__setattr__(self, "x_prime", xp)
-        object.__setattr__(self, "x_n", float(self.x_n))
-        object.__setattr__(self, "t", float(self.t))
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.x_prime, [self.x_n, self.t]])
-
-
 def omega_profile(params: ConeParams, x_prime, t) -> float | np.ndarray:
     """Profile height lam*sqrt(|x'|^2 + t^2).
 
@@ -156,23 +112,26 @@ def profile_gap(params: ConeParams, pts) -> float | np.ndarray:
                      f"({params.n}) nor the container ({params.n + 1})")
 
 
-def classify_points(params: ConeParams, pts, tol: float | None = None) -> np.ndarray:
+def classify_points(params: ConeParams, pts) -> np.ndarray:
     """'interior' / 'boundary' / 'outside' per point, by :func:`profile_gap`.
 
-    A point is 'boundary' when its gap is within ``tol``, by default
-    1e-12*(1+|x|) with |x| the point's Euclidean norm.  The vertex of the
-    slice classifies as 'boundary' (its height equals the profile, both
-    zero there).
+    A point is 'boundary' when its gap is within 1e-12*(1+|x|), with |x|
+    the point's Euclidean norm.  The vertex of the slice classifies as
+    'boundary' (its height equals the profile, both zero there).
     """
     pts = np.asarray(pts, dtype=float)
     gap = profile_gap(params, pts)
-    eps = 1e-12 * (1.0 + np.sqrt(_sumsq(pts))) if tol is None else float(tol)
+    eps = 1e-12 * (1.0 + np.sqrt(_sumsq(pts)))
     return np.where(gap > eps, "interior", np.where(gap >= -eps, "boundary", "outside"))
 
 
-def classify_ambient_point(params: ConeParams, p: AmbientPoint, tol: float | None = None) -> str:
-    """'interior' / 'boundary' / 'outside' relative to the closed container."""
-    return str(classify_points(params, p.vector, tol))
+def classify_ambient_point(params: ConeParams, p) -> str:
+    """'interior' / 'boundary' / 'outside' of one (n+1,) point (x', x_n, t)
+    relative to the closed container."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (params.n + 1,):
+        raise ValueError(f"ambient point of shape {p.shape}, expected ({params.n + 1},)")
+    return str(classify_points(params, p))
 
 
 def foliation_map(params: ConeParams, pts, t) -> np.ndarray:
@@ -189,21 +148,22 @@ def foliation_map(params: ConeParams, pts, t) -> np.ndarray:
     return out
 
 
-def gamma_curve(params: ConeParams, x: PlanePoint, t: float) -> AmbientPoint:
-    """Foliation point (x', x_n + profile(x', t) - profile(x', 0), t).
+def gamma_curve(params: ConeParams, x, t: float) -> np.ndarray:
+    """Foliation point (x', x_n + profile(x', t) - profile(x', 0), t) of one
+    (n,) slice point x, as an (n+1,) array.
 
     Requires x in the closed slice; the result lies in the closed container,
     on its boundary exactly when x lies on the slice boundary.
     """
-    if x.dimension != params.n:
-        raise ValueError(f"point dimension {x.dimension} != slice dimension {params.n}")
-    if classify_points(params, x.vector) == "outside":
+    x = np.asarray(x, dtype=float)
+    if x.shape != (params.n,):
+        raise ValueError(f"slice point of shape {x.shape}, expected ({params.n},)")
+    if classify_points(params, x) == "outside":
         raise MembershipError(
-            f"gamma_curve: point with height {x.x_n} lies below the profile "
-            f"{omega_profile(params, x.x_prime, 0.0)}"
+            f"gamma_curve: point with height {x[-1]} lies below the profile "
+            f"{omega_profile(params, x[:-1], 0.0)}"
         )
-    out = foliation_map(params, x.vector, float(t))
-    return AmbientPoint(out[:-2], out[-2], out[-1])
+    return foliation_map(params, x, float(t))
 
 
 def foliation_lipschitz_bound(params: ConeParams) -> float:

@@ -25,7 +25,7 @@ Each rule counts its nodes before it builds them and refuses more than
 ``MAX_RULE_NODES``.  Nodes never touch the axis x' = 0, where the flow's
 derivatives live only as one-sided limits.  The sheared sigma grid
 (:func:`sigma_grid`, :func:`integrate_sigma`) serves no integral of the
-program.
+program; it remains only as the entry point of the benchmark set-ups.
 
 The boundary trace integral carries a 1/|x'| weight: written in polar form
 it is regular for n >= 3, log-divergent for n = 2 with a nonzero vertex
@@ -81,7 +81,8 @@ class QuadratureSpec:
     Each count is raised where needed to the least that keeps the field's
     rule exact; above that, doubling the spec's counts doubles the rule's.
     A rule of more than MAX_RULE_NODES nodes is refused.  ``support_radius``
-    (finite, > 0) sets the extent of the sigma grid only.
+    (finite, > 0) sets the extent of the sigma grid only, which remains
+    only as the entry point of the benchmark set-ups.
     ``epsilon_cutoff`` (finite, >= 0) > 0 opts in to the regularized trace
     integral, which the divergent two-dimensional case needs.
     """
@@ -181,38 +182,26 @@ def _count_nodes(count: int, rule: str) -> None:
         raise QuadratureError(f"the {rule} needs {count} nodes; a rule may place {MAX_RULE_NODES}")
 
 
-@lru_cache(maxsize=32)
-def _sigma_factors(params: ConeParams, spec: QuadratureSpec):
-    """The sigma grid's tensor factors, in its order radius (major) x
-    direction x axis (minor): the row (x', 0), the radius and the polar
-    weight (with the volume element r^(n-2)) per (radius, direction) node,
-    the height x_n per (radius, axis) node, and the axis weights."""
+def sigma_grid(params: ConeParams, spec: QuadratureSpec):
+    """Nodes (m, n), weights (m,) and x'-radii (m,) on the sheared box
+    {|x'| <= R, 0 < x_n - lam*|x'| <= R}, R the spec's support radius.
+
+    Ordered radius (major) x direction x axis (minor), so each run of
+    ``box_nodes_per_axis`` nodes shares its x'.  Nodes lie strictly inside
+    the slice and strictly off the axis; each call builds the grid afresh.
+    """
     n, m = params.n, spec.angular_nodes
     _count_nodes(spec.radial_nodes * max(2, m ** (n - 2)) * spec.box_nodes_per_axis,
                  "sigma grid")
     r, wr = gauss_legendre(0.0, spec.support_radius, spec.radial_nodes)
     y, wy = gauss_legendre(0.0, spec.support_radius, spec.box_nodes_per_axis)
     theta, wt = sphere_grid(n - 2, m)
-    rows = np.zeros((r.size, wt.size, n))
-    rows[..., :-1] = r[:, None, None] * theta
-    radii = np.repeat(r, wt.size)
-    return _read_only(rows.reshape(-1, n), radii, (wr[:, None] * wt).ravel() * radii ** (n - 2),
-                      y[None, :] + params.lam * r[:, None], wy)
-
-
-def sigma_grid(params: ConeParams, spec: QuadratureSpec):
-    """Nodes (m, n), weights (m,) and x'-radii (m,) for the slice integral.
-
-    Nodes lie strictly inside the slice and strictly off the axis; the grid
-    is deterministic for a given (params, spec).  Assembled afresh from the
-    cached tensor factors on each call, by broadcasting them in grid order.
-    """
-    rows, radii, wpol, heights, wy = _sigma_factors(params, spec)
-    n_r, m_y = heights.shape
-    pts = np.empty((n_r, rows.shape[0] // n_r, m_y, params.n))
-    pts[...] = rows.reshape(n_r, -1, 1, params.n)
-    pts[..., -1] = heights[:, None, :]
-    return pts.reshape(-1, params.n), (wpol[:, None] * wy).ravel(), np.repeat(radii, m_y)
+    pts = np.empty((r.size, wt.size, y.size, n))
+    pts[..., :-1] = r[:, None, None, None] * theta[:, None, :]
+    pts[..., -1] = y + params.lam * r[:, None, None]
+    # the polar weight carries the volume element r^(n-2)
+    weights = ((wr[:, None] * wt) * (r ** (n - 2))[:, None])[..., None] * wy
+    return pts.reshape(-1, n), weights.ravel(), np.repeat(r, wt.size * y.size)
 
 
 # -- slice rules ------------------------------------------------------------------
@@ -506,7 +495,7 @@ class LiminfEstimate:
     """Dyadic difference quotients with a Richardson-extrapolated limit.
 
     ``parameters`` decrease strictly to zero; ``converged`` records whether
-    the last three quotients agree to the configured tolerance (that flag,
+    the last three quotients agree to within 1e-3 (that flag,
     not the extrapolation, is what acceptance gates on); ``tail_min`` is the
     conservative lower proxy for a liminf.
     """
@@ -555,14 +544,13 @@ def _dyadic_ladder(t0: float, levels: int) -> np.ndarray:
     return t0 * 0.5 ** np.arange(levels)
 
 
-def liminf_quotient(values: Callable[[float], float], t0: float, levels: int,
-                    rtol: float = 1e-3) -> LiminfEstimate:
+def liminf_quotient(values: Callable[[float], float], t0: float, levels: int) -> LiminfEstimate:
     """Difference quotients (F(t) - F(0)) / t of ``values`` on the dyadic
     sequence t0 * 2^-k.
 
     A second variation is the quotient of F(sqrt(s)) in s = t^2.  The
     convergence flag requires the last three quotients to agree within
-    ``rtol`` relative to max(1, |tail|), so sequences decaying to zero also
+    1e-3 relative to max(1, |tail|), so sequences decaying to zero also
     register as converged once they are absolutely small.
     """
     ts = _dyadic_ladder(t0, levels)
@@ -575,7 +563,7 @@ def liminf_quotient(values: Callable[[float], float], t0: float, levels: int,
         quotients[k] = (ft - f0) / t
     tail = quotients[-3:]
     scale = max(1.0, float(np.max(np.abs(tail))))
-    converged = bool(np.max(tail) - np.min(tail) <= rtol * scale)
+    converged = bool(np.max(tail) - np.min(tail) <= 1e-3 * scale)
     return LiminfEstimate(
         parameters=ts,
         quotients=quotients,

@@ -88,7 +88,7 @@ def kato_constant(n: int) -> float:
 def lambda_star(n: int) -> ThresholdResult:
     """Unique positive root of lam*(1+lam)^2 = K_n.
 
-    The cubic is strictly increasing, so bracketed bisection with a secant
+    The cubic is strictly increasing, so bracketed bisection with a Newton
     polish converges unconditionally; the residual is driven below
     1e-12 * K_n.
     """
@@ -107,7 +107,7 @@ def lambda_star(n: int) -> ThresholdResult:
         if hi - lo < 1e-15 * max(1.0, hi):
             break
     root = 0.5 * (lo + hi)
-    # secant polish for the last digits
+    # Newton polish for the last digits
     for _ in range(4):
         d = (1.0 + root) * (1.0 + 3.0 * root)  # derivative of the cubic
         step = cubic(root) / d

@@ -14,14 +14,14 @@ log-divergence certificate instead of a bare sentinel.
 
 A variation report evaluates the area at every distinct time of its two
 quotient ladders in one vectorised pass: the times form a column against
-the row of per-node scalars, which are built once per field.
+the row of per-node scalars, which are built once per report from the
+field's cached support sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -80,18 +80,6 @@ class VariationReport:
         return math.isinf(self.closed_form)
 
 
-@lru_cache(maxsize=1)
-def _flow_scalars(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
-    """Weights and the per-node scalars |x'|^2, 1/|x'|, f, axis partial of f,
-    P = |grad' f|^2 and Q = x'.grad' f on the support sample (primes drop
-    the axis component).  Keyed and cached like :func:`support_sample`."""
-    pts, weights, r, grads, values = support_sample(params, f, spec)
-    # r = |x'| > 0: the nodes lie strictly off the axis
-    xp, gp = pts[:, :-1], grads[:, :-1]
-    return (weights, r * r, 1.0 / r, values, grads[:, -1],
-            _sumsq(gp), _dot(xp, gp))
-
-
 def area(params: ConeParams, f: TrialFunction, t: float, spec: QuadratureSpec) -> float:
     """Deformed area at time t (the support measure at t = 0).
 
@@ -100,7 +88,7 @@ def area(params: ConeParams, f: TrialFunction, t: float, spec: QuadratureSpec) -
     c = t^2 f / s and d = 1/s - 1/|x'|.  So the squared distortion factor
     (1+a_n)^2 (1+|b'|^2) + b_n^2 (1+|a'|^2) - 2 (1+a_n) b_n a'.b' needs
     only |b'|^2 = t^2 P, |a'|^2 = lam^2 (c^2 P + 2cd Q + d^2 |x'|^2) and
-    a'.b' = lam t (c P + d Q), from per-node scalars built once per field
+    a'.b' = lam t (c P + d Q), from per-node scalars built once per call
     (P = |grad' f|^2, Q = x'.grad' f).  This is the one-t case of the batch
     that serves a variation report's ladders.
 
@@ -120,10 +108,14 @@ def _areas(params: ConeParams, f: TrialFunction, ts, spec: QuadratureSpec) -> li
     factor is <= 0 somewhere raises.  A non-finite area ends the list
     there, since a quotient ladder stops at it before any later t.
     """
-    weights, r2, inv_r, fv, gn, p, q = _flow_scalars(params, f, spec)
+    pts, weights, r, grads, fv = support_sample(params, f, spec)
     out = [compensated_sum(weights)] * len(ts)
     if weights.size == 0:
         return out
+    # per-node scalars, primes dropping the axis component; r = |x'| > 0
+    # since the nodes lie strictly off the axis
+    xp, gp, gn = pts[:, :-1], grads[:, :-1], grads[:, -1]
+    r2, inv_r, p, q = r * r, 1.0 / r, _sumsq(gp), _dot(xp, gp)
     lam = params.lam
     nonzero = [i for i, t in enumerate(ts) if t != 0.0]
     rows = max(1, _BLOCK_ELEMENTS // weights.size)
@@ -201,8 +193,8 @@ def default_t0(f: TrialFunction) -> float:
 
 
 def variation_report(params: ConeParams, f: TrialFunction, t0: float | None = None,
-                     levels: int = DEFAULT_LEVELS, spec: QuadratureSpec | None = None,
-                     rtol: float = 1e-3) -> VariationReport:
+                     levels: int = DEFAULT_LEVELS,
+                     spec: QuadratureSpec | None = None) -> VariationReport:
     """Full report: dyadic first/second variation estimates plus closed form.
 
     The second variation is estimated as an order-1 quotient in the squared
@@ -219,8 +211,8 @@ def variation_report(params: ConeParams, f: TrialFunction, t0: float | None = No
     steps, squares = _dyadic_ladder(t0, levels), _dyadic_ladder(t0 * t0, levels)
     times = dict.fromkeys([0.0, *steps.tolist(), *map(math.sqrt, squares.tolist())])
     area_at = dict(zip(times, _areas(params, f, list(times), spec)))
-    first = liminf_quotient(area_at.__getitem__, t0, levels, rtol)
-    second = liminf_quotient(lambda s: area_at[math.sqrt(s)], t0 * t0, levels, rtol)
+    first = liminf_quotient(area_at.__getitem__, t0, levels)
+    second = liminf_quotient(lambda s: area_at[math.sqrt(s)], t0 * t0, levels)
     closed = second_variation_closed_form(params, f, spec)
     discrepancy = (abs(second.extrapolated - closed.closed_form)
                    if closed.divergence is None else closed.discrepancy)

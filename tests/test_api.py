@@ -5,17 +5,19 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import conestab
 
 # A change to this list is a public-API change: record it in CHANGES.md.
 PUBLIC_API = [
-    "AmbientPoint", "ConeParams", "ConeStabError", "ConfigError",
+    "ConeParams", "ConeStabError", "ConfigError",
     "DivergentBoundaryIntegral", "FlowCoefficients", "JacobianPositivityError",
-    "LiminfEstimate", "MembershipError", "PlanePoint", "QuadratureError",
+    "LiminfEstimate", "MembershipError", "QuadratureError",
     "QuadratureSpec", "StabilityVerdict", "ThresholdResult", "TrialFunction",
     "VariationReport", "area", "boundary_integral", "build_trial",
     "classify_ambient_point", "dirichlet_energy", "domain", "errors", "flow",
@@ -76,8 +78,13 @@ def test_benchmark_trace_targets_resolve():
 
 def test_benchmark_entry_points_keep_their_signatures():
     """The workloads build QuadratureSpec positionally from its first four
-    fields and call sigma_grid(params, spec) in their set-ups."""
+    fields and call sigma_grid(params, spec) in their set-ups; the traced
+    run keeps a weak reference to the node array sigma_grid returns."""
+    from conestab.domain import ConeParams
     from conestab.quadrature import QuadratureSpec, sigma_grid
     assert [f.name for f in dataclasses.fields(QuadratureSpec)][:4] == [
         "radial_nodes", "angular_nodes", "box_nodes_per_axis", "support_radius"]
     assert list(inspect.signature(sigma_grid).parameters) == ["params", "spec"]
+    out = sigma_grid(ConeParams(2, 1.0), QuadratureSpec(128, 2, 128, 1.5))
+    assert len(out) == 3 and all(isinstance(a, np.ndarray) for a in out)
+    assert weakref.ref(out[0])() is out[0]

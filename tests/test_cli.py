@@ -240,6 +240,8 @@ def test_invalid_configs(tmp_path, capsys):
     (["variation", "--t0", "-1"], EXIT_CONFIG),
     (["variation", "--t0", "nan"], EXIT_CONFIG),
     (["variation", "--t0", "inf"], EXIT_CONFIG),
+    # t0^2, the first step of the second-variation ladder, underflows to 0
+    (["variation", "--t0", "1e-200"], EXIT_CONFIG),
     (["variation", "--epsilon-cutoff", "-1"], EXIT_CONFIG),
     (["sweep", "--epsilon-cutoff", "-1"], EXIT_CONFIG),
     (["witness-n2", "--epsilon-cutoff", "-1"], EXIT_CONFIG),
@@ -250,7 +252,8 @@ def test_invalid_configs(tmp_path, capsys):
     (["witness-n2", "--epsilon-cutoff", "nan"], EXIT_CONFIG),
     # the step t0 * 2^-k underflows to 0 before the last level
     (["variation", "--levels", "1100"], EXIT_QUADRATURE),
-], ids=["t0-zero", "t0-negative", "t0-nan", "t0-inf", "variation-cutoff", "sweep-cutoff",
+], ids=["t0-zero", "t0-negative", "t0-nan", "t0-inf", "t0-square-underflow",
+        "variation-cutoff", "sweep-cutoff",
         "witness-cutoff", "sweep-cutoff-nan", "sweep-cutoff-inf", "variation-cutoff-inf",
         "witness-cutoff-nan", "levels-underflow"])
 def test_bad_flags_exit_with_documented_codes(argv, code, capsys):

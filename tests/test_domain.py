@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conestab.domain import (AmbientPoint, ConeParams, PlanePoint, _dot, _prod, _sumsq,
-                             classify_ambient_point, classify_points,
+from conestab.domain import (ConeParams, _dot, _prod, _sumsq, classify_ambient_point,
+                             classify_points,
                              foliation_lipschitz_bound, foliation_map, gamma_curve,
                              omega_profile)
 from conestab.errors import MembershipError
@@ -65,31 +65,44 @@ def test_membership_classification():
 
 def test_gamma_curve_fixes_initial_point():
     params = ConeParams(2, 0.7)
-    x = PlanePoint([0.4], 1.0)
+    x = np.array([0.4, 1.0])
     out = gamma_curve(params, x, 0.0)
-    assert np.allclose(out.vector, [0.4, 1.0, 0.0])
-    assert np.allclose(out.vector[:-1], x.vector)
+    assert out.shape == (3,)
+    assert np.allclose(out, [0.4, 1.0, 0.0])
+    assert np.allclose(out[:-1], x)
 
 
 def test_gamma_curve_substitution():
     params = ConeParams(2, 1.0)
-    out = gamma_curve(params, PlanePoint([0.0], 1.0), 2.0)
-    assert np.allclose(out.vector, [0.0, 3.0, 2.0])
+    out = gamma_curve(params, [0.0, 1.0], 2.0)
+    assert np.allclose(out, [0.0, 3.0, 2.0])
 
 
 def test_gamma_curve_boundary_point_stays_on_container_boundary():
     params = ConeParams(2, 1.0)
-    out = gamma_curve(params, PlanePoint([1.0], 1.0), 1.0)
-    assert np.allclose(out.vector, [1.0, math.sqrt(2.0), 1.0])
+    out = gamma_curve(params, [1.0, 1.0], 1.0)
+    assert np.allclose(out, [1.0, math.sqrt(2.0), 1.0])
     # exactly at profile height
-    assert out.x_n == pytest.approx(omega_profile(params, out.x_prime, out.t), abs=1e-15)
+    assert out[-2] == pytest.approx(omega_profile(params, out[:-2], out[-1]), abs=1e-15)
     assert classify_ambient_point(params, out) == "boundary"
 
 
 def test_gamma_curve_rejects_outside_points():
     params = ConeParams(2, 2.0)
     with pytest.raises(MembershipError):
-        gamma_curve(params, PlanePoint([1.0], 0.5), 0.3)
+        gamma_curve(params, [1.0, 0.5], 0.3)
+
+
+def test_single_point_forms_reject_other_shapes():
+    """gamma_curve takes one (n,) slice point and classify_ambient_point one
+    (n+1,) ambient point; any other shape, a batch included, is refused."""
+    params = ConeParams(3, 0.5)
+    for bad in ([0.1, 2.0], [0.1, 0.2, 2.0, 0.0], [[0.1, 0.2, 2.0]], 2.0):
+        with pytest.raises(ValueError):
+            gamma_curve(params, bad, 0.3)
+    for bad in ([0.1, 0.2, 2.0], [0.1, 0.2, 2.0, 0.0, 0.0], [[0.1, 0.2, 2.0, 0.0]], 2.0):
+        with pytest.raises(ValueError):
+            classify_ambient_point(params, bad)
 
 
 def test_foliation_lipschitz_bound_values():
@@ -102,15 +115,14 @@ def test_curves_through_distinct_points_are_disjoint(rng):
     params = ConeParams(3, 0.9)
     for _ in range(200):
         xp1, xp2 = rng.normal(size=(2, 2))
-        x = PlanePoint(xp1, params.lam * np.linalg.norm(xp1) + rng.uniform(0, 2))
-        y = PlanePoint(xp2, params.lam * np.linalg.norm(xp2) + rng.uniform(0, 2))
-        if np.allclose(x.vector, y.vector):
+        x = np.append(xp1, params.lam * np.linalg.norm(xp1) + rng.uniform(0, 2))
+        y = np.append(xp2, params.lam * np.linalg.norm(xp2) + rng.uniform(0, 2))
+        if np.allclose(x, y):
             continue
         t = rng.uniform(-2, 2)
         # equal parameter: images must differ (t-coordinates agree, so curve
         # disjointness reduces to this)
-        assert np.max(np.abs(gamma_curve(params, x, t).vector
-                             - gamma_curve(params, y, t).vector)) > 0
+        assert np.max(np.abs(gamma_curve(params, x, t) - gamma_curve(params, y, t))) > 0
 
 
 def test_foliation_lipschitz_property_sampled(rng):
@@ -119,20 +131,19 @@ def test_foliation_lipschitz_property_sampled(rng):
         bound = foliation_lipschitz_bound(params)
         for _ in range(200):
             a, b = rng.uniform(-2, 2, size=2)
-            x = PlanePoint([a], lam * abs(a) + rng.uniform(0, 2))
-            y = PlanePoint([b], lam * abs(b) + rng.uniform(0, 2))
+            x = np.array([a, lam * abs(a) + rng.uniform(0, 2)])
+            y = np.array([b, lam * abs(b) + rng.uniform(0, 2)])
             t, u = rng.uniform(-2, 2, size=2)
-            lhs = np.linalg.norm(gamma_curve(params, x, t).vector
-                                 - gamma_curve(params, y, u).vector)
-            rhs = (np.linalg.norm(x.x_prime - y.x_prime)
-                   + abs(x.x_n - y.x_n) + abs(t - u))
+            lhs = np.linalg.norm(gamma_curve(params, x, t) - gamma_curve(params, y, u))
+            rhs = (np.linalg.norm(x[:-1] - y[:-1])
+                   + abs(x[-1] - y[-1]) + abs(t - u))
             assert lhs <= bound * rhs * (1 + 1e-12) + 1e-12
 
 
 def test_ambient_membership():
     params = ConeParams(2, 1.0)
-    assert classify_ambient_point(params, AmbientPoint([0.0], 1.0, 0.5)) == "interior"
-    assert classify_ambient_point(params, AmbientPoint([1.0], 0.0, 0.0)) == "outside"
+    assert classify_ambient_point(params, [0.0, 1.0, 0.5]) == "interior"
+    assert classify_ambient_point(params, [1.0, 0.0, 0.0]) == "outside"
 
 
 def test_array_forms_match_single_point_wrappers(rng):
@@ -148,10 +159,9 @@ def test_array_forms_match_single_point_wrappers(rng):
     images = foliation_map(params, pts[inside], ts[inside])
     ambient = classify_points(params, images)
     for i, k in enumerate(np.flatnonzero(inside)):
-        x = PlanePoint(pts[k, :-1], pts[k, -1])
         assert labels[k] == classify_points(params, pts[k])
-        single = gamma_curve(params, x, ts[k])
-        assert np.array_equal(images[i], single.vector)
+        single = gamma_curve(params, pts[k], ts[k])
+        assert np.array_equal(images[i], single)
         assert ambient[i] == classify_ambient_point(params, single)
     assert set(labels) == {"interior", "boundary", "outside"}
     assert np.all(ambient[:10] == "boundary")

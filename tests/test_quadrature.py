@@ -115,6 +115,23 @@ def test_nodes_avoid_axis_and_stay_inside():
     assert np.max(np.min(np.abs(heights[:, None] - axis_nodes), axis=1)) <= 1e-14
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sigma_grid_is_radius_major_direction_axis_minor(n):
+    """The documented node order: radii never decrease, each run of
+    box_nodes_per_axis nodes shares its x' and climbs in x_n, and the grid
+    is rebuilt bit for bit on a second call."""
+    params, spec = ConeParams(n, 0.6), QuadratureSpec(6, 4, 5, 2.0)
+    pts, w, radii = sigma_grid(params, spec)
+    assert np.all(np.diff(radii) >= 0.0)
+    runs = pts.reshape(-1, spec.box_nodes_per_axis, n)
+    assert np.array_equal(runs[:, :, :-1], np.repeat(runs[:, :1, :-1], 5, axis=1))
+    assert np.all(np.diff(runs[:, :, -1], axis=1) > 0.0)
+    assert np.allclose(radii, np.repeat(np.linalg.norm(runs[:, 0, :-1], axis=1), 5),
+                       rtol=1e-15, atol=0.0)
+    again = sigma_grid(params, spec)
+    assert all(np.array_equal(a, b) for a, b in zip((pts, w, radii), again))
+
+
 def test_emitted_nodes_are_smooth_points_of_the_battery():
     """Node generation must only emit smooth points: each battery member's
     nodes lie off the axis and off its kink set (the centre and support
@@ -230,7 +247,6 @@ def test_program_paths_never_materialise_the_whole_grid(monkeypatch):
     battery = standard_battery(3)[:4]
 
     def run():
-        quadrature._sigma_factors.cache_clear()
         support_sample.cache_clear()
         return plain((variation_report(params, battery[0], levels=4, spec=spec),
                       stability_sweep(params, battery, spec),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conestab import flow, verify
-from conestab.domain import (ConeParams, PlanePoint, classify_ambient_point,
+from conestab.domain import (ConeParams, classify_ambient_point,
                              foliation_lipschitz_bound, gamma_curve, omega_profile)
 from conestab.quadrature import QuadratureSpec
 from conestab.trial import sample_smooth_points, standard_battery
@@ -144,18 +144,18 @@ def _foliation_suite_loop(pairs, seed, lams=(0.0, 0.3, 1.0, 2.5), dims=(2, 3)):
             us = rng.uniform(-2.0, 2.0, size=per)
             for i in range(per):
                 total += 1
-                x, y, b = (PlanePoint(p[i, :-1], p[i, -1]) for p in (xs, ys, bs))
+                x, y, b = xs[i], ys[i], bs[i]
                 t, u = float(ts[i]), float(us[i])
                 gx, gy = gamma_curve(params, x, t), gamma_curve(params, y, u)
-                if np.max(np.abs(gamma_curve(params, x, u).vector - gy.vector)) == 0.0:
+                if np.max(np.abs(gamma_curve(params, x, u) - gy)) == 0.0:
                     violations += 1
                 gb = gamma_curve(params, b, t)
-                worst = max(worst, abs(gb.x_n - omega_profile(params, gb.x_prime, gb.t)))
+                worst = max(worst, abs(gb[-2] - omega_profile(params, gb[:-2], gb[-1])))
                 violations += classify_ambient_point(params, gb) != "boundary"
                 violations += classify_ambient_point(params, gx) == "outside"
-                lhs = float(np.linalg.norm(gx.vector - gy.vector))
-                rhs = (np.linalg.norm(x.x_prime - y.x_prime)
-                       + abs(x.x_n - y.x_n) + abs(t - u))
+                lhs = float(np.linalg.norm(gx - gy))
+                rhs = (np.linalg.norm(x[:-1] - y[:-1])
+                       + abs(x[-1] - y[-1]) + abs(t - u))
                 if lhs > bound * rhs * (1.0 + 1e-12) + 1e-12:
                     violations += 1
                     worst = max(worst, lhs - bound * rhs)

@@ -31,7 +31,7 @@ from .stability import (UNSTABLE, instability_witness_n2, lambda_star,
                         stability_sweep)
 from .trial import battery_descriptors, build_trial
 from .variation import DEFAULT_CUTOFFS, DEFAULT_LEVELS, variation_report
-from .verify import ALL_SUITES, run_suites
+from .verify import run_suites
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -337,8 +337,7 @@ def cmd_witness_n2(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    results = run_suites(ALL_SUITES, seed=cfg.seed,
-                         corrupt_closed_form=cfg.corrupt_closed_form, **cfg.samples)
+    results = run_suites(seed=cfg.seed, corrupt_closed_form=cfg.corrupt_closed_form, **cfg.samples)
     payload = _report(cfg, results)
     rows = [(r.name, int(r.passed), r.worst_error, r.samples, r.detail)
             for r in results]

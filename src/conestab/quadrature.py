@@ -29,7 +29,8 @@ program; it remains only as the entry point of the benchmark set-ups.
 
 The boundary trace integral carries a 1/|x'| weight: written in polar form
 it is regular for n >= 3, log-divergent for n = 2 with a nonzero vertex
-value, and in the cutoff regime it is integrated on a logarithmic grid.
+value, and integrated on a logarithmic grid in |x'| whenever its range starts
+off the vertex: under a cutoff, or where a field's trace starts at |x'| > 0.
 """
 
 from __future__ import annotations
@@ -314,9 +315,9 @@ def _directions(n: int, geom, m: int, per_direction: int, rule: str):
     axis depends on |x'| only: one direction carries |S^(n-2)|.  Centred off
     the axis, it is invariant under the rotations that fix its centre's
     x'-direction a: cos(psi) a + sin(psi) e with e normal to a, psi in
-    (0, pi) with the weight |S^(n-3)| sin^(n-3) psi.  A box, a ball or no
-    geometry gets the full sphere grid."""
-    radial = n > 2 and geom is not None and geom.shape == "radial"
+    (0, pi) with the weight |S^(n-3)| sin^(n-3) psi.  A box or a ball gets
+    the full sphere grid."""
+    radial = n > 2 and geom.shape == "radial"
     offset = geom.offset if radial else 0.0
     _count_nodes(((m if offset else 1) if radial else max(2, m ** (n - 2))) * per_direction,
                  rule)
@@ -433,8 +434,8 @@ def trace_span(params: ConeParams, f: TrialFunction):
     return lo, hi
 
 
-def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float,
-               log_from: float | None = None, geometry=None):
+def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float, geometry,
+               log_from: float | None = None):
     """Nodes on the slice boundary, in polar trace form.
 
     Returns (pts (m, n), weights (m,), radii (m,)) such that
@@ -442,8 +443,8 @@ def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float,
     dr dsigma(theta), the 1/|x'| trace integral in polar form.  With
     ``log_from`` set, radii are Gauss-Legendre in log r on (log_from, r_max)
     with the extra 1/r folded into the weights.  theta runs over the
-    directions of ``geometry`` (:func:`_directions`; all of a sphere grid
-    without one), so h must have the symmetry the geometry states.
+    directions of ``geometry`` (:func:`_directions`), so h must have the
+    symmetry the geometry states.
     """
     n = params.n
     if log_from is None:
@@ -463,7 +464,9 @@ def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float,
 def boundary_integral(params: ConeParams, f: TrialFunction,
                       spec: QuadratureSpec) -> float:
     """The weighted trace integral of f^2 / |x'| over the slice boundary
-    (without any aperture prefactor).
+    (without any aperture prefactor), on a grid logarithmic in |x'| from
+    max(``epsilon_cutoff``, r_min) when that is positive, r_min from
+    :func:`trace_span`: also without a cutoff, as for axis-b at lam = 2.
 
     Regular for n >= 3.  For n = 2 it is finite only when f vanishes at the
     vertex; a nonzero vertex value without a positive ``epsilon_cutoff``
@@ -480,8 +483,7 @@ def boundary_integral(params: ConeParams, f: TrialFunction,
     lower = max(cutoff, r_min)
     if lower >= r_max:
         return 0.0
-    pts, weights, _ = trace_grid(params, spec, r_max, log_from=lower or None,
-                                 geometry=f.geometry)
+    pts, weights, _ = trace_grid(params, spec, r_max, f.geometry, log_from=lower or None)
     vals = f.evaluator(pts) ** 2
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("trace integrand produced non-finite values")
@@ -530,18 +532,20 @@ def _richardson_tail(quotients: np.ndarray) -> float:
     return float(tail[0])
 
 
-def _dyadic_ladder(t0: float, levels: int) -> np.ndarray:
-    """The parameters t0 * 2^-k, k < ``levels``, of :func:`liminf_quotient`,
-    after its checks on ``t0`` and ``levels``."""
+def _dyadic_ladder(t0: float, levels: int, squared: bool = False) -> np.ndarray:
+    """The parameters t0 * 2^-k, k < ``levels``, of :func:`liminf_quotient`
+    (t0^2 * 2^-k if ``squared``), after its checks on ``t0`` and ``levels``."""
     if levels < 3:
         raise ValueError(f"levels must be >= 3, got {levels}")
     if not t0 > 0:
         raise ValueError(f"t0 must be positive, got {t0}")
+    start = t0 * t0 if squared else t0
     # checked before the ladder is allocated, so a huge ``levels`` costs nothing
-    if t0 * 0.5 ** (levels - 1) == 0.0:
-        raise QuadratureError(f"the step t0 * 2^-k underflows to 0 within {levels} "
+    if start * 0.5 ** (levels - 1) == 0.0:
+        step = "t0^2 * 2^-k of the s = t^2 ladder" if squared else "t0 * 2^-k"
+        raise QuadratureError(f"the step {step} underflows to 0 within {levels} "
                               f"levels from t0 = {t0}")
-    return t0 * 0.5 ** np.arange(levels)
+    return start * 0.5 ** np.arange(levels)
 
 
 def liminf_quotient(values: Callable[[float], float], t0: float, levels: int) -> LiminfEstimate:

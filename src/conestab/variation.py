@@ -208,7 +208,7 @@ def variation_report(params: ConeParams, f: TrialFunction, t0: float | None = No
     spec = spec if spec is not None else QuadratureSpec()
     t0 = float(t0) if t0 is not None else default_t0(f)
     # both ladders' checks run before any area is evaluated
-    steps, squares = _dyadic_ladder(t0, levels), _dyadic_ladder(t0 * t0, levels)
+    steps, squares = _dyadic_ladder(t0, levels), _dyadic_ladder(t0, levels, squared=True)
     times = dict.fromkeys([0.0, *steps.tolist(), *map(math.sqrt, squares.tolist())])
     area_at = dict(zip(times, _areas(params, f, list(times), spec)))
     first = liminf_quotient(area_at.__getitem__, t0, levels)

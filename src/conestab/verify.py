@@ -29,8 +29,16 @@ __all__ = [
     "foliation_suite",
     "remainder_suite",
     "kato_suite",
-    "ALL_SUITES",
 ]
+
+JACOBIAN_TOL = 1e-10         # worst relative disagreement of the jacobian suite
+FOLIATION_LAMS = (0.0, 0.3, 1.0, 2.5)
+FOLIATION_DIMS = (2, 3)
+REMAINDER_MAX_LEVEL = 20     # the remainder suite's times are t = 2^-k, k <= 20
+TAIL_FRACTION = 1e-3         # |R|/t^2 at the last t must stay below this part of the bound
+KATO_SPECS = {3: QuadratureSpec(64, 16, 64, 3.1), 4: QuadratureSpec(48, 10, 48, 3.1),
+              5: QuadratureSpec(32, 8, 32, 3.1)}   # the kato suite's dimensions and rules
+KATO_SLACK = 1e-8            # how far below 0 an inequality link may fall
 
 
 @dataclass(frozen=True)
@@ -55,8 +63,7 @@ def _flow_sample_fields(n: int):
             make_tensor_bump(up * (1.0 / 1.2), 0.5, n, exponent=2)]
 
 
-def _four_way_error(coeffs: FlowCoefficients, main: np.ndarray, bad: float,
-                    tol: float) -> float:
+def _four_way_error(coeffs: FlowCoefficients, main: np.ndarray, bad: float) -> float:
     """Worst relative disagreement among closed form, wedge norm and Gram
     determinant, and of closed form minus remainder against ``main``.
 
@@ -66,7 +73,7 @@ def _four_way_error(coeffs: FlowCoefficients, main: np.ndarray, bad: float,
     terms of J^2, R and the main term is at most P = (1 + |a_n| + |b_n|)^2
     (1 + sum a_i^2 + sum b_i^2) and carries at most n + 8 roundings, so the
     two sides of that check differ by at most 10 (n + 8) u P through
-    rounding; its denominator is floored at that bound over tol.
+    rounding; its denominator is floored at that bound over JACOBIAN_TOL.
     """
     a, b = coeffs.alpha, coeffs.beta
     size = ((1.0 + np.abs(a[..., -1]) + np.abs(b[..., -1])) ** 2
@@ -78,11 +85,11 @@ def _four_way_error(coeffs: FlowCoefficients, main: np.ndarray, bad: float,
     return max(_rel_err(closed, wedge_sq),
                _rel_err(closed, gram),
                _rel_err(wedge_sq, gram),
-               _rel_err(closed - remainder(coeffs), main, rounding / tol))
+               _rel_err(closed - remainder(coeffs), main, rounding / JACOBIAN_TOL))
 
 
 def jacobian_suite(random_draws: int = 10_000, flow_samples: int = 1000,
-                   seed: int = 0, dims=(2, 3, 4, 6), tol: float = 1e-10,
+                   seed: int = 0, dims=(2, 3, 4, 6),
                    corrupt_closed_form: bool = False) -> SuiteResult:
     """Three-way distortion-factor agreement plus the main/remainder split.
 
@@ -101,7 +108,7 @@ def jacobian_suite(random_draws: int = 10_000, flow_samples: int = 1000,
         draws = rng.uniform(-1.0, 1.0, size=(random_draws, 2 * n))
         coeffs = FlowCoefficients(alpha=draws[:, :n], beta=draws[:, n:])
         algebra_main = 1.0 + 2.0 * coeffs.alpha[:, -1] + np.sum(coeffs.beta ** 2, axis=-1)
-        worst = max(worst, _four_way_error(coeffs, algebra_main, bad, tol))
+        worst = max(worst, _four_way_error(coeffs, algebra_main, bad))
         total += random_draws
 
     params = ConeParams(3, 0.7)
@@ -114,10 +121,10 @@ def jacobian_suite(random_draws: int = 10_000, flow_samples: int = 1000,
             sel = slice(i * per, (i + 1) * per)
             args = (params, pts[sel], fv[sel], gv[sel], float(t))
             coeffs = flow._coefficients(*args)
-            worst = max(worst, _four_way_error(coeffs, jacobian._main_term(*args), bad, tol))
+            worst = max(worst, _four_way_error(coeffs, jacobian._main_term(*args), bad))
             total += per
 
-    return SuiteResult("jacobian", worst <= tol, worst, total,
+    return SuiteResult("jacobian", worst <= JACOBIAN_TOL, worst, total,
                        f"three-way and main/remainder agreement over {total} samples")
 
 
@@ -132,17 +139,16 @@ def _sample_slice_points(params: ConeParams, rng, count: int, boundary: bool):
     return np.concatenate([xp, xn[:, None]], axis=1)
 
 
-def foliation_suite(pairs: int = 1000, seed: int = 0,
-                    lams=(0.0, 0.3, 1.0, 2.5), dims=(2, 3)) -> SuiteResult:
+def foliation_suite(pairs: int = 1000, seed: int = 0) -> SuiteResult:
     """Injectivity, boundary invariance, and the certified Lipschitz bound
     of the foliation, on sampled point pairs.  Zero violations allowed."""
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0
     total = 0
-    per = max(1, pairs // (len(lams) * len(dims)))
-    for n in dims:
-        for lam in lams:
+    per = max(1, pairs // (len(FOLIATION_LAMS) * len(FOLIATION_DIMS)))
+    for n in FOLIATION_DIMS:
+        for lam in FOLIATION_LAMS:
             params = ConeParams(n, lam)
             bound = foliation_lipschitz_bound(params)
             xs = _sample_slice_points(params, rng, per, boundary=False)
@@ -173,8 +179,7 @@ def foliation_suite(pairs: int = 1000, seed: int = 0,
                        f"{violations} violations over {total} sampled pairs")
 
 
-def remainder_suite(points: int = 1000, max_level: int = 20, seed: int = 0,
-                    tail_fraction: float = 1e-3) -> SuiteResult:
+def remainder_suite(points: int = 1000, seed: int = 0) -> SuiteResult:
     """Uniform bound |R|/t^2 <= C(Lip f) on dyadic t, plus decay of the tail."""
     rng = np.random.default_rng(seed)
     params = ConeParams(3, 0.7)
@@ -187,7 +192,7 @@ def remainder_suite(points: int = 1000, max_level: int = 20, seed: int = 0,
         pts = sample_smooth_points(params, f, rng, points)
         fv, gv = f.evaluator(pts), f.gradient(pts)
         sup_by_level = []
-        for k in range(max_level + 1):
+        for k in range(REMAINDER_MAX_LEVEL + 1):
             t = 2.0 ** (-k)
             coeffs = flow._coefficients(params, pts, fv, gv, t)
             ratio = np.max(np.abs(remainder(coeffs))) / (t * t)
@@ -197,31 +202,25 @@ def remainder_suite(points: int = 1000, max_level: int = 20, seed: int = 0,
         if max(sup_by_level) > bound:
             passed = False
             detail.append(f"{f.label}: bound {bound:.3g} exceeded")
-        if sup_by_level[-1] > tail_fraction * bound:
+        if sup_by_level[-1] > TAIL_FRACTION * bound:
             passed = False
-            detail.append(f"{f.label}: tail {sup_by_level[-1]:.3g} above {tail_fraction} * bound")
+            detail.append(f"{f.label}: tail {sup_by_level[-1]:.3g} above {TAIL_FRACTION} * bound")
     return SuiteResult("remainder", passed, worst_ratio, total,
                        "; ".join(detail) or "uniform bound and tail decay hold")
 
 
-def kato_suite(dims=(3, 4, 5), battery_size: int = 20,
-               specs: dict | None = None, slack: float = 1e-8) -> SuiteResult:
+def kato_suite(battery_size: int = 20) -> SuiteResult:
     """Margins of the trace inequality and both links of the threshold chain.
 
-    For each dimension, each aperture parameter in {0, lam*/2, lam*} and each
-    battery member: the direct margin, the aperture-vs-constant comparison,
-    and the two flattening contracts each must hold with slack >= -1e-8.
+    For each n of ``KATO_SPECS``, each aperture parameter in {0, lam*/2, lam*}
+    and each battery member: the direct margin, the aperture-vs-constant
+    comparison, and the two flattening contracts must hold with slack >= -KATO_SLACK.
     """
-    if specs is None:
-        specs = {3: QuadratureSpec(64, 16, 64, 3.1),
-                 4: QuadratureSpec(48, 10, 48, 3.1),
-                 5: QuadratureSpec(32, 8, 32, 3.1)}
     worst_slack = math.inf
     total = 0
     passed = True
     detail = []
-    for n in dims:
-        spec = specs.get(n, QuadratureSpec(32, 8, 32, 3.1))
+    for n, spec in KATO_SPECS.items():
         thr = lambda_star(n)
         k = thr.k_n
         battery = standard_battery(n, battery_size)
@@ -241,7 +240,7 @@ def kato_suite(dims=(3, 4, 5), battery_size: int = 20,
                 )
                 worst_slack = min(worst_slack, *checks)
                 total += 1
-                if min(checks) < -slack:
+                if min(checks) < -KATO_SLACK:
                     passed = False
                     detail.append(f"n={n}, lam={lam:.4g}, {f.label}: slack {min(checks):.3g}")
     return SuiteResult("kato", passed, worst_slack, total,
@@ -249,24 +248,11 @@ def kato_suite(dims=(3, 4, 5), battery_size: int = 20,
                        f"all inequality links hold; worst slack {worst_slack:.3g}")
 
 
-ALL_SUITES = ("jacobian", "foliation", "remainder", "kato")
-
-
-def run_suites(names, *, random_draws=10_000, flow_samples=1000, pairs=1000,
-               points=1000, battery_size=20, seed=0,
-               corrupt_closed_form=False) -> list[SuiteResult]:
-    """Run the named suites with the given sample counts."""
-    out = []
-    for name in names:
-        if name == "jacobian":
-            out.append(jacobian_suite(random_draws, flow_samples, seed,
-                                      corrupt_closed_form=corrupt_closed_form))
-        elif name == "foliation":
-            out.append(foliation_suite(pairs, seed))
-        elif name == "remainder":
-            out.append(remainder_suite(points, seed=seed))
-        elif name == "kato":
-            out.append(kato_suite(battery_size=battery_size))
-        else:
-            raise ValueError(f"unknown suite {name!r}")
-    return out
+def run_suites(*, random_draws=10_000, flow_samples=1000, pairs=1000, points=1000,
+               battery_size=20, seed=0, corrupt_closed_form=False) -> list[SuiteResult]:
+    """The four suites in report order, with the given sample counts."""
+    return [jacobian_suite(random_draws, flow_samples, seed,
+                           corrupt_closed_form=corrupt_closed_form),
+            foliation_suite(pairs, seed),
+            remainder_suite(points, seed),
+            kato_suite(battery_size)]

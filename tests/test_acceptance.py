@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from conestab import verify
 from conestab.cli import main as cli_main
 from conestab.domain import ConeParams
 from conestab.quadrature import QuadratureSpec, boundary_integral, liminf_quotient
@@ -39,9 +40,9 @@ def criterion(num, name):
 def test_criterion_1_jacobian_identity():
     with criterion(1, "jacobian three-way identity"):
         start = time.perf_counter()
-        res = jacobian_suite(random_draws=10_000, flow_samples=1000, seed=SEED,
-                             dims=(2, 3, 4, 6), tol=1e-10)
+        res = jacobian_suite(random_draws=10_000, flow_samples=1000, seed=SEED)
         elapsed = time.perf_counter() - start
+        assert verify.JACOBIAN_TOL == 1e-10
         assert res.passed, res.detail
         assert res.worst_error <= 1e-10
         assert res.samples >= 4 * 10_000 + 1000
@@ -50,9 +51,10 @@ def test_criterion_1_jacobian_identity():
 
 def test_criterion_2_remainder_bounds():
     with criterion(2, "remainder uniform bound and decay"):
-        res = remainder_suite(points=1000, max_level=20, seed=SEED,
-                              tail_fraction=1e-3)
+        res = remainder_suite(points=1000, seed=SEED)
+        assert (verify.REMAINDER_MAX_LEVEL, verify.TAIL_FRACTION) == (20, 1e-3)
         assert res.passed, res.detail
+        assert res.samples == 2 * 21 * 1000
 
 
 def test_criterion_3_first_variation_vanishes():
@@ -131,7 +133,8 @@ def test_criterion_6_constants_and_thresholds():
 
 def test_criterion_7_kato_margin_sweep():
     with criterion(7, "trace-inequality margins and chain links"):
-        res = kato_suite(dims=(3, 4, 5), battery_size=20, slack=1e-8)
+        res = kato_suite(battery_size=20)
+        assert verify.KATO_SLACK == 1e-8 and sorted(verify.KATO_SPECS) == [3, 4, 5]
         assert res.passed, res.detail
         assert res.worst_error >= -1e-8
         assert res.samples == 20 * 3 * 3

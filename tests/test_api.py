@@ -43,6 +43,8 @@ MODULE_API = {
                    "trace_grid", "trace_span"],
     "variation": ["LogDivergenceCertificate", "VariationReport", "area", "cutoff_ladder",
                   "dirichlet_energy", "second_variation_closed_form", "variation_report"],
+    "verify": ["SuiteResult", "foliation_suite", "jacobian_suite", "kato_suite",
+               "remainder_suite"],
 }
 
 
@@ -79,9 +81,15 @@ def test_benchmark_trace_targets_resolve():
 def test_benchmark_entry_points_keep_their_signatures():
     """The workloads build QuadratureSpec positionally from its first four
     fields and call sigma_grid(params, spec) in their set-ups; the traced
-    run keeps a weak reference to the node array sigma_grid returns."""
+    run keeps a weak reference to the node array sigma_grid returns.  The
+    invariant-suites workload calls three suites with these arguments."""
+    from conestab import verify
     from conestab.domain import ConeParams
     from conestab.quadrature import QuadratureSpec, sigma_grid
+    inspect.signature(verify.jacobian_suite).bind(
+        seed=1, flow_samples=100, dims=(), corrupt_closed_form=True)
+    inspect.signature(verify.foliation_suite).bind(8000, seed=1)
+    inspect.signature(verify.remainder_suite).bind(10_000, seed=1)
     assert [f.name for f in dataclasses.fields(QuadratureSpec)][:4] == [
         "radial_nodes", "angular_nodes", "box_nodes_per_axis", "support_radius"]
     assert list(inspect.signature(sigma_grid).parameters) == ["params", "spec"]

@@ -262,17 +262,27 @@ def test_bad_flags_exit_with_documented_codes(argv, code, capsys):
     assert err["error"]["code"] == code
 
 
-@pytest.mark.parametrize("flags", [["--levels", "1100"], ["--t0", "1e-100", "--levels", "500"]],
-                         ids=["both-ladders", "s-ladder-only"])
-def test_underflowing_ladder_exits_before_any_area(flags, monkeypatch, capsys):
+@pytest.mark.parametrize("flags, message", [
+    (["--levels", "1100"],
+     "the step t0 * 2^-k underflows to 0 within 1100 levels from t0 = "),
+    (["--t0", "1e-100", "--levels", "500"],
+     "the step t0^2 * 2^-k of the s = t^2 ladder underflows to 0 within 500 levels "
+     "from t0 = 1e-100"),
+    (["--t0", "2.3e-162"],
+     "the step t0^2 * 2^-k of the s = t^2 ladder underflows to 0 within 8 levels "
+     "from t0 = 2.3e-162"),
+], ids=["both-ladders", "s-ladder-only", "s-ladder-subnormal-start"])
+def test_underflowing_ladder_exits_before_any_area(flags, message, monkeypatch, capsys):
     """Both ladders are checked before the report's batch of areas, so an
     underflow exits 3 with no area evaluated, also when only the s-ladder
-    t0^2 * 2^-k underflows (1e-100 * 2^-499 is still a normal number)."""
+    t0^2 * 2^-k underflows (1e-100 * 2^-499 is still a normal number).  The
+    message names the ladder that failed and quotes the t0 given: at
+    t0 = 2.3e-162 the s-ladder starts at the subnormal 5e-324."""
     batches = []
     monkeypatch.setattr(variation, "_areas", lambda *args: batches.append(args))
     assert run(["variation", *flags]) == EXIT_QUADRATURE
     err = json.loads(capsys.readouterr().out)["error"]
-    assert err["code"] == EXIT_QUADRATURE and "underflows to 0" in err["message"]
+    assert err["code"] == EXIT_QUADRATURE and err["message"].startswith(message)
     assert batches == []
 
 

@@ -81,8 +81,7 @@ def test_margin_interior_field_is_dirichlet_energy():
 
 
 def test_margin_battery_nonnegative():
-    specs = {3: SPEC3, 4: QuadratureSpec(40, 10, 40, 3.1)}
-    res = kato_suite(dims=(3, 4), battery_size=6, specs=specs)
+    res = kato_suite(battery_size=6)
     assert res.passed, res.detail
     assert res.worst_error >= -1e-8
 

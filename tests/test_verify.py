@@ -8,7 +8,6 @@ import pytest
 from conestab import flow, verify
 from conestab.domain import (ConeParams, classify_ambient_point,
                              foliation_lipschitz_bound, gamma_curve, omega_profile)
-from conestab.quadrature import QuadratureSpec
 from conestab.trial import sample_smooth_points, standard_battery
 from conestab.verify import (foliation_suite, jacobian_suite, kato_suite,
                              remainder_suite, run_suites)
@@ -53,15 +52,15 @@ PINNED_SUITES = {
     20260810: {"jacobian": ("0x1.dcc9ee98782ecp-45", 8400),
                "flow-only": ("0x1.af6505c683f18p-51", 400),
                "negative": ("0x1.55242af8ee48cp-15", 2100),
-               "remainder": ("0x1.a5c90ed7e7e7ap-5", 5200)},
+               "remainder": ("0x1.a5c90ed7e7e7ap-5", 8400)},
     15: {"jacobian": ("0x1.4d2b0e2201673p-45", 8400),
          "flow-only": ("0x1.27bac509efe0cp-50", 400),
          "negative": ("0x1.b3692236c2769p-13", 2100),
-         "remainder": ("0x1.943647fc46932p-5", 5200)},
+         "remainder": ("0x1.943647fc46932p-5", 8400)},
     104: {"jacobian": ("0x1.e2127d66e8999p-45", 8400),
           "flow-only": ("0x1.cfef6ce786379p-50", 400),
           "negative": ("0x1.251b7c6a6efe5p-14", 2100),
-          "remainder": ("0x1.81471dfe916a4p-5", 5200)},
+          "remainder": ("0x1.81471dfe916a4p-5", 8400)},
 }
 PINNED_SAMPLE_SHA256 = (
     "5d27ae0aed617685450b45cd469332d8823e9968cc0c1a20aa9418d0c2e19eb0",
@@ -82,7 +81,7 @@ def test_suite_values_are_pinned(seed):
         "flow-only": jacobian_suite(flow_samples=400, seed=seed, dims=()),
         "negative": jacobian_suite(random_draws=500, flow_samples=100, seed=seed,
                                    corrupt_closed_form=True),
-        "remainder": remainder_suite(points=200, max_level=12, seed=seed),
+        "remainder": remainder_suite(points=200, seed=seed),
     }
     got = {k: (float(r.worst_error).hex(), r.samples) for k, r in results.items()}
     assert got == PINNED_SUITES[seed]
@@ -129,10 +128,12 @@ def test_foliation_suite_passes():
     assert "0 violations" in res.detail
 
 
-def _foliation_suite_loop(pairs, seed, lams=(0.0, 0.3, 1.0, 2.5), dims=(2, 3)):
+def _foliation_suite_loop(pairs, seed):
     """Per-pair reference for foliation_suite, on the single-point API."""
     rng = np.random.default_rng(seed)
     violations, worst, total = 0, 0.0, 0
+    lams, dims = (0.0, 0.3, 1.0, 2.5), (2, 3)
+    assert (verify.FOLIATION_LAMS, verify.FOLIATION_DIMS) == (lams, dims)
     per = max(1, pairs // (len(lams) * len(dims)))
     for n in dims:
         for lam in lams:
@@ -171,21 +172,22 @@ def test_foliation_suite_matches_per_pair_loop():
 
 
 def test_remainder_suite_passes():
-    res = remainder_suite(points=200, max_level=12, seed=SEED)
+    res = remainder_suite(points=200, seed=SEED)
     assert res.passed
     assert res.worst_error < 1.0  # strictly inside the certified bound
 
 
 def test_kato_suite_small():
-    specs = {3: QuadratureSpec(32, 8, 32, 3.1)}
-    res = kato_suite(dims=(3,), battery_size=6, specs=specs)
+    res = kato_suite(battery_size=6)
     assert res.passed
     assert res.worst_error >= -1e-8
+    assert res.samples == 6 * 3 * len(verify.KATO_SPECS)
 
 
 def test_run_suites_dispatch():
-    results = run_suites(("jacobian", "foliation"), random_draws=300,
-                         flow_samples=100, pairs=120, seed=SEED)
-    assert [r.name for r in results] == ["jacobian", "foliation"]
-    with pytest.raises(ValueError):
-        run_suites(("no-such-suite",))
+    results = run_suites(random_draws=300, flow_samples=100, pairs=120, points=100,
+                         battery_size=4, seed=SEED)
+    assert [r.name for r in results] == ["jacobian", "foliation", "remainder", "kato"]
+    # 4 dims of draws plus the flow samples; 8 cones; 2 fields at 21 levels;
+    # 3 dimensions at 3 apertures
+    assert [r.samples for r in results] == [4 * 300 + 100, 120, 2 * 21 * 100, 4 * 3 * 3]

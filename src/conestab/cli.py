@@ -29,7 +29,7 @@ from .errors import ConeStabError, ConfigError, QuadratureError
 from .quadrature import QuadratureSpec
 from .stability import (UNSTABLE, instability_witness_n2, lambda_star,
                         stability_sweep)
-from .trial import battery_descriptors, build_trial
+from .trial import _integral, battery_descriptors, build_trial
 from .variation import DEFAULT_CUTOFFS, DEFAULT_LEVELS, variation_report
 from .verify import run_suites
 
@@ -41,11 +41,11 @@ EXIT_WITNESS = 5
 
 SUITE_VERSIONS = {"package": None, "jacobian": "3", "foliation": "1",
                   "remainder": "1", "kato": "1"}
+DISCREPANCY_RTOL = 0.01  # `variation` exits 3 when |FD - closed form| exceeds this part of it
 
 _CONFIG_KEYS = {
     "n", "lambda", "t0", "levels", "epsilons", "seed", "quadrature",
-    "trial_functions", "format", "out", "samples", "discrepancy_rtol",
-    "corrupt_closed_form",
+    "trial_functions", "format", "out", "samples",
 }
 # Each QuadratureSpec field with the type of its default (int or float).
 _QUAD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(QuadratureSpec)}
@@ -65,16 +65,6 @@ class RunConfig:
     format: str = "json"
     out: str | None = None
     samples: dict = dataclasses.field(default_factory=dict)
-    discrepancy_rtol: float = 0.01
-    corrupt_closed_form: bool = False  # negative-control hook for `verify`
-
-
-def _integral(key: str, value) -> int:
-    """``value`` as an int; a value with a fractional part is rejected."""
-    out = int(value)
-    if out != value:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return out
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -141,13 +131,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             cfg.samples = {k: _integral(k, v) for k, v in smp.items()}
             if any(v <= 0 for v in cfg.samples.values()):
                 raise ConfigError("sample counts must be positive")
-        if "discrepancy_rtol" in merged:
-            cfg.discrepancy_rtol = float(merged["discrepancy_rtol"])
-        if "corrupt_closed_form" in merged:
-            if not isinstance(merged["corrupt_closed_form"], bool):
-                raise ConfigError("corrupt_closed_form must be true or false, "
-                                  f"got {merged['corrupt_closed_form']!r}")
-            cfg.corrupt_closed_form = merged["corrupt_closed_form"]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
     # the second variation's ladder starts at t0^2, which must not underflow
@@ -156,8 +139,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(f"t0 must be finite and > 0 with t0^2 > 0, got {cfg.t0}")
     if cfg.levels < 3:
         raise ConfigError(f"levels must be >= 3, got {cfg.levels}")
-    if not (math.isfinite(cfg.discrepancy_rtol) and cfg.discrepancy_rtol >= 0.0):
-        raise ConfigError(f"discrepancy_rtol must be finite and >= 0, got {cfg.discrepancy_rtol}")
     _check_out(cfg.out)
     return cfg
 
@@ -238,7 +219,7 @@ def _trial_functions(cfg: RunConfig):
             raise ConfigError("trial-function descriptors must be objects")
         try:
             out.append(build_trial(dict(desc), cfg.n))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad trial descriptor {desc!r}: {exc}") from exc
     return out
 
@@ -246,26 +227,22 @@ def _trial_functions(cfg: RunConfig):
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_threshold(args) -> int:
+    cfg = load_config(None, _overrides(args))
     n_min, n_max = args.n_min, args.n_max
     if n_min < 3 or n_max > 64:
-        print("threshold: range must lie within [3, 64]", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("threshold: range must lie within [3, 64]")
     if n_min > n_max:
-        print(f"threshold: empty range, --n-min {n_min} exceeds --n-max {n_max}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    _check_out(args.out)
+        raise ConfigError(f"threshold: empty range, --n-min {n_min} exceeds --n-max {n_max}")
     rows = []
     for n in range(n_min, n_max + 1):
         thr = lambda_star(n)
         aperture = ConeParams(n, thr.lambda_star).aperture
         rows.append((n, thr.k_n, thr.lambda_star, aperture, thr.residual))
-    cfg = RunConfig(format=args.format, out=args.out)
     payload = _report(cfg, [{"n": r[0], "k_n": r[1], "lambda_star": r[2],
                              "aperture": r[3], "residual": r[4]} for r in rows])
     text = _emit(payload, cfg, csv_rows=rows,
                  csv_header=["n", "k_n", "lambda_star", "aperture", "residual"])
-    _write(text, args.out)
+    _write(text, cfg.out)
     return EXIT_OK
 
 
@@ -301,7 +278,7 @@ def cmd_variation(args) -> int:
     if witness_found:
         return EXIT_WITNESS
     ok = all(r.first_variation.converged and r.second_variation_fd.converged
-             and r.discrepancy <= cfg.discrepancy_rtol * max(1e-12, abs(r.closed_form))
+             and r.discrepancy <= DISCREPANCY_RTOL * max(1e-12, abs(r.closed_form))
              for r in reports)
     return EXIT_OK if ok else EXIT_QUADRATURE
 
@@ -322,11 +299,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_witness_n2(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    params = ConeParams(2, cfg.lam)
+    cfg = dataclasses.replace(load_config(args.config, _overrides(args)), n=2)
+    params = ConeParams(cfg.n, cfg.lam)
     verdict = instability_witness_n2(params, cfg.epsilons, spec=cfg.quadrature)
     payload = _report(cfg, verdict)
-    rows = [(2, cfg.lam, verdict.regime,
+    rows = [(cfg.n, cfg.lam, verdict.regime,
              verdict.margin if verdict.margin is not None else "", verdict.detail)]
     _write(_emit(payload, cfg, rows, ["n", "lambda", "regime", "margin", "detail"]),
            cfg.out)
@@ -337,7 +314,7 @@ def cmd_witness_n2(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config, _overrides(args))
-    results = run_suites(seed=cfg.seed, corrupt_closed_form=cfg.corrupt_closed_form, **cfg.samples)
+    results = run_suites(seed=cfg.seed, **cfg.samples)
     payload = _report(cfg, results)
     rows = [(r.name, int(r.passed), r.worst_error, r.samples, r.detail)
             for r in results]

@@ -126,20 +126,26 @@ class TrialFunction:
         return float(self.evaluator(np.zeros((1, self.dimension)))[0])
 
 
+def _integral(key: str, value) -> int:
+    """``value`` as an int; a value with a fractional part is rejected."""
+    out = int(value)
+    if out != value:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return out
+
+
 def _center_array(center, n: int) -> np.ndarray:
-    """The center as an (n,) array.  Besides a vector, ``center`` may be a
-    number h (height h on the axis) or "offaxis:h:a" (height h, displaced by
-    a along x_1)."""
+    """The center as a finite (n,) array.  Besides a vector, ``center`` may be
+    a number h (height h on the axis) or "offaxis:h:a" (height h, displaced
+    by a along x_1)."""
     if isinstance(center, str) and center.startswith("offaxis:"):
         _, h, a = center.split(":")
-        c = np.zeros(n)
-        c[0], c[-1] = float(a), float(h)
-        return c
+        center = [float(a)] + [0.0] * (n - 2) + [float(h)]
     c = np.asarray(center, dtype=float).reshape(-1)
     if c.size == 1 and n > 1:
         c = np.concatenate([np.zeros(n - 1), c])
-    if c.size != n:
-        raise ValueError(f"center must have {n} components, got {c.size}")
+    if c.size != n or not np.all(np.isfinite(c)):
+        raise ValueError(f"center must be {n} finite components, got {center!r}")
     return c
 
 
@@ -151,13 +157,13 @@ def make_radial_bump(center, radius: float, n: int, exponent: int = 1,
     exponents are C^1 across the support sphere but keep the tip kink at the
     center.
     """
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if exponent < 1:
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
+    p = _integral("exponent", exponent)
+    if p < 1:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
     c = _center_array(center, n)
     rho = float(radius)
-    p = int(exponent)
 
     def evaluator(pts):
         u = np.sqrt(_sumsq(pts - c)) / rho
@@ -190,13 +196,13 @@ def make_tensor_bump(center, half_width: float, n: int, exponent: int = 1,
     is C^1 everywhere.  Not axially symmetric, which makes these the battery
     members that exercise genuinely angular integrands.
     """
-    if not half_width > 0:
-        raise ValueError(f"half_width must be positive, got {half_width}")
-    if exponent < 1:
+    if not 0 < half_width < math.inf:
+        raise ValueError(f"half_width must be finite and positive, got {half_width}")
+    p = _integral("exponent", exponent)
+    if p < 1:
         raise ValueError(f"exponent must be >= 1, got {exponent}")
     c = _center_array(center, n)
     w = float(half_width)
-    p = int(exponent)
 
     def evaluator(pts):
         u = (pts - c) / w
@@ -231,6 +237,8 @@ def make_shifted_bump(center, radius: float, n: int, shift: float,
     Convenience constructor for the translation-covariance checks: pushing a
     bump deep into the interior detaches its support from the slice boundary.
     """
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift}")
     c = _center_array(center, n)
     f = make_radial_bump(np.concatenate([c[:-1], c[-1:] + float(shift)]), radius, n,
                          exponent=exponent, label=label)
@@ -257,6 +265,8 @@ def scaled(f: TrialFunction, c: float) -> TrialFunction:
     """The field c*f (same support, geometry and kink set; quantities scale
     by c^2)."""
     c = float(c)
+    if not math.isfinite(c):
+        raise ValueError(f"scale must be finite, got {c}")
 
     def evaluator(pts):
         return c * f.evaluator(pts)
@@ -289,7 +299,7 @@ def build_trial(desc: dict, n: int) -> TrialFunction:
     if kind not in TRIAL_KINDS:
         raise ValueError(f"unknown trial-function kind {kind!r}; expected one of {TRIAL_KINDS}")
     label = desc.get("id", "")
-    exponent = int(desc.get("exponent", 1))
+    exponent = _integral("exponent", desc.get("exponent", 1))
     center = desc.get("center", [0.0] * n)
     if kind == "radial_bump":
         f = make_radial_bump(center, float(desc["radius"]), n, exponent, label)

@@ -249,10 +249,9 @@ def kato_suite(battery_size: int = 20) -> SuiteResult:
 
 
 def run_suites(*, random_draws=10_000, flow_samples=1000, pairs=1000, points=1000,
-               battery_size=20, seed=0, corrupt_closed_form=False) -> list[SuiteResult]:
+               battery_size=20, seed=0) -> list[SuiteResult]:
     """The four suites in report order, with the given sample counts."""
-    return [jacobian_suite(random_draws, flow_samples, seed,
-                           corrupt_closed_form=corrupt_closed_form),
+    return [jacobian_suite(random_draws, flow_samples, seed),
             foliation_suite(pairs, seed),
             remainder_suite(points, seed),
             kato_suite(battery_size)]

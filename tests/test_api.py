@@ -47,6 +47,14 @@ MODULE_API = {
                "remainder_suite"],
 }
 
+# Each RunConfig field is printed in the `config` of every report, and the
+# run_suites keywords are the `samples` counts and the seed of `verify`: a
+# change to either list is a report-schema change, recorded in CHANGES.md.
+RUN_CONFIG_FIELDS = ["n", "lam", "t0", "levels", "epsilons", "seed", "quadrature",
+                     "trial_functions", "format", "out", "samples"]
+RUN_SUITES_KEYWORDS = ["random_draws", "flow_samples", "pairs", "points", "battery_size",
+                       "seed"]
+
 
 def _bench_spans():
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -59,6 +67,12 @@ def _bench_spans():
 def test_public_api_is_pinned():
     assert sorted(conestab.__all__) == sorted(PUBLIC_API)
 
+
+
+def test_report_config_schema_is_pinned():
+    from conestab import cli, verify
+    assert [f.name for f in dataclasses.fields(cli.RunConfig)] == RUN_CONFIG_FIELDS
+    assert list(inspect.signature(verify.run_suites).parameters) == RUN_SUITES_KEYWORDS
 
 
 @pytest.mark.parametrize("name", sorted(MODULE_API))

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from conestab import cli, variation
+from conestab import cli, variation, verify
 from conestab.trial import battery_descriptors
 from conestab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_SUITE_FAILURE,
                           EXIT_WITNESS, load_config, main)
@@ -68,8 +68,9 @@ def test_threshold_csv_format(tmp_path):
 def test_threshold_empty_range_exits_2(capsys):
     assert run(["threshold", "--n-min", "12", "--n-max", "11"]) == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "empty range" in captured.err
+    err = json.loads(captured.out)["error"]
+    assert err["code"] == EXIT_CONFIG and "empty range" in err["message"]
+    assert captured.err == ""
 
 
 def test_threshold_invalid_range():
@@ -203,15 +204,15 @@ def test_witness_command(tmp_path):
     assert json.loads(out.read_text())["results"]["regime"] == "unstable"
 
 
-def test_verify_passes_and_fails(tmp_path):
+def test_verify_passes_and_fails(tmp_path, monkeypatch):
     out = tmp_path / "v.json"
     cfg = write_config(tmp_path, samples=dict(SMALL_SAMPLES), out=str(out))
     assert run(["verify", "--config", cfg]) == EXIT_OK
     names = [r["name"] for r in json.loads(out.read_text())["results"]]
     assert names == ["jacobian", "foliation", "remainder", "kato"]
-    bad = write_config(tmp_path, name="bad.json", samples=dict(SMALL_SAMPLES),
-                       corrupt_closed_form=True, out=str(out))
-    assert run(["verify", "--config", bad]) == EXIT_SUITE_FAILURE
+    monkeypatch.setattr(verify, "kato_suite",
+                        lambda *args: verify.SuiteResult("kato", False, -1.0, 1))
+    assert run(["verify", "--config", cfg]) == EXIT_SUITE_FAILURE
 
 
 def test_invalid_configs(tmp_path, capsys):
@@ -305,11 +306,9 @@ def test_witness_needs_three_cutoffs(tmp_path, capsys):
     ({"n": 1}, "dimension n must be an integer >= 2"),
     ({"lambda": -0.5}, "aperture parameter must be finite and >= 0"),
     ({"lambda": float("nan")}, "aperture parameter must be finite and >= 0"),
-    ({"corrupt_closed_form": "false"}, "corrupt_closed_form must be true or false"),
-    ({"corrupt_closed_form": 0}, "corrupt_closed_form must be true or false"),
-    ({"discrepancy_rtol": -1}, "discrepancy_rtol must be finite and >= 0"),
-    ({"discrepancy_rtol": float("nan")}, "discrepancy_rtol must be finite and >= 0"),
-    ({"discrepancy_rtol": float("inf")}, "discrepancy_rtol must be finite and >= 0"),
+    # the negative control and the discrepancy bound are no longer config keys
+    ({"corrupt_closed_form": "false"}, "unknown config keys: ['corrupt_closed_form']"),
+    ({"discrepancy_rtol": float("nan")}, "unknown config keys: ['discrepancy_rtol']"),
     # an infinite support radius gave a proven_stable sweep with negative margins
     ({"quadrature": {**SMALL_QUAD, "support_radius": float("inf")}},
      "support_radius must be finite and > 0"),
@@ -318,14 +317,36 @@ def test_witness_needs_three_cutoffs(tmp_path, capsys):
     ({"quadrature": {**SMALL_QUAD, "epsilon_cutoff": float("nan")}},
      "epsilon_cutoff must be finite and >= 0"),
 ], ids=["n", "levels", "seed", "levels-inf", "radial-nodes", "pairs", "n-small",
-        "lambda-negative", "lambda-nan", "corrupt-string", "corrupt-int", "rtol-negative",
-        "rtol-nan", "rtol-inf", "radius-inf", "radius-nan", "cutoff-nan"])
+        "lambda-negative", "lambda-nan", "corrupt-string", "rtol-nan", "radius-inf",
+        "radius-nan", "cutoff-nan"])
 def test_config_values_out_of_type_or_range_exit_2(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **{"samples": dict(SMALL_SAMPLES), **overrides})
     assert run(["verify", "--config", cfg]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["code"] == EXIT_CONFIG
     assert message in err["error"]["message"]
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"radius": None}, "float() argument must be a string or a real number, not 'NoneType'"),
+    ({"exponent": None}, "int() argument must be a string, a bytes-like object or a real "
+                         "number, not 'NoneType'"),
+    ({"center": {"a": 1}}, "float() argument must be a string or a real number, not 'dict'"),
+    ({"scale": "nan"}, "scale must be finite, got nan"),
+    ({"radius": "inf"}, "radius must be finite and positive, got inf"),
+    ({"center": "nan"}, "center must be 3 finite components, got 'nan'"),
+    ({"shift": "nan"}, "shift must be finite, got nan"),
+    ({"exponent": 2.5}, "exponent must be an integer, got 2.5"),
+], ids=["radius-null", "exponent-null", "center-object", "scale-nan", "radius-inf",
+        "center-nan", "shift-nan", "exponent-fractional"])
+def test_malformed_trial_descriptors_exit_2(tmp_path, capsys, field, message):
+    """Each value reached the computation (a traceback, exit 1, or NaN
+    quotients, exit 3) or was truncated (exponent 2.5 ran as 2)."""
+    desc = {"id": "bad", "kind": "shifted_bump", "center": 1.5, "radius": 0.5, **field}
+    cfg = write_config(tmp_path, trial_functions=[desc])
+    assert run(["variation", "--config", cfg]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == EXIT_CONFIG and message in err["message"]
 
 
 def test_integral_config_floats_load_as_ints(tmp_path):

@@ -308,7 +308,10 @@ def test_witness_needs_three_cutoffs(tmp_path, capsys):
     ({"lambda": float("nan")}, "aperture parameter must be finite and >= 0"),
     # the negative control and the discrepancy bound are not config keys
     ({"corrupt_closed_form": "false"}, "unknown config keys: ['corrupt_closed_form']"),
+    ({"corrupt_closed_form": 0}, "unknown config keys: ['corrupt_closed_form']"),
+    ({"discrepancy_rtol": -1}, "unknown config keys: ['discrepancy_rtol']"),
     ({"discrepancy_rtol": float("nan")}, "unknown config keys: ['discrepancy_rtol']"),
+    ({"discrepancy_rtol": float("inf")}, "unknown config keys: ['discrepancy_rtol']"),
     # an infinite support radius gave a proven_stable sweep with negative margins
     ({"quadrature": {**SMALL_QUAD, "support_radius": float("inf")}},
      "support_radius must be finite and > 0"),
@@ -317,8 +320,8 @@ def test_witness_needs_three_cutoffs(tmp_path, capsys):
     ({"quadrature": {**SMALL_QUAD, "epsilon_cutoff": float("nan")}},
      "epsilon_cutoff must be finite and >= 0"),
 ], ids=["n", "levels", "seed", "levels-inf", "radial-nodes", "pairs", "n-small",
-        "lambda-negative", "lambda-nan", "corrupt-string", "rtol-nan", "radius-inf",
-        "radius-nan", "cutoff-nan"])
+        "lambda-negative", "lambda-nan", "corrupt-string", "corrupt-int", "rtol-negative",
+        "rtol-nan", "rtol-inf", "radius-inf", "radius-nan", "cutoff-nan"])
 def test_config_values_out_of_type_or_range_exit_2(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **{"samples": dict(SMALL_SAMPLES), **overrides})
     assert run(["verify", "--config", cfg]) == EXIT_CONFIG

@@ -43,10 +43,6 @@ SUITE_VERSIONS = {"package": None, "jacobian": "3", "foliation": "1",
                   "remainder": "1", "kato": "1"}
 DISCREPANCY_RTOL = 0.01  # `variation` exits 3 when |FD - closed form| exceeds this part of it
 
-_CONFIG_KEYS = {
-    "n", "lambda", "t0", "levels", "epsilons", "seed", "quadrature",
-    "trial_functions", "format", "out", "samples",
-}
 # Each QuadratureSpec field with the type of its default (int or float).
 _QUAD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(QuadratureSpec)}
 _SAMPLE_KEYS = {"random_draws", "flow_samples", "pairs", "points", "battery_size"}
@@ -65,6 +61,10 @@ class RunConfig:
     format: str = "json"
     out: str | None = None
     samples: dict = dataclasses.field(default_factory=dict)
+
+
+# The config file's keys: the RunConfig fields, with lam spelled lambda.
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)} - {"lam"} | {"lambda"}
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -98,8 +98,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if "epsilons" in merged:
             eps = tuple(float(e) for e in merged["epsilons"])
             # the divergence witness fits a line to at least three cutoffs
-            if len(eps) < 3 or any(not 0.0 < e < 1.0 for e in eps):
-                raise ConfigError("epsilons must be at least three cutoffs in (0, 1)")
+            if len(set(eps)) < max(3, len(eps)) or any(not 0.0 < e < 1.0 for e in eps):
+                raise ConfigError("epsilons must be at least three cutoffs in (0, 1), distinct")
             cfg.epsilons = tuple(sorted(eps, reverse=True))
         if "seed" in merged:
             cfg.seed = _integral("seed", merged["seed"])
@@ -262,20 +262,14 @@ def _variation_rows(cfg: RunConfig, reports):
 def cmd_variation(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     params = ConeParams(cfg.n, cfg.lam)
-    reports = []
-    witness_found = False
-    for f in _trial_functions(cfg):
-        rep = variation_report(params, f, t0=cfg.t0, levels=cfg.levels,
-                               spec=cfg.quadrature)
-        reports.append(rep)
-        if rep.divergent:
-            witness_found = True
+    reports = [variation_report(params, f, t0=cfg.t0, levels=cfg.levels, spec=cfg.quadrature)
+               for f in _trial_functions(cfg)]
     payload = _report(cfg, reports)
     header = ["n", "lambda", "trial_id", "first_variation", "first_converged",
               "second_variation", "second_converged", "closed_form",
               "dirichlet_term", "boundary_term", "discrepancy"]
     _write(_emit(payload, cfg, _variation_rows(cfg, reports), header), cfg.out)
-    if witness_found:
+    if any(r.divergent for r in reports):
         return EXIT_WITNESS
     ok = all(r.first_variation.converged and r.second_variation_fd.converged
              and r.discrepancy <= DISCREPANCY_RTOL * max(1e-12, abs(r.closed_form))
@@ -300,6 +294,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_witness_n2(args) -> int:
     cfg = dataclasses.replace(load_config(args.config, _overrides(args)), n=2)
+    if not cfg.lam > 0.0:
+        raise ConfigError("witness-n2 requires lambda > 0")
     params = ConeParams(cfg.n, cfg.lam)
     verdict = instability_witness_n2(params, cfg.epsilons, spec=cfg.quadrature)
     payload = _report(cfg, verdict)

@@ -23,9 +23,10 @@ its symmetry is summed once:
 
 Each rule counts its nodes before it builds them and refuses more than
 ``MAX_RULE_NODES``.  Nodes never touch the axis x' = 0, where the flow's
-derivatives live only as one-sided limits.  The sheared sigma grid
-(:func:`sigma_grid`, :func:`integrate_sigma`) serves no integral of the
-program; it remains only as the entry point of the benchmark set-ups.
+derivatives live only as one-sided limits.  :func:`support_sample` builds a
+field's sample afresh on each call; a caller that reads it twice passes it
+on.  The sheared sigma grid (:func:`sigma_grid`, :func:`integrate_sigma`)
+serves no integral of the program (see ``QuadratureSpec.support_radius``).
 
 The boundary trace integral carries a 1/|x'| weight: written in polar form
 it is regular for n >= 3, log-divergent for n = 2 with a nonzero vertex
@@ -127,8 +128,6 @@ def gauss_legendre(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     xs, ws = [], []
     for k in range(panels):
         mk = base + (1 if k < extra else 0)
-        if mk == 0:
-            continue
         x0, w0 = _leggauss(mk)
         lo, hi = edges[k], edges[k + 1]
         xs.append(0.5 * (hi - lo) * x0 + 0.5 * (hi + lo))
@@ -352,22 +351,17 @@ def _slice_rule(params: ConeParams, geom, spec: QuadratureSpec):
     return _ray_rule(params, geom, m_s, omega.reshape(-1, n), (w_t[:, None] * w_xi).ravel())
 
 
-@lru_cache(maxsize=1)
 def support_sample(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
-    """Read-only (pts, weights, radii, grad f, f) at the nodes of f's slice
-    rule where f != 0, in rule order; radii are |x'|.  Sums over them drop
-    only exact zeros (see :class:`TrialFunction`), and non-finite values of
-    f or grad f are rejected.
+    """(pts, weights, radii, grad f, f) at the nodes of f's slice rule where
+    f != 0, in rule order; radii are |x'|.  Sums over them drop only exact
+    zeros (see :class:`TrialFunction`), and non-finite values of f or
+    grad f are rejected.
 
     The rule follows f's geometry (see the module docstring).  Its
     Dirichlet energy is exact when the field's profile is the stated
     polynomial and, for a box or an off-axis ball, its region lies inside
-    the slice.
-
-    One entry is cached.  That serves a caller that finishes one field
-    before it moves to the next (a variation report, one sweep); a caller
-    that comes back to a field rebuilds its sample, as the shear check at
-    lam* does after a sweep has gone on to other fields or another lam."""
+    the slice.  Each call evaluates f and its gradient afresh; the arrays
+    are the caller's."""
     pts, weights = _slice_rule(params, f.geometry, spec)
     fv = f.evaluator(pts)
     keep = np.flatnonzero(fv)
@@ -375,7 +369,7 @@ def support_sample(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
     grads = f.gradient(sub)
     if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(grads))):
         raise QuadratureError("field or gradient non-finite at quadrature nodes")
-    return _read_only(sub, weights.take(keep), np.sqrt(_sumsq(sub[:, :-1])), grads, fv)
+    return sub, weights.take(keep), np.sqrt(_sumsq(sub[:, :-1])), grads, fv
 
 
 def compensated_sum(values: np.ndarray) -> float:
@@ -523,12 +517,10 @@ def _richardson_tail(quotients: np.ndarray) -> float:
     """Richardson table on the last four quotients (step ratio 2, integer
     error orders starting at 1)."""
     tail = list(quotients[-4:])
-    level = 1
-    while len(tail) > 1:
+    for level in range(1, len(tail)):
         factor = 2.0 ** level
         tail = [(factor * tail[i + 1] - tail[i]) / (factor - 1.0)
                 for i in range(len(tail) - 1)]
-        level += 1
     return float(tail[0])
 
 
@@ -548,23 +540,22 @@ def _dyadic_ladder(t0: float, levels: int, squared: bool = False) -> np.ndarray:
     return start * 0.5 ** np.arange(levels)
 
 
-def liminf_quotient(values: Callable[[float], float], t0: float, levels: int) -> LiminfEstimate:
-    """Difference quotients (F(t) - F(0)) / t of ``values`` on the dyadic
-    sequence t0 * 2^-k.
+def liminf_quotient(parameters, f0: float, values) -> LiminfEstimate:
+    """Difference quotients (F(t) - F(0)) / t from F(0) = ``f0`` and the
+    ``values`` F(t) at the ``parameters`` t, a dyadic sequence t0 * 2^-k
+    (:func:`_dyadic_ladder`).
 
     A second variation is the quotient of F(sqrt(s)) in s = t^2.  The
     convergence flag requires the last three quotients to agree within
     1e-3 relative to max(1, |tail|), so sequences decaying to zero also
     register as converged once they are absolutely small.
     """
-    ts = _dyadic_ladder(t0, levels)
-    f0 = float(values(0.0))
-    quotients = np.empty(levels)
-    for k, t in enumerate(ts):
-        ft = float(values(float(t)))
-        if not math.isfinite(ft):
-            raise QuadratureError(f"non-finite evaluation at parameter {t}")
-        quotients[k] = (ft - f0) / t
+    ts, ft = np.asarray(parameters, dtype=float), np.asarray(values, dtype=float)
+    if ft.shape != ts.shape:
+        raise ValueError(f"{ft.size} values for {ts.size} parameters")
+    if not np.all(np.isfinite(ft)):
+        raise QuadratureError(f"non-finite evaluation at parameter {ts[~np.isfinite(ft)][0]}")
+    quotients = (ft - float(f0)) / ts
     tail = quotients[-3:]
     scale = max(1.0, float(np.max(np.abs(tail))))
     converged = bool(np.max(tail) - np.min(tail) <= 1e-3 * scale)

@@ -24,7 +24,7 @@ import numpy as np
 from .domain import ConeParams, _sumsq
 from .quadrature import QuadratureSpec, boundary_integral, compensated_sum, support_sample
 from .trial import TrialFunction, make_boundary_bump
-from .variation import cutoff_ladder, dirichlet_energy
+from .variation import _energy, cutoff_ladder, dirichlet_energy
 
 __all__ = [
     "ThresholdResult",
@@ -132,14 +132,14 @@ def shear_transform_check(params: ConeParams, f: TrialFunction,
     """
     if params.n < 3:
         raise ValueError("shear_transform_check requires n >= 3")
-    energy_f = dirichlet_energy(params, f, spec)
+    sample = support_sample(params, f, spec)
     # g(x) = f(x', x_n + lam*|x'|).  The shear has unit Jacobian, so E_g is the
     # slice integral of |grad g|^2 at the sheared points, on f's own nodes; the
     # axis partial of f leaks into the in-plane gradient along the radial direction.
-    pts, weights, radii, gv, _ = support_sample(params, f, spec)
+    pts, weights, radii, gv, _ = sample
     grad = gv[:, :-1] + params.lam * gv[:, -1:] * (pts[:, :-1] / radii[:, None])
     energy_g = compensated_sum(weights * (_sumsq(grad) + gv[:, -1] ** 2))
-    return energy_f, energy_g, boundary_integral(params, f, spec)
+    return _energy(sample), energy_g, boundary_integral(params, f, spec)
 
 
 def instability_witness_n2(params: ConeParams, epsilons,
@@ -151,20 +151,20 @@ def instability_witness_n2(params: ConeParams, epsilons,
     field on a decreasing cutoff ladder.  Unstable verdict requires the
     values to decrease strictly and their slope against log(1/cutoff) to
     match -lam within 10%; a failed fit signals quadrature misconfiguration
-    and yields ``inconclusive``.
+    and yields ``inconclusive``, as do lam = 0 and a zero vertex value.
     """
     if params.n != 2:
         raise ValueError("the divergence witness applies to n = 2 only")
     eps = tuple(sorted((float(e) for e in epsilons), reverse=True))
-    if len(eps) < 3 or not all(0.0 < e < 1.0 for e in eps):
+    if len(set(eps)) < max(3, len(eps)) or not all(0.0 < e < 1.0 for e in eps):
         raise ValueError("need >= 3 cutoffs in (0, 1), decreasing")
     spec = spec if spec is not None else QuadratureSpec()
     f = f if f is not None else make_boundary_bump(1.0, 2, label="witness")
     vertex = f.value_at_vertex
-    if vertex == 0.0:
-        return StabilityVerdict(
-            regime=INCONCLUSIVE, detail="vertex value is zero: trace integral "
-            "finite, divergence hypothesis not applicable")
+    if vertex == 0.0 or params.lam == 0.0:
+        why = "lam = 0: no trace term" if vertex else "vertex value is zero: trace integral finite"
+        return StabilityVerdict(regime=INCONCLUSIVE,
+                                detail=f"{why}, divergence hypothesis not applicable")
     ladder = cutoff_ladder(params, f, dirichlet_energy(params, f, spec), spec, eps)
     vals, slope = ladder.values, ladder.slope
     expected = -params.lam * vertex ** 2

@@ -56,8 +56,8 @@ class Geometry:
         x_i - center_i on the cube of half-width ``radius``, 0 outside it;
       * "ball": f vanishes outside the ball of ``radius`` about ``center``;
         nothing else is known.
-    The dimension is ``len(center)``.  Fields are cache keys, so every entry
-    is hashable (tuples of floats).
+    The dimension is ``len(center)``.  Entries are tuples of floats, so a
+    geometry compares by value and a field holding it stays hashable.
     """
 
     shape: str
@@ -292,25 +292,29 @@ def _smooth_mask(f: TrialFunction, pts: np.ndarray, tol: float) -> np.ndarray:
 def build_trial(desc: dict, n: int) -> TrialFunction:
     """Build a trial function from a JSON-style descriptor.
 
-    Recognized keys: kind (required), center, radius, half_width, exponent,
-    shift, scale, id.
+    Every kind reads kind (required), id, exponent and scale, and the
+    arguments of its constructor (center, radius, half_width, shift); a key
+    that the kind does not read is rejected.
     """
-    kind = desc.get("kind")
+    rest = dict(desc)
+    take = rest.pop  # each key is taken where it is read; what is left is unknown
+    kind = take("kind", None)
     if kind not in TRIAL_KINDS:
         raise ValueError(f"unknown trial-function kind {kind!r}; expected one of {TRIAL_KINDS}")
-    label = desc.get("id", "")
-    exponent = _integral("exponent", desc.get("exponent", 1))
-    center = desc.get("center", [0.0] * n)
+    label = take("id", "")
+    exponent = _integral("exponent", take("exponent", 1))
+    scale = float(take("scale", 1.0))
     if kind == "radial_bump":
-        f = make_radial_bump(center, float(desc["radius"]), n, exponent, label)
+        f = make_radial_bump(take("center", 0.0), float(take("radius")), n, exponent, label)
     elif kind == "tensor_bump":
-        f = make_tensor_bump(center, float(desc["half_width"]), n, exponent, label)
+        f = make_tensor_bump(take("center", 0.0), float(take("half_width")), n, exponent, label)
     elif kind == "shifted_bump":
-        f = make_shifted_bump(center, float(desc["radius"]), n, float(desc.get("shift", 0.0)),
-                              exponent, label)
+        f = make_shifted_bump(take("center", 0.0), float(take("radius")), n,
+                              float(take("shift", 0.0)), exponent, label)
     else:
-        f = make_boundary_bump(float(desc["radius"]), n, exponent, label)
-    scale = float(desc.get("scale", 1.0))
+        f = make_boundary_bump(float(take("radius")), n, exponent, label)
+    if rest:
+        raise ValueError(f"unknown keys {sorted(rest)} for kind {kind!r}")
     return f if scale == 1.0 else scaled(f, scale)
 
 

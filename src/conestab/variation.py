@@ -14,8 +14,8 @@ log-divergence certificate instead of a bare sentinel.
 
 A variation report evaluates the area at every distinct time of its two
 quotient ladders in one vectorised pass: the times form a column against
-the row of per-node scalars, which are built once per report from the
-field's cached support sample.
+the row of per-node scalars, built from the field's support sample, which
+the report builds once and also reads for the Dirichlet energy.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import ConeParams, _dot, _sumsq
-from .errors import DivergentBoundaryIntegral, JacobianPositivityError
+from .errors import DivergentBoundaryIntegral, JacobianPositivityError, QuadratureError
 from .jacobian import _distortion_squared
 from .quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder, boundary_integral,
                          compensated_sum, liminf_quotient, support_sample)
@@ -92,23 +92,22 @@ def area(params: ConeParams, f: TrialFunction, t: float, spec: QuadratureSpec) -
     (P = |grad' f|^2, Q = x'.grad' f).  This is the one-t case of the batch
     that serves a variation report's ladders.
 
-    Aborts with a diagnostic if the squared distortion factor loses
-    positivity at any node -- the deformation left the small-|t| regime.
+    Raises if the squared distortion factor loses positivity at any node
+    (the deformation left the small-|t| regime) or the area is not finite.
     """
-    return _areas(params, f, [t], spec)[0]
+    return _areas(params, support_sample(params, f, spec), [t])[0]
 
 
-def _areas(params: ConeParams, f: TrialFunction, ts, spec: QuadratureSpec) -> list:
-    """Deformed areas at the times ``ts``, in order, as :func:`area`.
+def _areas(params: ConeParams, sample, ts) -> list:
+    """Deformed areas at the times ``ts``, in order, on a field's support ``sample``.
 
-    The nonzero t are evaluated together, each t a row against the node
-    columns, in blocks of at most max(N, _BLOCK_ELEMENTS) elements for N
-    nodes; each row is reduced by ``compensated_sum``.  Positivity is
-    checked in the order of ``ts``: the first t whose squared distortion
-    factor is <= 0 somewhere raises.  A non-finite area ends the list
-    there, since a quotient ladder stops at it before any later t.
+    As :func:`area`: the nonzero t are evaluated together, each t a row
+    against the node columns, in blocks of at most max(N, _BLOCK_ELEMENTS)
+    elements for N nodes; each row is reduced by ``compensated_sum``.  The
+    checks run in the order of ``ts``: the first t whose squared distortion
+    factor is <= 0 somewhere, or whose area is not finite, raises.
     """
-    pts, weights, r, grads, fv = support_sample(params, f, spec)
+    pts, weights, r, grads, fv = sample
     out = [compensated_sum(weights)] * len(ts)
     if weights.size == 0:
         return out
@@ -137,7 +136,7 @@ def _areas(params: ConeParams, f: TrialFunction, ts, spec: QuadratureSpec) -> li
         for i, row in zip(block, weights * np.sqrt(j2[:stop])):
             out[i] = compensated_sum(row)
             if not math.isfinite(out[i]):
-                return out[:i + 1]
+                raise QuadratureError(f"non-finite evaluation: area {out[i]} at t={ts[i]}")
         if bad.size:
             at, value = float(ts[block[stop]]), float(worst[stop])
             raise JacobianPositivityError(
@@ -148,7 +147,12 @@ def _areas(params: ConeParams, f: TrialFunction, ts, spec: QuadratureSpec) -> li
 
 def dirichlet_energy(params: ConeParams, f: TrialFunction, spec: QuadratureSpec) -> float:
     """Integral of |grad f|^2 over the slice."""
-    _, weights, _, grads, _ = support_sample(params, f, spec)
+    return _energy(support_sample(params, f, spec))
+
+
+def _energy(sample) -> float:
+    """The Dirichlet energy of a field from its ``support_sample``."""
+    _, weights, _, grads, _ = sample
     return compensated_sum(weights * _sumsq(grads))
 
 
@@ -169,7 +173,11 @@ def cutoff_ladder(params: ConeParams, f: TrialFunction, energy: float,
 def second_variation_closed_form(params: ConeParams, f: TrialFunction,
                                  spec: QuadratureSpec) -> VariationReport:
     """Closed-form second-variation fields only (no finite differences)."""
-    diri = dirichlet_energy(params, f, spec)
+    return _closed_form(params, f, dirichlet_energy(params, f, spec), spec)
+
+
+def _closed_form(params: ConeParams, f: TrialFunction, diri: float, spec: QuadratureSpec):
+    """:func:`second_variation_closed_form` from f's Dirichlet energy ``diri``."""
     cert = None
     try:
         boundary_term = -0.5 * params.lam * boundary_integral(params, f, spec)
@@ -202,18 +210,19 @@ def variation_report(params: ConeParams, f: TrialFunction, t0: float | None = No
     path exists).  A non-converged estimate marks the report inconclusive,
     not erroneous.  The areas of both ladders are computed before either is
     read, in one batched pass over the distinct t (the even levels of the
-    second ladder repeat t values of the first, exactly); the ladders' checks,
-    underflow included, run before it.
+    second ladder repeat t values of the first, exactly) on the one support
+    sample of f; the ladders' checks, underflow included, run before it.
     """
     spec = spec if spec is not None else QuadratureSpec()
     t0 = float(t0) if t0 is not None else default_t0(f)
     # both ladders' checks run before any area is evaluated
     steps, squares = _dyadic_ladder(t0, levels), _dyadic_ladder(t0, levels, squared=True)
+    sample = support_sample(params, f, spec)
     times = dict.fromkeys([0.0, *steps.tolist(), *map(math.sqrt, squares.tolist())])
-    area_at = dict(zip(times, _areas(params, f, list(times), spec)))
-    first = liminf_quotient(area_at.__getitem__, t0, levels)
-    second = liminf_quotient(lambda s: area_at[math.sqrt(s)], t0 * t0, levels)
-    closed = second_variation_closed_form(params, f, spec)
+    area_at = dict(zip(times, _areas(params, sample, list(times))))
+    first = liminf_quotient(steps, area_at[0.0], [area_at[t] for t in steps])
+    second = liminf_quotient(squares, area_at[0.0], [area_at[math.sqrt(s)] for s in squares])
+    closed = _closed_form(params, f, _energy(sample), spec)
     discrepancy = (abs(second.extrapolated - closed.closed_form)
                    if closed.divergence is None else closed.discrepancy)
     return replace(closed, first_variation=first, second_variation_fd=second,

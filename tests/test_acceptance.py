@@ -15,7 +15,8 @@ import pytest
 from conestab import verify
 from conestab.cli import main as cli_main
 from conestab.domain import ConeParams
-from conestab.quadrature import QuadratureSpec, boundary_integral, liminf_quotient
+from conestab.quadrature import (QuadratureSpec, _dyadic_ladder, boundary_integral,
+                                 liminf_quotient)
 from conestab.stability import (UNSTABLE, instability_witness_n2, kato_constant,
                                 lambda_star)
 from conestab.trial import (make_boundary_bump, make_radial_bump, make_tensor_bump,
@@ -77,8 +78,9 @@ def test_criterion_3_first_variation_vanishes():
                  4: QuadratureSpec(32, 10, 32, 3.0)}
         for n, lam, f in battery:
             params = ConeParams(n, lam)
-            est = liminf_quotient(lambda t: area(params, f, t, specs[n]),
-                                  t0=0.05, levels=10)
+            ts = _dyadic_ladder(0.05, 10)
+            est = liminf_quotient(ts, area(params, f, 0.0, specs[n]),
+                                  [area(params, f, t, specs[n]) for t in ts])
             assert abs(est.extrapolated) <= 1e-4, (n, lam, f.label)
             # |area difference / t| decays linearly: dyadic ratios sit at 1/2
             q = np.abs(est.quotients)

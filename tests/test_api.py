@@ -110,3 +110,13 @@ def test_benchmark_entry_points_keep_their_signatures():
     out = sigma_grid(ConeParams(2, 1.0), QuadratureSpec(128, 2, 128, 1.5))
     assert len(out) == 3 and all(isinstance(a, np.ndarray) for a in out)
     assert weakref.ref(out[0])() is out[0]
+
+
+def test_estimator_and_sample_keep_their_signatures():
+    """liminf_quotient takes a ladder and its values as arrays, not a
+    callable, and support_sample is a plain function without a cache: a
+    caller builds a field's sample once and passes it on."""
+    from conestab.quadrature import liminf_quotient, support_sample
+    assert list(inspect.signature(liminf_quotient).parameters) == ["parameters", "f0", "values"]
+    assert list(inspect.signature(support_sample).parameters) == ["params", "f", "spec"]
+    assert inspect.isfunction(support_sample) and not hasattr(support_sample, "cache_info")

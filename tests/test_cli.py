@@ -287,6 +287,38 @@ def test_underflowing_ladder_exits_before_any_area(flags, message, monkeypatch, 
     assert batches == []
 
 
+@pytest.mark.parametrize("epsilons", [[0.5, 0.5, 0.5], [0.1, 0.01, 0.01, 0.001]],
+                         ids=["all-equal", "one-repeated"])
+def test_witness_needs_distinct_cutoffs(tmp_path, capsys, epsilons):
+    """Repeated cutoffs exit 2: unchecked, [0.5, 0.5, 0.5] fitted a line
+    through a single abscissa and exited 3."""
+    cfg = write_config(tmp_path, n=2, epsilons=epsilons, **{"lambda": 1.0})
+    assert run(["witness-n2", "--config", cfg]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == EXIT_CONFIG
+    assert "at least three cutoffs in (0, 1), distinct" in err["message"]
+
+
+def test_witness_at_lambda_zero_exits_2(capsys):
+    """The n = 2 instability is stated for lam > 0; at lam = 0 the witness
+    used to exit 3, a quadrature failure, although nothing failed."""
+    assert run(["witness-n2", "--lambda", "0"]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"code": EXIT_CONFIG, "message": "witness-n2 requires lambda > 0"}
+
+
+def test_unknown_descriptor_keys_exit_2(tmp_path, capsys):
+    """Misspelt descriptor keys are refused: this field used to run at
+    exponent 1 and scale 1."""
+    desc = {"kind": "radial_bump", "center": 1.5, "radius": 0.5, "exponnent": 2, "scael": 0}
+    cfg = write_config(tmp_path, trial_functions=[desc])
+    assert run(["variation", "--config", cfg]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == EXIT_CONFIG
+    assert err["message"].endswith(
+        "unknown keys ['exponnent', 'scael'] for kind 'radial_bump'")
+
+
 def test_witness_needs_three_cutoffs(tmp_path, capsys):
     cfg = write_config(tmp_path, n=2, epsilons=[0.1, 0.01])
     assert run(["witness-n2", "--config", cfg]) == EXIT_CONFIG

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from conestab import quadrature
 from conestab.domain import ConeParams
 from conestab.errors import DivergentBoundaryIntegral, QuadratureError
-from conestab.quadrature import (LiminfEstimate, QuadratureSpec, boundary_integral,
-                                 compensated_sum, gauss_legendre, integrate_sigma,
+from conestab.quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder,
+                                 boundary_integral, compensated_sum, gauss_legendre,
+                                 integrate_sigma,
                                  liminf_quotient, sigma_grid, sphere_grid, support_sample)
 from conestab.stability import lambda_star, shear_transform_check, stability_sweep
 from conestab.trial import (Geometry, TrialFunction, battery_descriptors, build_trial,
@@ -240,14 +241,12 @@ def plain(x):
 
 def test_program_paths_never_materialise_the_whole_grid(monkeypatch):
     """Reports, sweeps and the shear check never build the sigma grid: with
-    sigma_grid raising and the grid caches emptied they return exactly the
-    values of an unpatched run."""
+    sigma_grid raising they return exactly the values of an unpatched run."""
     spec = QuadratureSpec(16, 6, 16, 3.1)
     params = ConeParams(3, 0.3)
     battery = standard_battery(3)[:4]
 
     def run():
-        support_sample.cache_clear()
         return plain((variation_report(params, battery[0], levels=4, spec=spec),
                       stability_sweep(params, battery, spec),
                       [shear_transform_check(params, f, spec) for f in battery]))
@@ -493,21 +492,27 @@ def test_compensated_sum_reproducible():
 # A second-order quotient 2 (F(t) - F(0)) / t^2 is taken, as variation_report
 # takes it, as the first-order quotient of 2 F(sqrt(s)) in s = t^2.
 
+def quotient(F, t0, levels):
+    """liminf_quotient of F on the ladder t0 * 2^-k, k < levels."""
+    ts = _dyadic_ladder(t0, levels)
+    return liminf_quotient(ts, F(0.0), F(ts))
+
+
 def test_quotient_exact_quadratic_order_two():
-    est = liminf_quotient(lambda s: 2.0 * s, t0=0.5 ** 2, levels=6)   # F(t) = t^2
+    est = quotient(lambda s: 2.0 * s, t0=0.5 ** 2, levels=6)   # F(t) = t^2
     assert est.extrapolated == pytest.approx(2.0, abs=1e-12)
     assert est.converged
 
 
 def test_quotient_exact_quadratic_order_one():
-    est = liminf_quotient(lambda t: t * t, t0=0.5, levels=8)
+    est = quotient(lambda t: t * t, t0=0.5, levels=8)
     assert est.extrapolated == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(est.quotients, est.parameters)
 
 
 def test_quotient_with_cubic_correction():
     # F(t) = t^2 + t^4: the correction is of first order in s
-    est = liminf_quotient(lambda s: 2.0 * (s + s * s), t0=0.25 ** 2, levels=6)
+    est = quotient(lambda s: 2.0 * (s + s * s), t0=0.25 ** 2, levels=6)
     assert np.allclose(est.quotients, 2.0 + 2.0 * est.parameters)
     assert est.extrapolated == pytest.approx(2.0, abs=1e-10)
 
@@ -515,19 +520,27 @@ def test_quotient_with_cubic_correction():
 @given(a=st.floats(min_value=-5, max_value=5), b=st.floats(min_value=-5, max_value=5))
 def test_quotient_generic_smooth_function(a, b):
     # F(t) = a t^2 + b t^4
-    est = liminf_quotient(lambda s: 2.0 * (a * s + b * s * s), t0=0.25 ** 2, levels=6)
+    est = quotient(lambda s: 2.0 * (a * s + b * s * s), t0=0.25 ** 2, levels=6)
     assert est.extrapolated == pytest.approx(2.0 * a, abs=1e-8)
 
 
 def test_quotient_validation():
+    """The estimator takes the ladder and its values as arrays, and checks
+    them: a ladder of three or more strictly decreasing positive steps, one
+    finite value per step."""
+    ts = _dyadic_ladder(0.1, 4)
     with pytest.raises(TypeError):  # the quotient is first order only
-        liminf_quotient(lambda t: t, order=1, t0=0.1, levels=4)
+        liminf_quotient(ts, 0.0, ts, order=1)
+    with pytest.raises(TypeError):  # values, not a callable
+        liminf_quotient(ts, 0.0, lambda t: t)
     with pytest.raises(ValueError):
-        liminf_quotient(lambda t: t, t0=0.1, levels=2)
+        liminf_quotient(ts[:2], 0.0, ts[:2])
     with pytest.raises(ValueError):
-        liminf_quotient(lambda t: t, t0=-0.1, levels=4)
+        liminf_quotient(-ts, 0.0, -ts)
+    with pytest.raises(ValueError):
+        liminf_quotient(ts, 0.0, ts[:1])
     with pytest.raises(QuadratureError):
-        liminf_quotient(lambda t: float("nan") if t else 0.0, t0=0.1, levels=4)
+        liminf_quotient(ts, 0.0, np.where(ts < 0.05, np.nan, ts))
 
 
 def test_estimate_invariants_enforced():

@@ -207,6 +207,22 @@ def test_witness_respects_zero_vertex_value():
     assert verdict.regime == INCONCLUSIVE
 
 
+def test_witness_is_not_applicable_at_lambda_zero():
+    """At lam = 0 the trace term vanishes: no fit is attempted, where it
+    used to report a failed fit of slope 2e-17 against -0."""
+    verdict = instability_witness_n2(ConeParams(2, 0.0), (1e-2, 1e-3, 1e-4),
+                                     spec=QuadratureSpec(64, 2, 64, 3.0))
+    assert verdict.regime == INCONCLUSIVE and verdict.margins == ()
+    assert verdict.detail == "lam = 0: no trace term, divergence hypothesis not applicable"
+
+
+@pytest.mark.parametrize("epsilons", [(0.5, 0.5, 0.5), (1e-2, 1e-3, 1e-3, 1e-4)],
+                         ids=["all-equal", "one-repeated"])
+def test_witness_refuses_repeated_cutoffs(epsilons):
+    with pytest.raises(ValueError, match="decreasing"):
+        instability_witness_n2(ConeParams(2, 1.0), epsilons, spec=QuadratureSpec(64, 2, 64, 3.0))
+
+
 def test_witness_requires_two_dims():
     with pytest.raises(ValueError):
         instability_witness_n2(ConeParams(3, 1.0), (1e-2, 1e-3, 1e-4))

@@ -130,6 +130,23 @@ def test_build_trial_descriptors():
         build_trial({"kind": "mystery"}, 3)
 
 
+def test_build_trial_rejects_keys_its_kind_does_not_read():
+    """Every kind reads kind, id, exponent, scale and its constructor's keys;
+    any other key is refused, also one that another kind reads, where it
+    used to be dropped (a misspelt exponent ran at exponent 1)."""
+    keys = {"radial_bump": {"center": 1.5, "radius": 0.5},
+            "tensor_bump": {"center": 1.5, "half_width": 0.5},
+            "shifted_bump": {"center": 0.0, "radius": 0.5, "shift": 1.5},
+            "boundary_concentrated": {"radius": 0.5}}
+    for kind, own in keys.items():
+        desc = {"kind": kind, "id": "f", "exponent": 2, "scale": 0.5, **own}
+        assert build_trial(desc, 3).label == "0.5*f"
+        for key in sorted({"center", "radius", "half_width", "shift", "exponnent"} - set(own)):
+            with pytest.raises(ValueError) as err:
+                build_trial({**desc, key: 1.0}, 3)
+            assert str(err.value) == f"unknown keys [{key!r}] for kind {kind!r}"
+
+
 def test_standard_battery_members_are_valid():
     for n in (2, 3, 4):
         battery = standard_battery(n)

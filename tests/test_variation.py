@@ -12,8 +12,9 @@ from conestab.domain import ConeParams
 from conestab.errors import JacobianPositivityError, QuadratureError
 from conestab.flow import flow_coefficients_batch
 from conestab.jacobian import jacobian_closed_form
-from conestab.quadrature import QuadratureSpec, _slice_rule, compensated_sum, support_sample
-from conestab.stability import lambda_star
+from conestab.quadrature import (QuadratureSpec, _slice_rule, boundary_integral, compensated_sum,
+                                 support_sample)
+from conestab.stability import lambda_star, shear_transform_check
 from conestab.trial import (battery_descriptors, build_trial, make_boundary_bump,
                             make_radial_bump, make_shifted_bump, scaled, standard_battery)
 from conestab.variation import (DEFAULT_LEVELS, area, default_t0, dirichlet_energy,
@@ -169,9 +170,9 @@ def test_report_evaluates_each_area_once(monkeypatch):
     batches = []
     batch = conestab.variation._areas
 
-    def counted(p, g, ts, spec):
+    def counted(p, sample, ts):
         batches.append(list(ts))
-        return batch(p, g, ts, spec)
+        return batch(p, sample, ts)
 
     monkeypatch.setattr(conestab.variation, "_areas", counted)
     rep = variation_report(params, f, levels=8, spec=SPEC3)
@@ -255,9 +256,9 @@ def test_area_matches_flow_coefficient_reference_in_low_and_high_dimension(n, sp
 
 
 def test_area_scalars_follow_cone_spec_and_field():
-    """area keeps its per-node scalars for one (cone, spec, field).  Calls
+    """area builds its per-node scalars for each (cone, spec, field).  Calls
     that change one of the three at a time, back and forth, must each match
-    the reference, so a scalar set kept past its key fails here."""
+    the reference, so a scalar set kept past its key would fail here."""
     fields = standard_battery(3)[:2]
     apertures = (ConeParams(3, 0.2), ConeParams(3, 0.6))
     specs = (SPEC3, QuadratureSpec(32, 8, 32, 3.1))
@@ -286,6 +287,25 @@ def test_report_evaluates_the_gradient_once():
         assert len(calls) == 1, f.label
 
 
+def test_shear_check_evaluates_the_gradient_once():
+    """E_f and E_g of the shear check share one support sample, so the
+    field's gradient runs once, and the check equals the energy and trace
+    computed on their own."""
+    params = ConeParams(3, lambda_star(3).lambda_star)
+    for f in standard_battery(3)[::4]:
+        calls = []
+
+        def gradient(pts, f=f):
+            calls.append(len(pts))
+            return f.gradient(pts)
+
+        energy_f, _, trace = shear_transform_check(
+            params, dataclasses.replace(f, gradient=gradient), SPEC3)
+        assert len(calls) == 1, f.label
+        assert energy_f == dirichlet_energy(params, f, SPEC3), f.label
+        assert trace == boundary_integral(params, f, SPEC3), f.label
+
+
 def _rows_per_block(monkeypatch, params, f, spec, rows):
     """Make _areas evaluate ``rows`` times per block for this field."""
     nodes = support_sample(params, f, spec)[1].size
@@ -305,7 +325,8 @@ def test_ladders_split_across_blocks_match_per_t_area(n, spec, monkeypatch):
         direct = [area(params, f, t, spec) for t in times]
         for rows in (1, 5):
             _rows_per_block(monkeypatch, params, f, spec, rows)
-            assert conestab.variation._areas(params, f, times, spec) == direct, f.label
+            sample = support_sample(params, f, spec)
+            assert conestab.variation._areas(params, sample, times) == direct, f.label
             rep = variation_report(params, f, spec=spec)
             for est, at in ((rep.first_variation, lambda t: t),
                             (rep.second_variation_fd, math.sqrt)):

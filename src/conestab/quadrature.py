@@ -15,7 +15,9 @@ its symmetry is summed once:
 * a "box" field's slice rule is Cartesian Gauss-Legendre on its cube, each
   x_n column clipped at lam*|x'|; exact when the cube lies inside the slice.
 * the trace rule is polar in |x'| on the range where the trace can be
-  nonzero.
+  nonzero; that range is empty, and the trace integral 0.0 with no grid
+  built and no value of f read, when the field's closed region cannot meet
+  the boundary cone x_n = lam*|x'| (:func:`trace_span`).
 * the polar rules of both take their x'-directions from :func:`_directions`:
   one for a radial field centred on the axis, so that its cost does not grow
   with n; a half-circle about the centre's x'-direction for one off the
@@ -121,7 +123,11 @@ def _leggauss(m: int):
 
 def gauss_legendre(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule with m total nodes on (a, b)."""
-    panels = max(1, math.ceil(m / _MAX_NODES_PER_PANEL))
+    if m <= _MAX_NODES_PER_PANEL:
+        x0, w0 = _leggauss(m)
+        half = 0.5 * (b - a)
+        return half * x0 + 0.5 * (b + a), half * w0
+    panels = math.ceil(m / _MAX_NODES_PER_PANEL)
     base = m // panels
     extra = m % panels
     edges = np.linspace(a, b, panels + 1)
@@ -220,17 +226,23 @@ def _ray_spans(params: ConeParams, c: np.ndarray, omega: np.ndarray, reach: floa
     The roots cut [0, reach] into pieces; the interval is the union of the
     pieces whose midpoint has g > 0."""
     lam = params.lam
+    lam2 = lam * lam
     wp, wn = omega[:, :-1], omega[:, -1]
-    a = wn * wn - lam * lam * _sumsq(wp)
-    b = c[-1] * wn - lam * lam * (wp @ c[:-1])
-    cc = c[-1] ** 2 - lam * lam * float(c[:-1] @ c[:-1])
+    a = wn * wn - lam2 * _sumsq(wp)
+    b = c[-1] * wn - lam2 * (wp @ c[:-1])
+    cc = c[-1] ** 2 - lam2 * float(c[:-1] @ c[:-1])
     disc = b * b - a * cc
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -(b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
-        roots = np.stack([q / a, cc / q], axis=1)
-    roots = np.where((disc >= 0.0)[:, None] & np.isfinite(roots), roots, 0.0)
-    edges = np.sort(np.concatenate([np.zeros((len(a), 1)), np.clip(roots, 0.0, reach),
-                                    np.full((len(a), 1), reach)], axis=1), axis=1)
+    real = disc >= 0.0
+    q = -(b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+    # edges 0, the roots q/a and cc/q (0 where complex or not finite), reach
+    edges = np.zeros((len(a), 4))
+    edges[:, 3] = reach
+    roots = edges[:, 1:3]
+    np.divide(q, a, out=roots[:, 0], where=real & (a != 0.0))
+    np.divide(cc, q, out=roots[:, 1], where=real & (q != 0.0))
+    roots[~np.isfinite(roots)] = 0.0
+    np.clip(roots, 0.0, reach, out=roots)
+    edges.sort(axis=1)
     mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
     x = c + mid[..., None] * omega[:, None, :]
     inside = x[..., -1] - lam * np.sqrt(_sumsq(x[..., :-1])) > 0.0
@@ -373,11 +385,18 @@ def support_sample(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
 
 
 def compensated_sum(values: np.ndarray) -> float:
-    """Deterministic compensated reduction (chunked pairwise + exact fsum)."""
+    """Deterministic compensated reduction (chunked pairwise + exact fsum):
+    numpy's pairwise sum of each zero-padded 4,096-element chunk, then the
+    exact sum of the chunk sums.
+
+    A row under 4,096 elements is one chunk of the least power-of-two
+    multiple of 128 that holds it: that is the leftmost subtree of the
+    4,096-element pairwise tree, whose other subtrees sum zeros, so the
+    result keeps its bits."""
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         return 0.0
-    chunk = 4096
+    chunk = 4096 if v.size >= 4096 else max(128, 1 << (v.size - 1).bit_length())
     pad = (-v.size) % chunk
     if pad:
         v = np.concatenate([v, np.zeros(pad)])
@@ -407,14 +426,43 @@ def integrate_sigma(params: ConeParams, integrand: Callable[[np.ndarray], np.nda
 
 # -- boundary trace integral --------------------------------------------------
 
+def _meets_cone(lam: float, geom) -> bool:
+    """Whether the closed region of ``geom`` may meet the boundary cone
+    x_n = lam*|x'|, with a relative slack of 1e-9 towards meeting.
+
+    A box meets it unless lam*|x'| over its x'-cube lies wholly below or
+    above its x_n-range; a radial region or a ball unless the distance from
+    its centre (offset a, height h) to the ray (r, lam*r), r >= 0, of the
+    centre's meridian half-plane exceeds its radius."""
+    *cp, h = geom.center
+    w = geom.radius
+    if geom.shape == "box":
+        near = math.hypot(*(max(abs(x) - w, 0.0) for x in cp))
+        far = math.hypot(*(abs(x) + w for x in cp))
+        slack = 1e-9 * (abs(h) + w + lam * far)
+        return lam * near <= h + w + slack and lam * far >= h - w - slack
+    a = geom.offset
+    if a + lam * h > 0.0:  # the nearest point of the ray is off the vertex
+        dist = abs(h - lam * a) / math.sqrt(1.0 + lam * lam)
+    else:
+        dist = math.hypot(a, h)
+    return dist <= w + 1e-9 * (w + math.hypot(a, h))
+
+
 def trace_span(params: ConeParams, f: TrialFunction):
     """(lo, hi): the range of |x'| where f's boundary trace, at the boundary
-    point (x', lam |x'|), can be nonzero, read from the field alone.  For a
-    radial field centred on the axis this is the exact range, so the trace
-    integrand is smooth on it; otherwise the geometry's reach bounds |x|."""
+    point (x', lam |x'|), can be nonzero, read from the field alone.
+
+    It is the empty range (0.0, 0.0) when f's closed region cannot meet the
+    boundary cone (:func:`_meets_cone`), where f, and so its trace, is
+    exactly 0.  For a radial field centred on the axis this is the exact
+    range, so the trace integrand is smooth on it; otherwise it runs from 0
+    to the point where the geometry's reach bounds |x|."""
     lam = params.lam
     q = 1.0 + lam * lam
     geom = f.geometry
+    if not _meets_cone(lam, geom):
+        return 0.0, 0.0
     lo, hi = 0.0, geom.reach / math.sqrt(q)
     if geom.shape == "radial" and geom.offset == 0.0:
         # |(r e, lam r) - (0, h)| = radius at the roots of
@@ -461,6 +509,7 @@ def boundary_integral(params: ConeParams, f: TrialFunction,
     (without any aperture prefactor), on a grid logarithmic in |x'| from
     max(``epsilon_cutoff``, r_min) when that is positive, r_min from
     :func:`trace_span`: also without a cutoff, as for axis-b at lam = 2.
+    Where that range is empty it is 0.0, without a grid.
 
     Regular for n >= 3.  For n = 2 it is finite only when f vanishes at the
     vertex; a nonzero vertex value without a positive ``epsilon_cutoff``

@@ -274,6 +274,50 @@ def counting(f, counts):
     return dataclasses.replace(f, evaluator=evaluator, gradient=gradient)
 
 
+def ray_spans_reference(params, c, omega, reach):
+    """quadrature._ray_spans in its first form, with the roots stacked and
+    the edges concatenated, and their divisions by 0 silenced."""
+    lam = params.lam
+    wp, wn = omega[:, :-1], omega[:, -1]
+    a = wn * wn - lam * lam * np.sum(wp * wp, axis=-1)
+    b = c[-1] * wn - lam * lam * (wp @ c[:-1])
+    cc = c[-1] ** 2 - lam * lam * float(c[:-1] @ c[:-1])
+    disc = b * b - a * cc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -(b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+        roots = np.stack([q / a, cc / q], axis=1)
+    roots = np.where((disc >= 0.0)[:, None] & np.isfinite(roots), roots, 0.0)
+    edges = np.sort(np.concatenate([np.zeros((len(a), 1)), np.clip(roots, 0.0, reach),
+                                    np.full((len(a), 1), reach)], axis=1), axis=1)
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    x = c + mid[..., None] * omega[:, None, :]
+    inside = x[..., -1] - lam * np.linalg.norm(x[..., :-1], axis=-1) > 0.0
+    lo = np.min(np.where(inside, edges[:, :-1], reach), axis=1)
+    hi = np.max(np.where(inside, edges[:, 1:], 0.0), axis=1)
+    return lo, np.maximum(lo, hi)
+
+
+def test_ray_spans_match_their_reference(rng):
+    """The spans of random rays from random centres (on the axis or off it),
+    with rays along the cone among them (a = 0, where the reference divides
+    by 0), equal the reference's bit for bit, without a division by 0."""
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        lam = float(rng.choice([0.0, 0.3, 1.0, 3.0]))
+        c = rng.normal(size=n) * rng.choice([0.0, 0.5, 2.0])
+        if rng.random() < 0.3:
+            c[:-1] = 0.0
+        omega = rng.normal(size=(int(rng.integers(1, 40)), n))
+        omega[::3, :-1] = np.eye(1, n - 1)
+        omega[::3, -1] = lam
+        omega /= np.linalg.norm(omega, axis=1)[:, None]
+        params, reach = ConeParams(n, lam), float(rng.uniform(0.1, 4.0))
+        with np.errstate(divide="raise", invalid="raise"):
+            got = quadrature._ray_spans(params, c, omega, reach)
+        for a, b in zip(got, ray_spans_reference(params, c, omega, reach)):
+            assert a.tobytes() == b.tobytes(), (n, lam, c)
+
+
 def test_support_sample_evaluates_few_nodes_outside_the_support():
     """At the n = 5 spec of the margin benchmark, the nodes each battery
     member's rule evaluates are at most 1.5 times its support nodes in
@@ -297,20 +341,24 @@ def test_rules_above_the_node_budget_are_refused():
     """A rule that would place more than MAX_RULE_NODES nodes is refused with
     a QuadratureError before it is built: the box rule at n = 5 with 512 box
     nodes per axis (64^5 nodes), and at n = 8 with the default spec the
-    box's rule (8^8) and trace (64 * 16^6), a ball's sphere grid of
-    directions and the sigma grid."""
+    box's rule (8^8), its trace (64 * 16^6) at lam = 2, where the box meets
+    the boundary cone, a ball's sphere grid of directions and the sigma
+    grid.  At lam = 0.3 the box misses the cone: its trace is 0.0, with no
+    grid to refuse."""
     box5 = make_tensor_bump(1.0, 0.5, 5)
     with pytest.raises(QuadratureError, match=f"box rule needs {64 ** 5} nodes"):
         dirichlet_energy(ConeParams(5, 0.3), box5, QuadratureSpec(64, 16, 512, 3.1))
     params, spec = ConeParams(8, 0.3), QuadratureSpec()
     box8 = make_tensor_bump(1.0, 0.5, 8)
     ball8 = dataclasses.replace(box8, geometry=Geometry("ball", (0.0,) * 7 + (1.0,), 0.8))
+    steep = ConeParams(8, 2.0)
     for compute, rule in ((lambda: dirichlet_energy(params, box8, spec), "box rule"),
-                          (lambda: boundary_integral(params, box8, spec), "trace grid"),
+                          (lambda: boundary_integral(steep, box8, spec), "trace grid"),
                           (lambda: dirichlet_energy(params, ball8, spec), "slice rule"),
                           (lambda: sigma_grid(params, spec), "sigma grid")):
         with pytest.raises(QuadratureError, match=rule):
             compute()
+    assert boundary_integral(params, box8, spec) == 0.0
     # the radial rules stay small at any n
     for f in (make_boundary_bump(1.0, 8), make_radial_bump("offaxis:1.4:0.4", 0.5, 8)):
         assert dirichlet_energy(params, f, spec) > 0.0
@@ -432,6 +480,76 @@ def test_trace_matches_the_divergence_theorem():
         assert divergence_trace(params, f, fine) == pytest.approx(trace, rel=1e-5), n
 
 
+def test_trace_span_is_empty_only_where_the_region_misses_the_cone():
+    """Across the battery, and ball-geometry copies of its radial members,
+    at n = 3..6 and lam in {0, lam*/2, lam*, 2 lam*, 1, 3}: wherever
+    trace_span is empty, the trace grid out to the reach, built directly,
+    sums f^2 to exactly 0.0, and boundary_integral returns that 0.0.  The
+    exit fires for boxes, off-axis radial fields and balls alike, and leaves
+    their open ranges reach-bounded as before."""
+    fired = set()
+    for n in (3, 4, 5, 6):
+        spec = MARGIN_SPECS.get(n, QuadratureSpec(24, 6, 24, 3.1))
+        star = lambda_star(n).lambda_star
+        battery = standard_battery(n)
+        battery += [dataclasses.replace(f, geometry=Geometry(
+            "ball", f.geometry.center, f.geometry.radius)) for f in battery
+            if f.geometry.shape == "radial"]
+        for lam in (0.0, 0.5 * star, star, 2.0 * star, 1.0, 3.0):
+            params = ConeParams(n, lam)
+            root_q = math.sqrt(1.0 + lam * lam)
+            for f in battery:
+                geom = f.geometry
+                span = quadrature.trace_span(params, f)
+                if span == (0.0, 0.0):
+                    pts, weights, _ = quadrature.trace_grid(
+                        params, spec, geom.reach / root_q, geom)
+                    assert compensated_sum(f.evaluator(pts) ** 2 * weights) == 0.0, \
+                        (n, lam, f.label)
+                    assert boundary_integral(params, f, spec) == 0.0
+                    fired.add("off-axis" if geom.shape == "radial" and geom.offset
+                              else geom.shape)
+                elif geom.shape != "radial" or geom.offset:
+                    assert span == (0.0, geom.reach / root_q), (n, lam, f.label)
+    assert {"box", "off-axis", "ball"} <= fired
+
+
+def test_trace_span_decides_at_the_cone_within_rounding():
+    """Regions that touch the boundary cone keep their range; moved off it
+    by 1e-6 of their size, the range is empty: a box whose far corner or
+    near edge touches it, an off-axis ball tangent to it, and a ball whose
+    nearest point of the cone is the vertex."""
+    def span(lam, f):
+        return quadrature.trace_span(ConeParams(3, lam), f)
+
+    w = 0.5
+    h = w + 0.5 * w * math.sqrt(2.0)  # lam |x'| at the far corner = h - w
+    assert span(0.5, make_tensor_bump(h, w, 3))[1] > 0.0
+    assert span(0.5, make_tensor_bump(h + 1e-6 * w, w, 3)) == (0.0, 0.0)
+    # the near edge x_1 = 0.75 at lam = 3 touches the top face x_n = 2.25
+    assert span(3.0, make_tensor_bump([1.0, 0.0, 2.0], 0.25, 3))[1] > 0.0
+    assert span(3.0, make_tensor_bump([1.0, 0.0, 2.0 - 1e-6 * 0.25], 0.25, 3)) == (0.0, 0.0)
+    for center, lam, dist in (([0.4, 0.0, 1.4], 1.0, 1.0 / math.sqrt(2.0)),
+                              ([0.2, 0.0, -0.5], 1.0, math.hypot(0.2, 0.5))):
+        assert span(lam, make_radial_bump(center, dist, 3))[1] > 0.0
+        assert span(lam, make_radial_bump(center, dist * (1.0 - 1e-6), 3)) == (0.0, 0.0)
+
+
+def test_a_trace_that_misses_the_cone_reads_no_grid(monkeypatch):
+    """box-b at n = 5, lam*: its cube lies above the cone, so its trace is
+    0.0 without building a trace grid or evaluating the field."""
+    n = 5
+    params = ConeParams(n, lambda_star(n).lambda_star)
+    box_b = next(d for d in battery_descriptors() if d["id"] == "box-b")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the trace grid was built")
+
+    f = dataclasses.replace(build_trial(box_b, n), evaluator=refuse)
+    monkeypatch.setattr(quadrature, "trace_grid", refuse)
+    assert boundary_integral(params, f, MARGIN_SPECS[n]) == 0.0
+
+
 def test_divergent_trace_is_signalled():
     params = ConeParams(2, 0.7)
     f = make_boundary_bump(1.0, 2)  # vertex value 1
@@ -485,6 +603,42 @@ def test_compensated_sum_reproducible():
     b = compensated_sum(v.copy())
     assert a == b
     assert a == pytest.approx(math.fsum(v.tolist()), abs=1e-14 * np.sum(np.abs(v)))
+
+
+def padded_sum_4096(values):
+    """compensated_sum as it was before short rows were padded to their
+    pairwise subtree: every row zero-padded to a multiple of 4,096."""
+    v = np.asarray(values, dtype=float).ravel()
+    if v.size == 0:
+        return 0.0
+    pad = (-v.size) % 4096
+    if pad:
+        v = np.concatenate([v, np.zeros(pad)])
+    return math.fsum(v.reshape(-1, 4096).sum(axis=1).tolist())
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+@given(size=st.integers(1, 9000), exponent=st.integers(-300, 250),
+       spread=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_compensated_sum_keeps_the_bits_of_the_padded_reduction(size, exponent, spread, seed):
+    """Rows of 1..9,000 elements at magnitudes 1e-300..1e250, of one scale or
+    spread over 40 decades, sum to the bits of the 4,096-padded reduction."""
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=size) * 10.0 ** exponent
+    if spread:
+        v *= 10.0 ** rng.integers(-20, 20, size=size)
+    assert bits(compensated_sum(v)) == bits(padded_sum_4096(v))
+
+
+def test_compensated_sum_of_negative_zeros_is_positive_zero():
+    """A row of -0.0 sums to the 0.0 of the padded reduction at every size,
+    padded or not."""
+    for size in range(1, 9001):
+        v = np.full(size, -0.0)
+        assert bits(compensated_sum(v)) == bits(padded_sum_4096(v)) == bits(0.0), size
 
 
 # -- dyadic quotients ----------------------------------------------------------

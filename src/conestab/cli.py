@@ -30,7 +30,7 @@ from .quadrature import QuadratureSpec
 from .stability import (UNSTABLE, instability_witness_n2, lambda_star,
                         stability_sweep)
 from .trial import _integral, battery_descriptors, build_trial
-from .variation import DEFAULT_CUTOFFS, DEFAULT_LEVELS, variation_report
+from .variation import DEFAULT_CUTOFFS, DEFAULT_LEVELS, _variation_reports
 from .verify import run_suites
 
 EXIT_OK = 0
@@ -114,8 +114,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         cfg.quadrature = QuadratureSpec(**quad)
         if "trial_functions" in merged:
             tf = merged["trial_functions"]
-            if not isinstance(tf, (list, tuple)):
-                raise ConfigError("trial_functions must be a list of descriptors")
+            if not isinstance(tf, (list, tuple)) or not tf:
+                raise ConfigError("trial_functions must be a non-empty list of descriptors "
+                                  "(leave the key out for the default battery)")
             cfg.trial_functions = tuple(tf)
         if "format" in merged:
             if merged["format"] not in ("json", "csv"):
@@ -247,23 +248,16 @@ def cmd_threshold(args) -> int:
 
 
 def _variation_rows(cfg: RunConfig, reports):
-    rows = []
-    for rep in reports:
-        first = rep.first_variation
-        second = rep.second_variation_fd
-        rows.append((cfg.n, cfg.lam, rep.label,
-                     first.extrapolated, int(first.converged),
-                     second.extrapolated, int(second.converged),
-                     rep.closed_form, rep.dirichlet_term, rep.boundary_term,
-                     rep.discrepancy))
-    return rows
+    return [(cfg.n, cfg.lam, r.label, r.first_variation.extrapolated,
+             int(r.first_variation.converged), r.second_variation_fd.extrapolated,
+             int(r.second_variation_fd.converged), r.closed_form, r.dirichlet_term,
+             r.boundary_term, r.discrepancy) for r in reports]
 
 
 def cmd_variation(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     params = ConeParams(cfg.n, cfg.lam)
-    reports = [variation_report(params, f, t0=cfg.t0, levels=cfg.levels, spec=cfg.quadrature)
-               for f in _trial_functions(cfg)]
+    reports = _variation_reports(params, _trial_functions(cfg), cfg.t0, cfg.levels, cfg.quadrature)
     payload = _report(cfg, reports)
     header = ["n", "lambda", "trial_id", "first_variation", "first_converged",
               "second_variation", "second_converged", "closed_form",

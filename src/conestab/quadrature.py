@@ -1,39 +1,42 @@
 """Integration over the slice and over the boundary trace, plus the
 finite-difference machinery for lower-right derivative estimates.
 
-Both integrals of a field, over the slice (:func:`support_sample`) and over
-its boundary (:func:`boundary_integral`), read the field's
+Both integrals of a field, over the slice (:func:`support_sample`) and its
+boundary (:func:`boundary_integral`), read the field's
 :class:`~conestab.trial.Geometry`, so that its kinks fall on panel ends and
 its symmetry is summed once:
 
-* a "radial" field's slice rule is polar about its centre c: Gauss-Legendre
-  in the distance s on the part of each ray c + s*omega in the slice and the
-  ball, with the volume element s^(n-1), exact for its polynomial profile.
-  The polar angle from the axis runs, for a centre on the axis, on panels
-  split where a ray leaves the slice at the ball's radius, else on a rule
-  exact for its sine-power weight.  A "ball" gets the same rule.
+* a "radial" field's (or a "ball"'s) slice rule is polar about its centre c:
+  Gauss-Legendre in the distance s on the part of each ray c + s*omega in the
+  slice and the ball, with the volume element s^(n-1), exact for its
+  polynomial profile; the polar angle from the axis runs, for a centre on
+  the axis, on panels split where a ray leaves the slice at the ball's
+  radius, else on a rule exact for its sine-power weight.
 * a "box" field's slice rule is Cartesian Gauss-Legendre on its cube, each
   x_n column clipped at lam*|x'|; exact when the cube lies inside the slice.
 * the trace rule is polar in |x'| on the range where the trace can be
-  nonzero; that range is empty, and the trace integral 0.0 with no grid
-  built and no value of f read, when the field's closed region cannot meet
-  the boundary cone x_n = lam*|x'| (:func:`trace_span`).
-* the polar rules of both take their x'-directions from :func:`_directions`:
-  one for a radial field centred on the axis, so that its cost does not grow
-  with n; a half-circle about the centre's x'-direction for one off the
-  axis; the full sphere grid for a ball and for a box's trace.
+  nonzero: empty, with no grid built and no value of f read, when the
+  field's closed region cannot meet the boundary cone (:func:`trace_span`).
+* both take their x'-directions from :func:`_directions`: one for a radial
+  field centred on the axis; a half-circle about the centre's x'-direction
+  off the axis; the full sphere grid for a ball and for a box's trace.
 
-Each rule counts its nodes before it builds them and refuses more than
-``MAX_RULE_NODES``.  Nodes never touch the axis x' = 0, where the flow's
-derivatives live only as one-sided limits.  :func:`support_sample` builds a
-field's sample afresh on each call; a caller that reads it twice passes it
-on.  The sheared sigma grid (:func:`sigma_grid`, :func:`integrate_sigma`)
-serves no integral of the program (see ``QuadratureSpec.support_radius``).
+Each rule counts its nodes before building them and refuses more than
+``MAX_RULE_NODES``; no node touches the axis x' = 0, where the flow's
+derivatives are one-sided limits.  :func:`support_samples` samples a
+battery in one call (:func:`support_sample` is its one-field case): the
+polar angles of its fields centred on the axis in one pass, its rays in one
+pass per count of nodes per ray, each box coordinate-major, then each field
+evaluated once on its own nodes, with nothing cached across calls.
+``stability_sweep``, the kato suite's shear checks and the CLI's variation
+reports call it once per battery, and reduce its energies with one
+:func:`compensated_sums`.  The sigma grid (:func:`sigma_grid`,
+:func:`integrate_sigma`) serves no integral of the program (see
+``QuadratureSpec.support_radius``).
 
-The boundary trace integral carries a 1/|x'| weight: written in polar form
-it is regular for n >= 3, log-divergent for n = 2 with a nonzero vertex
-value, and integrated on a logarithmic grid in |x'| whenever its range starts
-off the vertex: under a cutoff, or where a field's trace starts at |x'| > 0.
+The trace integral carries a 1/|x'| weight: regular for n >= 3 in polar
+form, log-divergent for n = 2 with a nonzero vertex value; its grid is
+logarithmic in |x'| whenever its range starts off the vertex.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -121,24 +125,22 @@ def _leggauss(m: int):
     return _read_only(*np.polynomial.legendre.leggauss(m))
 
 
-def gauss_legendre(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule with m total nodes on (a, b)."""
+def gauss_legendre(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule with m total nodes on (a, b); columns a
+    and b of shape (k, 1) give k rules (k, m), each row as its own call."""
     if m <= _MAX_NODES_PER_PANEL:
         x0, w0 = _leggauss(m)
         half = 0.5 * (b - a)
         return half * x0 + 0.5 * (b + a), half * w0
     panels = math.ceil(m / _MAX_NODES_PER_PANEL)
-    base = m // panels
-    extra = m % panels
     edges = np.linspace(a, b, panels + 1)
     xs, ws = [], []
-    for k in range(panels):
-        mk = base + (1 if k < extra else 0)
-        x0, w0 = _leggauss(mk)
+    for k in range(panels):  # the first m % panels panels take a node more
+        x0, w0 = _leggauss(m // panels + (k < m % panels))
         lo, hi = edges[k], edges[k + 1]
         xs.append(0.5 * (hi - lo) * x0 + 0.5 * (hi + lo))
         ws.append(0.5 * (hi - lo) * w0)
-    return np.concatenate(xs), np.concatenate(ws)
+    return np.concatenate(xs, axis=-1), np.concatenate(ws, axis=-1)
 
 
 @lru_cache(maxsize=32)
@@ -217,104 +219,105 @@ def _sphere_measure(k: int) -> float:
     return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
 
 
-def _ray_spans(params: ConeParams, c: np.ndarray, omega: np.ndarray, reach: float):
+def _ray_spans(params: ConeParams, centres, omega: np.ndarray, reaches, counts):
     """The s-interval (lo, hi) of each ray c + s*omega, 0 <= s <= reach, that
-    lies in the slice; lo == hi where the ray misses it.
+    lies in the slice; lo == hi where the ray misses it.  The rays come in
+    runs of ``counts``, one run per centre c and reach.
 
     g(s) = x_n - lam*|x'| along a ray is concave, so {g > 0} is one
     interval, bounded by roots of (c_n + s w_n)^2 = lam^2 |c' + s w'|^2.
     The roots cut [0, reach] into pieces; the interval is the union of the
-    pieces whose midpoint has g > 0."""
+    pieces whose midpoint has g > 0.  A run's products w'.c' are one
+    matrix-vector product, as for the run alone."""
     lam = params.lam
     lam2 = lam * lam
+    # rows: centre, reach and cc = c_n^2 - lam^2 |c'|^2 of the ray's run
+    c = np.repeat(np.column_stack([centres, reaches, [
+        x[-1] ** 2 - lam2 * float(x[:-1] @ x[:-1]) for x in centres]]), counts, axis=0).T
+    cc, reach = c[-1], c[-2]
     wp, wn = omega[:, :-1], omega[:, -1]
     a = wn * wn - lam2 * _sumsq(wp)
-    b = c[-1] * wn - lam2 * (wp @ c[:-1])
-    cc = c[-1] ** 2 - lam2 * float(c[:-1] @ c[:-1])
+    b = c[-3] * wn - lam2 * np.concatenate(
+        [wp[e - k:e] @ x[:-1] for e, k, x in zip(accumulate(counts), counts, centres)])
     disc = b * b - a * cc
     real = disc >= 0.0
     q = -(b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
     # edges 0, the roots q/a and cc/q (0 where complex or not finite), reach
-    edges = np.zeros((len(a), 4))
-    edges[:, 3] = reach
-    roots = edges[:, 1:3]
-    np.divide(q, a, out=roots[:, 0], where=real & (a != 0.0))
-    np.divide(cc, q, out=roots[:, 1], where=real & (q != 0.0))
+    edges = np.zeros((4, len(a)))
+    edges[3] = reach
+    roots = edges[1:3]
+    np.divide(q, a, out=roots[0], where=real & (a != 0.0))
+    np.divide(cc, q, out=roots[1], where=real & (q != 0.0))
     roots[~np.isfinite(roots)] = 0.0
     np.clip(roots, 0.0, reach, out=roots)
-    edges.sort(axis=1)
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    x = c + mid[..., None] * omega[:, None, :]
-    inside = x[..., -1] - lam * np.sqrt(_sumsq(x[..., :-1])) > 0.0
-    lo = np.min(np.where(inside, edges[:, :-1], reach), axis=1)
-    hi = np.max(np.where(inside, edges[:, 1:], 0.0), axis=1)
+    roots[:] = np.minimum(*roots), np.maximum(*roots)  # all four edges in order
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    x = c[:-2, None, :] + mid * omega.T[:, None, :]  # (n, 3, rows)
+    inside = x[-1] - lam * np.sqrt(_sumsq(x[:-1].transpose(1, 2, 0))) > 0.0
+    lo = np.where(inside, edges[:-1], reach).min(axis=0)
+    hi = np.where(inside, edges[1:], 0.0).max(axis=0)
     return lo, np.maximum(lo, hi)
 
 
-def _ray_rule(params: ConeParams, geom, m: int, omega, w_omega):
-    """Nodes c + s*omega and weights for the directions omega (weights
-    w_omega on the unit sphere): m Gauss-Legendre nodes in s on each ray's
-    part of the slice within the geometry's radius, with the volume element
-    s^(n-1)."""
-    n = params.n
-    c = np.asarray(geom.center, dtype=float)
-    lo, hi = _ray_spans(params, c, omega, geom.radius)
-    x0, w0 = _leggauss(m)
-    half = 0.5 * (hi - lo)
-    s = (half + lo)[:, None] + half[:, None] * x0
-    w = (half * w_omega)[:, None] * w0 * s ** (n - 1)
-    pts = c + s[..., None] * omega[:, None, :]
-    keep = np.flatnonzero(w.ravel() > 0.0)
-    return pts.reshape(-1, n).take(keep, axis=0), w.ravel().take(keep)
+def _kept(mask: np.ndarray, cols: np.ndarray, *rows: np.ndarray) -> tuple:
+    """``cols`` (n, N) as nodes (N, n), and ``rows``, where ``mask`` holds; no copy if all do."""
+    keep = np.flatnonzero(mask)
+    if keep.size < mask.size:
+        cols, rows = cols.take(keep, axis=1), [r.take(keep) for r in rows]
+    return (cols.T, *rows)
 
 
-def _panel_angles(params: ConeParams, geom, angular_nodes: int):
+def _panel_angles(params: ConeParams, geoms, angular_nodes: int):
     """(cos, sin, weights) of Gauss-Legendre nodes in the polar angle phi from
-    the axis, for rays from a centre on the axis at height h, with the weight
-    sin^(n-2) folded in.  Panels end at 0, pi and the angles at which a ray
-    leaves the slice at the geometry's radius (lam sin(phi) - cos(phi) =
-    h / radius), where the length of its part inside the ball has a kink.
-    Twice the spec's angular count, and at least n + 12 nodes, integrate
-    sin^(n-2) to rounding on any panel (checked for n <= 16)."""
+    the axis, with the weight sin^(n-2) folded in, for each of ``geoms``
+    (centred on the axis at height h), all in one gauss_legendre pass.
+    Panels end at 0, pi and the angles at which a ray leaves the slice at
+    the geometry's radius (lam sin(phi) - cos(phi) = h / radius), where the
+    length of its part inside the ball has a kink.  Twice the spec's angular
+    count, and at least n + 12 nodes, integrate sin^(n-2) to rounding on any
+    panel (checked for n <= 16)."""
     n, lam = params.n, params.lam
     alpha = math.atan2(1.0, lam)
-    gap = geom.center[-1] / (geom.radius * math.sqrt(1.0 + lam ** 2))
-    cuts = {0.0, math.pi}
-    if abs(gap) <= 1.0:
-        b = math.asin(gap)
-        cuts |= {phi for phi in (alpha + b, alpha + math.pi - b) if 0.0 < phi < math.pi}
-    cuts = sorted(cuts)
-    m = max(2 * angular_nodes, n + 12)
-    phi, w = (np.concatenate(a) for a in zip(*(
-        gauss_legendre(lo, hi, m) for lo, hi in zip(cuts[:-1], cuts[1:]))))
+    cuts = []
+    for geom in geoms:
+        gap = geom.center[-1] / (geom.radius * math.sqrt(1.0 + lam ** 2))
+        ends = {0.0, math.pi}
+        if abs(gap) <= 1.0:
+            b = math.asin(gap)
+            ends |= {phi for phi in (alpha + b, alpha + math.pi - b) if 0.0 < phi < math.pi}
+        cuts.append(sorted(ends))
+    panels = np.array([pair for e in cuts for pair in zip(e[:-1], e[1:])])  # rows (lo, hi)
+    phi, w = gauss_legendre(panels[:, :1], panels[:, 1:], max(2 * angular_nodes, n + 12))
     sin_p = np.sin(phi)
-    return np.cos(phi), sin_p, w * sin_p ** (n - 2)
+    cos_p, w = np.cos(phi), w * sin_p ** (n - 2)
+    rows = [len(e) - 1 for e in cuts]
+    return [tuple(a[e - k:e].ravel() for a in (cos_p, sin_p, w))
+            for e, k in zip(accumulate(rows), rows)]
 
 
 def _box_rule(params: ConeParams, geom, spec: QuadratureSpec):
-    """Cartesian Gauss-Legendre on the cube, each x_n column clipped to the
-    slice (x_n > lam*|x'|).  An even node count per axis keeps every node off
-    the axis; with at least degree + 1 nodes the rule is exact for
-    |grad f|^2 of a "box" geometry whose cube lies inside the slice."""
+    """Cartesian Gauss-Legendre on the cube, coordinate-major, each x_n column
+    clipped to the slice (x_n > lam*|x'|).  An even node count per axis keeps
+    every node off the axis; with at least degree + 1 nodes the rule is exact
+    for |grad f|^2 of a "box" geometry whose cube lies inside the slice."""
     n, lam = params.n, params.lam
-    c, w = np.asarray(geom.center, dtype=float), geom.radius
+    c, w = geom.center, geom.radius
     m = max(geom.degree + 1, spec.box_nodes_per_axis // 8)
     m += m % 2
     _count_nodes(m ** n, "box rule")
     x0, w0 = _leggauss(m)
-    xp = np.stack(np.meshgrid(*(c[j] + w * x0 for j in range(n - 1)), indexing="ij"),
-                  axis=-1).reshape(-1, n - 1)
+    xp = np.array(np.meshgrid(*(c[j] + w * x0 for j in range(n - 1)), indexing="ij",
+                              copy=False)).reshape(n - 1, -1)
     w_col = np.ones(1)
     for _ in range(n - 1):
         w_col = np.multiply.outer(w_col, w * w0).ravel()
-    lo = np.maximum(c[-1] - w, lam * np.sqrt(_sumsq(xp)))
+    lo = np.maximum(c[-1] - w, lam * np.sqrt(_sumsq(xp.T)))
     half = 0.5 * np.maximum(c[-1] + w - lo, 0.0)
-    pts = np.empty((xp.shape[0], m, n))
-    pts[..., :-1] = xp[:, None, :]
-    pts[..., -1] = (lo + half)[:, None] + half[:, None] * x0
-    wts = (w_col * half)[:, None] * w0
-    keep = np.flatnonzero(wts.ravel() > 0.0)
-    return pts.reshape(-1, n).take(keep, axis=0), wts.ravel().take(keep)
+    cols = np.empty((n, xp.shape[1], m))
+    cols[:-1] = xp[..., None]
+    cols[-1] = (lo + half)[:, None] + half[:, None] * x0
+    weights = ((w_col * half)[:, None] * w0).ravel()
+    return _kept(weights > 0.0, cols.reshape(n, -1), weights)
 
 
 def _directions(n: int, geom, m: int, per_direction: int, rule: str):
@@ -345,63 +348,98 @@ def _directions(n: int, geom, m: int, per_direction: int, rule: str):
     return cos_p[:, None] * a + sin_p[:, None] * e, w * _sphere_measure(n - 3)
 
 
-def _slice_rule(params: ConeParams, geom, spec: QuadratureSpec):
-    """Nodes (m, n) and weights (m,) of the rule for a field of geometry
-    ``geom``: all inside the slice and inside the field's region.  The s
-    rule has at least ceil((n + 2*degree)/2) nodes, so it is exact for a
-    "radial" profile: |grad f|^2 s^(n-1) has degree n - 3 + 2*degree."""
-    if geom.shape == "box":
-        return _box_rule(params, geom, spec)
+def _slice_rules(params: ConeParams, geoms, spec: QuadratureSpec):
+    """Nodes (m, n), coordinate-major, and weights (m,) of the rule of each of
+    ``geoms``: inside the slice and the region, with positive weights.  A box
+    gets a :func:`_box_rule`; the polar rules of the others are built together:
+    one :func:`_panel_angles` pass, then per count m_s of nodes per ray one
+    Gauss-Legendre rule in s on the rays' spans (:func:`_ray_spans`), with the
+    volume element s^(n-1), exact for a "radial" profile as m_s >=
+    ceil((n + 2*degree)/2): |grad f|^2 s^(n-1) has degree n - 3 + 2*degree."""
     n, m = params.n, spec.angular_nodes
-    cos_t, sin_t, w_t = (_polar_factor(n - 1, m) if geom.offset
-                         else _panel_angles(params, geom, m))
-    m_s = max((n + 2 * geom.degree + 1) // 2, spec.radial_nodes // 8)
-    xi, w_xi = _directions(n, geom, m, cos_t.size * m_s, "slice rule")
-    omega = np.empty((cos_t.size, xi.shape[0], n))
-    omega[..., :-1] = sin_t[:, None, None] * xi
-    omega[..., -1] = cos_t[:, None]
-    return _ray_rule(params, geom, m_s, omega.reshape(-1, n), (w_t[:, None] * w_xi).ravel())
+    rules = [None] * len(geoms)
+    axis = [i for i, g in enumerate(geoms) if g.shape != "box" and not g.offset]
+    angles = dict(zip(axis, _panel_angles(params, [geoms[i] for i in axis], m))) if axis else {}
+    runs = {}  # nodes per ray -> [(index, directions, weights)]
+    for i, geom in enumerate(geoms):
+        if geom.shape == "box":
+            rules[i] = _box_rule(params, geom, spec)
+            continue
+        cos_t, sin_t, w_t = angles[i] if i in angles else _polar_factor(n - 1, m)
+        m_s = max((n + 2 * geom.degree + 1) // 2, spec.radial_nodes // 8)
+        xi, w_xi = _directions(n, geom, m, cos_t.size * m_s, "slice rule")
+        omega = np.empty((cos_t.size, xi.shape[0], n))
+        omega[..., :-1] = sin_t[:, None, None] * xi
+        omega[..., -1] = cos_t[:, None]
+        runs.setdefault(m_s, []).append((i, omega.reshape(-1, n), (w_t[:, None] * w_xi).ravel()))
+    for m_s, run in runs.items():
+        index, omega, w_omega = zip(*run)
+        counts = [w.size for w in w_omega]
+        centres = np.array([geoms[i].center for i in index])
+        omega, w_omega = np.concatenate(omega), np.concatenate(w_omega)
+        lo, hi = _ray_spans(params, centres, omega, [geoms[i].radius for i in index], counts)
+        x0, w0 = _leggauss(m_s)
+        half = 0.5 * (hi - lo)
+        s = (half + lo)[:, None] + half[:, None] * x0
+        w = (half * w_omega)[:, None] * w0 * s ** (n - 1)
+        cols = np.repeat(centres.T, counts, axis=1)[..., None] + s * omega.T[..., None]
+        for i, e, k in zip(index, accumulate(counts), counts):
+            w_i = w[e - k:e].ravel()
+            rules[i] = _kept(w_i > 0.0, cols[:, e - k:e].reshape(n, -1), w_i)
+    return rules
+
+
+def support_samples(params: ConeParams, fields, spec: QuadratureSpec) -> list:
+    """The :func:`support_sample` of each of ``fields``, the rules built
+    together (:func:`_slice_rules`), each field evaluated once on its own."""
+    out = []
+    for f, (pts, weights) in zip(fields, _slice_rules(params, [f.geometry for f in fields], spec)):
+        fv = f.evaluator(pts)
+        pts, weights, fv = _kept(fv != 0.0, pts.T, weights, fv)
+        grads = f.gradient(pts)
+        if not (np.isfinite(fv).all() and np.isfinite(grads).all()):
+            raise QuadratureError("field or gradient non-finite at quadrature nodes")
+        out.append((pts, weights, np.sqrt(_sumsq(pts[:, :-1])), grads, fv))
+    return out
 
 
 def support_sample(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
     """(pts, weights, radii, grad f, f) at the nodes of f's slice rule where
-    f != 0, in rule order; radii are |x'|.  Sums over them drop only exact
-    zeros (see :class:`TrialFunction`), and non-finite values of f or
-    grad f are rejected.
-
-    The rule follows f's geometry (see the module docstring).  Its
-    Dirichlet energy is exact when the field's profile is the stated
-    polynomial and, for a box or an off-axis ball, its region lies inside
-    the slice.  Each call evaluates f and its gradient afresh; the arrays
-    are the caller's."""
-    pts, weights = _slice_rule(params, f.geometry, spec)
-    fv = f.evaluator(pts)
-    keep = np.flatnonzero(fv)
-    sub, fv = pts.take(keep, axis=0), fv.take(keep)
-    grads = f.gradient(sub)
-    if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(grads))):
-        raise QuadratureError("field or gradient non-finite at quadrature nodes")
-    return sub, weights.take(keep), np.sqrt(_sumsq(sub[:, :-1])), grads, fv
+    f != 0, in rule order, the points coordinate-major; radii are |x'|.  Sums
+    over them drop only exact zeros (see :class:`TrialFunction`); non-finite
+    values of f or grad f are rejected.  The rule follows f's geometry; its
+    Dirichlet energy is exact when the profile is the stated polynomial and
+    a box's or off-axis ball's region lies inside the slice.  Each call, the
+    one-field case of :func:`support_samples`, evaluates f afresh."""
+    return support_samples(params, [f], spec)[0]
 
 
 def compensated_sum(values: np.ndarray) -> float:
-    """Deterministic compensated reduction (chunked pairwise + exact fsum):
-    numpy's pairwise sum of each zero-padded 4,096-element chunk, then the
-    exact sum of the chunk sums.
+    """Deterministic compensated reduction of ``values``: the one-segment case
+    of :func:`compensated_sums`."""
+    return compensated_sums([values])[0]
 
-    A row under 4,096 elements is one chunk of the least power-of-two
-    multiple of 128 that holds it: that is the leftmost subtree of the
-    4,096-element pairwise tree, whose other subtrees sum zeros, so the
-    result keeps its bits."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0:
-        return 0.0
-    chunk = 4096 if v.size >= 4096 else max(128, 1 << (v.size - 1).bit_length())
-    pad = (-v.size) % chunk
-    if pad:
-        v = np.concatenate([v, np.zeros(pad)])
-    partials = v.reshape(-1, chunk).sum(axis=1)
-    return math.fsum(partials.tolist())
+
+def compensated_sums(segments) -> list:
+    """Deterministic compensated reduction (chunked pairwise + exact fsum) of
+    each of ``segments``: numpy's pairwise sum of each zero-padded 4,096-element
+    chunk, then the exact sum of the chunk sums.  A segment under 4,096
+    elements is one chunk of the least power-of-two multiple of 128 that holds
+    it, the leftmost subtree of the 4,096-element tree (the others sum zeros),
+    so its bits stay; chunks of one width are summed as rows of one array."""
+    segments = [np.asarray(v, dtype=float).ravel() for v in segments]
+    widths = [min(4096, max(128, 1 << (v.size - 1).bit_length())) for v in segments]
+    out = [0.0] * len(segments)  # an empty segment has no chunk
+    for width in set(widths):
+        group = [i for i, w in enumerate(widths) if w == width]
+        rows = [0, *accumulate(-(-segments[i].size // width) for i in group)]
+        chunks = np.zeros((rows[-1], width))
+        for i, r in zip(group, rows):
+            chunks.reshape(-1)[r * width:r * width + segments[i].size] = segments[i]
+        partials = chunks.sum(axis=1).tolist()
+        for i, r0, r1 in zip(group, rows, rows[1:]):
+            out[i] = math.fsum(partials[r0:r1])
+    return out
 
 
 def integrate_sigma(params: ConeParams, integrand: Callable[[np.ndarray], np.ndarray],
@@ -528,7 +566,7 @@ def boundary_integral(params: ConeParams, f: TrialFunction,
         return 0.0
     pts, weights, _ = trace_grid(params, spec, r_max, f.geometry, log_from=lower or None)
     vals = f.evaluator(pts) ** 2
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise QuadratureError("trace integrand produced non-finite values")
     return compensated_sum(vals * weights)
 

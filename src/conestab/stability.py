@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ConeParams, _sumsq
-from .quadrature import QuadratureSpec, boundary_integral, compensated_sum, support_sample
+from .quadrature import QuadratureSpec, boundary_integral, compensated_sums, support_samples
 from .trial import TrialFunction, make_boundary_bump
-from .variation import _energy, cutoff_ladder, dirichlet_energy
+from .variation import _energies, cutoff_ladder, dirichlet_energy
 
 __all__ = [
     "ThresholdResult",
@@ -98,13 +98,13 @@ def lambda_star(n: int) -> ThresholdResult:
         return lam * (1.0 + lam) ** 2 - k
 
     lo, hi = 0.0, max(1.0, k)  # cubic(hi) >= 0 since K*(1+K)^2 >= K
-    for _ in range(200):
+    for _ in range(200):  # cubic and max inlined: some 50 steps per call
         mid = 0.5 * (lo + hi)
-        if cubic(mid) < 0.0:
+        if mid * (1.0 + mid) ** 2 - k < 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-15 * max(1.0, hi):
+        if hi - lo < 1e-15 * (hi if hi > 1.0 else 1.0):
             break
     root = 0.5 * (lo + hi)
     # Newton polish for the last digits
@@ -132,14 +132,20 @@ def shear_transform_check(params: ConeParams, f: TrialFunction,
     """
     if params.n < 3:
         raise ValueError("shear_transform_check requires n >= 3")
-    sample = support_sample(params, f, spec)
+    return _shear_checks(params, [f], spec)[0]
+
+
+def _shear_checks(params: ConeParams, fields, spec: QuadratureSpec) -> list:
+    """:func:`shear_transform_check` of each of ``fields`` (n >= 3) from one
+    :func:`support_samples` call, with E_f and E_g each one reduction."""
+    samples = support_samples(params, fields, spec)
     # g(x) = f(x', x_n + lam*|x'|).  The shear has unit Jacobian, so E_g is the
     # slice integral of |grad g|^2 at the sheared points, on f's own nodes; the
     # axis partial of f leaks into the in-plane gradient along the radial direction.
-    pts, weights, radii, gv, _ = sample
-    grad = gv[:, :-1] + params.lam * gv[:, -1:] * (pts[:, :-1] / radii[:, None])
-    energy_g = compensated_sum(weights * (_sumsq(grad) + gv[:, -1] ** 2))
-    return _energy(sample), energy_g, boundary_integral(params, f, spec)
+    sheared = [w * (_sumsq(gv[:, :-1] + params.lam * gv[:, -1:] * (pts[:, :-1] / r[:, None]))
+                    + gv[:, -1] ** 2) for pts, w, r, gv, _ in samples]
+    return [(energy_f, energy_g, boundary_integral(params, f, spec)) for f, energy_f, energy_g
+            in zip(fields, _energies(samples), compensated_sums(sheared))]
 
 
 def instability_witness_n2(params: ConeParams, epsilons,
@@ -193,11 +199,8 @@ def stability_sweep(params: ConeParams, battery, spec: QuadratureSpec) -> Stabil
     battery = list(battery)
     if not battery:
         return StabilityVerdict(regime=INCONCLUSIVE, detail="empty battery")
-    margins = []
-    witness = None
-    witness_margin = math.inf
-    for f in battery:
-        energy = dirichlet_energy(params, f, spec)
+    margins, witness, witness_margin = [], None, math.inf
+    for f, energy in zip(battery, _energies(support_samples(params, battery, spec))):
         trace = boundary_integral(params, f, spec)
         margin = energy - params.lam * trace
         margins.append(margin)

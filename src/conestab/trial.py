@@ -15,7 +15,7 @@ shape (..., n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -57,32 +57,29 @@ class Geometry:
       * "ball": f vanishes outside the ball of ``radius`` about ``center``;
         nothing else is known.
     The dimension is ``len(center)``.  Entries are tuples of floats, so a
-    geometry compares by value and a field holding it stays hashable.
+    geometry compares and hashes by value and a field holding it stays
+    hashable.  Computed once, on construction, and left out of comparisons:
+    ``offset``, the distance of the centre from the axis x' = 0, and
+    ``reach``, the radius of a ball about the origin that holds the region
+    (|c| plus the radius, or plus the half-diagonal radius*sqrt(n) of a box).
     """
 
     shape: str
     center: tuple
     radius: float
     degree: int = 1
+    offset: float = field(init=False, repr=False, compare=False)
+    reach: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.shape not in ("radial", "box", "ball"):
             raise ValueError(f"unknown geometry shape {self.shape!r}")
         if not self.radius > 0:
             raise ValueError(f"geometry needs radius > 0, got {self.radius!r}")
-
-    @property
-    def offset(self) -> float:
-        """Distance of the centre from the axis x' = 0."""
-        return math.sqrt(float(np.dot(self.center[:-1], self.center[:-1])))
-
-    @property
-    def reach(self) -> float:
-        """Radius of a ball about the origin that holds the region: |c| plus
-        the radius, or plus the half-diagonal radius*sqrt(n) of a box."""
         c = np.asarray(self.center, dtype=float)
-        return float(np.linalg.norm(c)) + self.radius * (
-            float(np.sqrt(c.size)) if self.shape == "box" else 1.0)
+        object.__setattr__(self, "offset", math.sqrt(float(np.dot(c[:-1], c[:-1]))))
+        object.__setattr__(self, "reach", float(np.linalg.norm(c)) + self.radius * (
+            float(np.sqrt(c.size)) if self.shape == "box" else 1.0))
 
     def kink_distance(self, pts: np.ndarray) -> np.ndarray:
         """Distance from each point of ``pts`` (..., n) to the set where f is
@@ -165,9 +162,8 @@ def make_radial_bump(center, radius: float, n: int, exponent: int = 1,
     c = _center_array(center, n)
     rho = float(radius)
 
-    def evaluator(pts):
-        u = np.sqrt(_sumsq(pts - c)) / rho
-        return np.where(u < 1.0, (1.0 - np.minimum(u, 1.0)) ** p, 0.0)
+    def evaluator(pts):  # 1 - fmin(u, 1) is exactly 0 off the support, NaN included
+        return (1.0 - np.fmin(np.sqrt(_sumsq(pts - c)) / rho, 1.0)) ** p
 
     def gradient(pts):
         d = pts - c
@@ -206,13 +202,13 @@ def make_tensor_bump(center, half_width: float, n: int, exponent: int = 1,
 
     def evaluator(pts):
         u = (pts - c) / w
-        return _prod(np.where(np.abs(u) < 1.0, (1.0 - np.minimum(u * u, 1.0)) ** p, 0.0))
+        return _prod((1.0 - np.fmin(u * u, 1.0)) ** p)
 
     def gradient(pts):
         u = (pts - c) / w
-        inside = np.abs(u) < 1.0
-        h = np.where(inside, (1.0 - np.minimum(u * u, 1.0)) ** p, 0.0)
-        hp = np.where(inside, -2.0 * p * u * (1.0 - np.minimum(u * u, 1.0)) ** (p - 1) / w, 0.0)
+        h = 1.0 - np.fmin(u * u, 1.0)  # exactly 0 off the box, as fmin takes NaN to 1
+        hp = np.where(np.abs(u) < 1.0, -2.0 * p * u * h ** (p - 1) / w, 0.0)
+        h **= p
         # the product over the other axes is recomputed per axis (not divided
         # out of the full product) to stay exact at zeros
         grad = np.empty_like(u)

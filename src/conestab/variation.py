@@ -29,7 +29,8 @@ from .domain import ConeParams, _dot, _sumsq
 from .errors import DivergentBoundaryIntegral, JacobianPositivityError, QuadratureError
 from .jacobian import _distortion_squared
 from .quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder, boundary_integral,
-                         compensated_sum, liminf_quotient, support_sample)
+                         compensated_sum, compensated_sums, liminf_quotient, support_sample,
+                         support_samples)
 from .trial import TrialFunction
 
 __all__ = [
@@ -147,13 +148,13 @@ def _areas(params: ConeParams, sample, ts) -> list:
 
 def dirichlet_energy(params: ConeParams, f: TrialFunction, spec: QuadratureSpec) -> float:
     """Integral of |grad f|^2 over the slice."""
-    return _energy(support_sample(params, f, spec))
+    return _energies([support_sample(params, f, spec)])[0]
 
 
-def _energy(sample) -> float:
-    """The Dirichlet energy of a field from its ``support_sample``."""
-    _, weights, _, grads, _ = sample
-    return compensated_sum(weights * _sumsq(grads))
+def _energies(samples) -> list:
+    """The Dirichlet energies of fields from their ``support_sample``s, in
+    one segmented reduction, each with the bits of a ``compensated_sum``."""
+    return compensated_sums([w * _sumsq(g) for _, w, _, g, _ in samples])
 
 
 def cutoff_ladder(params: ConeParams, f: TrialFunction, energy: float,
@@ -213,17 +214,25 @@ def variation_report(params: ConeParams, f: TrialFunction, t0: float | None = No
     second ladder repeat t values of the first, exactly) on the one support
     sample of f; the ladders' checks, underflow included, run before it.
     """
+    return _variation_reports(params, [f], t0, levels, spec)[0]
+
+
+def _variation_reports(params: ConeParams, fields, t0, levels: int, spec) -> list:
+    """:func:`variation_report` of each of ``fields``: all ladder checks first,
+    then one :func:`support_samples` call and one reduction of the energies."""
     spec = spec if spec is not None else QuadratureSpec()
-    t0 = float(t0) if t0 is not None else default_t0(f)
-    # both ladders' checks run before any area is evaluated
-    steps, squares = _dyadic_ladder(t0, levels), _dyadic_ladder(t0, levels, squared=True)
-    sample = support_sample(params, f, spec)
-    times = dict.fromkeys([0.0, *steps.tolist(), *map(math.sqrt, squares.tolist())])
-    area_at = dict(zip(times, _areas(params, sample, list(times))))
-    first = liminf_quotient(steps, area_at[0.0], [area_at[t] for t in steps])
-    second = liminf_quotient(squares, area_at[0.0], [area_at[math.sqrt(s)] for s in squares])
-    closed = _closed_form(params, f, _energy(sample), spec)
-    discrepancy = (abs(second.extrapolated - closed.closed_form)
-                   if closed.divergence is None else closed.discrepancy)
-    return replace(closed, first_variation=first, second_variation_fd=second,
-                   discrepancy=discrepancy, reference_area=area_at[0.0])
+    ladders = [(_dyadic_ladder(t, levels), _dyadic_ladder(t, levels, squared=True))
+               for t in (float(t0) if t0 is not None else default_t0(f) for f in fields)]
+    samples = support_samples(params, fields, spec)
+    reports = []
+    for f, sample, energy, (steps, squares) in zip(fields, samples, _energies(samples), ladders):
+        times = dict.fromkeys([0.0, *steps.tolist(), *map(math.sqrt, squares.tolist())])
+        area_at = dict(zip(times, _areas(params, sample, list(times))))
+        first = liminf_quotient(steps, area_at[0.0], [area_at[t] for t in steps])
+        second = liminf_quotient(squares, area_at[0.0], [area_at[math.sqrt(s)] for s in squares])
+        closed = _closed_form(params, f, energy, spec)
+        discrepancy = (abs(second.extrapolated - closed.closed_form)
+                       if closed.divergence is None else closed.discrepancy)
+        reports.append(replace(closed, first_variation=first, second_variation_fd=second,
+                               discrepancy=discrepancy, reference_area=area_at[0.0]))
+    return reports

@@ -20,7 +20,7 @@ from .flow import FlowCoefficients, partials_from_coefficients
 from .jacobian import (jacobian_closed_form, jacobian_gram_oracle, remainder,
                        remainder_uniform_bound, wedge_expansion)
 from .quadrature import QuadratureSpec
-from .stability import lambda_star, shear_transform_check
+from .stability import _shear_checks, lambda_star
 from .trial import make_radial_bump, make_tensor_bump, sample_smooth_points, standard_battery
 
 __all__ = [
@@ -230,8 +230,8 @@ def kato_suite(battery_size: int = 20) -> SuiteResult:
             if lam > cfac * (1.0 + 1e-12):
                 passed = False
                 detail.append(f"n={n}: aperture link failed at lam={lam}")
-            for f in battery:
-                energy_f, energy_g, trace = shear_transform_check(params, f, spec)
+            shear = _shear_checks(params, battery, spec)
+            for f, (energy_f, energy_g, trace) in zip(battery, shear):
                 checks = (
                     energy_f - cfac * trace,              # direct margin
                     (cfac - lam) * trace,                 # aperture link applied to the trace

@@ -319,6 +319,26 @@ def test_unknown_descriptor_keys_exit_2(tmp_path, capsys):
         "unknown keys ['exponnent', 'scael'] for kind 'radial_bump'")
 
 
+@pytest.mark.parametrize("command", ["sweep", "variation"])
+def test_empty_trial_function_list_exits_2(tmp_path, capsys, command):
+    """An explicit empty list used to run the 8-member default battery while
+    the report echoed []; it is refused, and a config without the key still
+    runs the default battery."""
+    cfg = write_config(tmp_path, trial_functions=[])
+    assert run([command, "--config", cfg]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == EXIT_CONFIG
+    assert err["message"].startswith("trial_functions must be a non-empty list")
+    raw = json.loads(cfg.read_text())
+    del raw["trial_functions"]
+    cfg.write_text(json.dumps(raw))
+    run([command, "--config", cfg, "--levels", "4"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["trial_functions"] == []
+    results = report["results"]
+    assert len(results if command == "variation" else results["margins"]) == 8
+
+
 def test_witness_needs_three_cutoffs(tmp_path, capsys):
     cfg = write_config(tmp_path, n=2, epsilons=[0.1, 0.01])
     assert run(["witness-n2", "--config", cfg]) == EXIT_CONFIG
@@ -427,7 +447,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv, compute", [
     (["threshold", "--n-min", "3", "--n-max", "4"], "lambda_star"),
-    (["variation", "--levels", "4"], "variation_report"),
+    (["variation", "--levels", "4"], "_variation_reports"),
     (["sweep"], "stability_sweep"),
     (["witness-n2"], "instability_witness_n2"),
     (["verify"], "run_suites"),

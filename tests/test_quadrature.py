@@ -13,9 +13,9 @@ from conestab import quadrature
 from conestab.domain import ConeParams
 from conestab.errors import DivergentBoundaryIntegral, QuadratureError
 from conestab.quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder,
-                                 boundary_integral, compensated_sum, gauss_legendre,
-                                 integrate_sigma,
-                                 liminf_quotient, sigma_grid, sphere_grid, support_sample)
+                                 boundary_integral, compensated_sum, compensated_sums,
+                                 gauss_legendre, integrate_sigma, liminf_quotient, sigma_grid,
+                                 sphere_grid, support_sample, support_samples)
 from conestab.stability import lambda_star, shear_transform_check, stability_sweep
 from conestab.trial import (Geometry, TrialFunction, battery_descriptors, build_trial,
                             make_boundary_bump, make_radial_bump, make_tensor_bump, scaled,
@@ -151,7 +151,7 @@ def test_emitted_nodes_are_smooth_points_of_the_battery():
 def whole_rule_sample(params, f, spec):
     """The support sample found by evaluating f on every node of its rule:
     the reference for :func:`support_sample`."""
-    pts, weights = quadrature._slice_rule(params, f.geometry, spec)
+    pts, weights = quadrature._slice_rules(params, [f.geometry], spec)[0]
     fv = f.evaluator(pts)
     mask = fv != 0.0
     sub = pts[mask]
@@ -313,9 +313,93 @@ def test_ray_spans_match_their_reference(rng):
         omega /= np.linalg.norm(omega, axis=1)[:, None]
         params, reach = ConeParams(n, lam), float(rng.uniform(0.1, 4.0))
         with np.errstate(divide="raise", invalid="raise"):
-            got = quadrature._ray_spans(params, c, omega, reach)
+            got = quadrature._ray_spans(params, c[None], omega, [reach], [len(omega)])
         for a, b in zip(got, ray_spans_reference(params, c, omega, reach)):
             assert a.tobytes() == b.tobytes(), (n, lam, c)
+
+
+def test_stacked_ray_spans_equal_one_call_per_run(rng):
+    """Runs of rays from several centres, each with its own reach, give in
+    one call the spans each run gives alone, bit for bit: centres on the
+    axis, at the vertex and off it, with rays along the cone among them."""
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        lam = float(rng.choice([0.0, 0.3, 1.0, 3.0]))
+        params, runs = ConeParams(n, lam), int(rng.integers(1, 6))
+        centres = rng.normal(size=(runs, n)) * rng.choice([0.0, 0.5, 2.0], size=(runs, 1))
+        centres[rng.random(runs) < 0.3, :-1] = 0.0
+        reaches = rng.uniform(0.1, 4.0, size=runs)
+        counts = rng.integers(1, 30, size=runs).tolist()
+        omega = rng.normal(size=(sum(counts), n))
+        omega[::3, :-1] = np.eye(1, n - 1)
+        omega[::3, -1] = lam
+        omega /= np.linalg.norm(omega, axis=1)[:, None]
+        with np.errstate(divide="raise", invalid="raise"):
+            got = quadrature._ray_spans(params, centres, omega, reaches, counts)
+        ends = np.cumsum(counts)
+        for i, (e, k) in enumerate(zip(ends, counts)):
+            alone = quadrature._ray_spans(params, centres[i:i + 1], omega[e - k:e],
+                                          reaches[i:i + 1], [k])
+            for a, b in zip(got, alone):
+                assert a[e - k:e].tobytes() == b.tobytes(), (n, lam, i)
+
+
+def assert_same_samples(params, fields, spec):
+    """support_samples equals one support_sample call per field, array for
+    array, bit for bit."""
+    together = support_samples(params, fields, spec)
+    assert len(together) == len(fields)
+    for f, got in zip(fields, together):
+        for a, b in zip(got, support_sample(params, f, spec)):
+            assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
+                np.ascontiguousarray(b).tobytes(), (params, spec, f.label)
+
+
+# panel rules of one Gauss-Legendre panel (2 * angular_nodes <= 32) and of
+# composite panels; radial_nodes // 8 = 2 lets the nodes per ray follow the
+# field's degree, so one call mixes several of them
+BATTERY_SPECS = (QuadratureSpec(16, 8, 16, 3.1), QuadratureSpec(16, 20, 16, 3.1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_support_samples_of_the_battery_equal_one_call_per_field(n):
+    """The 20-member battery, a scaled member and (at n <= 4, where the full
+    sphere grid of its rays stays small) a ball field, at lam = 0, lam*/2,
+    lam*, 2 lam*, 1 and 3, on a one-panel and a composite-panel spec."""
+    star = lambda_star(n).lambda_star
+    fields = standard_battery(n) + [scaled(standard_battery(n)[2], -1.7)]
+    fields += [plateau_field(n)] if n <= 4 else []
+    for spec in BATTERY_SPECS[:1] if n == 6 else BATTERY_SPECS:
+        for lam in (0.0, 0.5 * star, star, 2.0 * star, 1.0, 3.0):
+            assert_same_samples(ConeParams(n, lam), fields, spec)
+
+
+field_descriptors = st.lists(st.one_of(
+    st.fixed_dictionaries({"kind": st.just("radial_bump"),
+                           "center": st.floats(-1.0, 2.5), "radius": st.floats(0.2, 1.5),
+                           "exponent": st.integers(1, 3)}),
+    st.builds(lambda h, a, r, p: {"kind": "radial_bump", "center": f"offaxis:{h}:{a}",
+                                  "radius": r, "exponent": p},
+              st.floats(-0.5, 2.5), st.floats(0.05, 1.5), st.floats(0.2, 1.2),
+              st.integers(1, 3)),
+    st.fixed_dictionaries({"kind": st.just("shifted_bump"), "center": st.floats(0.0, 1.0),
+                           "radius": st.floats(0.2, 1.0), "shift": st.floats(-1.0, 2.0),
+                           "exponent": st.integers(1, 2)}),
+    st.fixed_dictionaries({"kind": st.just("tensor_bump"), "center": st.floats(0.3, 2.0),
+                           "half_width": st.floats(0.1, 0.6),
+                           "exponent": st.integers(1, 2)})), min_size=1, max_size=6)
+
+
+@given(descs=field_descriptors, n=st.integers(3, 6), spec=st.sampled_from(BATTERY_SPECS),
+       lam=st.sampled_from(["0", "star/2", "star", "2star", "1", "3"]))
+def test_support_samples_of_drawn_fields_equal_one_call_per_field(descs, n, spec, lam):
+    """Radial, off-axis, shifted and box fields drawn together, at n = 3..6."""
+    star = lambda_star(n).lambda_star
+    lam = {"0": 0.0, "star/2": 0.5 * star, "star": star, "2star": 2.0 * star,
+           "1": 1.0, "3": 3.0}[lam]
+    if n == 6:
+        spec = BATTERY_SPECS[0]
+    assert_same_samples(ConeParams(n, lam), [build_trial(d, n) for d in descs], spec)
 
 
 def test_support_sample_evaluates_few_nodes_outside_the_support():
@@ -631,6 +715,32 @@ def test_compensated_sum_keeps_the_bits_of_the_padded_reduction(size, exponent, 
     if spread:
         v *= 10.0 ** rng.integers(-20, 20, size=size)
     assert bits(compensated_sum(v)) == bits(padded_sum_4096(v))
+
+
+@given(sizes=st.lists(st.integers(0, 9000), min_size=1, max_size=8),
+       exponent=st.integers(-300, 250), seed=st.integers(0, 2 ** 32 - 1))
+def test_compensated_sums_keep_the_bits_of_one_call_per_segment(sizes, exponent, seed):
+    """Segments of 0..9,000 elements, reduced in one call, sum to the bits of
+    compensated_sum and of the 4,096-padded reduction, segment by segment."""
+    rng = np.random.default_rng(seed)
+    segments = [rng.normal(size=k) * 10.0 ** exponent for k in sizes]
+    got = [bits(x) for x in compensated_sums(segments)]
+    assert got == [bits(compensated_sum(v)) for v in segments]
+    assert got == [bits(padded_sum_4096(v)) for v in segments]
+
+
+def test_compensated_sums_of_empty_and_negative_zero_segments():
+    """Empty segments sum to 0.0, and segments of -0.0 to the 0.0 of the
+    padded reduction, among others of every chunk width."""
+    rng = np.random.default_rng(3)
+    sizes = [0, 1, 7, 127, 128, 129, 0, 4095, 4096, 4097, 8192, 9000, 0]
+    segments = [np.full(k, -0.0) if i % 2 else rng.normal(size=k)
+                for i, k in enumerate(sizes)]
+    got = [bits(x) for x in compensated_sums(segments)]
+    assert got == [bits(padded_sum_4096(v)) for v in segments]
+    assert [got[i] for i, k in enumerate(sizes) if i % 2 or k == 0] == \
+        [bits(0.0)] * sum(1 for i, k in enumerate(sizes) if i % 2 or k == 0)
+    assert compensated_sums([]) == []
 
 
 def test_compensated_sum_of_negative_zeros_is_positive_zero():

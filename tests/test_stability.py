@@ -7,13 +7,14 @@ import pytest
 from conftest import oracle
 
 from conestab.domain import ConeParams
-from conestab.quadrature import QuadratureSpec, support_sample
-from conestab.stability import (INCONCLUSIVE, PROVEN_STABLE, UNSTABLE,
+from conestab.quadrature import QuadratureSpec, boundary_integral, support_sample
+from conestab.stability import (INCONCLUSIVE, PROVEN_STABLE, UNSTABLE, _shear_checks,
                                 instability_witness_n2, kato_constant, lambda_star,
                                 shear_transform_check, stability_sweep)
 from conestab.trial import (battery_descriptors, build_trial, make_boundary_bump,
                             make_radial_bump, scaled, standard_battery)
-from conestab.verify import kato_suite
+from conestab.variation import dirichlet_energy
+from conestab.verify import KATO_SPECS, kato_suite
 
 # frozen high-precision references
 K3_REFERENCE = 0.2284732905222318
@@ -244,6 +245,24 @@ def test_sweep_finds_witness_far_beyond_threshold():
     assert verdict.regime == UNSTABLE
     assert verdict.witness is not None
     assert verdict.margin < 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sweep_margins_equal_per_field_energy_and_trace(n):
+    """Each margin of a sweep, which reduces the battery's energies together,
+    is dirichlet_energy - lam * boundary_integral of its field, bit for bit,
+    on the kato suite's rules at lam*/2, lam* and 2 lam*; the kato suite's
+    battery of shear checks equals one shear_transform_check per field."""
+    spec, star, battery = KATO_SPECS[n], lambda_star(n).lambda_star, standard_battery(n)
+    for lam in (0.5 * star, star, 2.0 * star):
+        params = ConeParams(n, lam)
+        want = [dirichlet_energy(params, f, spec) - lam * boundary_integral(params, f, spec)
+                for f in battery]
+        got = stability_sweep(params, battery, spec).margins
+        assert [np.float64(m).tobytes() for m in got] == [np.float64(m).tobytes() for m in want]
+        checks = _shear_checks(params, battery, spec)
+        assert np.array(checks).tobytes() == np.array(
+            [shear_transform_check(params, f, spec) for f in battery]).tobytes()
 
 
 def test_sweep_empty_battery_inconclusive():

@@ -8,7 +8,7 @@ from conftest import is_smooth_point
 
 from conestab import trial
 from conestab.domain import ConeParams
-from conestab.quadrature import QuadratureSpec, _slice_rule
+from conestab.quadrature import QuadratureSpec, _slice_rules
 from conestab.stability import lambda_star
 from conestab.trial import (Geometry, TrialFunction, build_trial, make_boundary_bump,
                             make_radial_bump, make_shifted_bump, make_tensor_bump,
@@ -229,7 +229,7 @@ def _ball_rule(n, spec, lam=0.3, radius=3.1):
     full sphere grid of directions) out to ``radius``: they cover the slice
     there, in and outside every battery member's support."""
     geom = Geometry("ball", (0.0,) * n, radius)
-    return _slice_rule(ConeParams(n, lam), geom, spec)[0]
+    return _slice_rules(ConeParams(n, lam), [geom], spec)[0][0]
 
 
 def test_gradient_vanishes_where_field_vanishes_on_grid_nodes():
@@ -241,10 +241,56 @@ def test_gradient_vanishes_where_field_vanishes_on_grid_nodes():
         ball = _ball_rule(n, spec)
         battery = standard_battery(n)
         for f in battery + [scaled(battery[12], -1.7)]:
-            pts = np.concatenate([ball, _slice_rule(ConeParams(n, 0.3), f.geometry, spec)[0]])
+            pts = np.concatenate([ball, _slice_rules(ConeParams(n, 0.3), [f.geometry], spec)[0][0]])
             zero = f.evaluator(pts) == 0.0
             assert np.any(zero), (n, f.label)
             assert np.all(f.gradient(pts[zero]) == 0.0), (n, f.label)
+
+
+def _masked_forms(f):
+    """The evaluator (and, for a box, the gradient) of f in the form that
+    masks the support with np.where."""
+    (kind, c, w, p), n = f.descriptor[:4], f.dimension
+    c = np.asarray(c)
+    if kind == "radial_bump":
+        def evaluator(pts):
+            u = np.linalg.norm(pts - c, axis=-1) / w
+            return np.where(u < 1.0, (1.0 - np.minimum(u, 1.0)) ** p, 0.0)
+        return evaluator, None
+
+    def bump(pts):
+        u = (pts - c) / w
+        inside = np.abs(u) < 1.0
+        h = np.where(inside, (1.0 - np.minimum(u * u, 1.0)) ** p, 0.0)
+        hp = np.where(inside, -2.0 * p * u * (1.0 - np.minimum(u * u, 1.0)) ** (p - 1) / w, 0.0)
+        return h, hp
+
+    def gradient(pts):
+        h, hp = bump(pts)
+        return np.stack([hp[..., j] * np.prod(np.delete(h, j, axis=-1), axis=-1)
+                         for j in range(n)], axis=-1)
+    return (lambda pts: np.prod(bump(pts)[0], axis=-1)), gradient
+
+
+def test_bump_evaluators_equal_their_masked_forms(rng):
+    """The radial and box evaluators and the box gradient read 1 - fmin(., 1)
+    as exactly 0 off the support instead of masking it: bit for bit the
+    masked forms, on points inside, on and outside the region and at
+    non-finite coordinates."""
+    for n in (2, 3, 5):
+        fields = [make_radial_bump([0.2] + [0.0] * (n - 2) + [1.1], 0.7, n, exponent=p)
+                  for p in (1, 2, 3)]
+        fields += [make_tensor_bump([0.1] * (n - 1) + [1.0], 0.5, n, exponent=p) for p in (1, 2, 3)]
+        for f in fields:
+            c = np.asarray(f.geometry.center)
+            pts = c + rng.uniform(-1.2, 1.2, size=(4000, n)) * f.geometry.radius
+            pts[:50] = c + f.geometry.radius * np.sign(rng.normal(size=(50, n)))  # on the faces
+            pts[50:60, 0] = [np.nan, np.inf, -np.inf] * 3 + [np.nan]
+            evaluator, gradient = _masked_forms(f)
+            with np.errstate(invalid="ignore"):  # inf * 0 in a box's slope at infinite points
+                assert f.evaluator(pts).tobytes() == evaluator(pts).tobytes(), f.label
+                if gradient is not None:
+                    assert f.gradient(pts).tobytes() == gradient(pts).tobytes(), f.label
 
 
 def _outside(geom, pts):

@@ -8,17 +8,19 @@ import pytest
 from conftest import oracle
 
 import conestab.variation
+from conestab.cli import _jsonable
 from conestab.domain import ConeParams
 from conestab.errors import JacobianPositivityError, QuadratureError
 from conestab.flow import flow_coefficients_batch
 from conestab.jacobian import jacobian_closed_form
-from conestab.quadrature import (QuadratureSpec, _slice_rule, boundary_integral, compensated_sum,
-                                 support_sample)
+from conestab.quadrature import (QuadratureSpec, _slice_rules, boundary_integral,
+                                 compensated_sum, support_sample)
 from conestab.stability import lambda_star, shear_transform_check
 from conestab.trial import (battery_descriptors, build_trial, make_boundary_bump,
                             make_radial_bump, make_shifted_bump, scaled, standard_battery)
-from conestab.variation import (DEFAULT_LEVELS, area, default_t0, dirichlet_energy,
-                                second_variation_closed_form, variation_report)
+from conestab.variation import (DEFAULT_LEVELS, _areas, _variation_reports, area, default_t0,
+                                dirichlet_energy, second_variation_closed_form,
+                                variation_report)
 
 SPEC3 = QuadratureSpec(48, 16, 48, 3.0)
 
@@ -197,7 +199,7 @@ def test_dirichlet_energy_matches_full_grid_integral():
         params = ConeParams(n, 0.3)
         for desc in battery_descriptors(20) + [scaled_vertex]:
             f = build_trial(desc, n)
-            pts, weights = _slice_rule(params, f.geometry, spec)
+            pts, weights = _slice_rules(params, [f.geometry], spec)[0]
             full = compensated_sum(weights * np.sum(f.gradient(pts) ** 2, axis=-1))
             got = dirichlet_energy(params, f, spec)
             assert got == pytest.approx(full, rel=1e-13), f.label
@@ -219,11 +221,11 @@ def _ladder_times(f):
     return [0.0] + (t0 * steps).tolist() + [math.sqrt(s) for s in t0 * t0 * steps]
 
 
-def _reference_area(params, f, t, spec):
+def _reference_area(params, f, t, spec, sample=None):
     """The deformed area through the flow coefficients and the closed-form
     distortion factor, with f evaluated afresh at the nodes of its support
-    sample."""
-    pts, weights = support_sample(params, f, spec)[:2]
+    sample (built here unless ``sample`` is given)."""
+    pts, weights = (sample or support_sample(params, f, spec))[:2]
     j2 = jacobian_closed_form(flow_coefficients_batch(params, f, pts, t))
     return compensated_sum(weights * np.sqrt(j2))
 
@@ -244,15 +246,19 @@ def test_area_from_sampled_values_matches_flow_coefficients_batch():
                                      (5, QuadratureSpec(12, 4, 12, 3.1))], ids=["n2", "n5"])
 def test_area_matches_flow_coefficient_reference_in_low_and_high_dimension(n, spec):
     """At n = 2 (x' one-dimensional) and n = 5, on a default report's
-    ladders, area equals the closed form on flow_coefficients_batch's
-    coefficients bit for bit, at lam = 0, 0.2 and lam*(n) where it exists."""
+    ladders, the areas equal the closed form on flow_coefficients_batch's
+    coefficients bit for bit, at lam = 0, 0.2 and lam*(n) where it exists.
+    Each field's sample is built once: the batch ``_areas`` covers the whole
+    ladder on it, and one public ``area`` call per field, at t0, the same."""
     lams = (0.0, 0.2) + ((lambda_star(n).lambda_star,) if n >= 3 else ())
     for lam in lams:
         params = ConeParams(n, lam)
         for f in standard_battery(n):
-            for t in _ladder_times(f):
-                assert area(params, f, t, spec) == _reference_area(params, f, t, spec), \
-                    (lam, f.label, t)
+            sample, times = support_sample(params, f, spec), _ladder_times(f)
+            for t, got in zip(times, _areas(params, sample, times)):
+                assert got == _reference_area(params, f, t, spec, sample), (lam, f.label, t)
+            assert area(params, f, times[1], spec) == _reference_area(params, f, times[1], spec), \
+                (lam, f.label)
 
 
 def test_area_scalars_follow_cone_spec_and_field():
@@ -269,6 +275,18 @@ def test_area_scalars_follow_cone_spec_and_field():
         params, f, spec = apertures[j], fields[i], specs[k]
         t = default_t0(f)
         assert area(params, f, t, spec) == _reference_area(params, f, t, spec), (i, j, k)
+
+
+def test_reports_of_a_battery_equal_one_report_per_field():
+    """The reports the CLI builds for a battery, whose samples come from one
+    support_samples call and whose energies from one reduction, equal one
+    variation_report per field, field by field."""
+    for n, lam in ((2, 0.4), (3, 0.2), (4, 1.0)):
+        params, spec = ConeParams(n, lam), QuadratureSpec(16, 4, 16, 3.1)
+        fields = standard_battery(n, 12)
+        # compared as the CLI prints them: every float at full precision
+        assert _jsonable(_variation_reports(params, fields, None, 5, spec)) == \
+            _jsonable([variation_report(params, f, levels=5, spec=spec) for f in fields])
 
 
 def test_report_evaluates_the_gradient_once():

@@ -743,6 +743,18 @@ def test_compensated_sums_of_empty_and_negative_zero_segments():
     assert compensated_sums([]) == []
 
 
+def test_compensated_sums_add_chunk_sums_exactly():
+    """Chunks of 4,096 elements summing to 1, 1e-16 and 1e-16 add exactly to
+    1 + 2e-16 in every segment over 8,192 elements, where one pairwise tree
+    over 16,384 would round it to 1."""
+    segments = []
+    for size in (8193, 9000, 12288):
+        v = np.zeros(size)
+        v[[0, 4096, 8192]] = 1.0, 1e-16, 1e-16
+        segments.append(v)
+    assert compensated_sums(segments + [np.ones(3)]) == [math.fsum([1.0, 1e-16, 1e-16])] * 3 + [3.0]
+
+
 def test_compensated_sum_of_negative_zeros_is_positive_zero():
     """A row of -0.0 sums to the 0.0 of the padded reduction at every size,
     padded or not."""

@@ -91,6 +91,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if "lambda" in merged:
             cfg.lam = float(merged["lambda"])
         ConeParams(cfg.n, cfg.lam)  # validates n and lambda
+        if not math.isfinite(cfg.lam * cfg.lam):  # the rules read lambda^2
+            raise ConfigError(f"lambda must have a finite square, got {cfg.lam!r}")
         if "t0" in merged and merged["t0"] is not None:
             cfg.t0 = float(merged["t0"])
         if "levels" in merged:
@@ -150,10 +152,9 @@ def _jsonable(obj):
     """Recursive converter; floats become full-precision decimal strings."""
     if isinstance(obj, (float, np.floating)):
         return repr(float(obj))  # np.float64 subclasses float but reprs as np.float64(...)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return ([repr(v) for v in obj.tolist()] if obj.dtype.kind == "f" and obj.ndim == 1
+                else _jsonable(obj.tolist()))
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         if obj.__class__.__name__ == "TrialFunction":
             return {"label": obj.label, "descriptor": _jsonable(obj.descriptor)}
@@ -163,25 +164,9 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
     return obj
-
-
-def _config_payload(cfg: RunConfig):
-    d = dataclasses.asdict(cfg)
-    d["lambda"] = d.pop("lam")
-    return _jsonable(d)
-
-
-def _emit(payload: dict, cfg: RunConfig, csv_rows=None, csv_header=None) -> str:
-    """Render the report; JSON unless csv requested and rows provided."""
-    if cfg.format == "csv" and csv_rows is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(csv_header)
-        for row in csv_rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-        return buf.getvalue()
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _check_out(out: str | None):
@@ -205,11 +190,22 @@ def _write(text: str, out: str | None):
         raise ConfigError(f"cannot write report to {out}: {exc}") from exc
 
 
-def _report(cfg: RunConfig, results) -> dict:
-    versions = dict(SUITE_VERSIONS)
-    versions["package"] = __version__
-    return {"config": _config_payload(cfg), "results": _jsonable(results),
-            "suite_versions": versions}
+def _publish(cfg: RunConfig, results, header, rows) -> None:
+    """Write the report on ``results`` to cfg.out: JSON, or with format csv
+    the ``rows`` under ``header``, floats at full precision either way."""
+    if cfg.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+        text = buf.getvalue()
+    else:
+        config = _jsonable(cfg)
+        config["lambda"] = config.pop("lam")
+        text = json.dumps({"config": config, "results": _jsonable(results),
+                           "suite_versions": dict(SUITE_VERSIONS, package=__version__)},
+                          indent=2, sort_keys=True) + "\n"
+    _write(text, cfg.out)
 
 
 def _trial_functions(cfg: RunConfig):
@@ -234,35 +230,24 @@ def cmd_threshold(args) -> int:
         raise ConfigError("threshold: range must lie within [3, 64]")
     if n_min > n_max:
         raise ConfigError(f"threshold: empty range, --n-min {n_min} exceeds --n-max {n_max}")
-    rows = []
-    for n in range(n_min, n_max + 1):
-        thr = lambda_star(n)
-        aperture = ConeParams(n, thr.lambda_star).aperture
-        rows.append((n, thr.k_n, thr.lambda_star, aperture, thr.residual))
-    payload = _report(cfg, [{"n": r[0], "k_n": r[1], "lambda_star": r[2],
-                             "aperture": r[3], "residual": r[4]} for r in rows])
-    text = _emit(payload, cfg, csv_rows=rows,
-                 csv_header=["n", "k_n", "lambda_star", "aperture", "residual"])
-    _write(text, cfg.out)
+    header = ["n", "k_n", "lambda_star", "aperture", "residual"]
+    rows = [(n, thr.k_n, thr.lambda_star, ConeParams(n, thr.lambda_star).aperture, thr.residual)
+            for n, thr in ((n, lambda_star(n)) for n in range(n_min, n_max + 1))]
+    _publish(cfg, [dict(zip(header, row)) for row in rows], header, rows)
     return EXIT_OK
-
-
-def _variation_rows(cfg: RunConfig, reports):
-    return [(cfg.n, cfg.lam, r.label, r.first_variation.extrapolated,
-             int(r.first_variation.converged), r.second_variation_fd.extrapolated,
-             int(r.second_variation_fd.converged), r.closed_form, r.dirichlet_term,
-             r.boundary_term, r.discrepancy) for r in reports]
 
 
 def cmd_variation(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     params = ConeParams(cfg.n, cfg.lam)
     reports = _variation_reports(params, _trial_functions(cfg), cfg.t0, cfg.levels, cfg.quadrature)
-    payload = _report(cfg, reports)
-    header = ["n", "lambda", "trial_id", "first_variation", "first_converged",
-              "second_variation", "second_converged", "closed_form",
-              "dirichlet_term", "boundary_term", "discrepancy"]
-    _write(_emit(payload, cfg, _variation_rows(cfg, reports), header), cfg.out)
+    _publish(cfg, reports, ["n", "lambda", "trial_id", "first_variation", "first_converged",
+                            "second_variation", "second_converged", "closed_form",
+                            "dirichlet_term", "boundary_term", "discrepancy"],
+             [(cfg.n, cfg.lam, r.label, r.first_variation.extrapolated,
+               int(r.first_variation.converged), r.second_variation_fd.extrapolated,
+               int(r.second_variation_fd.converged), r.closed_form, r.dirichlet_term,
+               r.boundary_term, r.discrepancy) for r in reports])
     if any(r.divergent for r in reports):
         return EXIT_WITNESS
     ok = all(r.first_variation.converged and r.second_variation_fd.converged
@@ -275,14 +260,10 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     if cfg.n < 3:
         raise ConfigError("sweep requires n >= 3; use witness-n2 for n = 2")
-    params = ConeParams(cfg.n, cfg.lam)
-    verdict = stability_sweep(params, _trial_functions(cfg), cfg.quadrature)
-    payload = _report(cfg, verdict)
-    rows = [(cfg.n, cfg.lam, verdict.regime,
-             verdict.margin if verdict.margin is not None else "",
-             verdict.witness.label if verdict.witness else "")]
-    header = ["n", "lambda", "regime", "margin", "witness"]
-    _write(_emit(payload, cfg, rows, header), cfg.out)
+    verdict = stability_sweep(ConeParams(cfg.n, cfg.lam), _trial_functions(cfg), cfg.quadrature)
+    _publish(cfg, verdict, ["n", "lambda", "regime", "margin", "witness"],
+             [(cfg.n, cfg.lam, verdict.regime, "" if verdict.margin is None else verdict.margin,
+               verdict.witness.label if verdict.witness else "")])
     return EXIT_WITNESS if verdict.regime == UNSTABLE else EXIT_OK
 
 
@@ -290,26 +271,19 @@ def cmd_witness_n2(args) -> int:
     cfg = dataclasses.replace(load_config(args.config, _overrides(args)), n=2)
     if not cfg.lam > 0.0:
         raise ConfigError("witness-n2 requires lambda > 0")
-    params = ConeParams(cfg.n, cfg.lam)
-    verdict = instability_witness_n2(params, cfg.epsilons, spec=cfg.quadrature)
-    payload = _report(cfg, verdict)
-    rows = [(cfg.n, cfg.lam, verdict.regime,
-             verdict.margin if verdict.margin is not None else "", verdict.detail)]
-    _write(_emit(payload, cfg, rows, ["n", "lambda", "regime", "margin", "detail"]),
-           cfg.out)
-    if verdict.regime == UNSTABLE:
-        return EXIT_WITNESS
-    return EXIT_QUADRATURE  # failed fit signals quadrature misconfiguration
+    verdict = instability_witness_n2(ConeParams(cfg.n, cfg.lam), cfg.epsilons, spec=cfg.quadrature)
+    _publish(cfg, verdict, ["n", "lambda", "regime", "margin", "detail"],
+             [(cfg.n, cfg.lam, verdict.regime, "" if verdict.margin is None else verdict.margin,
+               verdict.detail)])
+    # a failed fit signals quadrature misconfiguration
+    return EXIT_WITNESS if verdict.regime == UNSTABLE else EXIT_QUADRATURE
 
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config, _overrides(args))
     results = run_suites(seed=cfg.seed, **cfg.samples)
-    payload = _report(cfg, results)
-    rows = [(r.name, int(r.passed), r.worst_error, r.samples, r.detail)
-            for r in results]
-    _write(_emit(payload, cfg, rows,
-                 ["suite", "passed", "worst_error", "samples", "detail"]), cfg.out)
+    _publish(cfg, results, ["suite", "passed", "worst_error", "samples", "detail"],
+             [(r.name, int(r.passed), r.worst_error, r.samples, r.detail) for r in results])
     return EXIT_OK if all(r.passed for r in results) else EXIT_SUITE_FAILURE
 
 
@@ -334,33 +308,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_threshold)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--lambda", dest="lambda", type=float, default=None)
-        p.add_argument("--t0", type=float, default=None)
-        p.add_argument("--levels", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--epsilon-cutoff", dest="epsilon_cutoff", type=float,
-                       default=None)
-
-    p = sub.add_parser("variation", help="first/second variation reports")
-    common(p)
-    p.set_defaults(func=cmd_variation)
-
-    p = sub.add_parser("sweep", help="stability margins over a battery (n >= 3)")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("witness-n2", help="two-dimensional divergence witness")
-    common(p)
-    p.set_defaults(func=cmd_witness_n2)
-
-    p = sub.add_parser("verify", help="run the randomized invariant suites")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="JSON config file")
+    common.add_argument("--n", type=int, default=None)
+    common.add_argument("--lambda", dest="lambda", type=float, default=None)
+    common.add_argument("--t0", type=float, default=None)
+    common.add_argument("--levels", type=int, default=None)
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--format", choices=("json", "csv"), default=None)
+    common.add_argument("--out", default=None)
+    common.add_argument("--epsilon-cutoff", dest="epsilon_cutoff", type=float, default=None)
+    for name, func, text in (
+            ("variation", cmd_variation, "first/second variation reports"),
+            ("sweep", cmd_sweep, "stability margins over a battery (n >= 3)"),
+            ("witness-n2", cmd_witness_n2, "two-dimensional divergence witness"),
+            ("verify", cmd_verify, "run the randomized invariant suites")):
+        sub.add_parser(name, parents=[common], help=text).set_defaults(func=func)
     return parser
 
 

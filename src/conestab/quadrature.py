@@ -23,16 +23,18 @@ its symmetry is summed once:
 
 Each rule counts its nodes before building them and refuses more than
 ``MAX_RULE_NODES``; no node touches the axis x' = 0, where the flow's
-derivatives are one-sided limits.  :func:`support_samples` samples a
-battery in one call (:func:`support_sample` is its one-field case): the
-polar angles of its fields centred on the axis in one pass, its rays in one
-pass per count of nodes per ray, each box coordinate-major, then each field
-evaluated once on its own nodes, with nothing cached across calls.
-``stability_sweep``, the kato suite's shear checks and the CLI's variation
-reports call it once per battery, and reduce its energies with one
-:func:`compensated_sums`.  The sigma grid (:func:`sigma_grid`,
-:func:`integrate_sigma`) serves no integral of the program (see
-``QuadratureSpec.support_radius``).
+derivatives are one-sided limits.  A battery is sampled, traced and its
+ladders turned into quotients in one pass each, with nothing cached across
+calls: :func:`support_samples` builds the polar angles of its fields
+centred on the axis in one pass, its rays in one pass per count of nodes
+per ray and each box coordinate-major, then evaluates each field once on
+its own nodes; :func:`boundary_integrals` takes one column rule of radii
+per kind of grid and one :func:`compensated_sums`; :func:`liminf_quotients`
+is one array pass.  ``stability_sweep``, the kato suite's shear checks and
+the CLI's variation reports call them once per battery; their one-field
+cases are :func:`support_sample`, :func:`boundary_integral` and
+:func:`liminf_quotient`.  The sigma grid (:func:`sigma_grid`,
+:func:`integrate_sigma`) serves no integral of the program.
 
 The trace integral carries a 1/|x'| weight: regular for n >= 3 in polar
 form, log-divergent for n = 2 with a nonzero vertex value; its grid is
@@ -133,7 +135,8 @@ def gauss_legendre(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
         half = 0.5 * (b - a)
         return half * x0 + 0.5 * (b + a), half * w0
     panels = math.ceil(m / _MAX_NODES_PER_PANEL)
-    edges = np.linspace(a, b, panels + 1)
+    step = (b - a) / panels  # the ends of np.linspace(a, b, panels + 1), row by row
+    edges = [k * step + a for k in range(panels)] + [b]
     xs, ws = [], []
     for k in range(panels):  # the first m % panels panels take a node more
         x0, w0 = _leggauss(m // panels + (k < m % panels))
@@ -433,10 +436,10 @@ def compensated_sums(segments) -> list:
     for width in set(widths):
         group = [i for i, w in enumerate(widths) if w == width]
         rows = [0, *accumulate(-(-segments[i].size // width) for i in group)]
-        chunks = np.zeros((rows[-1], width))
+        chunks = np.zeros(rows[-1] * width)
         for i, r in zip(group, rows):
-            chunks.reshape(-1)[r * width:r * width + segments[i].size] = segments[i]
-        partials = chunks.sum(axis=1).tolist()
+            chunks[r * width:r * width + segments[i].size] = segments[i]
+        partials = chunks.reshape(-1, width).sum(axis=1).tolist()
         for i, r0, r1 in zip(group, rows, rows[1:]):
             out[i] = math.fsum(partials[r0:r1])
     return out
@@ -524,21 +527,34 @@ def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float, geometry,
     ``log_from`` set, radii are Gauss-Legendre in log r on (log_from, r_max)
     with the extra 1/r folded into the weights.  theta runs over the
     directions of ``geometry`` (:func:`_directions`), so h must have the
-    symmetry the geometry states.
+    symmetry the geometry states.  The one-grid case of :func:`_trace_grids`.
     """
-    n = params.n
-    if log_from is None:
-        r, wr = gauss_legendre(0.0, r_max, spec.radial_nodes)
-        wr = wr * r ** (n - 3)
-    else:
-        u, wu = gauss_legendre(math.log(log_from), math.log(r_max), spec.radial_nodes)
-        r = np.exp(u)
-        wr = wu * r ** (n - 2)  # du = dr/r
-    xi, w_xi = _directions(n, geometry, spec.angular_nodes, r.size, "trace grid")
-    pts = np.empty((r.size, w_xi.size, n))
-    pts[..., :-1] = r[:, None, None] * xi
-    pts[..., -1] = (params.lam * r)[:, None]
-    return pts.reshape(-1, n), (wr[:, None] * w_xi).ravel(), np.repeat(r, w_xi.size)
+    pts, weights, r = _trace_grids(params, spec, [geometry], [(log_from or 0.0, r_max)])[0]
+    return pts, weights, np.repeat(r, weights.size // r.size)
+
+
+def _trace_grids(params: ConeParams, spec: QuadratureSpec, geoms, spans) -> list:
+    """(pts, weights, radii rule) of the :func:`trace_grid` of each of ``geoms``
+    on its (lo, r_max) in ``spans``, logarithmic when lo > 0; the radii of
+    each kind of grid from one column call of :func:`gauss_legendre`."""
+    n, rules = params.n, {}
+    for log in {lo > 0.0 for lo, _ in spans}:
+        index = [i for i, (lo, _) in enumerate(spans) if (lo > 0.0) == log]
+        ends = [[math.log(x) for x in spans[i]] if log else spans[i] for i in index]
+        # one grid takes its ends as floats, the cheaper case of the same arithmetic
+        u, wu = gauss_legendre(*(np.array(ends).T[..., None] if len(ends) > 1 else ends[0]),
+                               spec.radial_nodes)
+        r = np.exp(u) if log else u
+        wr = wu * r ** (n - 2 if log else n - 3)  # in log r, du = dr/r
+        rules.update(zip(index, zip(r.reshape(len(index), -1), wr.reshape(len(index), -1))))
+    grids = []
+    for geom, (r, wr) in zip(geoms, map(rules.get, range(len(spans)))):
+        xi, w_xi = _directions(n, geom, spec.angular_nodes, r.size, "trace grid")
+        pts = np.empty((r.size, w_xi.size, n))
+        pts[..., :-1] = r[:, None, None] * xi
+        pts[..., -1] = (params.lam * r)[:, None]
+        grids.append((pts.reshape(-1, n), (wr[:, None] * w_xi).ravel(), r))
+    return grids
 
 
 def boundary_integral(params: ConeParams, f: TrialFunction,
@@ -552,23 +568,44 @@ def boundary_integral(params: ConeParams, f: TrialFunction,
     Regular for n >= 3.  For n = 2 it is finite only when f vanishes at the
     vertex; a nonzero vertex value without a positive ``epsilon_cutoff``
     raises :class:`DivergentBoundaryIntegral` -- the instability signature,
-    reported explicitly rather than returned as a huge number.
+    reported explicitly rather than returned as a huge number.  The
+    one-field case of :func:`boundary_integrals`.
     """
-    r_min, r_max = trace_span(params, f)
-    cutoff = spec.epsilon_cutoff
-    if params.n == 2 and cutoff == 0.0 and f.value_at_vertex != 0.0:
+    value = boundary_integrals(params, [f], spec)[0]
+    if value is None:
         raise DivergentBoundaryIntegral(
             "trace integral diverges: two-dimensional slice with nonzero "
             f"vertex value {f.value_at_vertex}; set epsilon_cutoff > 0 to regularize",
             vertex_value=f.value_at_vertex)
-    lower = max(cutoff, r_min)
-    if lower >= r_max:
-        return 0.0
-    pts, weights, _ = trace_grid(params, spec, r_max, f.geometry, log_from=lower or None)
-    vals = f.evaluator(pts) ** 2
-    if not np.isfinite(vals).all():
-        raise QuadratureError("trace integrand produced non-finite values")
-    return compensated_sum(vals * weights)
+    return value
+
+
+def boundary_integrals(params: ConeParams, fields, spec: QuadratureSpec) -> list:
+    """The :func:`boundary_integral` of each of ``fields``, None where it
+    diverges: the grids of non-empty ranges built together (:func:`_trace_grids`),
+    each field evaluated once on its own, all reduced by one :func:`compensated_sums`."""
+    cutoff, out, index, spans = spec.epsilon_cutoff, [], [], []
+    for f in fields:
+        if params.n == 2 and cutoff == 0.0 and f.value_at_vertex != 0.0:
+            out.append(None)
+            continue
+        r_min, r_max = trace_span(params, f)
+        if max(cutoff, r_min) < r_max:
+            index.append(len(out))
+            spans.append((max(cutoff, r_min), r_max))
+        out.append(0.0)
+    if not index:
+        return out
+    terms = []
+    for i, (pts, weights, _) in zip(index, _trace_grids(
+            params, spec, [fields[i].geometry for i in index], spans)):
+        vals = fields[i].evaluator(pts) ** 2
+        if not np.isfinite(vals).all():
+            raise QuadratureError("trace integrand produced non-finite values")
+        terms.append(vals * weights)
+    for i, value in zip(index, compensated_sums(terms)):
+        out[i] = value
+    return out
 
 
 # -- lower-right derivative estimates -----------------------------------------
@@ -600,17 +637,6 @@ class LiminfEstimate:
         object.__setattr__(self, "quotients", q)
 
 
-def _richardson_tail(quotients: np.ndarray) -> float:
-    """Richardson table on the last four quotients (step ratio 2, integer
-    error orders starting at 1)."""
-    tail = list(quotients[-4:])
-    for level in range(1, len(tail)):
-        factor = 2.0 ** level
-        tail = [(factor * tail[i + 1] - tail[i]) / (factor - 1.0)
-                for i in range(len(tail) - 1)]
-    return float(tail[0])
-
-
 def _dyadic_ladder(t0: float, levels: int, squared: bool = False) -> np.ndarray:
     """The parameters t0 * 2^-k, k < ``levels``, of :func:`liminf_quotient`
     (t0^2 * 2^-k if ``squared``), after its checks on ``t0`` and ``levels``."""
@@ -630,26 +656,34 @@ def _dyadic_ladder(t0: float, levels: int, squared: bool = False) -> np.ndarray:
 def liminf_quotient(parameters, f0: float, values) -> LiminfEstimate:
     """Difference quotients (F(t) - F(0)) / t from F(0) = ``f0`` and the
     ``values`` F(t) at the ``parameters`` t, a dyadic sequence t0 * 2^-k
-    (:func:`_dyadic_ladder`).
+    (:func:`_dyadic_ladder`); the one-ladder case of :func:`liminf_quotients`.
 
     A second variation is the quotient of F(sqrt(s)) in s = t^2.  The
     convergence flag requires the last three quotients to agree within
     1e-3 relative to max(1, |tail|), so sequences decaying to zero also
-    register as converged once they are absolutely small.
+    register as converged once they are absolutely small.  The limit is a
+    Richardson table on the last four quotients (step ratio 2, integer
+    error orders starting at 1).
     """
+    return liminf_quotients([parameters], [f0], [values])[0]
+
+
+def liminf_quotients(parameters, f0, values) -> list:
+    """The :func:`liminf_quotient` of each row of ``parameters`` (ladders of
+    one length), its F(0) in ``f0`` and its row of ``values``: quotients,
+    tails and Richardson tables of all ladders in one array pass."""
     ts, ft = np.asarray(parameters, dtype=float), np.asarray(values, dtype=float)
     if ft.shape != ts.shape:
         raise ValueError(f"{ft.size} values for {ts.size} parameters")
     if not np.all(np.isfinite(ft)):
         raise QuadratureError(f"non-finite evaluation at parameter {ts[~np.isfinite(ft)][0]}")
-    quotients = (ft - float(f0)) / ts
-    tail = quotients[-3:]
-    scale = max(1.0, float(np.max(np.abs(tail))))
-    converged = bool(np.max(tail) - np.min(tail) <= 1e-3 * scale)
-    return LiminfEstimate(
-        parameters=ts,
-        quotients=quotients,
-        extrapolated=_richardson_tail(quotients),
-        converged=converged,
-        tail_min=float(np.min(tail)),
-    )
+    quotients = (ft - np.asarray(f0, dtype=float)[:, None]) / ts
+    tail, table = quotients[:, -3:], quotients[:, -4:]
+    low = np.min(tail, axis=1)
+    converged = np.max(tail, axis=1) - low <= 1e-3 * np.maximum(1.0, np.max(np.abs(tail), axis=1))
+    for level in range(1, table.shape[1]):
+        factor = 2.0 ** level
+        table = (factor * table[:, 1:] - table[:, :-1]) / (factor - 1.0)
+    return [LiminfEstimate(parameters=p, quotients=q, extrapolated=x, converged=c, tail_min=m)
+            for p, q, x, c, m in zip(ts, quotients, table[:, 0].tolist(), converged.tolist(),
+                                     low.tolist())]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ConeParams, _sumsq
-from .quadrature import QuadratureSpec, boundary_integral, compensated_sums, support_samples
+from .quadrature import QuadratureSpec, boundary_integrals, compensated_sums, support_samples
 from .trial import TrialFunction, make_boundary_bump
 from .variation import _energies, cutoff_ladder, dirichlet_energy
 
@@ -137,15 +137,16 @@ def shear_transform_check(params: ConeParams, f: TrialFunction,
 
 def _shear_checks(params: ConeParams, fields, spec: QuadratureSpec) -> list:
     """:func:`shear_transform_check` of each of ``fields`` (n >= 3) from one
-    :func:`support_samples` call, with E_f and E_g each one reduction."""
+    :func:`support_samples` call, with E_f and E_g each one reduction, and
+    one :func:`boundary_integrals` pass."""
     samples = support_samples(params, fields, spec)
     # g(x) = f(x', x_n + lam*|x'|).  The shear has unit Jacobian, so E_g is the
     # slice integral of |grad g|^2 at the sheared points, on f's own nodes; the
     # axis partial of f leaks into the in-plane gradient along the radial direction.
     sheared = [w * (_sumsq(gv[:, :-1] + params.lam * gv[:, -1:] * (pts[:, :-1] / r[:, None]))
                     + gv[:, -1] ** 2) for pts, w, r, gv, _ in samples]
-    return [(energy_f, energy_g, boundary_integral(params, f, spec)) for f, energy_f, energy_g
-            in zip(fields, _energies(samples), compensated_sums(sheared))]
+    return list(zip(_energies(samples), compensated_sums(sheared),
+                    boundary_integrals(params, fields, spec)))
 
 
 def instability_witness_n2(params: ConeParams, epsilons,
@@ -200,8 +201,8 @@ def stability_sweep(params: ConeParams, battery, spec: QuadratureSpec) -> Stabil
     if not battery:
         return StabilityVerdict(regime=INCONCLUSIVE, detail="empty battery")
     margins, witness, witness_margin = [], None, math.inf
-    for f, energy in zip(battery, _energies(support_samples(params, battery, spec))):
-        trace = boundary_integral(params, f, spec)
+    for f, energy, trace in zip(battery, _energies(support_samples(params, battery, spec)),
+                                boundary_integrals(params, battery, spec)):
         margin = energy - params.lam * trace
         margins.append(margin)
         # robustness floor: ten times a crude absolute quadrature error proxy

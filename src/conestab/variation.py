@@ -12,24 +12,27 @@ slice with a nonzero vertex value the trace integral diverges; for lam > 0
 the closed form is then reported as -inf together with a fitted
 log-divergence certificate instead of a bare sentinel.
 
-A variation report evaluates the area at every distinct time of its two
-quotient ladders in one vectorised pass: the times form a column against
-the row of per-node scalars, built from the field's support sample, which
-the report builds once and also reads for the Dirichlet energy.
+The reports of a battery (``_variation_reports``, which ``variation_report``
+and the CLI call) read one support sample per field and make one pass each
+for the energies, the areas at every distinct time of every field's two
+ladders (:func:`_battery_areas`), the quotients and the traces, each pass
+with one segmented reduction; ``area`` is the one-field, one-t case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate, groupby
+from operator import itemgetter
 
 import numpy as np
 
 from .domain import ConeParams, _dot, _sumsq
-from .errors import DivergentBoundaryIntegral, JacobianPositivityError, QuadratureError
+from .errors import JacobianPositivityError, QuadratureError
 from .jacobian import _distortion_squared
 from .quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder, boundary_integral,
-                         compensated_sum, compensated_sums, liminf_quotient, support_sample,
+                         boundary_integrals, compensated_sums, liminf_quotients, support_sample,
                          support_samples)
 from .trial import TrialFunction
 
@@ -46,8 +49,8 @@ __all__ = [
 DEFAULT_LEVELS = 8
 # Trace cutoffs of the two-dimensional divergence ladder, largest first.
 DEFAULT_CUTOFFS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-# Most elements of one t-by-node array of _areas, unless a single t at every
-# node is more: bounds the memory of a ladder at any number of levels.
+# Most elements of one block of _battery_areas rows, unless a single row is
+# more: bounds the memory of a battery's ladders at any number of levels.
 _BLOCK_ELEMENTS = 2 ** 20
 
 
@@ -100,46 +103,70 @@ def area(params: ConeParams, f: TrialFunction, t: float, spec: QuadratureSpec) -
 
 
 def _areas(params: ConeParams, sample, ts) -> list:
-    """Deformed areas at the times ``ts``, in order, on a field's support ``sample``.
+    """Deformed areas at the times ``ts``, in order, on a field's support
+    ``sample``: the one-field case of :func:`_battery_areas`."""
+    return _battery_areas(params, [sample], [ts])[0]
 
-    As :func:`area`: the nonzero t are evaluated together, each t a row
-    against the node columns, in blocks of at most max(N, _BLOCK_ELEMENTS)
-    elements for N nodes; each row is reduced by ``compensated_sum``.  The
-    checks run in the order of ``ts``: the first t whose squared distortion
-    factor is <= 0 somewhere, or whose area is not finite, raises.
-    """
-    pts, weights, r, grads, fv = sample
-    out = [compensated_sum(weights)] * len(ts)
-    if weights.size == 0:
-        return out
+
+def _battery_areas(params: ConeParams, samples, times) -> list:
+    """The deformed areas of each field at its ``times``, in order, on its
+    support sample in ``samples``, as :func:`area`, all fields in one pass.
+
+    The per-node scalars of all fields are concatenated once.  The rows
+    (field, nonzero t), in field and then ladder order, go in blocks of at
+    most max(N, _BLOCK_ELEMENTS) elements, N a row's nodes; in a block each
+    field's times form rows against its own nodes, and one ``compensated_sums``
+    reduces all its rows (the first also each field's area at t = 0).  The
+    first row whose squared distortion factor is <= 0 somewhere, or whose
+    area is not finite, raises."""
+    pts, weights, r, grads, fv = (np.concatenate(a) for a in zip(*samples))
     # per-node scalars, primes dropping the axis component; r = |x'| > 0
     # since the nodes lie strictly off the axis
-    xp, gp, gn = pts[:, :-1], grads[:, :-1], grads[:, -1]
-    r2, inv_r, p, q = r * r, 1.0 / r, _sumsq(gp), _dot(xp, gp)
-    lam = params.lam
-    nonzero = [i for i, t in enumerate(ts) if t != 0.0]
-    rows = max(1, _BLOCK_ELEMENTS // weights.size)
-    for start in range(0, len(nonzero), rows):
-        block = nonzero[start:start + rows]
-        t = np.array([float(ts[i]) for i in block])[:, None]
-        inv_s = 1.0 / np.sqrt(r2 + (t * fv) ** 2)
-        c = (t * t) * fv * inv_s
-        d = inv_s - inv_r
-        an = lam * c * gn
-        bn = t * gn
-        sa2 = (lam * lam) * (c * c * p + 2.0 * c * d * q + d * d * r2)
-        sb2 = (t * t) * p
-        sab = (lam * t) * (c * p + d * q)
-        j2 = _distortion_squared(an, bn, sa2, sb2, sab)
-        worst = np.min(j2, axis=1)
-        bad = np.flatnonzero(worst <= 0.0)
-        stop = bad[0] if bad.size else len(block)
-        for i, row in zip(block, weights * np.sqrt(j2[:stop])):
-            out[i] = compensated_sum(row)
-            if not math.isfinite(out[i]):
-                raise QuadratureError(f"non-finite evaluation: area {out[i]} at t={ts[i]}")
-        if bad.size:
-            at, value = float(ts[block[stop]]), float(worst[stop])
+    xp, gp = pts[:, :-1], grads[:, :-1]
+    scalars = np.stack([r * r, 1.0 / r, _sumsq(gp), _dot(xp, gp), fv, grads[:, -1], weights])
+    sizes = [s[1].size for s in samples]
+    ends = list(accumulate(sizes))
+    rows = [(i, k) for i, ts in enumerate(times) if sizes[i] for k, t in enumerate(ts) if t != 0.0]
+    bounds, elements = [0], 0
+    for j, (i, _) in enumerate(rows):
+        if j > bounds[-1] and elements + sizes[i] > _BLOCK_ELEMENTS:
+            bounds.append(j)
+            elements = 0
+        elements += sizes[i]
+    heads, lam = [weights[e - k:e] for e, k in zip(ends, sizes)], params.lam
+    for start, stop in zip(bounds, bounds[1:] + [len(rows)]):
+        done, areas, failure = [], [], None
+        for i, run in groupby(rows[start:stop], key=itemgetter(0)):
+            ks = [k for _, k in run]
+            r2, inv_r, p, q, f, gn, w = scalars[:, ends[i] - sizes[i]:ends[i]]
+            t = np.array([float(times[i][k]) for k in ks])[:, None]
+            inv_s = 1.0 / np.sqrt(r2 + (t * f) ** 2)
+            c = (t * t) * f * inv_s
+            d = inv_s - inv_r
+            an = lam * c * gn
+            bn = t * gn
+            sa2 = (lam * lam) * (c * c * p + 2.0 * c * d * q + d * d * r2)
+            sb2 = (t * t) * p
+            sab = (lam * t) * (c * p + d * q)
+            j2 = _distortion_squared(an, bn, sa2, sb2, sab)
+            worst = np.min(j2, axis=1)
+            bad = np.flatnonzero(worst <= 0.0)
+            good = bad[0] if bad.size else len(ks)
+            done += [(i, k) for k in ks[:good]]
+            areas.extend(w * np.sqrt(j2[:good]))
+            if bad.size:
+                failure = float(times[i][ks[good]]), float(worst[good])
+                break
+        sums = compensated_sums(heads + areas)
+        if heads:  # the first block: every area starts as the field's area at t = 0
+            out = [[value] * len(ts) for value, ts in zip(sums, times)]
+            heads, sums = [], sums[len(samples):]
+        for (i, k), value in zip(done, sums):
+            out[i][k] = value
+            if not math.isfinite(value):
+                raise QuadratureError(f"non-finite evaluation: area {value} at t={times[i][k]}")
+        if failure:
+            at, value = failure
             raise JacobianPositivityError(
                 f"squared distortion factor reached {value} at t={at}; "
                 "deformation too large for this field", t=at, worst_value=value)
@@ -174,21 +201,22 @@ def cutoff_ladder(params: ConeParams, f: TrialFunction, energy: float,
 def second_variation_closed_form(params: ConeParams, f: TrialFunction,
                                  spec: QuadratureSpec) -> VariationReport:
     """Closed-form second-variation fields only (no finite differences)."""
-    return _closed_form(params, f, dirichlet_energy(params, f, spec), spec)
+    return _closed_form(params, f, dirichlet_energy(params, f, spec),
+                        boundary_integrals(params, [f], spec)[0], spec)
 
 
-def _closed_form(params: ConeParams, f: TrialFunction, diri: float, spec: QuadratureSpec):
-    """:func:`second_variation_closed_form` from f's Dirichlet energy ``diri``."""
+def _closed_form(params: ConeParams, f: TrialFunction, diri: float, trace, spec: QuadratureSpec):
+    """:func:`second_variation_closed_form` from f's Dirichlet energy ``diri``
+    and its trace integral ``trace``, None where that diverges."""
     cert = None
-    try:
-        boundary_term = -0.5 * params.lam * boundary_integral(params, f, spec)
-    except DivergentBoundaryIntegral:
-        if params.lam == 0.0:
-            boundary_term = -0.0  # -0.5 * lam * T at lam = 0, as at every n >= 3
-        else:
-            # divergent verdict with the fitted log slope as evidence
-            cert = cutoff_ladder(params, f, diri, spec)
-            boundary_term = float("-inf")
+    if trace is not None:
+        boundary_term = -0.5 * params.lam * trace
+    elif params.lam == 0.0:
+        boundary_term = -0.0  # -0.5 * lam * T at lam = 0, as at every n >= 3
+    else:
+        # divergent verdict with the fitted log slope as evidence
+        cert = cutoff_ladder(params, f, diri, spec)
+        boundary_term = float("-inf")
     closed = 0.5 * diri + boundary_term
     return VariationReport(first_variation=None, second_variation_fd=None,
                            closed_form=closed, dirichlet_term=0.5 * diri,
@@ -218,21 +246,32 @@ def variation_report(params: ConeParams, f: TrialFunction, t0: float | None = No
 
 
 def _variation_reports(params: ConeParams, fields, t0, levels: int, spec) -> list:
-    """:func:`variation_report` of each of ``fields``: all ladder checks first,
-    then one :func:`support_samples` call and one reduction of the energies."""
+    """:func:`variation_report` of each of ``fields``: all ladder checks, then
+    one :func:`support_samples` call and one pass each for the energies, the
+    areas, the quotients and the traces."""
     spec = spec if spec is not None else QuadratureSpec()
-    ladders = [(_dyadic_ladder(t, levels), _dyadic_ladder(t, levels, squared=True))
-               for t in (float(t0) if t0 is not None else default_t0(f) for f in fields)]
+    pairs = []  # the t-ladder and the s = t^2 ladder of each field
+    for f in fields:
+        start = float(t0) if t0 is not None else default_t0(f)
+        if t0 is None and not start > 0.0:  # 0.1 * radius / (1 + Lipschitz bound) underflowed
+            raise QuadratureError(f"the default t0 of field {f.label!r}, 0.1 * radius / "
+                                  f"(1 + Lipschitz bound), underflows to {start}; set t0")
+        pairs.append((_dyadic_ladder(start, levels), _dyadic_ladder(start, levels, squared=True)))
     samples = support_samples(params, fields, spec)
+    times = [list(dict.fromkeys([0.0, *steps.tolist(), *map(math.sqrt, squares.tolist())]))
+             for steps, squares in pairs]
+    areas = [dict(zip(ts, a)) for ts, a in zip(times, _battery_areas(params, samples, times))]
+    estimates = liminf_quotients(
+        [ladder for pair in pairs for ladder in pair], [a[0.0] for a in areas for _ in (0, 1)],
+        [values for a, (steps, squares) in zip(areas, pairs)
+         for values in ([a[t] for t in steps], [a[math.sqrt(s)] for s in squares])])
     reports = []
-    for f, sample, energy, (steps, squares) in zip(fields, samples, _energies(samples), ladders):
-        times = dict.fromkeys([0.0, *steps.tolist(), *map(math.sqrt, squares.tolist())])
-        area_at = dict(zip(times, _areas(params, sample, list(times))))
-        first = liminf_quotient(steps, area_at[0.0], [area_at[t] for t in steps])
-        second = liminf_quotient(squares, area_at[0.0], [area_at[math.sqrt(s)] for s in squares])
-        closed = _closed_form(params, f, energy, spec)
+    for f, energy, trace, a, first, second in zip(
+            fields, _energies(samples), boundary_integrals(params, fields, spec), areas,
+            estimates[::2], estimates[1::2]):
+        closed = _closed_form(params, f, energy, trace, spec)
         discrepancy = (abs(second.extrapolated - closed.closed_form)
                        if closed.divergence is None else closed.discrepancy)
         reports.append(replace(closed, first_variation=first, second_variation_fd=second,
-                               discrepancy=discrepancy, reference_area=area_at[0.0]))
+                               discrepancy=discrepancy, reference_area=a[0.0]))
     return reports

@@ -280,7 +280,7 @@ def test_underflowing_ladder_exits_before_any_area(flags, message, monkeypatch, 
     message names the ladder that failed and quotes the t0 given: at
     t0 = 2.3e-162 the s-ladder starts at the subnormal 5e-324."""
     batches = []
-    monkeypatch.setattr(variation, "_areas", lambda *args: batches.append(args))
+    monkeypatch.setattr(variation, "_battery_areas", lambda *args: batches.append(args))
     assert run(["variation", *flags]) == EXIT_QUADRATURE
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["code"] == EXIT_QUADRATURE and err["message"].startswith(message)
@@ -465,3 +465,67 @@ def test_unwritable_out_fails_before_computing(tmp_path, capsys, monkeypatch, ar
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["code"] == EXIT_CONFIG
     assert "cannot write report" in err["error"]["message"]
+
+
+def test_underflowing_default_t0_exits_3_naming_the_field(tmp_path, monkeypatch, capsys):
+    """A field whose default t0 = 0.1 * radius / (1 + Lipschitz bound)
+    underflows to 0.0 exits 3 with the JSON error line naming the field,
+    before any area is evaluated; it used to exit 1 with a traceback."""
+    batches = []
+    monkeypatch.setattr(variation, "_battery_areas", lambda *args: batches.append(args))
+    cfg = write_config(tmp_path, trial_functions=[
+        {"id": "interior", "kind": "radial_bump", "center": [0, 0, 2.0], "radius": 0.8},
+        {"id": "tiny", "kind": "radial_bump", "center": 1.0, "radius": 1e-200}])
+    assert run(["variation", "--config", cfg]) == EXIT_QUADRATURE
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert err["code"] == EXIT_QUADRATURE and captured.err == ""
+    assert err["message"].startswith("the default t0 of field 'tiny', ")
+    assert err["message"].endswith("underflows to 0.0; set t0")
+    assert batches == []
+
+
+@pytest.mark.parametrize("command", ["variation", "sweep", "witness-n2"])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_lambda_with_an_infinite_square_exits_2(tmp_path, capsys, command, where):
+    """lambda = 1e300 is finite but its square is not; the rules read
+    lambda^2, so it used to exit 1 with an OverflowError.  It is refused
+    when the config is loaded, from the file and from --lambda alike."""
+    cfg = write_config(tmp_path, **({"lambda": 1e300} if where == "config" else {}))
+    flags = ["--lambda", "1e300"] if where == "flag" else []
+    assert run([command, "--config", cfg, *flags]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"code": EXIT_CONFIG, "message": "lambda must have a finite square, got 1e+300"}
+
+
+_COMMON_OPTIONS = {"config": None, "n": None, "lambda": None, "t0": None, "levels": None,
+                   "seed": None, "format": None, "out": None, "epsilon_cutoff": None}
+_SUBCOMMAND_OPTIONS = {
+    "threshold": {"n_min": 3, "n_max": 8, "format": "json", "out": None},
+    "variation": _COMMON_OPTIONS, "sweep": _COMMON_OPTIONS, "witness-n2": _COMMON_OPTIONS,
+    "verify": _COMMON_OPTIONS,
+}
+
+
+@pytest.mark.parametrize("argv", [[], *([c] for c in _SUBCOMMAND_OPTIONS)],
+                         ids=["conestab", *_SUBCOMMAND_OPTIONS])
+def test_help_exits_0_and_lists_the_options(argv, capsys):
+    """--help exits 0, for the program and each subcommand, and names every
+    option of the subcommand (or every subcommand)."""
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    names = _SUBCOMMAND_OPTIONS[argv[0]] if argv else _SUBCOMMAND_OPTIONS
+    for name in names:
+        assert (f"--{name.replace('_', '-')}" if argv else name) in text
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMAND_OPTIONS))
+def test_subcommand_options_and_defaults(command):
+    """Each subcommand's option dests and defaults, as parsed with no flag."""
+    args = vars(cli.build_parser().parse_args([command]))
+    func = args.pop("func")
+    assert args.pop("command") == command
+    assert func is getattr(cli, "cmd_" + command.replace("-", "_"))
+    assert args == _SUBCOMMAND_OPTIONS[command]

@@ -13,9 +13,10 @@ from conestab import quadrature
 from conestab.domain import ConeParams
 from conestab.errors import DivergentBoundaryIntegral, QuadratureError
 from conestab.quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder,
-                                 boundary_integral, compensated_sum, compensated_sums,
-                                 gauss_legendre, integrate_sigma, liminf_quotient, sigma_grid,
-                                 sphere_grid, support_sample, support_samples)
+                                 boundary_integral, boundary_integrals, compensated_sum,
+                                 compensated_sums, gauss_legendre, integrate_sigma,
+                                 liminf_quotient, liminf_quotients, sigma_grid, sphere_grid,
+                                 support_sample, support_samples)
 from conestab.stability import lambda_star, shear_transform_check, stability_sweep
 from conestab.trial import (Geometry, TrialFunction, battery_descriptors, build_trial,
                             make_boundary_bump, make_radial_bump, make_tensor_bump, scaled,
@@ -631,7 +632,49 @@ def test_a_trace_that_misses_the_cone_reads_no_grid(monkeypatch):
 
     f = dataclasses.replace(build_trial(box_b, n), evaluator=refuse)
     monkeypatch.setattr(quadrature, "trace_grid", refuse)
+    monkeypatch.setattr(quadrature, "_trace_grids", refuse)
     assert boundary_integral(params, f, MARGIN_SPECS[n]) == 0.0
+
+
+def one_trace(params, f, spec):
+    """boundary_integral of f, None where it diverges."""
+    try:
+        return boundary_integral(params, f, spec)
+    except DivergentBoundaryIntegral:
+        return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_battery_traces_equal_one_call_per_field(n):
+    """The traces of a battery from one boundary_integrals pass equal one
+    boundary_integral per field bit for bit, with None where that raises
+    DivergentBoundaryIntegral: the battery and ball copies of its radial
+    members, so that empty spans, linear and logarithmic grids mix in one
+    call, at lam in {0, lam*/2, lam*, 2 lam*, 1, 3} (n = 2: 0.5, 1, 3), with
+    no cutoff and with cutoffs 1e-4 and 0.5.  At n = 2 the vertex fields
+    diverge without a cutoff, each on its own."""
+    spec = MARGIN_SPECS.get(n, QuadratureSpec(24, 6, 24, 3.1))
+    battery = standard_battery(n)
+    battery += [dataclasses.replace(f, geometry=Geometry(
+        "ball", f.geometry.center, f.geometry.radius)) for f in battery
+        if f.geometry.shape == "radial"]
+    lams = (0.5, 1.0, 3.0)
+    if n > 2:
+        star = lambda_star(n).lambda_star
+        lams = (0.0, 0.5 * star, star, 2.0 * star, 1.0, 3.0)
+    seen = set()
+    for lam in lams:
+        params = ConeParams(n, lam)
+        for cutoff in (0.0, 1e-4, 0.5):
+            cut = dataclasses.replace(spec, epsilon_cutoff=cutoff)
+            want = [one_trace(params, f, cut) for f in battery]
+            got = boundary_integrals(params, battery, cut)
+            assert [np.float64(v).tobytes() if v is not None else v for v in got] == \
+                [np.float64(v).tobytes() if v is not None else v for v in want], (lam, cutoff)
+            seen |= {"empty" if v == 0.0 else "divergent" if v is None else "value"
+                     for v in got}
+    assert seen == ({"empty", "divergent", "value"} if n == 2 else {"empty", "value"})
+    assert boundary_integrals(ConeParams(n, 1.0), [], spec) == []
 
 
 def test_divergent_trace_is_signalled():
@@ -824,3 +867,42 @@ def test_estimate_invariants_enforced():
         LiminfEstimate(parameters=np.array([1.0, 2.0, 3.0]),
                        quotients=np.zeros(3), extrapolated=0.0,
                        converged=True, tail_min=0.0)
+
+
+@given(st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(-2.0, 2.0), st.floats(-3.0, 3.0),
+                          st.floats(-1.0, 1.0)), min_size=1, max_size=6),
+       st.integers(3, 14), st.booleans())
+def test_batched_quotients_equal_one_call_per_ladder(ladders, levels, squared):
+    """liminf_quotients over ladders of one length gives, ladder by ladder,
+    the LiminfEstimate of liminf_quotient bit for bit: parameters, quotients,
+    the Richardson limit, the convergence flag and the tail minimum."""
+    params, f0s, values = [], [], []
+    for t0, a, b, f0 in ladders:
+        ts = _dyadic_ladder(t0, levels, squared=squared)
+        params.append(ts)
+        f0s.append(f0)
+        values.append(f0 + a * ts + b * ts * ts * np.sin(1.0 / ts))
+    got = liminf_quotients(params, f0s, values)
+    want = [liminf_quotient(p, f0, v) for p, f0, v in zip(params, f0s, values)]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.parameters.tobytes() == w.parameters.tobytes()
+        assert g.quotients.tobytes() == w.quotients.tobytes()
+        assert np.float64(g.extrapolated).tobytes() == np.float64(w.extrapolated).tobytes()
+        assert (g.converged, np.float64(g.tail_min).tobytes()) == \
+            (w.converged, np.float64(w.tail_min).tobytes())
+        assert type(g.extrapolated) is float and type(g.converged) is bool
+
+
+def test_batched_quotients_check_their_ladders():
+    """The batch refuses what one ladder refuses: a values array of another
+    shape, a non-finite value (named by the first such parameter, ladder
+    by ladder), and a ladder that is not strictly decreasing and positive."""
+    ts = [_dyadic_ladder(0.1, 5), _dyadic_ladder(0.3, 5)]
+    with pytest.raises(ValueError, match="8 values for 10 parameters"):
+        liminf_quotients(ts, [0.0, 0.0], [ts[0][:4], ts[1][:4]])
+    bad = [ts[0], np.where(ts[1] < 0.05, np.nan, ts[1])]
+    with pytest.raises(QuadratureError, match=f"at parameter {ts[1][3]}"):
+        liminf_quotients(ts, [0.0, 0.0], bad)
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        liminf_quotients([ts[0], ts[1][::-1]], [0.0, 0.0], ts)

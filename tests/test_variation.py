@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 from conftest import oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from unittest import mock
 
 import conestab.variation
 from conestab.cli import _jsonable
@@ -13,12 +16,14 @@ from conestab.domain import ConeParams
 from conestab.errors import JacobianPositivityError, QuadratureError
 from conestab.flow import flow_coefficients_batch
 from conestab.jacobian import jacobian_closed_form
-from conestab.quadrature import (QuadratureSpec, _slice_rules, boundary_integral,
-                                 compensated_sum, support_sample)
+from conestab.quadrature import (QuadratureSpec, _dyadic_ladder, _slice_rules,
+                                 boundary_integral, compensated_sum, support_sample,
+                                 support_samples)
 from conestab.stability import lambda_star, shear_transform_check
 from conestab.trial import (battery_descriptors, build_trial, make_boundary_bump,
                             make_radial_bump, make_shifted_bump, scaled, standard_battery)
-from conestab.variation import (DEFAULT_LEVELS, _areas, _variation_reports, area, default_t0,
+from conestab.variation import (DEFAULT_LEVELS, _areas, _battery_areas, _variation_reports,
+                                area, default_t0,
                                 dirichlet_energy, second_variation_closed_form,
                                 variation_report)
 
@@ -170,13 +175,13 @@ def test_report_evaluates_each_area_once(monkeypatch):
     params = ConeParams(3, 0.2)
     f = make_radial_bump([0.0, 0.0, 1.5], 0.6, 3)
     batches = []
-    batch = conestab.variation._areas
+    batch = conestab.variation._battery_areas
 
-    def counted(p, sample, ts):
-        batches.append(list(ts))
-        return batch(p, sample, ts)
+    def counted(p, samples, times):
+        batches.append([t for ts in times for t in ts])
+        return batch(p, samples, times)
 
-    monkeypatch.setattr(conestab.variation, "_areas", counted)
+    monkeypatch.setattr(conestab.variation, "_battery_areas", counted)
     rep = variation_report(params, f, levels=8, spec=SPEC3)
     monkeypatch.undo()
     assert len(batches) == 1
@@ -395,3 +400,116 @@ def test_positivity_abort_names_the_first_failing_t(rows, monkeypatch):
     with pytest.raises(QuadratureError, match="non-finite evaluation") as err:
         variation_report(params, f, spec=SPEC3)
     assert not isinstance(err.value, JacobianPositivityError)
+
+
+def _report_times(t0, levels):
+    """t = 0 and the distinct times of a report's two ladders from t0."""
+    squares = _dyadic_ladder(t0, levels, squared=True).tolist()
+    return list(dict.fromkeys([0.0, *_dyadic_ladder(t0, levels).tolist(),
+                               *map(math.sqrt, squares)]))
+
+
+@settings(max_examples=40)
+@given(st.lists(st.tuples(st.sampled_from(battery_descriptors(20)), st.floats(0.05, 1.5)),
+                min_size=1, max_size=5),
+       st.integers(3, 14), st.sampled_from([1, 5, None]))
+def test_battery_areas_equal_per_field_area(members, levels, rows):
+    """The areas of a drawn battery, whose fields differ in node counts and
+    t0, at 3-14 levels, from one _battery_areas call, equal one _areas call
+    per field on its own sample bit for bit, and one public area call per
+    (field, t) at every fourth t.  With _BLOCK_ELEMENTS at 1 every block is
+    one row, at 5 rows of the smallest field's nodes blocks mix fields, and
+    at None all rows share one block; each block holds at most
+    max(_BLOCK_ELEMENTS, its largest row) elements, summed over its fields."""
+    params, spec = ConeParams(3, 0.2), QuadratureSpec(16, 4, 16, 3.1)
+    fields = [build_trial(desc, 3) for desc, _ in members]
+    times = [_report_times(scale * default_t0(f), levels)
+             for f, (_, scale) in zip(fields, members)]
+    samples = support_samples(params, fields, spec)
+    sizes = [s[1].size for s in samples]
+    block = {1: 1, 5: 5 * max(1, min(sizes)), None: 2 ** 62}[rows]
+    events, real_j2, real_sums = [], conestab.variation._distortion_squared, \
+        conestab.variation.compensated_sums
+
+    def j2(*args):
+        out = real_j2(*args)
+        events.append(out.shape)
+        return out
+
+    def sums(segments):
+        events.append(None)
+        return real_sums(segments)
+
+    with mock.patch.object(conestab.variation, "_BLOCK_ELEMENTS", block), \
+            mock.patch.object(conestab.variation, "_distortion_squared", j2), \
+            mock.patch.object(conestab.variation, "compensated_sums", sums):
+        got = _battery_areas(params, samples, times)
+    assert got == [_areas(params, sample, ts) for sample, ts in zip(samples, times)]
+    for f, ts, values in zip(fields, times, got):
+        assert [area(params, f, t, spec) for t in ts[1::4]] == values[1::4], f.label
+    blocks = [[]]
+    for event in events:
+        blocks[-1].append(event) if event else blocks.append([])
+    assert blocks[-1] == [] and sum(r for shapes in blocks for r, _ in shapes) == sum(
+        len(ts) - 1 for size, ts in zip(sizes, times) if size)
+    for shapes in blocks[:-1]:
+        assert sum(r * m for r, m in shapes) <= max([block] + [m for _, m in shapes])
+        if rows == 1:
+            assert [r for r, _ in shapes] in ([], [1])
+
+
+@pytest.mark.parametrize("rows", [1, 4, 40])
+def test_battery_area_errors_name_the_first_failing_field_and_t(rows, monkeypatch):
+    """In a battery's area pass the first failing row in field order, then
+    ladder order, raises: a squared distortion factor <= 0 in the second
+    and third fields aborts at the second field's first failing t, with
+    its minimum, however the rows fall into blocks; a non-finite area in
+    the second field before any positivity failure raises the non-finite
+    error instead, naming that field's t."""
+    params = ConeParams(3, 0.2)
+    fields = [make_radial_bump([0.0, 0.0, 1.5], 0.6, 3), make_boundary_bump(0.9, 3),
+              make_radial_bump([0.0, 0.0, 1.2], 0.7, 3)]
+    times = [[t for t in dict.fromkeys(_ladder_times(f)) if t != 0.0] for f in fields]
+    _rows_per_block(monkeypatch, params, fields[0], SPEC3, rows)
+    first = len(times[0])  # rows of the first field come first
+    second = first + len(times[1])
+    _poison_rows(monkeypatch, {second + 1: -2.0, first + 7: -0.5, first + 3: -0.25})
+    with pytest.raises(JacobianPositivityError) as err:
+        _variation_reports(params, fields, None, DEFAULT_LEVELS, SPEC3)
+    assert (err.value.t, err.value.worst_value) == (times[1][3], -0.25)
+    _poison_rows(monkeypatch, {second: -2.0, first + 2: math.nan, first + 5: -0.5})
+    with pytest.raises(QuadratureError, match="non-finite evaluation") as err:
+        _variation_reports(params, fields, None, DEFAULT_LEVELS, SPEC3)
+    assert not isinstance(err.value, JacobianPositivityError)
+    assert str(err.value) == f"non-finite evaluation: area nan at t={times[1][2]}"
+    _poison_rows(monkeypatch, {second + 4: -1.0})
+    with pytest.raises(JacobianPositivityError) as err:
+        _variation_reports(params, fields, None, DEFAULT_LEVELS, SPEC3)
+    assert (err.value.t, err.value.worst_value) == (times[2][4], -1.0)
+
+
+@pytest.mark.parametrize("size", [1, 4, 10])
+def test_a_battery_report_makes_a_fixed_number_of_reductions(size, monkeypatch):
+    """One _variation_reports call reduces with three compensated_sums,
+    whatever the battery's size: the energies, every area row, every
+    trace.  No one-field path runs: no compensated_sum, area, _areas,
+    boundary_integral or liminf_quotient call.  This guards the battery
+    passes against a per-field loop coming back."""
+    params = ConeParams(3, 0.2)
+    fields = standard_battery(3, size)
+    calls = []
+    for module in (conestab.variation, conestab.quadrature):
+        real = module.compensated_sums
+        monkeypatch.setattr(module, "compensated_sums",
+                            lambda segments, real=real: calls.append(len(segments))
+                            or real(segments))
+    for name in ("compensated_sum", "boundary_integral", "liminf_quotient"):
+        monkeypatch.setattr(conestab.quadrature, name, None)
+    for name in ("area", "_areas", "boundary_integral"):
+        monkeypatch.setattr(conestab.variation, name, None)
+    reports = _variation_reports(params, fields, None, 5, SPEC3)
+    traced = sum(1 for f in fields if conestab.quadrature.trace_span(params, f)[1] > 0.0)
+    # the t = 0 areas with every (field, t) row, the energies, the traces
+    assert calls == [size + sum(len(_report_times(default_t0(f), 5)) - 1 for f in fields),
+                     size, traced]
+    assert len(reports) == size

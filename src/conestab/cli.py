@@ -231,8 +231,11 @@ def cmd_threshold(args) -> int:
     if n_min > n_max:
         raise ConfigError(f"threshold: empty range, --n-min {n_min} exceeds --n-max {n_max}")
     header = ["n", "k_n", "lambda_star", "aperture", "residual"]
-    rows = [(n, thr.k_n, thr.lambda_star, ConeParams(n, thr.lambda_star).aperture, thr.residual)
-            for n, thr in ((n, lambda_star(n)) for n in range(n_min, n_max + 1))]
+    rows = []
+    for n in range(n_min, n_max + 1):
+        thr = lambda_star(n)
+        aperture = ConeParams(n, thr.lambda_star).aperture
+        rows.append((n, thr.k_n, thr.lambda_star, aperture, thr.residual))
     _publish(cfg, [dict(zip(header, row)) for row in rows], header, rows)
     return EXIT_OK
 
@@ -275,8 +278,9 @@ def cmd_witness_n2(args) -> int:
     _publish(cfg, verdict, ["n", "lambda", "regime", "margin", "detail"],
              [(cfg.n, cfg.lam, verdict.regime, "" if verdict.margin is None else verdict.margin,
                verdict.detail)])
-    # a failed fit signals quadrature misconfiguration
-    return EXIT_WITNESS if verdict.regime == UNSTABLE else EXIT_QUADRATURE
+    if verdict.regime == UNSTABLE:
+        return EXIT_WITNESS
+    return EXIT_QUADRATURE  # failed fit signals quadrature misconfiguration
 
 
 def cmd_verify(args) -> int:

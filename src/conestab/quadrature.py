@@ -529,6 +529,8 @@ def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float, geometry,
     directions of ``geometry`` (:func:`_directions`), so h must have the
     symmetry the geometry states.  The one-grid case of :func:`_trace_grids`.
     """
+    if log_from is not None and not log_from > 0.0:  # _trace_grids reads lo <= 0 as linear
+        raise ValueError(f"log_from must be positive, got {log_from!r}")
     pts, weights, r = _trace_grids(params, spec, [geometry], [(log_from or 0.0, r_max)])[0]
     return pts, weights, np.repeat(r, weights.size // r.size)
 

@@ -94,18 +94,12 @@ def area(params: ConeParams, f: TrialFunction, t: float, spec: QuadratureSpec) -
     only |b'|^2 = t^2 P, |a'|^2 = lam^2 (c^2 P + 2cd Q + d^2 |x'|^2) and
     a'.b' = lam t (c P + d Q), from per-node scalars built once per call
     (P = |grad' f|^2, Q = x'.grad' f).  This is the one-t case of the batch
-    that serves a variation report's ladders.
+    that serves a battery's ladders, :func:`_battery_areas`.
 
     Raises if the squared distortion factor loses positivity at any node
     (the deformation left the small-|t| regime) or the area is not finite.
     """
-    return _areas(params, support_sample(params, f, spec), [t])[0]
-
-
-def _areas(params: ConeParams, sample, ts) -> list:
-    """Deformed areas at the times ``ts``, in order, on a field's support
-    ``sample``: the one-field case of :func:`_battery_areas`."""
-    return _battery_areas(params, [sample], [ts])[0]
+    return _battery_areas(params, [support_sample(params, f, spec)], [[t]])[0][0]
 
 
 def _battery_areas(params: ConeParams, samples, times) -> list:

@@ -636,6 +636,19 @@ def test_a_trace_that_misses_the_cone_reads_no_grid(monkeypatch):
     assert boundary_integral(params, f, MARGIN_SPECS[n]) == 0.0
 
 
+@pytest.mark.parametrize("log_from", [0.0, -0.5, math.nan])
+def test_trace_grid_refuses_a_log_grid_from_a_non_positive_radius(log_from):
+    """A logarithmic trace grid starts at a positive radius: log_from zero,
+    negative or NaN raises instead of giving a linear grid, and 0.25 gives
+    radii inside (0.25, 1)."""
+    params, spec = ConeParams(3, 0.5), QuadratureSpec(8, 4, 8, 1.0)
+    geometry = make_radial_bump([0.0, 0.0, 1.5], 0.6, 3).geometry
+    with pytest.raises(ValueError, match=f"log_from must be positive, got {log_from!r}"):
+        quadrature.trace_grid(params, spec, 1.0, geometry, log_from=log_from)
+    radii = quadrature.trace_grid(params, spec, 1.0, geometry, log_from=0.25)[2]
+    assert 0.25 < radii.min() and radii.max() < 1.0
+
+
 def one_trace(params, f, spec):
     """boundary_integral of f, None where it diverges."""
     try:
@@ -644,11 +657,35 @@ def one_trace(params, f, spec):
         return None
 
 
+def reference_trace(params, f, spec):
+    """One field's trace integral with its own scalar radii rule and its own
+    reduction, as a reference for the battery pass; None where it diverges."""
+    n, cutoff = params.n, spec.epsilon_cutoff
+    if n == 2 and cutoff == 0.0 and f.value_at_vertex != 0.0:
+        return None
+    r_min, r_max = quadrature.trace_span(params, f)
+    lower = max(cutoff, r_min)
+    if lower >= r_max:
+        return 0.0
+    if lower > 0.0:
+        u, wu = gauss_legendre(math.log(lower), math.log(r_max), spec.radial_nodes)
+        r = np.exp(u)
+        wr = wu * r ** (n - 2)  # du = dr/r
+    else:
+        r, wr = gauss_legendre(0.0, r_max, spec.radial_nodes)
+        wr = wr * r ** (n - 3)
+    xi, w_xi = quadrature._directions(n, f.geometry, spec.angular_nodes, r.size, "trace grid")
+    pts = np.empty((r.size, w_xi.size, n))
+    pts[..., :-1] = r[:, None, None] * xi
+    pts[..., -1] = (params.lam * r)[:, None]
+    return compensated_sum(f.evaluator(pts.reshape(-1, n)) ** 2 * (wr[:, None] * w_xi).ravel())
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_battery_traces_equal_one_call_per_field(n):
     """The traces of a battery from one boundary_integrals pass equal one
-    boundary_integral per field bit for bit, with None where that raises
-    DivergentBoundaryIntegral: the battery and ball copies of its radial
+    boundary_integral per field, and reference_trace, bit for bit, with None
+    where that raises DivergentBoundaryIntegral: the battery and ball copies of its radial
     members, so that empty spans, linear and logarithmic grids mix in one
     call, at lam in {0, lam*/2, lam*, 2 lam*, 1, 3} (n = 2: 0.5, 1, 3), with
     no cutoff and with cutoffs 1e-4 and 0.5.  At n = 2 the vertex fields
@@ -667,10 +704,12 @@ def test_battery_traces_equal_one_call_per_field(n):
         params = ConeParams(n, lam)
         for cutoff in (0.0, 1e-4, 0.5):
             cut = dataclasses.replace(spec, epsilon_cutoff=cutoff)
-            want = [one_trace(params, f, cut) for f in battery]
             got = boundary_integrals(params, battery, cut)
-            assert [np.float64(v).tobytes() if v is not None else v for v in got] == \
-                [np.float64(v).tobytes() if v is not None else v for v in want], (lam, cutoff)
+            for one in (one_trace, reference_trace):
+                want = [one(params, f, cut) for f in battery]
+                assert [np.float64(v).tobytes() if v is not None else v for v in got] == \
+                    [np.float64(v).tobytes() if v is not None else v for v in want], \
+                    (lam, cutoff, one.__name__)
             seen |= {"empty" if v == 0.0 else "divergent" if v is None else "value"
                      for v in got}
     assert seen == ({"empty", "divergent", "value"} if n == 2 else {"empty", "value"})
@@ -869,13 +908,29 @@ def test_estimate_invariants_enforced():
                        converged=True, tail_min=0.0)
 
 
+def scalar_liminf(parameters, f0, values):
+    """One ladder's estimate in scalar arithmetic, as a reference for the
+    array pass: (quotients, Richardson limit, convergence flag, tail minimum)."""
+    quotients = (np.asarray(values, dtype=float) - float(f0)) / np.asarray(parameters)
+    tail = quotients[-3:]
+    scale = max(1.0, float(np.max(np.abs(tail))))
+    table = list(quotients[-4:])  # Richardson: step ratio 2, error orders 1, 2, 3
+    for level in range(1, len(table)):
+        factor = 2.0 ** level
+        table = [(factor * table[i + 1] - table[i]) / (factor - 1.0)
+                 for i in range(len(table) - 1)]
+    return (quotients, float(table[0]), bool(np.max(tail) - np.min(tail) <= 1e-3 * scale),
+            float(np.min(tail)))
+
+
 @given(st.lists(st.tuples(st.floats(1e-3, 1.0), st.floats(-2.0, 2.0), st.floats(-3.0, 3.0),
                           st.floats(-1.0, 1.0)), min_size=1, max_size=6),
        st.integers(3, 14), st.booleans())
 def test_batched_quotients_equal_one_call_per_ladder(ladders, levels, squared):
     """liminf_quotients over ladders of one length gives, ladder by ladder,
     the LiminfEstimate of liminf_quotient bit for bit: parameters, quotients,
-    the Richardson limit, the convergence flag and the tail minimum."""
+    the Richardson limit, the convergence flag and the tail minimum; and
+    the quotients, limit, flag and minimum equal scalar_liminf's."""
     params, f0s, values = [], [], []
     for t0, a, b, f0 in ladders:
         ts = _dyadic_ladder(t0, levels, squared=squared)
@@ -892,6 +947,12 @@ def test_batched_quotients_equal_one_call_per_ladder(ladders, levels, squared):
         assert (g.converged, np.float64(g.tail_min).tobytes()) == \
             (w.converged, np.float64(w.tail_min).tobytes())
         assert type(g.extrapolated) is float and type(g.converged) is bool
+    for g, p, f0, v in zip(got, params, f0s, values):
+        quotients, limit, converged, low = scalar_liminf(p, f0, v)
+        assert g.quotients.tobytes() == quotients.tobytes()
+        assert np.float64(g.extrapolated).tobytes() == np.float64(limit).tobytes()
+        assert (g.converged, np.float64(g.tail_min).tobytes()) == \
+            (converged, np.float64(low).tobytes())
 
 
 def test_batched_quotients_check_their_ladders():

@@ -22,7 +22,7 @@ from conestab.quadrature import (QuadratureSpec, _dyadic_ladder, _slice_rules,
 from conestab.stability import lambda_star, shear_transform_check
 from conestab.trial import (battery_descriptors, build_trial, make_boundary_bump,
                             make_radial_bump, make_shifted_bump, scaled, standard_battery)
-from conestab.variation import (DEFAULT_LEVELS, _areas, _battery_areas, _variation_reports,
+from conestab.variation import (DEFAULT_LEVELS, _battery_areas, _variation_reports,
                                 area, default_t0,
                                 dirichlet_energy, second_variation_closed_form,
                                 variation_report)
@@ -253,14 +253,15 @@ def test_area_matches_flow_coefficient_reference_in_low_and_high_dimension(n, sp
     """At n = 2 (x' one-dimensional) and n = 5, on a default report's
     ladders, the areas equal the closed form on flow_coefficients_batch's
     coefficients bit for bit, at lam = 0, 0.2 and lam*(n) where it exists.
-    Each field's sample is built once: the batch ``_areas`` covers the whole
-    ladder on it, and one public ``area`` call per field, at t0, the same."""
+    Each field's sample is built once: a one-field ``_battery_areas`` call
+    covers the whole ladder on it, and one public ``area`` call per field,
+    at t0, the same."""
     lams = (0.0, 0.2) + ((lambda_star(n).lambda_star,) if n >= 3 else ())
     for lam in lams:
         params = ConeParams(n, lam)
         for f in standard_battery(n):
             sample, times = support_sample(params, f, spec), _ladder_times(f)
-            for t, got in zip(times, _areas(params, sample, times)):
+            for t, got in zip(times, _battery_areas(params, [sample], [times])[0]):
                 assert got == _reference_area(params, f, t, spec, sample), (lam, f.label, t)
             assert area(params, f, times[1], spec) == _reference_area(params, f, times[1], spec), \
                 (lam, f.label)
@@ -330,7 +331,7 @@ def test_shear_check_evaluates_the_gradient_once():
 
 
 def _rows_per_block(monkeypatch, params, f, spec, rows):
-    """Make _areas evaluate ``rows`` times per block for this field."""
+    """Make _battery_areas evaluate ``rows`` times per block for this field."""
     nodes = support_sample(params, f, spec)[1].size
     monkeypatch.setattr(conestab.variation, "_BLOCK_ELEMENTS", rows * nodes)
 
@@ -349,7 +350,7 @@ def test_ladders_split_across_blocks_match_per_t_area(n, spec, monkeypatch):
         for rows in (1, 5):
             _rows_per_block(monkeypatch, params, f, spec, rows)
             sample = support_sample(params, f, spec)
-            assert conestab.variation._areas(params, sample, times) == direct, f.label
+            assert _battery_areas(params, [sample], [times])[0] == direct, f.label
             rep = variation_report(params, f, spec=spec)
             for est, at in ((rep.first_variation, lambda t: t),
                             (rep.second_variation_fd, math.sqrt)):
@@ -415,9 +416,11 @@ def _report_times(t0, levels):
        st.integers(3, 14), st.sampled_from([1, 5, None]))
 def test_battery_areas_equal_per_field_area(members, levels, rows):
     """The areas of a drawn battery, whose fields differ in node counts and
-    t0, at 3-14 levels, from one _battery_areas call, equal one _areas call
-    per field on its own sample bit for bit, and one public area call per
-    (field, t) at every fourth t.  With _BLOCK_ELEMENTS at 1 every block is
+    t0, at 3-14 levels, from one _battery_areas call, equal a one-field call
+    per field on its own sample bit for bit, one public area call per
+    (field, t) at every fourth t, and at every fourth other t the closed
+    form on flow_coefficients_batch's coefficients, which shares no code
+    with the batch.  With _BLOCK_ELEMENTS at 1 every block is
     one row, at 5 rows of the smallest field's nodes blocks mix fields, and
     at None all rows share one block; each block holds at most
     max(_BLOCK_ELEMENTS, its largest row) elements, summed over its fields."""
@@ -444,9 +447,12 @@ def test_battery_areas_equal_per_field_area(members, levels, rows):
             mock.patch.object(conestab.variation, "_distortion_squared", j2), \
             mock.patch.object(conestab.variation, "compensated_sums", sums):
         got = _battery_areas(params, samples, times)
-    assert got == [_areas(params, sample, ts) for sample, ts in zip(samples, times)]
-    for f, ts, values in zip(fields, times, got):
+    assert got == [_battery_areas(params, [sample], [ts])[0]
+                   for sample, ts in zip(samples, times)]
+    for f, sample, ts, values in zip(fields, samples, times, got):
         assert [area(params, f, t, spec) for t in ts[1::4]] == values[1::4], f.label
+        assert [_reference_area(params, f, t, spec, sample) for t in ts[2::4]] == \
+            values[2::4], f.label
     blocks = [[]]
     for event in events:
         blocks[-1].append(event) if event else blocks.append([])
@@ -492,7 +498,7 @@ def test_battery_area_errors_name_the_first_failing_field_and_t(rows, monkeypatc
 def test_a_battery_report_makes_a_fixed_number_of_reductions(size, monkeypatch):
     """One _variation_reports call reduces with three compensated_sums,
     whatever the battery's size: the energies, every area row, every
-    trace.  No one-field path runs: no compensated_sum, area, _areas,
+    trace.  No one-field path runs: no compensated_sum, area,
     boundary_integral or liminf_quotient call.  This guards the battery
     passes against a per-field loop coming back."""
     params = ConeParams(3, 0.2)
@@ -505,7 +511,7 @@ def test_a_battery_report_makes_a_fixed_number_of_reductions(size, monkeypatch):
                             or real(segments))
     for name in ("compensated_sum", "boundary_integral", "liminf_quotient"):
         monkeypatch.setattr(conestab.quadrature, name, None)
-    for name in ("area", "_areas", "boundary_integral"):
+    for name in ("area", "boundary_integral"):
         monkeypatch.setattr(conestab.variation, name, None)
     reports = _variation_reports(params, fields, None, 5, SPEC3)
     traced = sum(1 for f in fields if conestab.quadrature.trace_span(params, f)[1] > 0.0)

@@ -17,19 +17,18 @@ import csv
 import dataclasses
 import io
 import json
-import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
+from ._inputs import INPUTS, check
 from .domain import ConeParams
 from .errors import ConeStabError, ConfigError, QuadratureError
 from .quadrature import QuadratureSpec
 from .stability import (UNSTABLE, instability_witness_n2, lambda_star,
                         stability_sweep)
-from .trial import _integral, battery_descriptors, build_trial
+from .trial import battery_descriptors, build_trial
 from .variation import DEFAULT_CUTOFFS, DEFAULT_LEVELS, _variation_reports
 from .verify import run_suites
 
@@ -43,9 +42,8 @@ SUITE_VERSIONS = {"package": None, "jacobian": "3", "foliation": "1",
                   "remainder": "1", "kato": "1"}
 DISCREPANCY_RTOL = 0.01  # `variation` exits 3 when |FD - closed form| exceeds this part of it
 
-# Each QuadratureSpec field with the type of its default (int or float).
-_QUAD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(QuadratureSpec)}
-_SAMPLE_KEYS = {"random_draws", "flow_samples", "pairs", "points", "battery_size"}
+# The config keys that a flag of the same name overrides; None marks a flag not set.
+_FLAGS = ("n", "lambda", "t0", "levels", "seed", "format", "out", "epsilon_cutoff")
 
 
 @dataclasses.dataclass
@@ -68,81 +66,30 @@ _CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)} - {"lam"} | {"lam
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
+    """The config file at ``path`` (None: the defaults) under the flags set
+    in ``overrides``, each value checked against its row of the input table
+    before any work starts; a flag named after a quadrature key overrides it."""
     raw = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: also int > 4300 digits
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
-    cfg = RunConfig()
-    for key in ("quadrature", "samples"):
-        if not isinstance(merged.get(key, {}), dict):
-            raise ConfigError(f"{key} must be a JSON object")
-    try:
-        if "n" in merged:
-            cfg.n = _integral("n", merged["n"])
-        if "lambda" in merged:
-            cfg.lam = float(merged["lambda"])
-        ConeParams(cfg.n, cfg.lam)  # validates n and lambda
-        if not math.isfinite(cfg.lam * cfg.lam):  # the rules read lambda^2
-            raise ConfigError(f"lambda must have a finite square, got {cfg.lam!r}")
-        if "t0" in merged and merged["t0"] is not None:
-            cfg.t0 = float(merged["t0"])
-        if "levels" in merged:
-            cfg.levels = _integral("levels", merged["levels"])
-        if "epsilons" in merged:
-            eps = tuple(float(e) for e in merged["epsilons"])
-            # the divergence witness fits a line to at least three cutoffs
-            if len(set(eps)) < max(3, len(eps)) or any(not 0.0 < e < 1.0 for e in eps):
-                raise ConfigError("epsilons must be at least three cutoffs in (0, 1), distinct")
-            cfg.epsilons = tuple(sorted(eps, reverse=True))
-        if "seed" in merged:
-            cfg.seed = _integral("seed", merged["seed"])
-        quad = merged.get("quadrature", {})
-        unknown = set(quad) - set(_QUAD_TYPES)
-        if unknown:
-            raise ConfigError(f"unknown quadrature keys: {sorted(unknown)}")
-        quad = {k: _integral(k, v) if _QUAD_TYPES[k] is int else float(v)
-                for k, v in quad.items()}
-        if "epsilon_cutoff" in merged:  # the --epsilon-cutoff flag
-            quad["epsilon_cutoff"] = float(merged["epsilon_cutoff"])
-        cfg.quadrature = QuadratureSpec(**quad)
-        if "trial_functions" in merged:
-            tf = merged["trial_functions"]
-            if not isinstance(tf, (list, tuple)) or not tf:
-                raise ConfigError("trial_functions must be a non-empty list of descriptors "
-                                  "(leave the key out for the default battery)")
-            cfg.trial_functions = tuple(tf)
-        if "format" in merged:
-            if merged["format"] not in ("json", "csv"):
-                raise ConfigError(f"format must be json or csv, got {merged['format']!r}")
-            cfg.format = merged["format"]
-        if "out" in merged:
-            cfg.out = merged["out"]
-        if "samples" in merged:
-            smp = merged["samples"]
-            unknown = set(smp) - _SAMPLE_KEYS
-            if unknown:
-                raise ConfigError(f"unknown sample keys: {sorted(unknown)}")
-            cfg.samples = {k: _integral(k, v) for k, v in smp.items()}
-            if any(v <= 0 for v in cfg.samples.values()):
-                raise ConfigError("sample counts must be positive")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
-    # the second variation's ladder starts at t0^2, which must not underflow
-    if cfg.t0 is not None and not (math.isfinite(cfg.t0) and cfg.t0 > 0.0
-                                   and cfg.t0 * cfg.t0 > 0.0):
-        raise ConfigError(f"t0 must be finite and > 0 with t0^2 > 0, got {cfg.t0}")
-    if cfg.levels < 3:
-        raise ConfigError(f"levels must be >= 3, got {cfg.levels}")
-    _check_out(cfg.out)
+    quad, samples = (check(k, raw.pop(k, {})) for k in ("quadrature", "samples"))
+    flags = {k: overrides[k] for k in _FLAGS if overrides.get(k) is not None}
+    quad.update((k, flags.pop(k)) for k in INPUTS["quadrature"].span if k in flags)
+    cfg = RunConfig(quadrature=QuadratureSpec(**quad),
+                    samples={k: check(k, v) for k, v in samples.items()})
+    for key, value in {**raw, **flags}.items():
+        name = "lam" if key == "lambda" else key
+        if value is not None or getattr(cfg, name) is not None:  # t0 and out may be null
+            setattr(cfg, name, check(key, value))
     return cfg
 
 
@@ -167,16 +114,6 @@ def _jsonable(obj):
     if isinstance(obj, np.integer):
         return int(obj)
     return obj
-
-
-def _check_out(out: str | None):
-    """Fail before any computation when the report cannot be written to
-    ``out``: its directory must exist and be writable."""
-    if out is None or out == "-":
-        return
-    folder = os.path.dirname(os.path.abspath(out))
-    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-        raise ConfigError(f"cannot write report to {out}: {folder} is not a writable directory")
 
 
 def _write(text: str, out: str | None):
@@ -209,14 +146,11 @@ def _publish(cfg: RunConfig, results, header, rows) -> None:
 
 
 def _trial_functions(cfg: RunConfig):
-    descs = cfg.trial_functions or tuple(battery_descriptors(8))
     out = []
-    for desc in descs:
-        if not isinstance(desc, dict):
-            raise ConfigError("trial-function descriptors must be objects")
+    for desc in cfg.trial_functions or battery_descriptors(8):
         try:
-            out.append(build_trial(dict(desc), cfg.n))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            out.append(build_trial(desc, cfg.n))
+        except (KeyError, ValueError) as exc:  # KeyError: a key the kind needs is missing
             raise ConfigError(f"bad trial descriptor {desc!r}: {exc}") from exc
     return out
 
@@ -224,10 +158,8 @@ def _trial_functions(cfg: RunConfig):
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_threshold(args) -> int:
-    cfg = load_config(None, _overrides(args))
-    n_min, n_max = args.n_min, args.n_max
-    if n_min < 3 or n_max > 64:
-        raise ConfigError("threshold: range must lie within [3, 64]")
+    cfg = load_config(None, vars(args))
+    n_min, n_max = check("n", args.n_min), check("n", args.n_max)  # lambda_star refuses n = 2
     if n_min > n_max:
         raise ConfigError(f"threshold: empty range, --n-min {n_min} exceeds --n-max {n_max}")
     header = ["n", "k_n", "lambda_star", "aperture", "residual"]
@@ -241,7 +173,7 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_variation(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
+    cfg = load_config(args.config, vars(args))
     params = ConeParams(cfg.n, cfg.lam)
     reports = _variation_reports(params, _trial_functions(cfg), cfg.t0, cfg.levels, cfg.quadrature)
     _publish(cfg, reports, ["n", "lambda", "trial_id", "first_variation", "first_converged",
@@ -260,9 +192,7 @@ def cmd_variation(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
-    if cfg.n < 3:
-        raise ConfigError("sweep requires n >= 3; use witness-n2 for n = 2")
+    cfg = load_config(args.config, vars(args))
     verdict = stability_sweep(ConeParams(cfg.n, cfg.lam), _trial_functions(cfg), cfg.quadrature)
     _publish(cfg, verdict, ["n", "lambda", "regime", "margin", "witness"],
              [(cfg.n, cfg.lam, verdict.regime, "" if verdict.margin is None else verdict.margin,
@@ -271,7 +201,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_witness_n2(args) -> int:
-    cfg = dataclasses.replace(load_config(args.config, _overrides(args)), n=2)
+    cfg = dataclasses.replace(load_config(args.config, vars(args)), n=2)
     if not cfg.lam > 0.0:
         raise ConfigError("witness-n2 requires lambda > 0")
     verdict = instability_witness_n2(ConeParams(cfg.n, cfg.lam), cfg.epsilons, spec=cfg.quadrature)
@@ -284,18 +214,11 @@ def cmd_witness_n2(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config, _overrides(args))
+    cfg = load_config(args.config, vars(args))
     results = run_suites(seed=cfg.seed, **cfg.samples)
     _publish(cfg, results, ["suite", "passed", "worst_error", "samples", "detail"],
              [(r.name, int(r.passed), r.worst_error, r.samples, r.detail) for r in results])
     return EXIT_OK if all(r.passed for r in results) else EXIT_SUITE_FAILURE
-
-
-def _overrides(args) -> dict:
-    """Command-line values; load_config drops the flags left unset (None)."""
-    return {k: getattr(args, k, None)
-            for k in ("n", "lambda", "t0", "levels", "seed", "format", "out",
-                      "epsilon_cutoff")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,14 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="JSON config file")
-    common.add_argument("--n", type=int, default=None)
-    common.add_argument("--lambda", dest="lambda", type=float, default=None)
-    common.add_argument("--t0", type=float, default=None)
-    common.add_argument("--levels", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--format", choices=("json", "csv"), default=None)
-    common.add_argument("--out", default=None)
-    common.add_argument("--epsilon-cutoff", dest="epsilon_cutoff", type=float, default=None)
+    for key in _FLAGS:  # a number as its row's kind; load_config checks each value
+        common.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                            type={"int": int, "float": float}.get(INPUTS[key].kind, str))
     for name, func, text in (
             ("variation", cmd_variation, "first/second variation reports"),
             ("sweep", cmd_sweep, "stability margins over a battery (n >= 3)"),

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import check
 from .errors import MembershipError
 
 __all__ = [
@@ -71,13 +72,9 @@ class ConeParams:
     n: int
     lam: float
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"dimension n must be an integer >= 2, got {self.n!r}")
-        lam = float(self.lam)
-        if not math.isfinite(lam) or lam < 0.0:
-            raise ValueError(f"aperture parameter must be finite and >= 0, got {self.lam!r}")
-        object.__setattr__(self, "lam", lam)
+    def __post_init__(self):  # both are rows of the input table
+        object.__setattr__(self, "n", check("n", self.n))
+        object.__setattr__(self, "lam", check("lambda", self.lam))
 
     @property
     def aperture(self) -> float:

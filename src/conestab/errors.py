@@ -36,5 +36,5 @@ class DivergentBoundaryIntegral(ConeStabError):
         self.vertex_value = vertex_value
 
 
-class ConfigError(ConeStabError):
-    """Invalid run configuration."""
+class ConfigError(ConeStabError, ValueError):
+    """Invalid run configuration or input; the CLI exits 2 on it."""

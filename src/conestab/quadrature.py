@@ -44,13 +44,14 @@ logarithmic in |x'| whenever its range starts off the vertex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
+from ._inputs import MAX_RULE_NODES, check
 from .domain import ConeParams, _sumsq
 from .errors import DivergentBoundaryIntegral, QuadratureError
 from .trial import TrialFunction
@@ -73,9 +74,6 @@ __all__ = [
 # Composite panels keep long Gauss-Legendre rules well-conditioned across
 # the support kinks of the trial families.
 _MAX_NODES_PER_PANEL = 32
-# Most nodes one rule may place: the box rule and the sphere grids grow like a
-# power of n, so each rule counts its nodes before it allocates them.
-MAX_RULE_NODES = 2 ** 23
 
 
 @dataclass(frozen=True)
@@ -91,10 +89,10 @@ class QuadratureSpec:
     Each count is raised where needed to the least that keeps the field's
     rule exact; above that, doubling the spec's counts doubles the rule's.
     A rule of more than MAX_RULE_NODES nodes is refused.  ``support_radius``
-    (finite, > 0) sets the extent of the sigma grid only, which remains
-    only as the entry point of the benchmark set-ups.
-    ``epsilon_cutoff`` (finite, >= 0) > 0 opts in to the regularized trace
-    integral, which the divergent two-dimensional case needs.
+    sets the extent of the sigma grid only, which remains only as the entry
+    point of the benchmark set-ups.  ``epsilon_cutoff`` > 0 opts in to the
+    regularized trace integral, which the divergent two-dimensional case
+    needs.  Each field is checked against its row of the input table.
     """
 
     radial_nodes: int = 64
@@ -104,16 +102,8 @@ class QuadratureSpec:
     epsilon_cutoff: float = 0.0
 
     def __post_init__(self):
-        for name in ("radial_nodes", "angular_nodes", "box_nodes_per_axis"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 2:
-                raise ValueError(f"{name} must be an integer >= 2, got {v!r}")
-        if not (math.isfinite(self.support_radius) and self.support_radius > 0):
-            raise ValueError("support_radius must be finite and > 0, "
-                             f"got {self.support_radius!r}")
-        if not (math.isfinite(self.epsilon_cutoff) and self.epsilon_cutoff >= 0):
-            raise ValueError("epsilon_cutoff must be finite and >= 0, "
-                             f"got {self.epsilon_cutoff!r}")
+        for f in fields(self):
+            object.__setattr__(self, f.name, check(f.name, getattr(self, f.name)))
 
 
 def _read_only(*arrays):
@@ -641,11 +631,7 @@ class LiminfEstimate:
 
 def _dyadic_ladder(t0: float, levels: int, squared: bool = False) -> np.ndarray:
     """The parameters t0 * 2^-k, k < ``levels``, of :func:`liminf_quotient`
-    (t0^2 * 2^-k if ``squared``), after its checks on ``t0`` and ``levels``."""
-    if levels < 3:
-        raise ValueError(f"levels must be >= 3, got {levels}")
-    if not t0 > 0:
-        raise ValueError(f"t0 must be positive, got {t0}")
+    (t0^2 * 2^-k if ``squared``); the quotients check the ladder."""
     start = t0 * t0 if squared else t0
     # checked before the ladder is allocated, so a huge ``levels`` costs nothing
     if start * 0.5 ** (levels - 1) == 0.0:

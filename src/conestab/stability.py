@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import ConeParams, _sumsq
+from .errors import ConfigError
 from .quadrature import QuadratureSpec, boundary_integrals, compensated_sums, support_samples
 from .trial import TrialFunction, make_boundary_bump
 from .variation import _energies, cutoff_ladder, dirichlet_energy
@@ -79,7 +80,7 @@ def kato_constant(n: int) -> float:
     that case is rejected here and handled by the witness path instead.
     """
     if not isinstance(n, int) or n < 3:
-        raise ValueError(
+        raise ConfigError(
             f"kato_constant requires integer n >= 3, got {n!r} (the n = 2 "
             "slice is unconditionally unstable; use the witness API)")
     return 2.0 * (math.gamma(n / 4.0) / math.gamma((n - 2) / 4.0)) ** 2
@@ -162,9 +163,6 @@ def instability_witness_n2(params: ConeParams, epsilons,
     """
     if params.n != 2:
         raise ValueError("the divergence witness applies to n = 2 only")
-    eps = tuple(sorted((float(e) for e in epsilons), reverse=True))
-    if len(set(eps)) < max(3, len(eps)) or not all(0.0 < e < 1.0 for e in eps):
-        raise ValueError("need >= 3 cutoffs in (0, 1), decreasing")
     spec = spec if spec is not None else QuadratureSpec()
     f = f if f is not None else make_boundary_bump(1.0, 2, label="witness")
     vertex = f.value_at_vertex
@@ -172,7 +170,7 @@ def instability_witness_n2(params: ConeParams, epsilons,
         why = "lam = 0: no trace term" if vertex else "vertex value is zero: trace integral finite"
         return StabilityVerdict(regime=INCONCLUSIVE,
                                 detail=f"{why}, divergence hypothesis not applicable")
-    ladder = cutoff_ladder(params, f, dirichlet_energy(params, f, spec), spec, eps)
+    ladder = cutoff_ladder(params, f, dirichlet_energy(params, f, spec), spec, epsilons)
     vals, slope = ladder.values, ladder.slope
     expected = -params.lam * vertex ** 2
     decreasing = bool(np.all(np.diff(vals) < 0.0))
@@ -196,7 +194,7 @@ def stability_sweep(params: ConeParams, battery, spec: QuadratureSpec) -> Stabil
     a robustly negative margin, else ``inconclusive``.
     """
     if params.n < 3:
-        raise ValueError("stability_sweep requires n >= 3; use the n = 2 witness API")
+        raise ConfigError("stability_sweep requires n >= 3; use the n = 2 witness API")
     battery = list(battery)
     if not battery:
         return StabilityVerdict(regime=INCONCLUSIVE, detail="empty battery")

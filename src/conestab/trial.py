@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._inputs import check
 from .domain import ConeParams, _prod, _sumsq
 
 __all__ = [
@@ -35,8 +36,6 @@ __all__ = [
     "battery_descriptors",
     "sample_smooth_points",
 ]
-
-TRIAL_KINDS = ("radial_bump", "tensor_bump", "shifted_bump", "boundary_concentrated")
 
 
 def _fmt(vec) -> str:
@@ -74,8 +73,7 @@ class Geometry:
     def __post_init__(self):
         if self.shape not in ("radial", "box", "ball"):
             raise ValueError(f"unknown geometry shape {self.shape!r}")
-        if not self.radius > 0:
-            raise ValueError(f"geometry needs radius > 0, got {self.radius!r}")
+        check("radius", self.radius)  # a box's half-width is its radius
         c = np.asarray(self.center, dtype=float)
         object.__setattr__(self, "offset", math.sqrt(float(np.dot(c[:-1], c[:-1]))))
         object.__setattr__(self, "reach", float(np.linalg.norm(c)) + self.radius * (
@@ -123,29 +121,6 @@ class TrialFunction:
         return float(self.evaluator(np.zeros((1, self.dimension)))[0])
 
 
-def _integral(key: str, value) -> int:
-    """``value`` as an int; a value with a fractional part is rejected."""
-    out = int(value)
-    if out != value:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return out
-
-
-def _center_array(center, n: int) -> np.ndarray:
-    """The center as a finite (n,) array.  Besides a vector, ``center`` may be
-    a number h (height h on the axis) or "offaxis:h:a" (height h, displaced
-    by a along x_1)."""
-    if isinstance(center, str) and center.startswith("offaxis:"):
-        _, h, a = center.split(":")
-        center = [float(a)] + [0.0] * (n - 2) + [float(h)]
-    c = np.asarray(center, dtype=float).reshape(-1)
-    if c.size == 1 and n > 1:
-        c = np.concatenate([np.zeros(n - 1), c])
-    if c.size != n or not np.all(np.isfinite(c)):
-        raise ValueError(f"center must be {n} finite components, got {center!r}")
-    return c
-
-
 def make_radial_bump(center, radius: float, n: int, exponent: int = 1,
                      label: str = "") -> TrialFunction:
     """Cone-shaped bump ((1 - |x-c|/radius)_+)^exponent.
@@ -154,13 +129,7 @@ def make_radial_bump(center, radius: float, n: int, exponent: int = 1,
     exponents are C^1 across the support sphere but keep the tip kink at the
     center.
     """
-    if not 0 < radius < math.inf:
-        raise ValueError(f"radius must be finite and positive, got {radius}")
-    p = _integral("exponent", exponent)
-    if p < 1:
-        raise ValueError(f"exponent must be >= 1, got {exponent}")
-    c = _center_array(center, n)
-    rho = float(radius)
+    rho, p, c = check("radius", radius), check("exponent", exponent), check("center", center, n)
 
     def evaluator(pts):  # 1 - fmin(u, 1) is exactly 0 off the support, NaN included
         return (1.0 - np.fmin(np.sqrt(_sumsq(pts - c)) / rho, 1.0)) ** p
@@ -192,13 +161,8 @@ def make_tensor_bump(center, half_width: float, n: int, exponent: int = 1,
     is C^1 everywhere.  Not axially symmetric, which makes these the battery
     members that exercise genuinely angular integrands.
     """
-    if not 0 < half_width < math.inf:
-        raise ValueError(f"half_width must be finite and positive, got {half_width}")
-    p = _integral("exponent", exponent)
-    if p < 1:
-        raise ValueError(f"exponent must be >= 1, got {exponent}")
-    c = _center_array(center, n)
-    w = float(half_width)
+    w, p = check("half_width", half_width), check("exponent", exponent)
+    c = check("center", center, n)
 
     def evaluator(pts):
         u = (pts - c) / w
@@ -233,14 +197,12 @@ def make_shifted_bump(center, radius: float, n: int, shift: float,
     Convenience constructor for the translation-covariance checks: pushing a
     bump deep into the interior detaches its support from the slice boundary.
     """
-    if not math.isfinite(shift):
-        raise ValueError(f"shift must be finite, got {shift}")
-    c = _center_array(center, n)
-    f = make_radial_bump(np.concatenate([c[:-1], c[-1:] + float(shift)]), radius, n,
+    c, shift = check("center", center, n), check("shift", shift)
+    f = make_radial_bump(np.concatenate([c[:-1], c[-1:] + shift]), radius, n,
                          exponent=exponent, label=label)
-    return replace(f, descriptor=("shifted_bump", tuple(float(v) for v in c), float(radius),
-                                  int(exponent), float(shift)),
-                   label=label or f"shifted(h=+{shift:g},r={radius:g},p={exponent})")
+    rho, p = f.geometry.radius, f.geometry.degree
+    return replace(f, descriptor=("shifted_bump", tuple(float(v) for v in c), rho, p, shift),
+                   label=label or f"shifted(h=+{shift:g},r={rho:g},p={p})")
 
 
 def make_boundary_bump(radius: float, n: int, exponent: int = 1,
@@ -252,17 +214,15 @@ def make_boundary_bump(radius: float, n: int, exponent: int = 1,
     needs.
     """
     f = make_radial_bump(np.zeros(n), radius, n, exponent=exponent, label=label)
-    return replace(f, descriptor=("boundary_concentrated", (0.0,) * n, float(radius),
-                                  int(exponent)),
-                   label=label or f"boundary(r={radius:g},p={exponent})")
+    rho, p = f.geometry.radius, f.geometry.degree
+    return replace(f, descriptor=("boundary_concentrated", (0.0,) * n, rho, p),
+                   label=label or f"boundary(r={rho:g},p={p})")
 
 
 def scaled(f: TrialFunction, c: float) -> TrialFunction:
     """The field c*f (same support, geometry and kink set; quantities scale
     by c^2)."""
-    c = float(c)
-    if not math.isfinite(c):
-        raise ValueError(f"scale must be finite, got {c}")
+    c = check("scale", c)
 
     def evaluator(pts):
         return c * f.evaluator(pts)
@@ -289,26 +249,25 @@ def build_trial(desc: dict, n: int) -> TrialFunction:
     """Build a trial function from a JSON-style descriptor.
 
     Every kind reads kind (required), id, exponent and scale, and the
-    arguments of its constructor (center, radius, half_width, shift); a key
-    that the kind does not read is rejected.
+    arguments of its constructor (center, radius, half_width, shift), each
+    checked against its row of the input table; a key that the kind does
+    not read is rejected.
     """
     rest = dict(desc)
     take = rest.pop  # each key is taken where it is read; what is left is unknown
-    kind = take("kind", None)
-    if kind not in TRIAL_KINDS:
-        raise ValueError(f"unknown trial-function kind {kind!r}; expected one of {TRIAL_KINDS}")
-    label = take("id", "")
-    exponent = _integral("exponent", take("exponent", 1))
-    scale = float(take("scale", 1.0))
+    kind = check("kind", take("kind", None))
+    label = check("id", take("id", ""))
+    exponent = take("exponent", 1)
+    scale = check("scale", take("scale", 1.0))
     if kind == "radial_bump":
-        f = make_radial_bump(take("center", 0.0), float(take("radius")), n, exponent, label)
+        f = make_radial_bump(take("center", 0.0), take("radius"), n, exponent, label)
     elif kind == "tensor_bump":
-        f = make_tensor_bump(take("center", 0.0), float(take("half_width")), n, exponent, label)
+        f = make_tensor_bump(take("center", 0.0), take("half_width"), n, exponent, label)
     elif kind == "shifted_bump":
-        f = make_shifted_bump(take("center", 0.0), float(take("radius")), n,
-                              float(take("shift", 0.0)), exponent, label)
+        f = make_shifted_bump(take("center", 0.0), take("radius"), n, take("shift", 0.0),
+                              exponent, label)
     else:
-        f = make_boundary_bump(float(take("radius")), n, exponent, label)
+        f = make_boundary_bump(take("radius"), n, exponent, label)
     if rest:
         raise ValueError(f"unknown keys {sorted(rest)} for kind {kind!r}")
     return f if scale == 1.0 else scaled(f, scale)

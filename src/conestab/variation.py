@@ -28,6 +28,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from ._inputs import check
 from .domain import ConeParams, _dot, _sumsq
 from .errors import JacobianPositivityError, QuadratureError
 from .jacobian import _distortion_squared
@@ -181,9 +182,9 @@ def _energies(samples) -> list:
 def cutoff_ladder(params: ConeParams, f: TrialFunction, energy: float,
                   spec: QuadratureSpec, epsilons=DEFAULT_CUTOFFS) -> LogDivergenceCertificate:
     """Values (1/2) energy - (1/2) lam * trace integral cut off at each radius
-    in ``epsilons`` (sorted largest first), with their least-squares line
-    against log(1/cutoff).  ``energy`` is the Dirichlet energy of f."""
-    eps = tuple(sorted((float(e) for e in epsilons), reverse=True))
+    in ``epsilons`` (checked as the input ``epsilons``, largest first), with
+    their least-squares line against log(1/cutoff); ``energy`` is f's energy."""
+    eps = check("epsilons", epsilons)
     vals = tuple(0.5 * energy - 0.5 * params.lam
                  * boundary_integral(params, f, replace(spec, epsilon_cutoff=e))
                  for e in eps)
@@ -244,12 +245,15 @@ def _variation_reports(params: ConeParams, fields, t0, levels: int, spec) -> lis
     one :func:`support_samples` call and one pass each for the energies, the
     areas, the quotients and the traces."""
     spec = spec if spec is not None else QuadratureSpec()
+    levels = check("levels", levels)
     pairs = []  # the t-ladder and the s = t^2 ladder of each field
     for f in fields:
-        start = float(t0) if t0 is not None else default_t0(f)
+        start = check("t0", t0) if t0 is not None else default_t0(f)
         if t0 is None and not start > 0.0:  # 0.1 * radius / (1 + Lipschitz bound) underflowed
             raise QuadratureError(f"the default t0 of field {f.label!r}, 0.1 * radius / "
                                   f"(1 + Lipschitz bound), underflows to {start}; set t0")
+        if start > 1e6 * default_t0(f):  # far past it, the flow's distortion overflows
+            raise QuadratureError(f"t0 = {start} is over 1e6 times the default t0 of {f.label!r}")
         pairs.append((_dyadic_ladder(start, levels), _dyadic_ladder(start, levels, squared=True)))
     samples = support_samples(params, fields, spec)
     times = [list(dict.fromkeys([0.0, *steps.tolist(), *map(math.sqrt, squares.tolist())]))

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import re
 import weakref
 from pathlib import Path
 
@@ -120,3 +121,29 @@ def test_estimator_and_sample_keep_their_signatures():
     assert list(inspect.signature(liminf_quotient).parameters) == ["parameters", "f0", "values"]
     assert list(inspect.signature(support_sample).parameters) == ["params", "f", "spec"]
     assert inspect.isfunction(support_sample) and not hasattr(support_sample, "cache_info")
+
+
+def test_input_table_has_a_row_for_each_key_the_program_reads():
+    """The input table's keys are the keys the program accepts, no more: the
+    config keys, the QuadratureSpec fields, the samples counts (the
+    run_suites keywords but the seed) and the descriptor keys build_trial
+    takes; a descriptor key's readers are the kinds that accept it.  So no
+    new key can skip the table's check."""
+    from conestab import cli, trial, verify
+    from conestab._inputs import INPUTS
+    from conestab.quadrature import QuadratureSpec
+    quad = tuple(f.name for f in dataclasses.fields(QuadratureSpec))
+    samples = tuple(k for k in inspect.signature(verify.run_suites).parameters if k != "seed")
+    descriptor = set(re.findall(r'take\("(\w+)"', inspect.getsource(trial.build_trial)))
+    assert INPUTS["quadrature"].span == quad and INPUTS["samples"].span == samples
+    assert set(INPUTS) == cli._CONFIG_KEYS | set(quad) | set(samples) | descriptor
+    assert set(cli._FLAGS) <= cli._CONFIG_KEYS | set(quad)
+    valid = {"id": "f", "exponent": 2, "scale": 0.5, "center": 1.0, "radius": 0.5,
+             "half_width": 0.5, "shift": 1.0}
+    for kind in INPUTS["kind"].span:
+        reads = {key for key in descriptor if kind in INPUTS[key].readers.split()}
+        desc = {"kind": kind, **{key: valid[key] for key in reads - {"kind"}}}
+        assert trial.build_trial(desc, 3).label == "0.5*f"
+        for key in sorted(descriptor - reads):
+            with pytest.raises(ValueError, match="unknown keys"):
+                trial.build_trial({**desc, key: valid[key]}, 3)

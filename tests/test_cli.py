@@ -1,11 +1,14 @@
 """CLI subcommands: schemas, exit codes, determinism, CSV/JSON parity."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from conestab import cli, variation, verify
 from conestab.trial import battery_descriptors
@@ -529,3 +532,151 @@ def test_subcommand_options_and_defaults(command):
     assert args.pop("command") == command
     assert func is getattr(cli, "cmd_" + command.replace("-", "_"))
     assert args == _SUBCOMMAND_OPTIONS[command]
+
+
+_BUMP = {"kind": "radial_bump", "center": 1.0, "radius": 0.5}
+
+
+@pytest.mark.parametrize("command, overrides, flags", [
+    ("sweep", {"trial_functions": [{**_BUMP, "radius": 1e300}]}, []),
+    ("variation", {"trial_functions": [{**_BUMP, "radius": 1e300}]}, []),
+    ("sweep", {"trial_functions": [{**_BUMP, "scale": 1e300}]}, []),
+    ("sweep", {"trial_functions": [{**_BUMP, "center": 1e200}]}, []),
+    ("sweep", {"trial_functions": [{"kind": "tensor_bump", "center": 1e200, "half_width": 0.5}]},
+     []),
+    ("sweep", {"trial_functions": [{**_BUMP, "kind": "shifted_bump", "shift": 1e308}]}, []),
+    ("sweep", {"trial_functions": [{**_BUMP, "center": "offaxis:1:1e300"}]}, []),
+    ("variation", {}, ["--t0", "1e300"]),
+    ("verify", {}, ["--seed", "-1"]),
+    ("sweep", {"trial_functions": [_BUMP]}, ["--n", "400"]),
+    ("verify", {"samples": {**SMALL_SAMPLES, "random_draws": 1e12}}, []),
+    *(("verify", {"samples": {**SMALL_SAMPLES, key: cli.INPUTS[key].span[1] + 1}}, [])
+      for key in SMALL_SAMPLES),
+], ids=["sweep-radius", "variation-radius", "scale", "radial-center", "tensor-center", "shift",
+        "offaxis-center", "t0", "seed", "n", "draws-1e12", *SMALL_SAMPLES])
+def test_values_outside_the_input_table_exit_2(tmp_path, capsys, command, overrides, flags):
+    """Each value is refused by its row of the input table before any work,
+    with one JSON error line and nothing on stderr.  Unchecked, these raised
+    OverflowError, numpy's "expected non-negative integer" or a 29 TiB
+    allocation (exit 1), or ran on after overflow warnings to "inf" margins
+    (exit 0) or NaN areas (exit 3)."""
+    cfg = write_config(tmp_path, **{"samples": dict(SMALL_SAMPLES), **overrides})
+    assert run([command, "--config", cfg, *flags]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "" and len(captured.out.splitlines()) == 1
+    assert json.loads(captured.out)["error"]["code"] == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("text", ['{"n": ' + "9" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+                         ids=["int-of-5000-digits", "nested-100000-deep"])
+def test_config_json_that_python_refuses_to_read_exits_2(tmp_path, capsys, text):
+    """json.load raises ValueError on an integer of more than 4300 digits
+    and RecursionError on deep nesting; both used to exit 1."""
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert run(["sweep", "--config", path]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().out)["error"]["message"].startswith("cannot read config")
+
+
+# Draws for the config fuzz test: valid values, the edges of each row's range
+# and values just past them, values near 1e+-300, non-finite strings, wrong
+# types, empty and one-element lists.  Counts of nodes and samples are drawn
+# only up to small valid values (their upper edges cost seconds a run) and
+# past their caps.  lambda stops at 1e50: from about 1e75 on, an aperture
+# whose square is finite still overflows the slice rules (see CHANGES.md).
+_JUNK = ("nan", "inf", "-inf", "x", None, True, [], [1.0], {})
+_LENGTHS = (0.0, -0.0, 0.5, 1.5, -1.0, 1e-300, 1e-200, 1e3, -1e3, 1000.5, 1e200, 1e300, 1e308)
+
+
+def _pick(*values):
+    """One of ``values``, or a quarter of the time one of the junk values."""
+    return st.one_of(*[st.sampled_from(values)] * 3, st.sampled_from(_JUNK))
+
+
+def _some(values: dict, base: dict, most: int = 2):
+    """``base`` with up to ``most`` of the keys of ``values`` set to drawn values."""
+    keys = st.lists(st.sampled_from(sorted(values)), max_size=most, unique=True)
+    return keys.flatmap(lambda ks: st.fixed_dictionaries({k: values[k] for k in ks})).map(
+        lambda drawn: {**base, **drawn})
+
+
+_DESCRIPTOR_VALUES = {
+    "kind": _pick("radial_bump", "tensor_bump", "shifted_bump", "boundary_concentrated", "bump"),
+    "id": _pick("f", 5),
+    "center": _pick(*_LENGTHS, [0.0, 0.3, 1.5], [1e3, -1e3, 1e3], [1.0], "offaxis:1.4:0.4",
+                    "offaxis:1:1e300", "offaxis:1", {"a": 1}),
+    "radius": _pick(*_LENGTHS, 1e-310),
+    "half_width": _pick(*_LENGTHS),
+    "exponent": _pick(1, 2, 32, 33, 0, 2.5),
+    "scale": _pick(*_LENGTHS),
+    "shift": _pick(*_LENGTHS),
+    "exponnent": _pick(2),
+}
+_BASE_DESCRIPTORS = [{"kind": "radial_bump", "center": 1.0, "radius": 0.5},
+                     {"kind": "tensor_bump", "center": 1.0, "half_width": 0.5},
+                     {"kind": "shifted_bump", "center": 0.0, "radius": 0.5, "shift": 2.0},
+                     {"kind": "boundary_concentrated", "radius": 1.0}]
+_CONFIG_VALUES = {
+    "n": _pick(2, 3, 4, 64, 65, 1, 400, 3.5, 3.0, 2 ** 70),
+    "lambda": _pick(0.0, 1e-300, 0.1, 0.5, 1.0, 1e50, 1e300, -0.5),
+    "t0": _pick(*_LENGTHS, 0.05, 2.3e-162, 2.2e-162, 1e-100),
+    "levels": _pick(3, 4, 2048, 2049, 2, 3.5, 1100),
+    "epsilons": _pick([0.1, 0.01, 0.001], [5e-324, 0.5, 0.9999999999999999], [1.0, 0.1, 0.01],
+                      [0.1, 0.01], [0.1, 0.1, 0.01], ["nan", 0.1, 0.01], 0.1),
+    "seed": _pick(0, 1, 2 ** 64 - 1, 2 ** 64, -1, 1.5),
+    "quadrature": _pick({"radial_nodes": 8, "angular_nodes": 2, "box_nodes_per_axis": 8,
+                         "bogus": 1}),
+    "samples": _pick({"pairs": 20, "bogus": 1}),
+    "trial_functions": _pick([], [{}], [5]),
+    "format": _pick("json", "csv", "xml", 5),
+    "out": _pick("-", 5, "/nonexistent-dir/report.json"),
+    "bogus": _pick(1),
+}
+_QUAD_VALUES = {
+    "radial_nodes": _pick(2, 8, 1, 2 ** 23 + 1, 8.5),
+    "angular_nodes": _pick(2, 4, 0, 2 ** 23 + 1),
+    "box_nodes_per_axis": _pick(2, 8, 1, 2 ** 23 + 1),
+    "support_radius": _pick(*_LENGTHS),
+    "epsilon_cutoff": _pick(*_LENGTHS),
+}
+_SAMPLE_VALUES = {key: _pick(1, 2, 0, -1, 2.5, 10 ** 5 + 1, 1e12)
+                  for key in ("random_draws", "flow_samples", "pairs", "points")}
+_SAMPLE_VALUES.update(battery_size=_pick(1, 2, 20, 21, 0))
+_CONFIG = st.fixed_dictionaries(
+    {"levels": st.just(3),
+     "quadrature": _some(_QUAD_VALUES, {"radial_nodes": 8, "angular_nodes": 2,
+                                        "box_nodes_per_axis": 8}, most=1),
+     "samples": _some(_SAMPLE_VALUES, {"random_draws": 20, "flow_samples": 20, "pairs": 20,
+                                       "points": 20, "battery_size": 1}, most=1)},
+    optional={"trial_functions": st.lists(
+        st.sampled_from(_BASE_DESCRIPTORS).flatmap(lambda d: _some(_DESCRIPTOR_VALUES, d)),
+        min_size=1, max_size=2)},
+).flatmap(lambda base: _some(_CONFIG_VALUES, base))
+_FLAGS = st.lists(st.sampled_from([
+    ["--n", "2"], ["--n", "65"], ["--lambda", "nan"], ["--lambda", "1e300"], ["--t0", "inf"],
+    ["--t0", "1e300"], ["--levels", "-3"], ["--seed", "-1"], ["--epsilon-cutoff", "1e300"],
+    ["--epsilon-cutoff", "0.5"], ["--format", "tsv"]]), max_size=2)
+
+
+@settings(max_examples=300)
+@given(command=st.sampled_from(["variation", "sweep", "witness-n2", "verify"]), config=_CONFIG,
+       flags=_FLAGS)
+def test_fuzzed_configs_exit_with_a_documented_code(tmp_path_factory, command, config, flags):
+    """Whatever the config, cli.main returns a documented exit code, writes
+    nothing on stderr, and on exit 2 prints exactly one JSON error line; on
+    exit 3 it prints one too, or the report of a run that did not converge.
+    Any warning (an overflow, say) fails the test: filterwarnings = error."""
+    path = tmp_path_factory.getbasetemp() / "fuzzed-config.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path), *(f for pair in flags for f in pair)])
+    event(f"{command} exits {code}")  # shown by pytest --hypothesis-show-statistics
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_QUADRATURE, EXIT_SUITE_FAILURE, EXIT_WITNESS)
+    assert err.getvalue() == ""
+    text = out.getvalue()
+    if code == EXIT_CONFIG or text.startswith('{"error"'):
+        assert code in (EXIT_CONFIG, EXIT_QUADRATURE) and text.count("\n") == 1
+        assert json.loads(text)["error"]["code"] == code
+    else:
+        assert text

@@ -68,7 +68,9 @@ INPUTS = {
     **dict.fromkeys(_NODES, Input("int", (2, MAX_RULE_NODES), _CMDS)),
     "support_radius": Input("float", (1e-300, LENGTH), "the sigma grid only",
                             "support_radius must be finite and > 0"),
-    "epsilon_cutoff": Input("float", (0.0, LENGTH), _CMDS, "{key} must be finite and >= 0"),
+    # > 0 only where T diverges; at n >= 3 the trace's callers refuse it
+    "epsilon_cutoff": Input("float", (0.0, LENGTH), "variation at n = 2, witness-n2",
+                            "{key} must be finite and >= 0"),
     # the samples object: the counts of the verify suites; the battery has 20 members
     **dict.fromkeys(_COUNTS, Input("int", (1, COUNT), "verify")),
     "battery_size": Input("int", (1, 20), "verify"),

@@ -1,8 +1,7 @@
-"""Integration over the slice and over the boundary trace, plus the
-finite-difference machinery for lower-right derivative estimates.
+"""Integration over the slice, the boundary trace as a slice integral, and
+the finite-difference machinery for lower-right derivative estimates.
 
-Both integrals of a field, over the slice (:func:`support_sample`) and its
-boundary (:func:`boundary_integral`), read the field's
+A field's slice rule (:func:`support_sample`) reads its
 :class:`~conestab.trial.Geometry`, so that its kinks fall on panel ends and
 its symmetry is summed once:
 
@@ -11,34 +10,32 @@ its symmetry is summed once:
   slice and the ball, with the volume element s^(n-1), exact for its
   polynomial profile; the polar angle from the axis runs, for a centre on
   the axis, on panels split where a ray leaves the slice at the ball's
-  radius, else on a rule exact for its sine-power weight.
+  radius, else on a rule exact for its sine-power weight.  Its
+  x'-directions (:func:`_directions`) are one for a radial field centred on
+  the axis, a half-circle about the centre's x'-direction off the axis, and
+  the full sphere grid for a ball.
 * a "box" field's slice rule is Cartesian Gauss-Legendre on its cube, each
   x_n column clipped at lam*|x'|; exact when the cube lies inside the slice.
-* the trace rule is polar in |x'| on the range where the trace can be
-  nonzero: empty, with no grid built and no value of f read, when the
-  field's closed region cannot meet the boundary cone (:func:`trace_span`).
-* both take their x'-directions from :func:`_directions`: one for a radial
-  field centred on the axis; a half-circle about the centre's x'-direction
-  off the axis; the full sphere grid for a ball and for a box's trace.
+
+For n >= 3 the trace integral T of f^2/|x'| over the slice boundary is a
+slice integral too: V = -e_n/|x'| is divergence-free off the axis and f has
+compact support, so T = -2 * int f (d_n f)/|x'| dx, summed on the nodes that
+give the Dirichlet energy.  T is 0.0 where the field's closed region cannot
+meet the boundary cone (:func:`trace_span`).  At n = 2 the identity holds
+only column by column, and T has its own rule (:func:`trace_grid`).
 
 Each rule counts its nodes before building them and refuses more than
 ``MAX_RULE_NODES``; no node touches the axis x' = 0, where the flow's
-derivatives are one-sided limits.  A battery is sampled, traced and its
-ladders turned into quotients in one pass each, with nothing cached across
-calls: :func:`support_samples` builds the polar angles of its fields
-centred on the axis in one pass, its rays in one pass per count of nodes
-per ray and each box coordinate-major, then evaluates each field once on
-its own nodes; :func:`boundary_integrals` takes one column rule of radii
-per kind of grid and one :func:`compensated_sums`; :func:`liminf_quotients`
-is one array pass.  ``stability_sweep``, the kato suite's shear checks and
-the CLI's variation reports call them once per battery; their one-field
-cases are :func:`support_sample`, :func:`boundary_integral` and
+derivatives are one-sided limits.  A battery is sampled, reduced and its
+ladders turned into quotients in one pass each, with nothing cached:
+:func:`support_samples` builds the polar angles of its fields centred on
+the axis in one pass, its rays in one pass per count of nodes per ray and
+each box coordinate-major, then evaluates each field once on its own
+nodes; :func:`energies_and_traces` is one :func:`compensated_sums`;
+:func:`liminf_quotients` is one array pass.  Their one-field cases are
+:func:`support_sample`, :func:`boundary_integral` and
 :func:`liminf_quotient`.  The sigma grid (:func:`sigma_grid`,
 :func:`integrate_sigma`) serves no integral of the program.
-
-The trace integral carries a 1/|x'| weight: regular for n >= 3 in polar
-form, log-divergent for n = 2 with a nonzero vertex value; its grid is
-logarithmic in |x'| whenever its range starts off the vertex.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ import numpy as np
 
 from ._inputs import MAX_RULE_NODES, check
 from .domain import ConeParams, _sumsq
-from .errors import DivergentBoundaryIntegral, QuadratureError
+from .errors import ConfigError, DivergentBoundaryIntegral, QuadratureError
 from .trial import TrialFunction
 
 __all__ = [
@@ -81,18 +78,18 @@ class QuadratureSpec:
     """Node counts for the quadrature rules; each field's geometry sets
     where they go.
 
-    ``radial_nodes`` sets the radii of the trace grid and, divided by 8,
-    the nodes per ray of the polar slice rules; ``angular_nodes`` the nodes
-    per angular coordinate of the x'-directions and of the off-axis polar
-    angle, and half the nodes per polar-angle panel of the axis rule;
-    ``box_nodes_per_axis`` divided by 8 the nodes per axis of the box rule.
-    Each count is raised where needed to the least that keeps the field's
-    rule exact; above that, doubling the spec's counts doubles the rule's.
-    A rule of more than MAX_RULE_NODES nodes is refused.  ``support_radius``
-    sets the extent of the sigma grid only, which remains only as the entry
-    point of the benchmark set-ups.  ``epsilon_cutoff`` > 0 opts in to the
-    regularized trace integral, which the divergent two-dimensional case
-    needs.  Each field is checked against its row of the input table.
+    ``radial_nodes`` sets the radii of the two-dimensional trace grid and,
+    divided by 8, the nodes per ray of the polar slice rules;
+    ``angular_nodes`` the nodes per angular coordinate of the x'-directions
+    and of the off-axis polar angle, and half the nodes per polar-angle
+    panel of the axis rule; ``box_nodes_per_axis`` divided by 8 the nodes per
+    axis of the box rule.  Each count is raised where needed to the least
+    that keeps the field's rule exact; above that, doubling the spec's
+    counts doubles the rule's.  A rule of more than MAX_RULE_NODES nodes is
+    refused.  ``support_radius`` sets the extent of the sigma grid only, the
+    entry point of the benchmark set-ups.  ``epsilon_cutoff`` > 0 opts in to
+    the regularized trace integral of the divergent n = 2 case; at n >= 3 it
+    is refused.  Each field is checked against its row of the input table.
     """
 
     radial_nodes: int = 64
@@ -313,21 +310,21 @@ def _box_rule(params: ConeParams, geom, spec: QuadratureSpec):
     return _kept(weights > 0.0, cols.reshape(n, -1), weights)
 
 
-def _directions(n: int, geom, m: int, per_direction: int, rule: str):
+def _directions(n: int, geom, m: int, per_direction: int):
     """Unit x'-directions (k, n-1) with weights that integrate the field's
-    functions of x' over the sphere S^(n-2), for a rule that places
+    functions of x' over the sphere S^(n-2), for a slice rule that places
     ``per_direction`` nodes on each; the node count is checked first.
 
     At n = 2 they are S^0, for every shape.  A "radial" field centred on the
     axis depends on |x'| only: one direction carries |S^(n-2)|.  Centred off
     the axis, it is invariant under the rotations that fix its centre's
     x'-direction a: cos(psi) a + sin(psi) e with e normal to a, psi in
-    (0, pi) with the weight |S^(n-3)| sin^(n-3) psi.  A box or a ball gets
-    the full sphere grid."""
+    (0, pi) with the weight |S^(n-3)| sin^(n-3) psi.  A ball gets the full
+    sphere grid."""
     radial = n > 2 and geom.shape == "radial"
     offset = geom.offset if radial else 0.0
     _count_nodes(((m if offset else 1) if radial else max(2, m ** (n - 2))) * per_direction,
-                 rule)
+                 "slice rule")
     if not radial:
         return sphere_grid(n - 2, m)
     if offset == 0.0:
@@ -360,7 +357,7 @@ def _slice_rules(params: ConeParams, geoms, spec: QuadratureSpec):
             continue
         cos_t, sin_t, w_t = angles[i] if i in angles else _polar_factor(n - 1, m)
         m_s = max((n + 2 * geom.degree + 1) // 2, spec.radial_nodes // 8)
-        xi, w_xi = _directions(n, geom, m, cos_t.size * m_s, "slice rule")
+        xi, w_xi = _directions(n, geom, m, cos_t.size * m_s)
         omega = np.empty((cos_t.size, xi.shape[0], n))
         omega[..., :-1] = sin_t[:, None, None] * xi
         omega[..., -1] = cos_t[:, None]
@@ -400,10 +397,9 @@ def support_sample(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
     """(pts, weights, radii, grad f, f) at the nodes of f's slice rule where
     f != 0, in rule order, the points coordinate-major; radii are |x'|.  Sums
     over them drop only exact zeros (see :class:`TrialFunction`); non-finite
-    values of f or grad f are rejected.  The rule follows f's geometry; its
-    Dirichlet energy is exact when the profile is the stated polynomial and
-    a box's or off-axis ball's region lies inside the slice.  Each call, the
-    one-field case of :func:`support_samples`, evaluates f afresh."""
+    values of f or grad f are rejected.  Its Dirichlet energy is exact when
+    the profile is the stated polynomial and a box's or off-axis ball's
+    region lies inside the slice.  The one-field case of :func:`support_samples`."""
     return support_samples(params, [f], spec)[0]
 
 
@@ -481,14 +477,11 @@ def _meets_cone(lam: float, geom) -> bool:
 
 
 def trace_span(params: ConeParams, f: TrialFunction):
-    """(lo, hi): the range of |x'| where f's boundary trace, at the boundary
-    point (x', lam |x'|), can be nonzero, read from the field alone.
-
-    It is the empty range (0.0, 0.0) when f's closed region cannot meet the
-    boundary cone (:func:`_meets_cone`), where f, and so its trace, is
-    exactly 0.  For a radial field centred on the axis this is the exact
-    range, so the trace integrand is smooth on it; otherwise it runs from 0
-    to the point where the geometry's reach bounds |x|."""
+    """(lo, hi): the range of |x'| where f's trace at (x', lam |x'|) can be
+    nonzero, read from the field alone: empty, (0.0, 0.0), when f's closed
+    region cannot meet the boundary cone (:func:`_meets_cone`); exact for a
+    radial field centred on the axis, so its trace is smooth on it; else
+    from 0 to the point where the geometry's reach bounds |x|."""
     lam = params.lam
     q = 1.0 + lam * lam
     geom = f.geometry
@@ -507,62 +500,41 @@ def trace_span(params: ConeParams, f: TrialFunction):
     return lo, hi
 
 
-def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float, geometry,
+def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float,
                log_from: float | None = None):
-    """Nodes on the slice boundary, in polar trace form.
-
-    Returns (pts (m, n), weights (m,), radii (m,)) such that
-    sum w * h(pts) approximates the integral of r^(n-3) * h(r*theta, lam*r)
-    dr dsigma(theta), the 1/|x'| trace integral in polar form.  With
-    ``log_from`` set, radii are Gauss-Legendre in log r on (log_from, r_max)
-    with the extra 1/r folded into the weights.  theta runs over the
-    directions of ``geometry`` (:func:`_directions`), so h must have the
-    symmetry the geometry states.  The one-grid case of :func:`_trace_grids`.
-    """
-    if log_from is not None and not log_from > 0.0:  # _trace_grids reads lo <= 0 as linear
+    """Nodes (m, 2), weights (m,) and radii (m,) on the boundary of the
+    two-dimensional slice: sum w * h(pts) approximates the integral of
+    h(r*theta, lam*r) / r over 0 < r < r_max and theta = +-1, the 1/|x'|
+    trace integral; with ``log_from`` set, Gauss-Legendre in log r on
+    (log_from, r_max).  At n >= 3 the trace is a slice integral, without a
+    grid."""
+    if params.n != 2:
+        raise ValueError(f"the trace grid is the n = 2 rule, got n = {params.n}")
+    if log_from is not None and not log_from > 0.0:
         raise ValueError(f"log_from must be positive, got {log_from!r}")
-    pts, weights, r = _trace_grids(params, spec, [geometry], [(log_from or 0.0, r_max)])[0]
-    return pts, weights, np.repeat(r, weights.size // r.size)
-
-
-def _trace_grids(params: ConeParams, spec: QuadratureSpec, geoms, spans) -> list:
-    """(pts, weights, radii rule) of the :func:`trace_grid` of each of ``geoms``
-    on its (lo, r_max) in ``spans``, logarithmic when lo > 0; the radii of
-    each kind of grid from one column call of :func:`gauss_legendre`."""
-    n, rules = params.n, {}
-    for log in {lo > 0.0 for lo, _ in spans}:
-        index = [i for i, (lo, _) in enumerate(spans) if (lo > 0.0) == log]
-        ends = [[math.log(x) for x in spans[i]] if log else spans[i] for i in index]
-        # one grid takes its ends as floats, the cheaper case of the same arithmetic
-        u, wu = gauss_legendre(*(np.array(ends).T[..., None] if len(ends) > 1 else ends[0]),
-                               spec.radial_nodes)
-        r = np.exp(u) if log else u
-        wr = wu * r ** (n - 2 if log else n - 3)  # in log r, du = dr/r
-        rules.update(zip(index, zip(r.reshape(len(index), -1), wr.reshape(len(index), -1))))
-    grids = []
-    for geom, (r, wr) in zip(geoms, map(rules.get, range(len(spans)))):
-        xi, w_xi = _directions(n, geom, spec.angular_nodes, r.size, "trace grid")
-        pts = np.empty((r.size, w_xi.size, n))
-        pts[..., :-1] = r[:, None, None] * xi
-        pts[..., -1] = (params.lam * r)[:, None]
-        grids.append((pts.reshape(-1, n), (wr[:, None] * w_xi).ravel(), r))
-    return grids
+    _count_nodes(2 * spec.radial_nodes, "trace grid")
+    if log_from is None:
+        r, wr = gauss_legendre(0.0, r_max, spec.radial_nodes)
+        wr = wr * r ** -1
+    else:  # in log r, du = dr/r
+        u, wr = gauss_legendre(math.log(log_from), math.log(r_max), spec.radial_nodes)
+        r = np.exp(u)
+    pts = np.empty((r.size, 2, 2))
+    pts[..., 0] = r[:, None] * [1.0, -1.0]
+    pts[..., 1] = (params.lam * r)[:, None]
+    return pts.reshape(-1, 2), np.repeat(wr, 2), np.repeat(r, 2)
 
 
 def boundary_integral(params: ConeParams, f: TrialFunction,
                       spec: QuadratureSpec) -> float:
-    """The weighted trace integral of f^2 / |x'| over the slice boundary
-    (without any aperture prefactor), on a grid logarithmic in |x'| from
-    max(``epsilon_cutoff``, r_min) when that is positive, r_min from
-    :func:`trace_span`: also without a cutoff, as for axis-b at lam = 2.
-    Where that range is empty it is 0.0, without a grid.
-
-    Regular for n >= 3.  For n = 2 it is finite only when f vanishes at the
-    vertex; a nonzero vertex value without a positive ``epsilon_cutoff``
-    raises :class:`DivergentBoundaryIntegral` -- the instability signature,
-    reported explicitly rather than returned as a huge number.  The
-    one-field case of :func:`boundary_integrals`.
-    """
+    """The weighted trace integral of f^2 / |x'| over the slice boundary,
+    without any aperture prefactor; 0.0, with no sample or grid, where
+    :func:`trace_span` is empty.  For n >= 3 a slice integral
+    (:func:`energies_and_traces`).  For n = 2 the :func:`trace_grid` on the
+    span, logarithmic in |x'| from max(``epsilon_cutoff``, r_min) if that is
+    positive: a nonzero vertex value without a cutoff raises
+    :class:`DivergentBoundaryIntegral`, the instability signature.  The
+    one-field case of :func:`boundary_integrals`."""
     value = boundary_integrals(params, [f], spec)[0]
     if value is None:
         raise DivergentBoundaryIntegral(
@@ -574,30 +546,60 @@ def boundary_integral(params: ConeParams, f: TrialFunction,
 
 def boundary_integrals(params: ConeParams, fields, spec: QuadratureSpec) -> list:
     """The :func:`boundary_integral` of each of ``fields``, None where it
-    diverges: the grids of non-empty ranges built together (:func:`_trace_grids`),
-    each field evaluated once on its own, all reduced by one :func:`compensated_sums`."""
-    cutoff, out, index, spans = spec.epsilon_cutoff, [], [], []
-    for f in fields:
-        if params.n == 2 and cutoff == 0.0 and f.value_at_vertex != 0.0:
-            out.append(None)
-            continue
-        r_min, r_max = trace_span(params, f)
-        if max(cutoff, r_min) < r_max:
-            index.append(len(out))
-            spans.append((max(cutoff, r_min), r_max))
-        out.append(0.0)
-    if not index:
-        return out
-    terms = []
-    for i, (pts, weights, _) in zip(index, _trace_grids(
-            params, spec, [fields[i].geometry for i in index], spans)):
-        vals = fields[i].evaluator(pts) ** 2
-        if not np.isfinite(vals).all():
-            raise QuadratureError("trace integrand produced non-finite values")
-        terms.append(vals * weights)
-    for i, value in zip(index, compensated_sums(terms)):
+    diverges, all reduced by one :func:`compensated_sums`: at n >= 3 from one
+    :func:`support_samples` call for the fields whose span is not empty; at
+    n = 2 each on its own trace grid."""
+    cutoff, out, index, terms = spec.epsilon_cutoff, [0.0] * len(fields), [], []
+    if params.n > 2:
+        index = [i for i, f in enumerate(fields) if trace_span(params, f)[1] > 0.0]
+        traced = [fields[i] for i in index]
+        samples = support_samples(params, traced, spec) if traced else []
+        values = [trace for _, trace in energies_and_traces(params, traced, samples, spec)]
+    else:
+        for i, f in enumerate(fields):
+            if cutoff == 0.0 and f.value_at_vertex != 0.0:
+                out[i] = None
+                continue
+            r_min, r_max = trace_span(params, f)
+            lower = max(cutoff, r_min)
+            if lower < r_max:
+                pts, weights, _ = trace_grid(params, spec, r_max, lower if lower > 0.0 else None)
+                vals = f.evaluator(pts) ** 2
+                if not np.isfinite(vals).all():
+                    raise QuadratureError("trace integrand produced non-finite values")
+                index.append(i)
+                terms.append(vals * weights)
+        values = compensated_sums(terms)
+    for i, value in zip(index, values):
         out[i] = value
     return out
+
+
+def _energy_terms(samples) -> list:
+    """The weighted |grad f|^2 on each support sample, summed its Dirichlet energy."""
+    return [w * _sumsq(g) for _, w, _, g, _ in samples]
+
+
+def energies_and_traces(params: ConeParams, fields, samples, spec: QuadratureSpec) -> list:
+    """(E, T) of each of ``fields`` from its :func:`support_sample` in
+    ``samples``: its Dirichlet energy and :func:`boundary_integral` (None
+    where that diverges), each with the bits of its own :func:`compensated_sum`.
+    At n >= 3 one :func:`compensated_sums` reduces every field's energy terms
+    and, where its :func:`trace_span` is not empty (else T = 0.0), its
+    weighted -2 f (d_n f) / |x'|; a positive ``epsilon_cutoff``, which the
+    finite-difference areas never see, is refused.  At n = 2, T is
+    :func:`boundary_integrals`'."""
+    energies = _energy_terms(samples)
+    if params.n == 2:
+        return list(zip(compensated_sums(energies), boundary_integrals(params, fields, spec)))
+    if spec.epsilon_cutoff > 0.0:
+        raise ConfigError(f"epsilon_cutoff regularizes the n = 2 trace only; at n = {params.n} "
+                          f"it must be 0, got {spec.epsilon_cutoff!r}")
+    index = [i for i, f in enumerate(fields) if trace_span(params, f)[1] > 0.0]
+    sums = compensated_sums(energies + [-2.0 * w * fv * g[:, -1] / r
+                                        for _, w, r, g, fv in (samples[i] for i in index)])
+    traces = dict(zip(index, sums[len(fields):]))
+    return [(energy, traces.get(i, 0.0)) for i, energy in enumerate(sums[:len(fields)])]
 
 
 # -- lower-right derivative estimates -----------------------------------------

@@ -23,9 +23,9 @@ import numpy as np
 
 from .domain import ConeParams, _sumsq
 from .errors import ConfigError
-from .quadrature import QuadratureSpec, boundary_integrals, compensated_sums, support_samples
+from .quadrature import QuadratureSpec, compensated_sums, energies_and_traces, support_samples
 from .trial import TrialFunction, make_boundary_bump
-from .variation import _energies, cutoff_ladder, dirichlet_energy
+from .variation import cutoff_ladder, dirichlet_energy
 
 __all__ = [
     "ThresholdResult",
@@ -138,16 +138,16 @@ def shear_transform_check(params: ConeParams, f: TrialFunction,
 
 def _shear_checks(params: ConeParams, fields, spec: QuadratureSpec) -> list:
     """:func:`shear_transform_check` of each of ``fields`` (n >= 3) from one
-    :func:`support_samples` call, with E_f and E_g each one reduction, and
-    one :func:`boundary_integrals` pass."""
+    :func:`support_samples` call: E_f with the traces one reduction
+    (:func:`energies_and_traces`), E_g another."""
     samples = support_samples(params, fields, spec)
     # g(x) = f(x', x_n + lam*|x'|).  The shear has unit Jacobian, so E_g is the
     # slice integral of |grad g|^2 at the sheared points, on f's own nodes; the
     # axis partial of f leaks into the in-plane gradient along the radial direction.
     sheared = [w * (_sumsq(gv[:, :-1] + params.lam * gv[:, -1:] * (pts[:, :-1] / r[:, None]))
                     + gv[:, -1] ** 2) for pts, w, r, gv, _ in samples]
-    return list(zip(_energies(samples), compensated_sums(sheared),
-                    boundary_integrals(params, fields, spec)))
+    return [(energy, energy_g, trace) for (energy, trace), energy_g in
+            zip(energies_and_traces(params, fields, samples, spec), compensated_sums(sheared))]
 
 
 def instability_witness_n2(params: ConeParams, epsilons,
@@ -199,8 +199,8 @@ def stability_sweep(params: ConeParams, battery, spec: QuadratureSpec) -> Stabil
     if not battery:
         return StabilityVerdict(regime=INCONCLUSIVE, detail="empty battery")
     margins, witness, witness_margin = [], None, math.inf
-    for f, energy, trace in zip(battery, _energies(support_samples(params, battery, spec)),
-                                boundary_integrals(params, battery, spec)):
+    for f, (energy, trace) in zip(battery, energies_and_traces(
+            params, battery, support_samples(params, battery, spec), spec)):
         margin = energy - params.lam * trace
         margins.append(margin)
         # robustness floor: ten times a crude absolute quadrature error proxy

@@ -14,9 +14,9 @@ log-divergence certificate instead of a bare sentinel.
 
 The reports of a battery (``_variation_reports``, which ``variation_report``
 and the CLI call) read one support sample per field and make one pass each
-for the energies, the areas at every distinct time of every field's two
-ladders (:func:`_battery_areas`), the quotients and the traces, each pass
-with one segmented reduction; ``area`` is the one-field, one-t case.
+for the areas at every distinct time of every field's two ladders
+(:func:`_battery_areas`), the quotients, and the energies with the traces,
+each pass with one segmented reduction; ``area`` is the one-field, one-t case.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from ._inputs import check
 from .domain import ConeParams, _dot, _sumsq
 from .errors import JacobianPositivityError, QuadratureError
 from .jacobian import _distortion_squared
-from .quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder, boundary_integral,
-                         boundary_integrals, compensated_sums, liminf_quotients, support_sample,
-                         support_samples)
+from .quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder, _energy_terms,
+                         boundary_integral, compensated_sums, energies_and_traces,
+                         liminf_quotients, support_sample, support_samples)
 from .trial import TrialFunction
 
 __all__ = [
@@ -169,14 +169,8 @@ def _battery_areas(params: ConeParams, samples, times) -> list:
 
 
 def dirichlet_energy(params: ConeParams, f: TrialFunction, spec: QuadratureSpec) -> float:
-    """Integral of |grad f|^2 over the slice."""
-    return _energies([support_sample(params, f, spec)])[0]
-
-
-def _energies(samples) -> list:
-    """The Dirichlet energies of fields from their ``support_sample``s, in
-    one segmented reduction, each with the bits of a ``compensated_sum``."""
-    return compensated_sums([w * _sumsq(g) for _, w, _, g, _ in samples])
+    """Integral of |grad f|^2 over the slice, as ``energies_and_traces`` sums it."""
+    return compensated_sums(_energy_terms([support_sample(params, f, spec)]))[0]
 
 
 def cutoff_ladder(params: ConeParams, f: TrialFunction, energy: float,
@@ -195,9 +189,9 @@ def cutoff_ladder(params: ConeParams, f: TrialFunction, energy: float,
 
 def second_variation_closed_form(params: ConeParams, f: TrialFunction,
                                  spec: QuadratureSpec) -> VariationReport:
-    """Closed-form second-variation fields only (no finite differences)."""
-    return _closed_form(params, f, dirichlet_energy(params, f, spec),
-                        boundary_integrals(params, [f], spec)[0], spec)
+    """Closed-form second-variation fields only, E and T from one support sample."""
+    (energy, trace), = energies_and_traces(params, [f], support_samples(params, [f], spec), spec)
+    return _closed_form(params, f, energy, trace, spec)
 
 
 def _closed_form(params: ConeParams, f: TrialFunction, diri: float, trace, spec: QuadratureSpec):
@@ -242,8 +236,8 @@ def variation_report(params: ConeParams, f: TrialFunction, t0: float | None = No
 
 def _variation_reports(params: ConeParams, fields, t0, levels: int, spec) -> list:
     """:func:`variation_report` of each of ``fields``: all ladder checks, then
-    one :func:`support_samples` call and one pass each for the energies, the
-    areas, the quotients and the traces."""
+    one :func:`support_samples` call and one pass each for the areas, the
+    quotients, and the energies with the traces."""
     spec = spec if spec is not None else QuadratureSpec()
     levels = check("levels", levels)
     pairs = []  # the t-ladder and the s = t^2 ladder of each field
@@ -264,8 +258,8 @@ def _variation_reports(params: ConeParams, fields, t0, levels: int, spec) -> lis
         [values for a, (steps, squares) in zip(areas, pairs)
          for values in ([a[t] for t in steps], [a[math.sqrt(s)] for s in squares])])
     reports = []
-    for f, energy, trace, a, first, second in zip(
-            fields, _energies(samples), boundary_integrals(params, fields, spec), areas,
+    for f, (energy, trace), a, first, second in zip(
+            fields, energies_and_traces(params, fields, samples, spec), areas,
             estimates[::2], estimates[1::2]):
         closed = _closed_form(params, f, energy, trace, spec)
         discrepancy = (abs(second.extrapolated - closed.closed_form)

@@ -254,16 +254,33 @@ def test_invalid_configs(tmp_path, capsys):
     (["sweep", "--epsilon-cutoff", "inf"], EXIT_CONFIG),
     (["variation", "--epsilon-cutoff", "inf"], EXIT_CONFIG),
     (["witness-n2", "--epsilon-cutoff", "nan"], EXIT_CONFIG),
+    # at n >= 3 T is finite and the finite-difference areas never see a cutoff:
+    # at 0.05 the n = 4 reports' closed forms moved 3.5e-3 away from them (exit 3)
+    (["sweep", "--n", "3", "--epsilon-cutoff", "0.05"], EXIT_CONFIG),
+    (["variation", "--n", "4", "--epsilon-cutoff", "0.05"], EXIT_CONFIG),
     # the step t0 * 2^-k underflows to 0 before the last level
     (["variation", "--levels", "1100"], EXIT_QUADRATURE),
 ], ids=["t0-zero", "t0-negative", "t0-nan", "t0-inf", "t0-square-underflow",
         "variation-cutoff", "sweep-cutoff",
         "witness-cutoff", "sweep-cutoff-nan", "sweep-cutoff-inf", "variation-cutoff-inf",
-        "witness-cutoff-nan", "levels-underflow"])
+        "witness-cutoff-nan", "sweep-cutoff-n3", "variation-cutoff-n4", "levels-underflow"])
 def test_bad_flags_exit_with_documented_codes(argv, code, capsys):
     assert run(argv) == code
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["code"] == code
+
+
+def test_box_sweep_runs_at_n7(tmp_path, capsys):
+    """box-a at n = 7 and lam = 0.5 <= lam*(7) meets the boundary cone; its
+    trace, a slice integral on its own 4^7-node box rule, needs no S^5 trace
+    grid (64 * 16^5 nodes, above the node budget: exit 3), so the sweep
+    exits 0 with a proven_stable verdict."""
+    box_a = [d for d in battery_descriptors(20) if d["id"] == "box-a"]
+    cfg = write_config(tmp_path, n=7, trial_functions=box_a, **{"lambda": 0.5}, quadrature={
+        "radial_nodes": 64, "angular_nodes": 16, "box_nodes_per_axis": 16})
+    assert run(["sweep", "--config", cfg]) == EXIT_OK
+    verdict = json.loads(capsys.readouterr().out)["results"]
+    assert verdict["regime"] == "proven_stable" and float(verdict["margin"]) > 0.0
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -14,7 +14,7 @@ import pytest
 from conftest import oracle
 
 from conestab.domain import ConeParams
-from conestab.quadrature import QuadratureSpec, boundary_integral, support_sample, trace_grid
+from conestab.quadrature import QuadratureSpec, boundary_integral, support_sample
 from conestab.trial import (Geometry, TrialFunction, battery_descriptors, build_trial,
                             make_boundary_bump, make_radial_bump, make_tensor_bump, scaled)
 from conestab.variation import area, dirichlet_energy
@@ -70,8 +70,8 @@ def test_scaled_field_energy_on_the_same_nodes():
 
 def test_axis_centred_node_count_does_not_grow_with_n():
     """At the default spec, an axis-centred field's slice rule has one node
-    count for every n from 3 to 8, and its trace grid one node per radius:
-    one x'-direction stands for the sphere S^(n-2) in both."""
+    count for every n from 3 to 8: one x'-direction stands for the sphere
+    S^(n-2)."""
     spec = QuadratureSpec()
     for desc in battery_descriptors(18):
         if desc["kind"] == "tensor_bump":
@@ -79,10 +79,27 @@ def test_axis_centred_node_count_does_not_grow_with_n():
         counts = {support_sample(ConeParams(n, 0.3), build_trial(desc, n), spec)[1].size
                   for n in range(3, 9)}
         assert len(counts) == 1, (desc["id"], counts)
-        for n in range(3, 9):
-            geometry = build_trial(desc, n).geometry
-            pts = trace_grid(ConeParams(n, 0.3), spec, 1.0, geometry=geometry)[0]
-            assert pts.shape == (spec.radial_nodes, n), (desc["id"], n)
+
+
+def test_trace_is_exact_up_to_rounding_of_the_margin():
+    """At the default spec, n = 3..8 and lam in {lam*/2, lam*, 2 lam*}, every
+    battery member the oracle covers has lam |T - T_exact| <= 1e-14 (E + lam T),
+    exact values on the right: T as a slice integral moves each margin
+    E - lam T by rounding only.  The boxes the oracle covers miss the cone,
+    so their T is 0.0 without a sample, also at n = 8, where their rule is
+    refused."""
+    spec = QuadratureSpec()
+    for n in range(3, 9):
+        for lam in _lams(n)[1:]:
+            params = ConeParams(n, lam)
+            for desc in battery_descriptors(20):
+                exact = oracle.energy_and_trace(desc, n, lam)
+                if exact is None:
+                    continue
+                energy, trace = exact
+                got = boundary_integral(params, build_trial(desc, n), spec)
+                assert lam * abs(got - trace) <= 1e-14 * (energy + lam * trace), \
+                    (n, lam, desc["id"], got, trace)
 
 
 def _ball_volume(n, rho):

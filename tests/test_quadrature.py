@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conestab import quadrature
+from conestab import quadrature, stability, variation
 from conestab.domain import ConeParams
-from conestab.errors import DivergentBoundaryIntegral, QuadratureError
+from conestab.errors import ConfigError, DivergentBoundaryIntegral, QuadratureError
 from conestab.quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder,
                                  boundary_integral, boundary_integrals, compensated_sum,
                                  compensated_sums, gauss_legendre, integrate_sigma,
@@ -426,21 +426,22 @@ def test_rules_above_the_node_budget_are_refused():
     """A rule that would place more than MAX_RULE_NODES nodes is refused with
     a QuadratureError before it is built: the box rule at n = 5 with 512 box
     nodes per axis (64^5 nodes), and at n = 8 with the default spec the
-    box's rule (8^8), its trace (64 * 16^6) at lam = 2, where the box meets
-    the boundary cone, a ball's sphere grid of directions and the sigma
-    grid.  At lam = 0.3 the box misses the cone: its trace is 0.0, with no
-    grid to refuse."""
+    box's rule (8^8), a ball's sphere grid of directions and the sigma grid;
+    at n = 2 the trace grid of 2^23 radii on the two points of S^0.  At
+    lam = 0.3 the box misses the cone: its trace is 0.0, with no rule to
+    refuse."""
     box5 = make_tensor_bump(1.0, 0.5, 5)
     with pytest.raises(QuadratureError, match=f"box rule needs {64 ** 5} nodes"):
         dirichlet_energy(ConeParams(5, 0.3), box5, QuadratureSpec(64, 16, 512, 3.1))
     params, spec = ConeParams(8, 0.3), QuadratureSpec()
     box8 = make_tensor_bump(1.0, 0.5, 8)
     ball8 = dataclasses.replace(box8, geometry=Geometry("ball", (0.0,) * 7 + (1.0,), 0.8))
-    steep = ConeParams(8, 2.0)
+    crossing = make_radial_bump([0.0, 1.0], 0.8, 2)
     for compute, rule in ((lambda: dirichlet_energy(params, box8, spec), "box rule"),
-                          (lambda: boundary_integral(steep, box8, spec), "trace grid"),
                           (lambda: dirichlet_energy(params, ball8, spec), "slice rule"),
-                          (lambda: sigma_grid(params, spec), "sigma grid")):
+                          (lambda: sigma_grid(params, spec), "sigma grid"),
+                          (lambda: boundary_integral(ConeParams(2, 1.0), crossing, QuadratureSpec(
+                              radial_nodes=2 ** 23)), f"trace grid needs {2 ** 24} nodes")):
         with pytest.raises(QuadratureError, match=rule):
             compute()
     assert boundary_integral(params, box8, spec) == 0.0
@@ -515,22 +516,20 @@ def test_boundary_integral_log_divergence_rate_two_dims():
 
 
 def test_boundary_integral_polar_and_cutoff_agree():
-    params = ConeParams(3, 1.0)
-    f = make_boundary_bump(1.0, 3)
-    plain = boundary_integral(params, f, QuadratureSpec(64, 16, 64, 3.0))
-    cut = boundary_integral(params, f, QuadratureSpec(64, 16, 64, 3.0,
-                                                      epsilon_cutoff=1e-8))
-    assert cut == pytest.approx(plain, rel=1e-6)
-
-
-def divergence_trace(params, f, spec):
-    """T by the divergence theorem, from the slice instead of its boundary.
-    V = -e_n/|x'| is divergence-free off the axis, and on the boundary
-    V.nu dS = dx'/|x'|, so T = -2 int f (axis partial of f)/|x'| over the
-    slice (n >= 3, where 1/|x'| is integrable), summed on the support
-    sample."""
-    _, weights, radii, grads, values = support_sample(params, f, spec)
-    return -2.0 * math.fsum((weights * values * grads[:, -1] / radii).tolist())
+    """At n = 2, a cutoff below the inner radius of a trace span that starts
+    off the vertex leaves T bit for bit: both read the logarithmic grid from
+    that radius.  At n >= 3, where T is a slice integral that the
+    finite-difference areas match without a cutoff, a positive cutoff is
+    refused."""
+    params, spec = ConeParams(2, 1.0), QuadratureSpec(64, 16, 64, 3.0)
+    f = make_radial_bump([0.0, 1.0], 0.8, 2)
+    cut = dataclasses.replace(spec, epsilon_cutoff=1e-8)
+    assert quadrature.trace_span(params, f)[0] > 1e-8
+    plain = boundary_integral(params, f, spec)
+    assert plain > 0.0 and boundary_integral(params, f, cut) == plain
+    for n in (3, 4):
+        with pytest.raises(ConfigError, match=f"at n = {n} it must be 0, got 1e-08"):
+            boundary_integral(ConeParams(n, 1.0), make_boundary_bump(1.0, n), cut)
 
 
 MARGIN_SPECS = {3: QuadratureSpec(64, 16, 64, 3.1), 4: QuadratureSpec(48, 10, 48, 3.1),
@@ -538,12 +537,13 @@ MARGIN_SPECS = {3: QuadratureSpec(64, 16, 64, 3.1), 4: QuadratureSpec(48, 10, 48
 
 
 def test_trace_matches_the_divergence_theorem():
-    """The trace rule and the slice rule, which share no nodes, give the
-    same T for the radial members on the axis (vertex, axis, deep) at the
-    margin benchmark's specs: within 1e-12 relative, and within rounding
-    of E where T is 0.  An off-axis bump that crosses the boundary agrees
-    within 1e-5 at four times those specs, where the slice rule is not
-    aligned with the 1/|x'| weight."""
+    """T as a slice integral, -2 int f (d_n f)/|x'| on the support sample,
+    and reference_trace's rule on the boundary, which share no nodes, give
+    the same T for the radial members on the axis (vertex, axis, deep) at
+    the margin benchmark's specs: within 1e-12 relative, and within
+    rounding of E where T is 0.  An off-axis bump that crosses the boundary
+    agrees within 1e-5 at four times those specs, where the slice rule is
+    not aligned with the 1/|x'| weight."""
     for n, spec in MARGIN_SPECS.items():
         star = lambda_star(n).lambda_star
         for lam in (0.5 * star, star, 2.0 * star):
@@ -553,8 +553,8 @@ def test_trace_matches_the_divergence_theorem():
                     continue
                 f = build_trial(desc, n)
                 scale = dirichlet_energy(params, f, spec)
-                assert divergence_trace(params, f, spec) == pytest.approx(
-                    boundary_integral(params, f, spec), rel=1e-12, abs=1e-14 * scale), \
+                assert boundary_integral(params, f, spec) == pytest.approx(
+                    reference_trace(params, f, spec), rel=1e-12, abs=1e-14 * scale), \
                     (n, lam, desc["id"])
         fine = QuadratureSpec(4 * spec.radial_nodes, 4 * spec.angular_nodes,
                               4 * spec.box_nodes_per_axis, spec.support_radius)
@@ -562,33 +562,38 @@ def test_trace_matches_the_divergence_theorem():
         f = make_radial_bump("offaxis:0.9:0.4", 0.7, n, exponent=2)
         trace = boundary_integral(params, f, fine)
         assert trace > 0.0
-        assert divergence_trace(params, f, fine) == pytest.approx(trace, rel=1e-5), n
+        assert reference_trace(params, f, fine) == pytest.approx(trace, rel=1e-5), n
 
 
 def test_trace_span_is_empty_only_where_the_region_misses_the_cone():
     """Across the battery, and ball-geometry copies of its radial members,
-    at n = 3..6 and lam in {0, lam*/2, lam*, 2 lam*, 1, 3}: wherever
-    trace_span is empty, the trace grid out to the reach, built directly,
-    sums f^2 to exactly 0.0, and boundary_integral returns that 0.0.  The
-    exit fires for boxes, off-axis radial fields and balls alike, and leaves
-    their open ranges reach-bounded as before."""
+    at n = 2..6 and lam in {0, lam*/2, lam*, 2 lam*, 1, 3} (n = 2: 0, 0.5,
+    1, 3): wherever trace_span is empty, a boundary rule out to the reach,
+    built directly (the trace grid at n = 2, reference_grid's above), sums
+    f^2 to exactly 0.0, and boundary_integral returns 0.0.  The exit fires
+    for boxes, off-axis radial fields and balls alike, and leaves their
+    open ranges reach-bounded as before."""
     fired = set()
-    for n in (3, 4, 5, 6):
+    for n in (2, 3, 4, 5, 6):
         spec = MARGIN_SPECS.get(n, QuadratureSpec(24, 6, 24, 3.1))
-        star = lambda_star(n).lambda_star
+        lams = (0.0, 0.5, 1.0, 3.0)
+        if n > 2:
+            star = lambda_star(n).lambda_star
+            lams = (0.0, 0.5 * star, star, 2.0 * star, 1.0, 3.0)
         battery = standard_battery(n)
         battery += [dataclasses.replace(f, geometry=Geometry(
             "ball", f.geometry.center, f.geometry.radius)) for f in battery
             if f.geometry.shape == "radial"]
-        for lam in (0.0, 0.5 * star, star, 2.0 * star, 1.0, 3.0):
+        for lam in lams:
             params = ConeParams(n, lam)
             root_q = math.sqrt(1.0 + lam * lam)
             for f in battery:
                 geom = f.geometry
                 span = quadrature.trace_span(params, f)
                 if span == (0.0, 0.0):
-                    pts, weights, _ = quadrature.trace_grid(
-                        params, spec, geom.reach / root_q, geom)
+                    reach = geom.reach / root_q
+                    pts, weights = (quadrature.trace_grid(params, spec, reach)[:2] if n == 2
+                                    else reference_grid(params, f, spec, 0.0, reach))
                     assert compensated_sum(f.evaluator(pts) ** 2 * weights) == 0.0, \
                         (n, lam, f.label)
                     assert boundary_integral(params, f, spec) == 0.0
@@ -622,17 +627,18 @@ def test_trace_span_decides_at_the_cone_within_rounding():
 
 def test_a_trace_that_misses_the_cone_reads_no_grid(monkeypatch):
     """box-b at n = 5, lam*: its cube lies above the cone, so its trace is
-    0.0 without building a trace grid or evaluating the field."""
+    0.0 without a support sample, a trace grid or an evaluation of the
+    field."""
     n = 5
     params = ConeParams(n, lambda_star(n).lambda_star)
     box_b = next(d for d in battery_descriptors() if d["id"] == "box-b")
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the trace grid was built")
+        raise AssertionError("a sample or a grid was built")
 
     f = dataclasses.replace(build_trial(box_b, n), evaluator=refuse)
-    monkeypatch.setattr(quadrature, "trace_grid", refuse)
-    monkeypatch.setattr(quadrature, "_trace_grids", refuse)
+    for name in ("support_samples", "trace_grid"):
+        monkeypatch.setattr(quadrature, name, refuse)
     assert boundary_integral(params, f, MARGIN_SPECS[n]) == 0.0
 
 
@@ -640,13 +646,15 @@ def test_a_trace_that_misses_the_cone_reads_no_grid(monkeypatch):
 def test_trace_grid_refuses_a_log_grid_from_a_non_positive_radius(log_from):
     """A logarithmic trace grid starts at a positive radius: log_from zero,
     negative or NaN raises instead of giving a linear grid, and 0.25 gives
-    radii inside (0.25, 1)."""
-    params, spec = ConeParams(3, 0.5), QuadratureSpec(8, 4, 8, 1.0)
-    geometry = make_radial_bump([0.0, 0.0, 1.5], 0.6, 3).geometry
+    radii inside (0.25, 1).  The trace grid is the n = 2 rule; at n = 3 it
+    raises."""
+    params, spec = ConeParams(2, 0.5), QuadratureSpec(8, 4, 8, 1.0)
     with pytest.raises(ValueError, match=f"log_from must be positive, got {log_from!r}"):
-        quadrature.trace_grid(params, spec, 1.0, geometry, log_from=log_from)
-    radii = quadrature.trace_grid(params, spec, 1.0, geometry, log_from=0.25)[2]
+        quadrature.trace_grid(params, spec, 1.0, log_from=log_from)
+    radii = quadrature.trace_grid(params, spec, 1.0, log_from=0.25)[2]
     assert 0.25 < radii.min() and radii.max() < 1.0
+    with pytest.raises(ValueError, match="the trace grid is the n = 2 rule, got n = 3"):
+        quadrature.trace_grid(ConeParams(3, 0.5), spec, 1.0, log_from=0.25)
 
 
 def one_trace(params, f, spec):
@@ -657,16 +665,41 @@ def one_trace(params, f, spec):
         return None
 
 
-def reference_trace(params, f, spec):
-    """One field's trace integral with its own scalar radii rule and its own
-    reduction, as a reference for the battery pass; None where it diverges."""
-    n, cutoff = params.n, spec.epsilon_cutoff
-    if n == 2 and cutoff == 0.0 and f.value_at_vertex != 0.0:
-        return None
-    r_min, r_max = quadrature.trace_span(params, f)
-    lower = max(cutoff, r_min)
-    if lower >= r_max:
-        return 0.0
+def reference_directions(n, geom, m):
+    """Unit x'-directions and weights that integrate a field's trace over
+    S^(n-2): S^0 at n = 2; one direction carrying |S^(n-2)| for a radial
+    field centred on the axis; for one centred off it, cos(psi) a + sin(psi) e
+    about its centre's x'-direction a, psi in (0, pi) with the weight
+    |S^(n-3)| sin^(n-3) psi, integrated by Gauss-Legendre in cos(psi) for
+    even n, where the weight is polynomial in it, else by the midpoint rule
+    in psi; else the sphere grid."""
+    def measure(k):
+        return 2.0 * math.pi ** ((k + 1) / 2.0) / math.gamma((k + 1) / 2.0)
+
+    if n == 2 or geom.shape != "radial":
+        return sphere_grid(n - 2, m)
+    if geom.offset == 0.0:
+        return np.eye(1, n - 1), np.array([measure(n - 2)])
+    a = np.asarray(geom.center[:-1]) / geom.offset
+    e = np.eye(n - 1)[np.argmin(np.abs(a))]
+    e = e - (e @ a) * a
+    e /= np.linalg.norm(e)
+    if n % 2 == 0:
+        cos_p, w = np.polynomial.legendre.leggauss(m)
+        sin_p = np.sqrt(1.0 - cos_p ** 2)
+        w = w * sin_p ** (n - 4)
+    else:
+        psi = np.pi * (np.arange(m) + 0.5) / m
+        cos_p, sin_p = np.cos(psi), np.sin(psi)
+        w = sin_p ** (n - 3) * (np.pi / m)
+    return cos_p[:, None] * a + sin_p[:, None] * e, w * measure(n - 3)
+
+
+def reference_grid(params, f, spec, lower, r_max):
+    """Nodes (m, n) and weights (m,) on the slice boundary that integrate
+    h(x) / |x'| for h with f's symmetry over lower < |x'| < r_max: polar,
+    with its own scalar radii rule, logarithmic in |x'| when lower > 0."""
+    n = params.n
     if lower > 0.0:
         u, wu = gauss_legendre(math.log(lower), math.log(r_max), spec.radial_nodes)
         r = np.exp(u)
@@ -674,38 +707,56 @@ def reference_trace(params, f, spec):
     else:
         r, wr = gauss_legendre(0.0, r_max, spec.radial_nodes)
         wr = wr * r ** (n - 3)
-    xi, w_xi = quadrature._directions(n, f.geometry, spec.angular_nodes, r.size, "trace grid")
+    xi, w_xi = reference_directions(n, f.geometry, spec.angular_nodes)
     pts = np.empty((r.size, w_xi.size, n))
     pts[..., :-1] = r[:, None, None] * xi
     pts[..., -1] = (params.lam * r)[:, None]
-    return compensated_sum(f.evaluator(pts.reshape(-1, n)) ** 2 * (wr[:, None] * w_xi).ravel())
+    return pts.reshape(-1, n), (wr[:, None] * w_xi).ravel()
+
+
+def reference_trace(params, f, spec):
+    """One field's trace integral on the boundary, by reference_grid on its
+    trace span, with its own reduction; None where it diverges.  At n = 2
+    it is the program's trace grid, bit for bit."""
+    n, cutoff = params.n, spec.epsilon_cutoff
+    if n == 2 and cutoff == 0.0 and f.value_at_vertex != 0.0:
+        return None
+    r_min, r_max = quadrature.trace_span(params, f)
+    lower = max(cutoff, r_min)
+    if lower >= r_max:
+        return 0.0
+    pts, weights = reference_grid(params, f, spec, lower, r_max)
+    return compensated_sum(f.evaluator(pts) ** 2 * weights)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_battery_traces_equal_one_call_per_field(n):
     """The traces of a battery from one boundary_integrals pass equal one
-    boundary_integral per field, and reference_trace, bit for bit, with None
-    where that raises DivergentBoundaryIntegral: the battery and ball copies of its radial
-    members, so that empty spans, linear and logarithmic grids mix in one
-    call, at lam in {0, lam*/2, lam*, 2 lam*, 1, 3} (n = 2: 0.5, 1, 3), with
-    no cutoff and with cutoffs 1e-4 and 0.5.  At n = 2 the vertex fields
-    diverge without a cutoff, each on its own."""
+    boundary_integral per field, bit for bit, with None where that raises
+    DivergentBoundaryIntegral: the battery and ball copies of its radial
+    members, so that empty spans and non-empty ones mix in one call, at lam
+    in {0, lam*/2, lam*, 2 lam*, 1, 3} (n = 2: 0.5, 1, 3).  At n = 2 they
+    also equal reference_trace bit for bit, with no cutoff and with cutoffs
+    1e-4 and 0.5, so that linear and logarithmic grids mix in one call, and
+    the vertex fields diverge without a cutoff, each on its own.  At n >= 3
+    a cutoff is refused (test_boundary_integral_polar_and_cutoff_agree)."""
     spec = MARGIN_SPECS.get(n, QuadratureSpec(24, 6, 24, 3.1))
     battery = standard_battery(n)
     battery += [dataclasses.replace(f, geometry=Geometry(
         "ball", f.geometry.center, f.geometry.radius)) for f in battery
         if f.geometry.shape == "radial"]
-    lams = (0.5, 1.0, 3.0)
+    lams, cutoffs, references = (0.5, 1.0, 3.0), (0.0, 1e-4, 0.5), (one_trace, reference_trace)
     if n > 2:
         star = lambda_star(n).lambda_star
-        lams = (0.0, 0.5 * star, star, 2.0 * star, 1.0, 3.0)
+        lams, cutoffs, references = (0.0, 0.5 * star, star, 2.0 * star, 1.0, 3.0), (0.0,), \
+            (one_trace,)
     seen = set()
     for lam in lams:
         params = ConeParams(n, lam)
-        for cutoff in (0.0, 1e-4, 0.5):
+        for cutoff in cutoffs:
             cut = dataclasses.replace(spec, epsilon_cutoff=cutoff)
             got = boundary_integrals(params, battery, cut)
-            for one in (one_trace, reference_trace):
+            for one in references:
                 want = [one(params, f, cut) for f in battery]
                 assert [np.float64(v).tobytes() if v is not None else v for v in got] == \
                     [np.float64(v).tobytes() if v is not None else v for v in want], \
@@ -714,6 +765,39 @@ def test_battery_traces_equal_one_call_per_field(n):
                      for v in got}
     assert seen == ({"empty", "divergent", "value"} if n == 2 else {"empty", "value"})
     assert boundary_integrals(ConeParams(n, 1.0), [], spec) == []
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_battery_passes_sample_once_and_build_no_trace_grid(n, monkeypatch):
+    """At n >= 3 T comes from the support sample that gives E: with the
+    trace grid refused, stability_sweep, the shear checks, the variation
+    reports and second_variation_closed_form each make one support_samples
+    call, at 2 lam*, where boxes meet the cone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trace grid was built")
+
+    monkeypatch.setattr(quadrature, "trace_grid", refuse)
+    calls = []
+    real = quadrature.support_samples
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    for module in (quadrature, stability, variation):
+        monkeypatch.setattr(module, "support_samples", counting)
+    params, spec = ConeParams(n, 2.0 * lambda_star(n).lambda_star), MARGIN_SPECS[n]
+    battery = standard_battery(n)
+    passes = (lambda: stability_sweep(params, battery, spec).margins,
+              lambda: [trace for _, _, trace in stability._shear_checks(params, battery, spec)],
+              lambda: [r.boundary_term for r in variation._variation_reports(
+                  params, battery, None, 3, spec)],
+              lambda: [variation.second_variation_closed_form(params, battery[0], spec)
+                       .boundary_term])
+    for run, size in zip(passes, (len(battery),) * 3 + (1,)):
+        calls.clear()
+        assert any(value != 0.0 for value in run())
+        assert calls == [size]
 
 
 def test_divergent_trace_is_signalled():

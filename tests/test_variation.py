@@ -496,9 +496,9 @@ def test_battery_area_errors_name_the_first_failing_field_and_t(rows, monkeypatc
 
 @pytest.mark.parametrize("size", [1, 4, 10])
 def test_a_battery_report_makes_a_fixed_number_of_reductions(size, monkeypatch):
-    """One _variation_reports call reduces with three compensated_sums,
-    whatever the battery's size: the energies, every area row, every
-    trace.  No one-field path runs: no compensated_sum, area,
+    """One _variation_reports call reduces with two compensated_sums,
+    whatever the battery's size: every area row, then the energies with
+    every trace.  No one-field path runs: no compensated_sum, area,
     boundary_integral or liminf_quotient call.  This guards the battery
     passes against a per-field loop coming back."""
     params = ConeParams(3, 0.2)
@@ -515,7 +515,7 @@ def test_a_battery_report_makes_a_fixed_number_of_reductions(size, monkeypatch):
         monkeypatch.setattr(conestab.variation, name, None)
     reports = _variation_reports(params, fields, None, 5, SPEC3)
     traced = sum(1 for f in fields if conestab.quadrature.trace_span(params, f)[1] > 0.0)
-    # the t = 0 areas with every (field, t) row, the energies, the traces
+    # the t = 0 areas with every (field, t) row, the energies with the traces
     assert calls == [size + sum(len(_report_times(default_t0(f), 5)) - 1 for f in fields),
-                     size, traced]
+                     size + traced]
     assert len(reports) == size

@@ -55,10 +55,11 @@ INPUTS = {
     "t0": Input("float", (math.sqrt(math.ulp(0.0)), LENGTH), "variation"),
     # from about 1,085 levels on every ladder underflows (exit 3); 0.5^levels stays a float
     "levels": Input("int", (3, 2048), "variation"),
-    "epsilons": Input("cutoffs", (sys.float_info.min, math.nextafter(1.0, 0.0)), "witness-n2",
-                      _EPS, _EPS),  # low: the least normal float, so log(1/low) is finite
+    # low: the least normal float, so log(1/low) is finite
+    "epsilons": Input("cutoffs", (sys.float_info.min, math.nextafter(1.0, 0.0)),
+                      "variation at n = 2, witness-n2", _EPS, _EPS),
     "seed": Input("int", (0, 2 ** 64 - 1), "verify"),
-    "quadrature": Input("object", (*_NODES, "support_radius", "epsilon_cutoff"), _CMDS),
+    "quadrature": Input("object", (*_NODES, "support_radius"), _CMDS),
     "samples": Input("object", (*_COUNTS, "battery_size"), "verify"),
     # the stacked passes hold the nodes of every field at once
     "trial_functions": Input("list", (1, 64), "variation sweep", _TF, _TF),
@@ -68,9 +69,6 @@ INPUTS = {
     **dict.fromkeys(_NODES, Input("int", (2, MAX_RULE_NODES), _CMDS)),
     "support_radius": Input("float", (1e-300, LENGTH), "the sigma grid only",
                             "support_radius must be finite and > 0"),
-    # > 0 only where T diverges; at n >= 3 the trace's callers refuse it
-    "epsilon_cutoff": Input("float", (0.0, LENGTH), "variation at n = 2, witness-n2",
-                            "{key} must be finite and >= 0"),
     # the samples object: the counts of the verify suites; the battery has 20 members
     **dict.fromkeys(_COUNTS, Input("int", (1, COUNT), "verify")),
     "battery_size": Input("int", (1, 20), "verify"),

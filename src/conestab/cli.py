@@ -43,7 +43,7 @@ SUITE_VERSIONS = {"package": None, "jacobian": "3", "foliation": "1",
 DISCREPANCY_RTOL = 0.01  # `variation` exits 3 when |FD - closed form| exceeds this part of it
 
 # The config keys that a flag of the same name overrides; None marks a flag not set.
-_FLAGS = ("n", "lambda", "t0", "levels", "seed", "format", "out", "epsilon_cutoff")
+_FLAGS = ("n", "lambda", "t0", "levels", "seed", "format", "out")
 
 
 @dataclasses.dataclass
@@ -68,7 +68,7 @@ _CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)} - {"lam"} | {"lam
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """The config file at ``path`` (None: the defaults) under the flags set
     in ``overrides``, each value checked against its row of the input table
-    before any work starts; a flag named after a quadrature key overrides it."""
+    before any work starts."""
     raw = {}
     if path is not None:
         try:
@@ -83,7 +83,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     quad, samples = (check(k, raw.pop(k, {})) for k in ("quadrature", "samples"))
     flags = {k: overrides[k] for k in _FLAGS if overrides.get(k) is not None}
-    quad.update((k, flags.pop(k)) for k in INPUTS["quadrature"].span if k in flags)
     cfg = RunConfig(quadrature=QuadratureSpec(**quad),
                     samples={k: check(k, v) for k, v in samples.items()})
     for key, value in {**raw, **flags}.items():
@@ -175,7 +174,8 @@ def cmd_threshold(args) -> int:
 def cmd_variation(args) -> int:
     cfg = load_config(args.config, vars(args))
     params = ConeParams(cfg.n, cfg.lam)
-    reports = _variation_reports(params, _trial_functions(cfg), cfg.t0, cfg.levels, cfg.quadrature)
+    reports = _variation_reports(params, _trial_functions(cfg), cfg.t0, cfg.levels,
+                                 cfg.quadrature, cfg.epsilons)
     _publish(cfg, reports, ["n", "lambda", "trial_id", "first_variation", "first_converged",
                             "second_variation", "second_converged", "closed_form",
                             "dirichlet_term", "boundary_term", "discrepancy"],
@@ -221,8 +221,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_SUITE_FAILURE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors, which exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conestab",
         description="Stability toolkit for the free-boundary half-plane in a "
                     "convex circular cone")
@@ -250,9 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConeStabError as exc:
         code = EXIT_QUADRATURE if isinstance(exc, QuadratureError) else EXIT_CONFIG

@@ -50,7 +50,7 @@ import numpy as np
 
 from ._inputs import MAX_RULE_NODES, check
 from .domain import ConeParams, _sumsq
-from .errors import ConfigError, DivergentBoundaryIntegral, QuadratureError
+from .errors import DivergentBoundaryIntegral, QuadratureError
 from .trial import TrialFunction
 
 __all__ = [
@@ -87,16 +87,15 @@ class QuadratureSpec:
     that keeps the field's rule exact; above that, doubling the spec's
     counts doubles the rule's.  A rule of more than MAX_RULE_NODES nodes is
     refused.  ``support_radius`` sets the extent of the sigma grid only, the
-    entry point of the benchmark set-ups.  ``epsilon_cutoff`` > 0 opts in to
-    the regularized trace integral of the divergent n = 2 case; at n >= 3 it
-    is refused.  Each field is checked against its row of the input table.
+    entry point of the benchmark set-ups.  Each field is checked against its
+    row of the input table.  A trace cutoff is no field of the spec: the
+    n = 2 cutoff ladder passes its radii to the trace rule itself.
     """
 
     radial_nodes: int = 64
     angular_nodes: int = 16
     box_nodes_per_axis: int = 64
     support_radius: float = 3.0
-    epsilon_cutoff: float = 0.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -525,54 +524,51 @@ def trace_grid(params: ConeParams, spec: QuadratureSpec, r_max: float,
     return pts.reshape(-1, 2), np.repeat(wr, 2), np.repeat(r, 2)
 
 
+def _plane_traces(params: ConeParams, fields, spec: QuadratureSpec, cutoffs=None) -> list:
+    """The n = 2 trace integral of each of ``fields``, cut off at its radius
+    in ``cutoffs`` (None: no cutoff), each on its own :func:`trace_grid` on
+    its span, logarithmic in |x'| from max(cutoff, r_min) if that is
+    positive, and all reduced by one :func:`compensated_sums`; None where it
+    diverges, at a nonzero vertex value without a cutoff."""
+    out, index, terms = [0.0] * len(fields), [], []
+    for i, (f, cutoff) in enumerate(zip(fields, cutoffs or [0.0] * len(fields))):
+        if cutoff == 0.0 and f.value_at_vertex != 0.0:
+            out[i] = None
+            continue
+        r_min, r_max = trace_span(params, f)
+        lower = max(cutoff, r_min)
+        if lower < r_max:
+            pts, weights, _ = trace_grid(params, spec, r_max, lower if lower > 0.0 else None)
+            vals = f.evaluator(pts) ** 2
+            if not np.isfinite(vals).all():
+                raise QuadratureError("trace integrand produced non-finite values")
+            index.append(i)
+            terms.append(vals * weights)
+    for i, value in zip(index, compensated_sums(terms)):
+        out[i] = value
+    return out
+
+
 def boundary_integral(params: ConeParams, f: TrialFunction,
                       spec: QuadratureSpec) -> float:
     """The weighted trace integral of f^2 / |x'| over the slice boundary,
     without any aperture prefactor; 0.0, with no sample or grid, where
-    :func:`trace_span` is empty.  For n >= 3 a slice integral
-    (:func:`energies_and_traces`).  For n = 2 the :func:`trace_grid` on the
-    span, logarithmic in |x'| from max(``epsilon_cutoff``, r_min) if that is
-    positive: a nonzero vertex value without a cutoff raises
-    :class:`DivergentBoundaryIntegral`, the instability signature.  The
-    one-field case of :func:`boundary_integrals`."""
-    value = boundary_integrals(params, [f], spec)[0]
-    if value is None:
-        raise DivergentBoundaryIntegral(
-            "trace integral diverges: two-dimensional slice with nonzero "
-            f"vertex value {f.value_at_vertex}; set epsilon_cutoff > 0 to regularize",
-            vertex_value=f.value_at_vertex)
-    return value
-
-
-def boundary_integrals(params: ConeParams, fields, spec: QuadratureSpec) -> list:
-    """The :func:`boundary_integral` of each of ``fields``, None where it
-    diverges, all reduced by one :func:`compensated_sums`: at n >= 3 from one
-    :func:`support_samples` call for the fields whose span is not empty; at
-    n = 2 each on its own trace grid."""
-    cutoff, out, index, terms = spec.epsilon_cutoff, [0.0] * len(fields), [], []
-    if params.n > 2:
-        index = [i for i, f in enumerate(fields) if trace_span(params, f)[1] > 0.0]
-        traced = [fields[i] for i in index]
-        samples = support_samples(params, traced, spec) if traced else []
-        values = [trace for _, trace in energies_and_traces(params, traced, samples, spec)]
-    else:
-        for i, f in enumerate(fields):
-            if cutoff == 0.0 and f.value_at_vertex != 0.0:
-                out[i] = None
-                continue
-            r_min, r_max = trace_span(params, f)
-            lower = max(cutoff, r_min)
-            if lower < r_max:
-                pts, weights, _ = trace_grid(params, spec, r_max, lower if lower > 0.0 else None)
-                vals = f.evaluator(pts) ** 2
-                if not np.isfinite(vals).all():
-                    raise QuadratureError("trace integrand produced non-finite values")
-                index.append(i)
-                terms.append(vals * weights)
-        values = compensated_sums(terms)
-    for i, value in zip(index, values):
-        out[i] = value
-    return out
+    :func:`trace_span` is empty.  For n >= 3 a slice integral on f's
+    support sample, the one-field case of :func:`energies_and_traces`.  For
+    n = 2 the :func:`trace_grid` on the span (:func:`_plane_traces`): a
+    nonzero vertex value raises :class:`DivergentBoundaryIntegral`, the
+    instability signature."""
+    if params.n == 2:
+        value, = _plane_traces(params, [f], spec)
+        if value is None:
+            raise DivergentBoundaryIntegral(
+                "trace integral diverges: two-dimensional slice with nonzero vertex value "
+                f"{f.value_at_vertex}; its cutoff ladder (witness-n2) measures the divergence",
+                vertex_value=f.value_at_vertex)
+        return value
+    if not trace_span(params, f)[1] > 0.0:
+        return 0.0
+    return energies_and_traces(params, [f], support_samples(params, [f], spec), spec)[0][1]
 
 
 def _energy_terms(samples) -> list:
@@ -586,15 +582,11 @@ def energies_and_traces(params: ConeParams, fields, samples, spec: QuadratureSpe
     where that diverges), each with the bits of its own :func:`compensated_sum`.
     At n >= 3 one :func:`compensated_sums` reduces every field's energy terms
     and, where its :func:`trace_span` is not empty (else T = 0.0), its
-    weighted -2 f (d_n f) / |x'|; a positive ``epsilon_cutoff``, which the
-    finite-difference areas never see, is refused.  At n = 2, T is
-    :func:`boundary_integrals`'."""
+    weighted -2 f (d_n f) / |x'|.  At n = 2, T is :func:`_plane_traces`'
+    without a cutoff."""
     energies = _energy_terms(samples)
     if params.n == 2:
-        return list(zip(compensated_sums(energies), boundary_integrals(params, fields, spec)))
-    if spec.epsilon_cutoff > 0.0:
-        raise ConfigError(f"epsilon_cutoff regularizes the n = 2 trace only; at n = {params.n} "
-                          f"it must be 0, got {spec.epsilon_cutoff!r}")
+        return list(zip(compensated_sums(energies), _plane_traces(params, fields, spec)))
     index = [i for i, f in enumerate(fields) if trace_span(params, f)[1] > 0.0]
     sums = compensated_sums(energies + [-2.0 * w * fv * g[:, -1] / r
                                         for _, w, r, g, fv in (samples[i] for i in index)])

@@ -33,7 +33,7 @@ from .domain import ConeParams, _dot, _sumsq
 from .errors import JacobianPositivityError, QuadratureError
 from .jacobian import _distortion_squared
 from .quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder, _energy_terms,
-                         boundary_integral, compensated_sums, energies_and_traces,
+                         _plane_traces, compensated_sums, energies_and_traces,
                          liminf_quotients, support_sample, support_samples)
 from .trial import TrialFunction
 
@@ -177,11 +177,11 @@ def cutoff_ladder(params: ConeParams, f: TrialFunction, energy: float,
                   spec: QuadratureSpec, epsilons=DEFAULT_CUTOFFS) -> LogDivergenceCertificate:
     """Values (1/2) energy - (1/2) lam * trace integral cut off at each radius
     in ``epsilons`` (checked as the input ``epsilons``, largest first), with
-    their least-squares line against log(1/cutoff); ``energy`` is f's energy."""
+    their least-squares line against log(1/cutoff); ``energy`` is f's energy.
+    One n = 2 trace pass gives every cut trace; its trace grid refuses n >= 3."""
     eps = check("epsilons", epsilons)
-    vals = tuple(0.5 * energy - 0.5 * params.lam
-                 * boundary_integral(params, f, replace(spec, epsilon_cutoff=e))
-                 for e in eps)
+    vals = tuple(0.5 * energy - 0.5 * params.lam * trace
+                 for trace in _plane_traces(params, [f] * len(eps), spec, eps))
     slope, intercept = np.polyfit(np.log(1.0 / np.asarray(eps)), np.asarray(vals), 1)
     return LogDivergenceCertificate(epsilons=eps, values=vals,
                                     slope=float(slope), intercept=float(intercept))
@@ -191,12 +191,13 @@ def second_variation_closed_form(params: ConeParams, f: TrialFunction,
                                  spec: QuadratureSpec) -> VariationReport:
     """Closed-form second-variation fields only, E and T from one support sample."""
     (energy, trace), = energies_and_traces(params, [f], support_samples(params, [f], spec), spec)
-    return _closed_form(params, f, energy, trace, spec)
+    return _closed_form(params, f, energy, trace, spec, DEFAULT_CUTOFFS)
 
 
-def _closed_form(params: ConeParams, f: TrialFunction, diri: float, trace, spec: QuadratureSpec):
+def _closed_form(params: ConeParams, f: TrialFunction, diri: float, trace, spec, epsilons):
     """:func:`second_variation_closed_form` from f's Dirichlet energy ``diri``
-    and its trace integral ``trace``, None where that diverges."""
+    and its trace integral ``trace``, None where that diverges, certified on
+    the cutoffs ``epsilons``."""
     cert = None
     if trace is not None:
         boundary_term = -0.5 * params.lam * trace
@@ -204,7 +205,7 @@ def _closed_form(params: ConeParams, f: TrialFunction, diri: float, trace, spec:
         boundary_term = -0.0  # -0.5 * lam * T at lam = 0, as at every n >= 3
     else:
         # divergent verdict with the fitted log slope as evidence
-        cert = cutoff_ladder(params, f, diri, spec)
+        cert = cutoff_ladder(params, f, diri, spec, epsilons)
         boundary_term = float("-inf")
     closed = 0.5 * diri + boundary_term
     return VariationReport(first_variation=None, second_variation_fd=None,
@@ -234,10 +235,11 @@ def variation_report(params: ConeParams, f: TrialFunction, t0: float | None = No
     return _variation_reports(params, [f], t0, levels, spec)[0]
 
 
-def _variation_reports(params: ConeParams, fields, t0, levels: int, spec) -> list:
-    """:func:`variation_report` of each of ``fields``: all ladder checks, then
-    one :func:`support_samples` call and one pass each for the areas, the
-    quotients, and the energies with the traces."""
+def _variation_reports(params: ConeParams, fields, t0, levels: int, spec,
+                       epsilons=DEFAULT_CUTOFFS) -> list:
+    """:func:`variation_report` of each of ``fields``: all ladder checks, then one
+    :func:`support_samples` call and one pass each for the areas, the quotients, and
+    the energies with the traces, a divergent trace certified on ``epsilons``."""
     spec = spec if spec is not None else QuadratureSpec()
     levels = check("levels", levels)
     pairs = []  # the t-ladder and the s = t^2 ladder of each field
@@ -261,7 +263,7 @@ def _variation_reports(params: ConeParams, fields, t0, levels: int, spec) -> lis
     for f, (energy, trace), a, first, second in zip(
             fields, energies_and_traces(params, fields, samples, spec), areas,
             estimates[::2], estimates[1::2]):
-        closed = _closed_form(params, f, energy, trace, spec)
+        closed = _closed_form(params, f, energy, trace, spec, epsilons)
         discrepancy = (abs(second.extrapolated - closed.closed_form)
                        if closed.divergence is None else closed.discrepancy)
         reports.append(replace(closed, first_variation=first, second_variation_fd=second,

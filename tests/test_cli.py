@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conestab import cli, variation, verify
+from conestab import cli, quadrature, stability, variation, verify
 from conestab.trial import battery_descriptors
 from conestab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_SUITE_FAILURE,
                           EXIT_WITNESS, load_config, main)
@@ -129,19 +129,25 @@ def test_variation_two_dims_flat_reference_is_finite(tmp_path):
     assert rep["closed_form"] == rep["dirichlet_term"]
 
 
-def test_epsilon_cutoff_flag_regularizes_two_dims(tmp_path):
-    out = tmp_path / "reg.json"
+def test_variation_certifies_divergence_on_the_configured_cutoffs(tmp_path):
+    """At n = 2 the divergence certificate of `variation` fits the config's
+    `epsilons`, as `witness-n2` does; it used to fit the five defaults while
+    the report echoed the config's cutoffs."""
+    out = tmp_path / "cut.json"
+    epsilons = [0.1, 0.01, 0.001]
     cfg = write_config(
-        tmp_path, n=2, levels=8, out=str(out), **{"lambda": 1.0},
+        tmp_path, n=2, levels=8, out=str(out), epsilons=epsilons, **{"lambda": 1.0},
         quadrature={"radial_nodes": 64, "angular_nodes": 2,
                     "box_nodes_per_axis": 64, "support_radius": 2.0},
         trial_functions=[{"id": "vertex", "kind": "boundary_concentrated",
                           "radius": 1.0}])
-    code = run(["variation", "--config", cfg, "--epsilon-cutoff", "1e-4"])
-    assert code != EXIT_WITNESS  # no divergence verdict once regularized
-    rep = json.loads(out.read_text())["results"][0]
-    assert rep["divergence"] is None
-    assert math.isfinite(float(rep["closed_form"]))
+    assert run(["variation", "--config", cfg]) == EXIT_WITNESS
+    report = json.loads(out.read_text())
+    certificate = report["results"][0]["divergence"]
+    assert [float(e) for e in certificate["epsilons"]] == epsilons
+    assert [float(e) for e in report["config"]["epsilons"]] == epsilons
+    assert len(certificate["values"]) == len(epsilons)
+    assert float(certificate["slope"]) == pytest.approx(-1.0, rel=0.1)
 
 
 def test_csv_and_json_numeric_parity(tmp_path):
@@ -246,15 +252,17 @@ def test_invalid_configs(tmp_path, capsys):
     (["variation", "--t0", "inf"], EXIT_CONFIG),
     # t0^2, the first step of the second-variation ladder, underflows to 0
     (["variation", "--t0", "1e-200"], EXIT_CONFIG),
+    # --epsilon-cutoff is retired, so each of these is an unknown flag; while it
+    # was read, a NaN cutoff gave all-NaN margins and an infinite one zeroed
+    # every trace
     (["variation", "--epsilon-cutoff", "-1"], EXIT_CONFIG),
     (["sweep", "--epsilon-cutoff", "-1"], EXIT_CONFIG),
     (["witness-n2", "--epsilon-cutoff", "-1"], EXIT_CONFIG),
-    # a NaN cutoff gave all-NaN margins, an infinite one zeroed every trace
     (["sweep", "--epsilon-cutoff", "nan"], EXIT_CONFIG),
     (["sweep", "--epsilon-cutoff", "inf"], EXIT_CONFIG),
     (["variation", "--epsilon-cutoff", "inf"], EXIT_CONFIG),
     (["witness-n2", "--epsilon-cutoff", "nan"], EXIT_CONFIG),
-    # at n >= 3 T is finite and the finite-difference areas never see a cutoff:
+    # at n >= 3 T is finite and the finite-difference areas never saw a cutoff:
     # at 0.05 the n = 4 reports' closed forms moved 3.5e-3 away from them (exit 3)
     (["sweep", "--n", "3", "--epsilon-cutoff", "0.05"], EXIT_CONFIG),
     (["variation", "--n", "4", "--epsilon-cutoff", "0.05"], EXIT_CONFIG),
@@ -268,6 +276,39 @@ def test_bad_flags_exit_with_documented_codes(argv, code, capsys):
     assert run(argv) == code
     err = json.loads(capsys.readouterr().out)
     assert err["error"]["code"] == code
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--bogus", "1"], "conestab: unrecognized arguments: --bogus 1"),
+    (["sweep", "--n", "abc"], "conestab sweep: argument --n: invalid int value: 'abc'"),
+    ([], "conestab: the following arguments are required: command"),
+    (["variation", "--epsilon-cutoff", "0.05"],
+     "conestab: unrecognized arguments: --epsilon-cutoff 0.05"),
+], ids=["unknown-flag", "malformed-int", "no-command", "retired-cutoff-flag"])
+def test_argument_errors_exit_2_with_one_json_line(argv, message, capsys):
+    """A command line that argparse refuses exits 2 like any invalid config:
+    one JSON error line on stdout and nothing on stderr.  It used to print
+    argparse's usage on stderr and raise SystemExit(2)."""
+    assert run(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == "" and len(captured.out.splitlines()) == 1
+    assert json.loads(captured.out)["error"] == {"code": EXIT_CONFIG, "message": message}
+
+
+@pytest.mark.parametrize("command", ["variation", "sweep"])
+def test_retired_cutoff_key_exits_2_before_any_sample(tmp_path, monkeypatch, capsys, command):
+    """quadrature.epsilon_cutoff is no key of the quadrature object, so at
+    n = 4 it exits 2 when the config is loaded, with no support sample
+    built; while it was a key, it was refused only after the areas."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a support sample was built")
+
+    for module in (quadrature, variation, stability):
+        monkeypatch.setattr(module, "support_samples", refuse)
+    cfg = write_config(tmp_path, n=4, quadrature={**SMALL_QUAD, "epsilon_cutoff": 0.05})
+    assert run([command, "--config", cfg]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == EXIT_CONFIG and "keys among" in err["message"]
 
 
 def test_box_sweep_runs_at_n7(tmp_path, capsys):
@@ -389,8 +430,10 @@ def test_witness_needs_three_cutoffs(tmp_path, capsys):
      "support_radius must be finite and > 0"),
     ({"quadrature": {**SMALL_QUAD, "support_radius": float("nan")}},
      "support_radius must be finite and > 0"),
+    # the retired cutoff key is not a quadrature key
     ({"quadrature": {**SMALL_QUAD, "epsilon_cutoff": float("nan")}},
-     "epsilon_cutoff must be finite and >= 0"),
+     "quadrature must be a JSON object with keys among ('radial_nodes', 'angular_nodes', "
+     "'box_nodes_per_axis', 'support_radius'), got"),
 ], ids=["n", "levels", "seed", "levels-inf", "radial-nodes", "pairs", "n-small",
         "lambda-negative", "lambda-nan", "corrupt-string", "corrupt-int", "rtol-negative",
         "rtol-nan", "rtol-inf", "radius-inf", "radius-nan", "cutoff-nan"])
@@ -519,7 +562,7 @@ def test_lambda_with_an_infinite_square_exits_2(tmp_path, capsys, command, where
 
 
 _COMMON_OPTIONS = {"config": None, "n": None, "lambda": None, "t0": None, "levels": None,
-                   "seed": None, "format": None, "out": None, "epsilon_cutoff": None}
+                   "seed": None, "format": None, "out": None}
 _SUBCOMMAND_OPTIONS = {
     "threshold": {"n_min": 3, "n_max": 8, "format": "json", "out": None},
     "variation": _COMMON_OPTIONS, "sweep": _COMMON_OPTIONS, "witness-n2": _COMMON_OPTIONS,
@@ -601,6 +644,8 @@ def test_config_json_that_python_refuses_to_read_exits_2(tmp_path, capsys, text)
 # only up to small valid values (their upper edges cost seconds a run) and
 # past their caps.  lambda stops at 1e50: from about 1e75 on, an aperture
 # whose square is finite still overflows the slice rules (see CHANGES.md).
+# The retired quadrature.epsilon_cutoff key and --epsilon-cutoff flag are
+# still drawn: each is unknown now, and exits 2.
 _JUNK = ("nan", "inf", "-inf", "x", None, True, [], [1.0], {})
 _LENGTHS = (0.0, -0.0, 0.5, 1.5, -1.0, 1e-300, 1e-200, 1e3, -1e3, 1000.5, 1e200, 1e300, 1e308)
 

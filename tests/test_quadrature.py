@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from conestab import quadrature, stability, variation
 from conestab.domain import ConeParams
-from conestab.errors import ConfigError, DivergentBoundaryIntegral, QuadratureError
+from conestab.errors import DivergentBoundaryIntegral, QuadratureError
 from conestab.quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder,
-                                 boundary_integral, boundary_integrals, compensated_sum,
-                                 compensated_sums, gauss_legendre, integrate_sigma,
-                                 liminf_quotient, liminf_quotients, sigma_grid, sphere_grid,
-                                 support_sample, support_samples)
+                                 _plane_traces, boundary_integral, compensated_sum,
+                                 compensated_sums, energies_and_traces, gauss_legendre,
+                                 integrate_sigma, liminf_quotient, liminf_quotients,
+                                 sigma_grid, sphere_grid, support_sample, support_samples)
 from conestab.stability import lambda_star, shear_transform_check, stability_sweep
 from conestab.trial import (Geometry, TrialFunction, battery_descriptors, build_trial,
                             make_boundary_bump, make_radial_bump, make_tensor_bump, scaled,
@@ -51,15 +51,12 @@ def test_spec_validation():
         QuadratureSpec(radial_nodes=1)
     with pytest.raises(ValueError):
         QuadratureSpec(support_radius=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(epsilon_cutoff=-1e-3)
 
 
 @pytest.mark.parametrize("geometry", [
     {"support_radius": math.inf}, {"support_radius": math.nan},
-    {"support_radius": -math.inf}, {"epsilon_cutoff": math.inf},
-    {"epsilon_cutoff": math.nan}],
-    ids=["radius-inf", "radius-nan", "radius-minus-inf", "cutoff-inf", "cutoff-nan"])
+    {"support_radius": -math.inf}],
+    ids=["radius-inf", "radius-nan", "radius-minus-inf"])
 def test_spec_rejects_non_finite_geometry(geometry):
     with pytest.raises(ValueError, match="must be finite"):
         QuadratureSpec(**geometry)
@@ -506,10 +503,8 @@ def test_boundary_integral_log_divergence_rate_two_dims():
     params = ConeParams(2, 1.0)
     f = plateau_field(2)
     epsilons = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
-    vals = []
-    for eps in epsilons:
-        spec = QuadratureSpec(96, 2, 8, 3.0, epsilon_cutoff=float(eps))
-        vals.append(boundary_integral(params, f, spec))
+    vals = _plane_traces(params, [f] * epsilons.size, QuadratureSpec(96, 2, 8, 3.0),
+                         epsilons.tolist())
     slope = np.polyfit(np.log(1.0 / epsilons), vals, 1)[0]
     assert abs(slope - 2.0) <= 0.1
     assert np.all(np.diff(vals) > 0)
@@ -518,18 +513,12 @@ def test_boundary_integral_log_divergence_rate_two_dims():
 def test_boundary_integral_polar_and_cutoff_agree():
     """At n = 2, a cutoff below the inner radius of a trace span that starts
     off the vertex leaves T bit for bit: both read the logarithmic grid from
-    that radius.  At n >= 3, where T is a slice integral that the
-    finite-difference areas match without a cutoff, a positive cutoff is
-    refused."""
+    that radius."""
     params, spec = ConeParams(2, 1.0), QuadratureSpec(64, 16, 64, 3.0)
     f = make_radial_bump([0.0, 1.0], 0.8, 2)
-    cut = dataclasses.replace(spec, epsilon_cutoff=1e-8)
     assert quadrature.trace_span(params, f)[0] > 1e-8
     plain = boundary_integral(params, f, spec)
-    assert plain > 0.0 and boundary_integral(params, f, cut) == plain
-    for n in (3, 4):
-        with pytest.raises(ConfigError, match=f"at n = {n} it must be 0, got 1e-08"):
-            boundary_integral(ConeParams(n, 1.0), make_boundary_bump(1.0, n), cut)
+    assert plain > 0.0 and _plane_traces(params, [f], spec, [1e-8]) == [plain]
 
 
 MARGIN_SPECS = {3: QuadratureSpec(64, 16, 64, 3.1), 4: QuadratureSpec(48, 10, 48, 3.1),
@@ -714,11 +703,11 @@ def reference_grid(params, f, spec, lower, r_max):
     return pts.reshape(-1, n), (wr[:, None] * w_xi).ravel()
 
 
-def reference_trace(params, f, spec):
-    """One field's trace integral on the boundary, by reference_grid on its
-    trace span, with its own reduction; None where it diverges.  At n = 2
-    it is the program's trace grid, bit for bit."""
-    n, cutoff = params.n, spec.epsilon_cutoff
+def reference_trace(params, f, spec, cutoff=0.0):
+    """One field's trace integral on the boundary, cut off at ``cutoff``, by
+    reference_grid on its trace span, with its own reduction; None where it
+    diverges.  At n = 2 it is the program's trace grid, bit for bit."""
+    n = params.n
     if n == 2 and cutoff == 0.0 and f.value_at_vertex != 0.0:
         return None
     r_min, r_max = quadrature.trace_span(params, f)
@@ -729,42 +718,44 @@ def reference_trace(params, f, spec):
     return compensated_sum(f.evaluator(pts) ** 2 * weights)
 
 
+def _bits(values):
+    return [np.float64(v).tobytes() if v is not None else v for v in values]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_battery_traces_equal_one_call_per_field(n):
-    """The traces of a battery from one boundary_integrals pass equal one
+    """The traces of a battery from one energies_and_traces pass equal one
     boundary_integral per field, bit for bit, with None where that raises
     DivergentBoundaryIntegral: the battery and ball copies of its radial
     members, so that empty spans and non-empty ones mix in one call, at lam
-    in {0, lam*/2, lam*, 2 lam*, 1, 3} (n = 2: 0.5, 1, 3).  At n = 2 they
-    also equal reference_trace bit for bit, with no cutoff and with cutoffs
-    1e-4 and 0.5, so that linear and logarithmic grids mix in one call, and
-    the vertex fields diverge without a cutoff, each on its own.  At n >= 3
-    a cutoff is refused (test_boundary_integral_polar_and_cutoff_agree)."""
+    in {0, lam*/2, lam*, 2 lam*, 1, 3} (n = 2: 0.5, 1, 3).  At n = 2 one
+    _plane_traces pass with a cutoff per field, 0, 1e-4 or 0.5, so that
+    linear and logarithmic grids and cut and uncut fields mix in one call,
+    equals reference_trace at each field's cutoff bit for bit, every field
+    at every cutoff; the vertex fields diverge without a cutoff, each on
+    its own."""
     spec = MARGIN_SPECS.get(n, QuadratureSpec(24, 6, 24, 3.1))
     battery = standard_battery(n)
     battery += [dataclasses.replace(f, geometry=Geometry(
         "ball", f.geometry.center, f.geometry.radius)) for f in battery
         if f.geometry.shape == "radial"]
-    lams, cutoffs, references = (0.5, 1.0, 3.0), (0.0, 1e-4, 0.5), (one_trace, reference_trace)
+    lams, cutoffs = (0.5, 1.0, 3.0), (0.0, 1e-4, 0.5)
     if n > 2:
         star = lambda_star(n).lambda_star
-        lams, cutoffs, references = (0.0, 0.5 * star, star, 2.0 * star, 1.0, 3.0), (0.0,), \
-            (one_trace,)
+        lams = (0.0, 0.5 * star, star, 2.0 * star, 1.0, 3.0)
     seen = set()
     for lam in lams:
         params = ConeParams(n, lam)
-        for cutoff in cutoffs:
-            cut = dataclasses.replace(spec, epsilon_cutoff=cutoff)
-            got = boundary_integrals(params, battery, cut)
-            for one in references:
-                want = [one(params, f, cut) for f in battery]
-                assert [np.float64(v).tobytes() if v is not None else v for v in got] == \
-                    [np.float64(v).tobytes() if v is not None else v for v in want], \
-                    (lam, cutoff, one.__name__)
-            seen |= {"empty" if v == 0.0 else "divergent" if v is None else "value"
-                     for v in got}
+        got = [trace for _, trace in energies_and_traces(
+            params, battery, support_samples(params, battery, spec), spec)]
+        assert _bits(got) == _bits([one_trace(params, f, spec) for f in battery]), lam
+        seen |= {"empty" if v == 0.0 else "divergent" if v is None else "value" for v in got}
+        for k in range(len(cutoffs) if n == 2 else 0):
+            cut = [cutoffs[(i + k) % len(cutoffs)] for i in range(len(battery))]
+            want = [reference_trace(params, f, spec, c) for f, c in zip(battery, cut)]
+            assert _bits(_plane_traces(params, battery, spec, cut)) == _bits(want), (lam, k)
     assert seen == ({"empty", "divergent", "value"} if n == 2 else {"empty", "value"})
-    assert boundary_integrals(ConeParams(n, 1.0), [], spec) == []
+    assert energies_and_traces(ConeParams(n, 1.0), [], [], spec) == []
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

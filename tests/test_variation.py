@@ -511,8 +511,7 @@ def test_a_battery_report_makes_a_fixed_number_of_reductions(size, monkeypatch):
                             or real(segments))
     for name in ("compensated_sum", "boundary_integral", "liminf_quotient"):
         monkeypatch.setattr(conestab.quadrature, name, None)
-    for name in ("area", "boundary_integral"):
-        monkeypatch.setattr(conestab.variation, name, None)
+    monkeypatch.setattr(conestab.variation, "area", None)
     reports = _variation_reports(params, fields, None, 5, SPEC3)
     traced = sum(1 for f in fields if conestab.quadrature.trace_span(params, f)[1] > 0.0)
     # the t = 0 areas with every (field, t) row, the energies with the traces

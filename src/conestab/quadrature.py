@@ -562,9 +562,8 @@ def boundary_integral(params: ConeParams, f: TrialFunction,
         value, = _plane_traces(params, [f], spec)
         if value is None:
             raise DivergentBoundaryIntegral(
-                "trace integral diverges: two-dimensional slice with nonzero vertex value "
-                f"{f.value_at_vertex}; its cutoff ladder (witness-n2) measures the divergence",
-                vertex_value=f.value_at_vertex)
+                f"trace integral diverges: n = 2 and vertex value {f.value_at_vertex} != 0; "
+                "a cutoff ladder measures its rate", vertex_value=f.value_at_vertex)
         return value
     if not trace_span(params, f)[1] > 0.0:
         return 0.0

@@ -178,7 +178,9 @@ def cutoff_ladder(params: ConeParams, f: TrialFunction, energy: float,
     """Values (1/2) energy - (1/2) lam * trace integral cut off at each radius
     in ``epsilons`` (checked as the input ``epsilons``, largest first), with
     their least-squares line against log(1/cutoff); ``energy`` is f's energy.
-    One n = 2 trace pass gives every cut trace; its trace grid refuses n >= 3."""
+    n = 2 only; one trace pass gives every cut trace."""
+    if params.n != 2:
+        raise ValueError(f"the cutoff ladder applies to n = 2 only, got n = {params.n}")
     eps = check("epsilons", epsilons)
     vals = tuple(0.5 * energy - 0.5 * params.lam * trace
                  for trace in _plane_traces(params, [f] * len(eps), spec, eps))

@@ -135,6 +135,16 @@ def test_divergent_verdict_two_dims():
     assert all(b < a for a, b in zip(cert.values, cert.values[1:]))
 
 
+def test_cutoff_ladder_applies_to_two_dims_only():
+    """At n >= 3 T is finite and no trace is cut: the ladder refuses a field
+    that meets the cone and one that misses it alike, instead of fitting a
+    flat line through uncut values."""
+    params, spec = ConeParams(3, 1.0), QuadratureSpec(32, 8, 32, 3.0)
+    for f in (make_boundary_bump(1.0, 3), make_radial_bump([0.0, 0.0, 2.0], 0.8, 3)):
+        with pytest.raises(ValueError, match="the cutoff ladder applies to n = 2 only, got n = 3"):
+            conestab.variation.cutoff_ladder(params, f, 1.0, spec)
+
+
 def test_two_dims_flat_reference_has_no_divergence():
     """At lam = 0 the trace term lam * T is 0 even where T diverges: the
     closed form is the Dirichlet term, as at every n >= 3."""

@@ -88,8 +88,7 @@ class QuadratureSpec:
     counts doubles the rule's.  A rule of more than MAX_RULE_NODES nodes is
     refused.  ``support_radius`` sets the extent of the sigma grid only, the
     entry point of the benchmark set-ups.  Each field is checked against its
-    row of the input table.  A trace cutoff is no field of the spec: the
-    n = 2 cutoff ladder passes its radii to the trace rule itself.
+    row of the input table.
     """
 
     radial_nodes: int = 64

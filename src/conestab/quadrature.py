@@ -24,18 +24,23 @@ give the Dirichlet energy.  T is 0.0 where the field's closed region cannot
 meet the boundary cone (:func:`trace_span`).  At n = 2 the identity holds
 only column by column, and T has its own rule (:func:`trace_grid`).
 
-Each rule counts its nodes before building them and refuses more than
-``MAX_RULE_NODES``; no node touches the axis x' = 0, where the flow's
-derivatives are one-sided limits.  A battery is sampled, reduced and its
-ladders turned into quotients in one pass each, with nothing cached:
+Each rule counts its nodes before building them (:func:`_rule_nodes`) and
+refuses more than ``MAX_RULE_NODES``; no node touches the axis x' = 0,
+where the flow's derivatives are one-sided limits.  Nothing is cached.  A
+battery pass (:func:`_battery_pass`) samples and reduces its fields in
+blocks whose rules hold at most ``_BLOCK_ELEMENTS`` = 2^20 elements (nodes
+times n), or of one field whose rule alone holds more, and keeps only what
+a block reduces to, so it holds one block's samples at a time; every
+battery of the benchmark fits in one block.  In a block,
 :func:`support_samples` builds the polar angles of its fields centred on
 the axis in one pass, its rays in one pass per count of nodes per ray and
 each box coordinate-major, then evaluates each field once on its own
-nodes; :func:`energies_and_traces` is one :func:`compensated_sums`;
-:func:`liminf_quotients` is one array pass.  Their one-field cases are
-:func:`support_sample`, :func:`boundary_integral` and
-:func:`liminf_quotient`.  The sigma grid (:func:`sigma_grid`,
-:func:`integrate_sigma`) serves no integral of the program.
+nodes, and :func:`energies_and_traces` is one :func:`compensated_sums`.
+:func:`liminf_quotients` turns a battery's ladders into quotients in one
+array pass.  Their one-field cases are :func:`support_sample`,
+:func:`boundary_integral` and :func:`liminf_quotient`.  The sigma grid
+(:func:`sigma_grid`, :func:`integrate_sigma`) serves no integral of the
+program.
 """
 
 from __future__ import annotations
@@ -178,6 +183,24 @@ def _count_nodes(count: int, rule: str) -> None:
         raise QuadratureError(f"the {rule} needs {count} nodes; a rule may place {MAX_RULE_NODES}")
 
 
+# Most elements of one block of a battery pass (a rule's nodes times n, summed
+# over the block's fields) and of one block of variation._battery_areas rows (a
+# row's nodes), unless one field or row alone is more.
+_BLOCK_ELEMENTS = 2 ** 20
+
+
+def _blocks(sizes) -> list:
+    """(start, stop) of the consecutive runs of ``sizes``, in order, each run
+    summing to at most _BLOCK_ELEMENTS, or of one size alone above it."""
+    bounds, total = [], 0
+    for j, size in enumerate(sizes):
+        if not bounds or total + size > _BLOCK_ELEMENTS:
+            bounds.append(j)
+            total = 0
+        total += size
+    return list(zip(bounds, bounds[1:] + [len(sizes)]))
+
+
 def sigma_grid(params: ConeParams, spec: QuadratureSpec):
     """Nodes (m, n), weights (m,) and x'-radii (m,) on the sheared box
     {|x'| <= R, 0 < x_n - lam*|x'| <= R}, R the spec's support radius.
@@ -255,27 +278,35 @@ def _kept(mask: np.ndarray, cols: np.ndarray, *rows: np.ndarray) -> tuple:
     return (cols.T, *rows)
 
 
+def _panel_ends(lam: float, geom) -> list:
+    """The ends of the polar-angle panels of ``geom``, centred on the axis at
+    height h: 0, pi and the angles at which a ray leaves the slice at the
+    geometry's radius (lam sin(phi) - cos(phi) = h / radius), where the
+    length of its part inside the ball has a kink."""
+    alpha = math.atan2(1.0, lam)
+    gap = geom.center[-1] / (geom.radius * math.sqrt(1.0 + lam ** 2))
+    ends = {0.0, math.pi}
+    if abs(gap) <= 1.0:
+        b = math.asin(gap)
+        ends |= {phi for phi in (alpha + b, alpha + math.pi - b) if 0.0 < phi < math.pi}
+    return sorted(ends)
+
+
+def _panel_nodes(n: int, angular_nodes: int) -> int:
+    """Nodes per polar-angle panel, which integrate sin^(n-2) to rounding on
+    any panel (checked for n <= 16)."""
+    return max(2 * angular_nodes, n + 12)
+
+
 def _panel_angles(params: ConeParams, geoms, angular_nodes: int):
     """(cos, sin, weights) of Gauss-Legendre nodes in the polar angle phi from
     the axis, with the weight sin^(n-2) folded in, for each of ``geoms``
-    (centred on the axis at height h), all in one gauss_legendre pass.
-    Panels end at 0, pi and the angles at which a ray leaves the slice at
-    the geometry's radius (lam sin(phi) - cos(phi) = h / radius), where the
-    length of its part inside the ball has a kink.  Twice the spec's angular
-    count, and at least n + 12 nodes, integrate sin^(n-2) to rounding on any
-    panel (checked for n <= 16)."""
-    n, lam = params.n, params.lam
-    alpha = math.atan2(1.0, lam)
-    cuts = []
-    for geom in geoms:
-        gap = geom.center[-1] / (geom.radius * math.sqrt(1.0 + lam ** 2))
-        ends = {0.0, math.pi}
-        if abs(gap) <= 1.0:
-            b = math.asin(gap)
-            ends |= {phi for phi in (alpha + b, alpha + math.pi - b) if 0.0 < phi < math.pi}
-        cuts.append(sorted(ends))
+    (centred on the axis), all in one gauss_legendre pass, on the panels of
+    :func:`_panel_ends` with :func:`_panel_nodes` nodes each."""
+    n = params.n
+    cuts = [_panel_ends(params.lam, geom) for geom in geoms]
     panels = np.array([pair for e in cuts for pair in zip(e[:-1], e[1:])])  # rows (lo, hi)
-    phi, w = gauss_legendre(panels[:, :1], panels[:, 1:], max(2 * angular_nodes, n + 12))
+    phi, w = gauss_legendre(panels[:, :1], panels[:, 1:], _panel_nodes(n, angular_nodes))
     sin_p = np.sin(phi)
     cos_p, w = np.cos(phi), w * sin_p ** (n - 2)
     rows = [len(e) - 1 for e in cuts]
@@ -283,16 +314,34 @@ def _panel_angles(params: ConeParams, geoms, angular_nodes: int):
             for e, k in zip(accumulate(rows), rows)]
 
 
-def _box_rule(params: ConeParams, geom, spec: QuadratureSpec):
-    """Cartesian Gauss-Legendre on the cube, coordinate-major, each x_n column
-    clipped to the slice (x_n > lam*|x'|).  An even node count per axis keeps
-    every node off the axis; with at least degree + 1 nodes the rule is exact
-    for |grad f|^2 of a "box" geometry whose cube lies inside the slice."""
+def _rule_nodes(params: ConeParams, geom, spec: QuadratureSpec) -> tuple:
+    """(k, count) of the slice rule of ``geom``: its nodes per box axis or
+    per ray, and the nodes it places before it drops those outside the
+    slice, k^n for a box, k per polar angle and x'-direction for a polar
+    rule.  A rule of more than MAX_RULE_NODES nodes is refused here, before
+    it is built."""
+    n, m = params.n, spec.angular_nodes
+    if geom.shape == "box":
+        k = max(geom.degree + 1, spec.box_nodes_per_axis // 8)
+        k += k % 2
+        _count_nodes(k ** n, "box rule")
+        return k, k ** n
+    k = max((n + 2 * geom.degree + 1) // 2, spec.radial_nodes // 8)
+    angles = m if geom.offset else (len(_panel_ends(params.lam, geom)) - 1) * _panel_nodes(n, m)
+    radial = n > 2 and geom.shape == "radial"
+    count = ((m if geom.offset else 1) if radial else max(2, m ** (n - 2))) * angles * k
+    _count_nodes(count, "slice rule")
+    return k, count
+
+
+def _box_rule(params: ConeParams, geom, m: int):
+    """Cartesian Gauss-Legendre on the cube with m nodes per axis,
+    coordinate-major, each x_n column clipped to the slice (x_n > lam*|x'|).
+    An even node count per axis keeps every node off the axis; with at least
+    degree + 1 nodes the rule is exact for |grad f|^2 of a "box" geometry
+    whose cube lies inside the slice."""
     n, lam = params.n, params.lam
     c, w = geom.center, geom.radius
-    m = max(geom.degree + 1, spec.box_nodes_per_axis // 8)
-    m += m % 2
-    _count_nodes(m ** n, "box rule")
     x0, w0 = _leggauss(m)
     xp = np.array(np.meshgrid(*(c[j] + w * x0 for j in range(n - 1)), indexing="ij",
                               copy=False)).reshape(n - 1, -1)
@@ -308,10 +357,9 @@ def _box_rule(params: ConeParams, geom, spec: QuadratureSpec):
     return _kept(weights > 0.0, cols.reshape(n, -1), weights)
 
 
-def _directions(n: int, geom, m: int, per_direction: int):
+def _directions(n: int, geom, m: int):
     """Unit x'-directions (k, n-1) with weights that integrate the field's
-    functions of x' over the sphere S^(n-2), for a slice rule that places
-    ``per_direction`` nodes on each; the node count is checked first.
+    functions of x' over the sphere S^(n-2).
 
     At n = 2 they are S^0, for every shape.  A "radial" field centred on the
     axis depends on |x'| only: one direction carries |S^(n-2)|.  Centred off
@@ -321,8 +369,6 @@ def _directions(n: int, geom, m: int, per_direction: int):
     sphere grid."""
     radial = n > 2 and geom.shape == "radial"
     offset = geom.offset if radial else 0.0
-    _count_nodes(((m if offset else 1) if radial else max(2, m ** (n - 2))) * per_direction,
-                 "slice rule")
     if not radial:
         return sphere_grid(n - 2, m)
     if offset == 0.0:
@@ -338,24 +384,25 @@ def _directions(n: int, geom, m: int, per_direction: int):
 
 def _slice_rules(params: ConeParams, geoms, spec: QuadratureSpec):
     """Nodes (m, n), coordinate-major, and weights (m,) of the rule of each of
-    ``geoms``: inside the slice and the region, with positive weights.  A box
-    gets a :func:`_box_rule`; the polar rules of the others are built together:
+    ``geoms``: inside the slice and the region, with positive weights.  Each
+    rule's nodes are counted first (:func:`_rule_nodes`).  A box gets a
+    :func:`_box_rule`; the polar rules of the others are built together:
     one :func:`_panel_angles` pass, then per count m_s of nodes per ray one
     Gauss-Legendre rule in s on the rays' spans (:func:`_ray_spans`), with the
     volume element s^(n-1), exact for a "radial" profile as m_s >=
     ceil((n + 2*degree)/2): |grad f|^2 s^(n-1) has degree n - 3 + 2*degree."""
     n, m = params.n, spec.angular_nodes
+    per = [_rule_nodes(params, geom, spec)[0] for geom in geoms]
     rules = [None] * len(geoms)
     axis = [i for i, g in enumerate(geoms) if g.shape != "box" and not g.offset]
     angles = dict(zip(axis, _panel_angles(params, [geoms[i] for i in axis], m))) if axis else {}
     runs = {}  # nodes per ray -> [(index, directions, weights)]
-    for i, geom in enumerate(geoms):
+    for i, (geom, m_s) in enumerate(zip(geoms, per)):
         if geom.shape == "box":
-            rules[i] = _box_rule(params, geom, spec)
+            rules[i] = _box_rule(params, geom, m_s)
             continue
         cos_t, sin_t, w_t = angles[i] if i in angles else _polar_factor(n - 1, m)
-        m_s = max((n + 2 * geom.degree + 1) // 2, spec.radial_nodes // 8)
-        xi, w_xi = _directions(n, geom, m, cos_t.size * m_s)
+        xi, w_xi = _directions(n, geom, m)
         omega = np.empty((cos_t.size, xi.shape[0], n))
         omega[..., :-1] = sin_t[:, None, None] * xi
         omega[..., -1] = cos_t[:, None]
@@ -388,6 +435,21 @@ def support_samples(params: ConeParams, fields, spec: QuadratureSpec) -> list:
         if not (np.isfinite(fv).all() and np.isfinite(grads).all()):
             raise QuadratureError("field or gradient non-finite at quadrature nodes")
         out.append((pts, weights, np.sqrt(_sumsq(pts[:, :-1])), grads, fv))
+    return out
+
+
+def _battery_pass(params: ConeParams, fields, spec: QuadratureSpec, reduce) -> list:
+    """``reduce(block, samples)`` of each block of ``fields``, a slice of them
+    sampled by one :func:`support_samples` call, the lists it returns (one
+    entry per field) joined in field order.  A block's rules hold at most
+    _BLOCK_ELEMENTS elements (:func:`_rule_nodes` counts times n), or one
+    rule alone above it, so a pass holds one block's samples at a time and
+    keeps what ``reduce`` returns.  Every rule is counted, and one above
+    MAX_RULE_NODES refused, before any is built."""
+    sizes = [params.n * _rule_nodes(params, f.geometry, spec)[1] for f in fields]
+    out = []
+    for start, stop in _blocks(sizes):
+        out += reduce(slice(start, stop), support_samples(params, fields[start:stop], spec))
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import ConeParams, _sumsq
 from .errors import ConfigError
-from .quadrature import QuadratureSpec, compensated_sums, energies_and_traces, support_samples
+from .quadrature import QuadratureSpec, _battery_pass, compensated_sums, energies_and_traces
 from .trial import TrialFunction, make_boundary_bump
 from .variation import cutoff_ladder, dirichlet_energy
 
@@ -137,17 +137,20 @@ def shear_transform_check(params: ConeParams, f: TrialFunction,
 
 
 def _shear_checks(params: ConeParams, fields, spec: QuadratureSpec) -> list:
-    """:func:`shear_transform_check` of each of ``fields`` (n >= 3) from one
-    :func:`support_samples` call: E_f with the traces one reduction
-    (:func:`energies_and_traces`), E_g another."""
-    samples = support_samples(params, fields, spec)
-    # g(x) = f(x', x_n + lam*|x'|).  The shear has unit Jacobian, so E_g is the
-    # slice integral of |grad g|^2 at the sheared points, on f's own nodes; the
-    # axis partial of f leaks into the in-plane gradient along the radial direction.
-    sheared = [w * (_sumsq(gv[:, :-1] + params.lam * gv[:, -1:] * (pts[:, :-1] / r[:, None]))
-                    + gv[:, -1] ** 2) for pts, w, r, gv, _ in samples]
-    return [(energy, energy_g, trace) for (energy, trace), energy_g in
-            zip(energies_and_traces(params, fields, samples, spec), compensated_sums(sheared))]
+    """:func:`shear_transform_check` of each of ``fields`` (n >= 3), one
+    :func:`support_samples` call per block of the battery pass
+    (:func:`~conestab.quadrature._battery_pass`): per block, E_f with the
+    traces one reduction (:func:`energies_and_traces`), E_g another."""
+    def reduce(block, samples):
+        # g(x) = f(x', x_n + lam*|x'|).  The shear has unit Jacobian, so E_g is the
+        # slice integral of |grad g|^2 at the sheared points, on f's own nodes; the
+        # axis partial of f leaks into the in-plane gradient along the radial direction.
+        sheared = [w * (_sumsq(gv[:, :-1] + params.lam * gv[:, -1:] * (pts[:, :-1] / r[:, None]))
+                        + gv[:, -1] ** 2) for pts, w, r, gv, _ in samples]
+        return [(energy, energy_g, trace) for (energy, trace), energy_g in zip(
+            energies_and_traces(params, fields[block], samples, spec), compensated_sums(sheared))]
+
+    return _battery_pass(params, fields, spec, reduce)
 
 
 def instability_witness_n2(params: ConeParams, epsilons,
@@ -198,9 +201,10 @@ def stability_sweep(params: ConeParams, battery, spec: QuadratureSpec) -> Stabil
     battery = list(battery)
     if not battery:
         return StabilityVerdict(regime=INCONCLUSIVE, detail="empty battery")
+    sums = _battery_pass(params, battery, spec, lambda block, samples: energies_and_traces(
+        params, battery[block], samples, spec))
     margins, witness, witness_margin = [], None, math.inf
-    for f, (energy, trace) in zip(battery, energies_and_traces(
-            params, battery, support_samples(params, battery, spec), spec)):
+    for f, (energy, trace) in zip(battery, sums):
         margin = energy - params.lam * trace
         margins.append(margin)
         # robustness floor: ten times a crude absolute quadrature error proxy

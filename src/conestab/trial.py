@@ -309,6 +309,10 @@ def standard_battery(n: int, size: int = 20) -> list[TrialFunction]:
     return [build_trial(desc, n) for desc in battery_descriptors(size)]
 
 
+# Candidates of sample_smooth_points normalised, evaluated and masked at once.
+_SAMPLE_BLOCK = 2 ** 14
+
+
 def _draw_box(params: ConeParams, geom: Geometry, margin: float):
     """(r_hi, y_lo, y_hi) of the smallest box margin < r < r_hi, y_lo < y < y_hi
     in sheared coordinates x = (r*theta, y + lam*r) that holds the region's
@@ -331,22 +335,33 @@ def sample_smooth_points(params: ConeParams, f: TrialFunction, rng: np.random.Ge
     y < reach.  A "ball" geometry states no kink set, so its field is refused.
     The (count, n) result is coordinate-major, the transpose of an (n, count)
     array: each coordinate's column is contiguous.
+
+    A round of m candidates draws all its r, then its normals, then its y;
+    it then normalises, evaluates and masks them in blocks of
+    ``_SAMPLE_BLOCK`` = 2^14 candidates and stops at the block that completes
+    ``count``.  So the evaluator's and the mask's temporaries hold one
+    block at any count, and a round holds its (n + 1) * m draws, m at most
+    2 * count.
     """
     n = f.dimension
     r_hi, y_lo, y_hi = _draw_box(params, f.geometry, margin)
-    chunks, got = [], 0
+    out, got = np.empty((n, count)), 0
     for _ in range(200):
         # over half the draws land in spt(f) for the fields the suites use
         m = max(2 * (count - got), 64)
         r = rng.uniform(margin, r_hi, size=m)
         cols = np.empty((n, m))  # one contiguous row per coordinate
         rng.standard_normal(out=cols[:-1])
-        cols[:-1] *= r / np.sqrt(_sumsq(cols[:-1].T))
-        cols[-1] = rng.uniform(y_lo, y_hi, size=m) + params.lam * r
-        cand = cols.take(np.flatnonzero(f.evaluator(cols.T) != 0.0), axis=1)
-        keep = np.flatnonzero(_smooth_mask(f, cand.T, margin))[:count - got]
-        chunks.append(cand.take(keep, axis=1))
-        got += keep.size
-        if got == count:
-            return np.concatenate(chunks, axis=1).T
+        cols[-1] = rng.uniform(y_lo, y_hi, size=m)
+        for lo in range(0, m, _SAMPLE_BLOCK):
+            block, rb = cols[:, lo:lo + _SAMPLE_BLOCK], r[lo:lo + _SAMPLE_BLOCK]
+            block[:-1] *= rb / np.sqrt(_sumsq(block[:-1].T))
+            block[-1] += params.lam * rb
+            cand = block.take(np.flatnonzero(f.evaluator(block.T) != 0.0), axis=1)
+            keep = np.flatnonzero(_smooth_mask(f, cand.T, margin))[:count - got]
+            out[:, got:got + keep.size] = cand.take(keep, axis=1)
+            got += keep.size
+            if got == count:
+                return out.T
+        del r, cols  # before the next round draws its own
     raise RuntimeError("smooth-point sampling failed to converge")

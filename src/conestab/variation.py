@@ -13,10 +13,12 @@ the closed form is then reported as -inf together with a fitted
 log-divergence certificate instead of a bare sentinel.
 
 The reports of a battery (``_variation_reports``, which ``variation_report``
-and the CLI call) read one support sample per field and make one pass each
-for the areas at every distinct time of every field's two ladders
-(:func:`_battery_areas`), the quotients, and the energies with the traces,
-each pass with one segmented reduction; ``area`` is the one-field, one-t case.
+and the CLI call) read one support sample per field, block by block of the
+battery pass, and make one pass each for the areas at every distinct time
+of every field's two ladders (:func:`_battery_areas`) and the energies with
+the traces per block, then one for the quotients and, at n = 2, one for the
+cutoff ladders of every divergent trace (:func:`_cutoff_ladders`), each
+pass with one segmented reduction; ``area`` is the one-field, one-t case.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from ._inputs import check
 from .domain import ConeParams, _dot, _sumsq
 from .errors import JacobianPositivityError, QuadratureError
 from .jacobian import _distortion_squared
-from .quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder, _energy_terms,
-                         _plane_traces, compensated_sums, energies_and_traces,
+from .quadrature import (LiminfEstimate, QuadratureSpec, _battery_pass, _blocks, _dyadic_ladder,
+                         _energy_terms, _plane_traces, compensated_sums, energies_and_traces,
                          liminf_quotients, support_sample, support_samples)
 from .trial import TrialFunction
 
@@ -50,9 +52,6 @@ __all__ = [
 DEFAULT_LEVELS = 8
 # Trace cutoffs of the two-dimensional divergence ladder, largest first.
 DEFAULT_CUTOFFS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-# Most elements of one block of _battery_areas rows, unless a single row is
-# more: bounds the memory of a battery's ladders at any number of levels.
-_BLOCK_ELEMENTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,13 @@ def _battery_areas(params: ConeParams, samples, times) -> list:
     support sample in ``samples``, as :func:`area`, all fields in one pass.
 
     The per-node scalars of all fields are concatenated once.  The rows
-    (field, nonzero t), in field and then ladder order, go in blocks of at
-    most max(N, _BLOCK_ELEMENTS) elements, N a row's nodes; in a block each
-    field's times form rows against its own nodes, and one ``compensated_sums``
-    reduces all its rows (the first also each field's area at t = 0).  The
+    (field, nonzero t), in field and then ladder order, go in blocks
+    (:func:`~conestab.quadrature._blocks`) of at most
+    max(N, quadrature._BLOCK_ELEMENTS) elements, N a row's nodes, which
+    bounds the memory of a battery's ladders at any number of levels.  In a
+    block each field's times form rows against its own nodes, and one
+    ``compensated_sums`` reduces all its rows (the first also each field's
+    area at t = 0).  The
     first row whose squared distortion factor is <= 0 somewhere, or whose
     area is not finite, raises."""
     pts, weights, r, grads, fv = (np.concatenate(a) for a in zip(*samples))
@@ -122,14 +124,8 @@ def _battery_areas(params: ConeParams, samples, times) -> list:
     sizes = [s[1].size for s in samples]
     ends = list(accumulate(sizes))
     rows = [(i, k) for i, ts in enumerate(times) if sizes[i] for k, t in enumerate(ts) if t != 0.0]
-    bounds, elements = [0], 0
-    for j, (i, _) in enumerate(rows):
-        if j > bounds[-1] and elements + sizes[i] > _BLOCK_ELEMENTS:
-            bounds.append(j)
-            elements = 0
-        elements += sizes[i]
     heads, lam = [weights[e - k:e] for e, k in zip(ends, sizes)], params.lam
-    for start, stop in zip(bounds, bounds[1:] + [len(rows)]):
+    for start, stop in _blocks([sizes[i] for i, _ in rows]) or [(0, 0)]:
         done, areas, failure = [], [], None
         for i, run in groupby(rows[start:stop], key=itemgetter(0)):
             ks = [k for _, k in run]
@@ -178,42 +174,61 @@ def cutoff_ladder(params: ConeParams, f: TrialFunction, energy: float,
     """Values (1/2) energy - (1/2) lam * trace integral cut off at each radius
     in ``epsilons`` (checked as the input ``epsilons``, largest first), with
     their least-squares line against log(1/cutoff); ``energy`` is f's energy.
-    n = 2 only; one trace pass gives every cut trace."""
+    n = 2 only; the one-field case of :func:`_cutoff_ladders`."""
+    return _cutoff_ladders(params, [f], [energy], spec, epsilons)[0]
+
+
+def _cutoff_ladders(params: ConeParams, fields, energies, spec: QuadratureSpec,
+                    epsilons) -> list:
+    """The :func:`cutoff_ladder` of each of ``fields``, its energy in
+    ``energies``: every cut trace of every field from one
+    :func:`_plane_traces` pass, then one least-squares fit per field."""
     if params.n != 2:
         raise ValueError(f"the cutoff ladder applies to n = 2 only, got n = {params.n}")
     eps = check("epsilons", epsilons)
-    vals = tuple(0.5 * energy - 0.5 * params.lam * trace
-                 for trace in _plane_traces(params, [f] * len(eps), spec, eps))
-    slope, intercept = np.polyfit(np.log(1.0 / np.asarray(eps)), np.asarray(vals), 1)
-    return LogDivergenceCertificate(epsilons=eps, values=vals,
-                                    slope=float(slope), intercept=float(intercept))
+    traces = _plane_traces(params, [f for f in fields for _ in eps], spec, eps * len(fields))
+    logs = np.log(1.0 / np.asarray(eps))
+    out = []
+    for k, energy in enumerate(energies):
+        vals = tuple(0.5 * energy - 0.5 * params.lam * trace
+                     for trace in traces[k * len(eps):(k + 1) * len(eps)])
+        slope, intercept = np.polyfit(logs, np.asarray(vals), 1)
+        out.append(LogDivergenceCertificate(epsilons=eps, values=vals,
+                                            slope=float(slope), intercept=float(intercept)))
+    return out
 
 
 def second_variation_closed_form(params: ConeParams, f: TrialFunction,
                                  spec: QuadratureSpec) -> VariationReport:
     """Closed-form second-variation fields only, E and T from one support sample."""
-    (energy, trace), = energies_and_traces(params, [f], support_samples(params, [f], spec), spec)
-    return _closed_form(params, f, energy, trace, spec, DEFAULT_CUTOFFS)
+    sums = energies_and_traces(params, [f], support_samples(params, [f], spec), spec)
+    return _closed_forms(params, [f], sums, spec, DEFAULT_CUTOFFS)[0]
 
 
-def _closed_form(params: ConeParams, f: TrialFunction, diri: float, trace, spec, epsilons):
-    """:func:`second_variation_closed_form` from f's Dirichlet energy ``diri``
-    and its trace integral ``trace``, None where that diverges, certified on
-    the cutoffs ``epsilons``."""
-    cert = None
-    if trace is not None:
-        boundary_term = -0.5 * params.lam * trace
-    elif params.lam == 0.0:
-        boundary_term = -0.0  # -0.5 * lam * T at lam = 0, as at every n >= 3
-    else:
-        # divergent verdict with the fitted log slope as evidence
-        cert = cutoff_ladder(params, f, diri, spec, epsilons)
-        boundary_term = float("-inf")
-    closed = 0.5 * diri + boundary_term
-    return VariationReport(first_variation=None, second_variation_fd=None,
-                           closed_form=closed, dirichlet_term=0.5 * diri,
-                           boundary_term=boundary_term, label=f.label, divergence=cert,
-                           discrepancy=float("nan") if cert is None else float("inf"))
+def _closed_forms(params: ConeParams, fields, sums, spec, epsilons) -> list:
+    """:func:`second_variation_closed_form` of each of ``fields`` from its
+    Dirichlet energy and trace integral in ``sums``, the trace None where it
+    diverges; at lam > 0 the divergent ones are certified together on the
+    cutoffs ``epsilons`` (:func:`_cutoff_ladders`)."""
+    lam = params.lam
+    divergent = [i for i, (_, trace) in enumerate(sums) if trace is None and lam != 0.0]
+    certs = dict(zip(divergent, _cutoff_ladders(
+        params, [fields[i] for i in divergent], [sums[i][0] for i in divergent], spec,
+        epsilons))) if divergent else {}
+    reports = []
+    for i, (f, (diri, trace)) in enumerate(zip(fields, sums)):
+        cert = certs.get(i)
+        if trace is not None:
+            boundary_term = -0.5 * lam * trace
+        elif cert is None:
+            boundary_term = -0.0  # -0.5 * lam * T at lam = 0, as at every n >= 3
+        else:
+            boundary_term = float("-inf")  # divergent, the fitted log slope as evidence
+        reports.append(VariationReport(
+            first_variation=None, second_variation_fd=None, closed_form=0.5 * diri + boundary_term,
+            dirichlet_term=0.5 * diri, boundary_term=boundary_term, label=f.label,
+            divergence=cert, discrepancy=float("nan") if cert is None else float("inf")))
+    return reports
 
 
 def default_t0(f: TrialFunction) -> float:
@@ -239,9 +254,12 @@ def variation_report(params: ConeParams, f: TrialFunction, t0: float | None = No
 
 def _variation_reports(params: ConeParams, fields, t0, levels: int, spec,
                        epsilons=DEFAULT_CUTOFFS) -> list:
-    """:func:`variation_report` of each of ``fields``: all ladder checks, then one
-    :func:`support_samples` call and one pass each for the areas, the quotients, and
-    the energies with the traces, a divergent trace certified on ``epsilons``."""
+    """:func:`variation_report` of each of ``fields``: all ladder checks, then
+    one :func:`support_samples` call per block of the battery pass
+    (:func:`~conestab.quadrature._battery_pass`), which keeps each block's
+    areas and its energies with the traces, each one pass; then one pass for
+    the quotients, and one for the certificates of the divergent traces on
+    ``epsilons`` (:func:`_closed_forms`)."""
     spec = spec if spec is not None else QuadratureSpec()
     levels = check("levels", levels)
     pairs = []  # the t-ladder and the s = t^2 ladder of each field
@@ -253,19 +271,23 @@ def _variation_reports(params: ConeParams, fields, t0, levels: int, spec,
         if start > 1e6 * default_t0(f):  # far past it, the flow's distortion overflows
             raise QuadratureError(f"t0 = {start} is over 1e6 times the default t0 of {f.label!r}")
         pairs.append((_dyadic_ladder(start, levels), _dyadic_ladder(start, levels, squared=True)))
-    samples = support_samples(params, fields, spec)
     times = [list(dict.fromkeys([0.0, *steps.tolist(), *map(math.sqrt, squares.tolist())]))
              for steps, squares in pairs]
-    areas = [dict(zip(ts, a)) for ts, a in zip(times, _battery_areas(params, samples, times))]
+
+    def reduce(block, samples):
+        return list(zip(_battery_areas(params, samples, times[block]),
+                        energies_and_traces(params, fields[block], samples, spec)))
+
+    passes = _battery_pass(params, fields, spec, reduce)
+    areas = [dict(zip(ts, a)) for ts, (a, _) in zip(times, passes)]
     estimates = liminf_quotients(
         [ladder for pair in pairs for ladder in pair], [a[0.0] for a in areas for _ in (0, 1)],
         [values for a, (steps, squares) in zip(areas, pairs)
          for values in ([a[t] for t in steps], [a[math.sqrt(s)] for s in squares])])
     reports = []
-    for f, (energy, trace), a, first, second in zip(
-            fields, energies_and_traces(params, fields, samples, spec), areas,
+    for closed, a, first, second in zip(
+            _closed_forms(params, fields, [sums for _, sums in passes], spec, epsilons), areas,
             estimates[::2], estimates[1::2]):
-        closed = _closed_form(params, f, energy, trace, spec, epsilons)
         discrepancy = (abs(second.extrapolated - closed.closed_form)
                        if closed.divergence is None else closed.discrepancy)
         reports.append(replace(closed, first_variation=first, second_variation_fd=second,

@@ -123,6 +123,7 @@ def jacobian_suite(random_draws: int = 10_000, flow_samples: int = 1000,
             coeffs = flow._coefficients(*args)
             worst = max(worst, _four_way_error(coeffs, jacobian._main_term(*args), bad))
             total += per
+        del pts, fv, gv, args, coeffs  # released before the next field is sampled
 
     return SuiteResult("jacobian", worst <= JACOBIAN_TOL, worst, total,
                        f"three-way and main/remainder agreement over {total} samples")
@@ -199,6 +200,7 @@ def remainder_suite(points: int = 1000, seed: int = 0) -> SuiteResult:
             sup_by_level.append(ratio)
             worst_ratio = max(worst_ratio, ratio / bound)
             total += pts.shape[0]
+        del pts, fv, gv, coeffs  # released before the next field is sampled
         if max(sup_by_level) > bound:
             passed = False
             detail.append(f"{f.label}: bound {bound:.3g} exceeded")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conestab import quadrature, stability, variation
+from conestab import cli, quadrature, stability, variation
 from conestab.domain import ConeParams
 from conestab.errors import DivergentBoundaryIntegral, QuadratureError
 from conestab.quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder,
@@ -775,7 +775,7 @@ def test_battery_passes_sample_once_and_build_no_trace_grid(n, monkeypatch):
         calls.append(len(args[1]))
         return real(*args)
 
-    for module in (quadrature, stability, variation):
+    for module in (quadrature, variation):
         monkeypatch.setattr(module, "support_samples", counting)
     params, spec = ConeParams(n, 2.0 * lambda_star(n).lambda_star), MARGIN_SPECS[n]
     battery = standard_battery(n)
@@ -789,6 +789,43 @@ def test_battery_passes_sample_once_and_build_no_trace_grid(n, monkeypatch):
         calls.clear()
         assert any(value != 0.0 for value in run())
         assert calls == [size]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_battery_passes_in_blocks_equal_one_block_and_one_field(n, monkeypatch):
+    """With the block budget small enough to split the 20-member battery
+    (boxes and off-axis members included) into several blocks, at 2 lam*,
+    stability_sweep's margins, the shear triples and the variation reports
+    equal the one-block results and one call per field bit for bit.  Each
+    support_samples call of a pass takes the next fields in order, whose
+    rules hold at most the budget's elements (nodes times n), unless it is
+    one field whose rule alone holds more."""
+    params, spec = ConeParams(n, 2.0 * lambda_star(n).lambda_star), MARGIN_SPECS[n]
+    battery = standard_battery(n)
+    sizes = {f.label: n * quadrature._rule_nodes(params, f.geometry, spec)[1] for f in battery}
+    passes = (lambda fields: _bits(stability_sweep(params, fields, spec).margins),
+              lambda fields: [_bits(c) for c in stability._shear_checks(params, fields, spec)],
+              lambda fields: cli._jsonable(variation._variation_reports(
+                  params, fields, None, 4, spec)))
+    one_block = [run(battery) for run in passes]
+    assert one_block == [[value for f in battery for value in run([f])] for run in passes]
+    calls = []
+    real = quadrature.support_samples
+
+    def recording(params, fields, spec):
+        calls.append([f.label for f in fields])
+        return real(params, fields, spec)
+
+    monkeypatch.setattr(quadrature, "support_samples", recording)
+    for budget in (1, max(sizes.values()) // 2, sum(sizes.values()) // 4):
+        monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", budget)
+        for run, want in zip(passes, one_block):
+            calls.clear()
+            assert run(battery) == want, budget
+            assert [label for block in calls for label in block] == [f.label for f in battery]
+            assert len(calls) > 2, budget
+            for block in calls:
+                assert len(block) == 1 or sum(sizes[label] for label in block) <= budget
 
 
 def test_divergent_trace_is_signalled():

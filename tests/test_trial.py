@@ -1,6 +1,7 @@
 """Trial-function families: values, exact gradients, supports, kink sets."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,122 @@ def test_sampler_keeps_the_reach_cylinder_distribution():
             a, b = column(new), column(old)
             share = np.searchsorted(np.sort(a), np.quantile(b, levels)) / a.size
             assert np.max(np.abs(share - levels)) <= 0.02, f.label
+
+
+def _unblocked_sample(params, f, rng, count, margin=1e-3):
+    """Reference for sample_smooth_points: the same draws, each round
+    normalised, evaluated and masked as one array, no blocks."""
+    n = f.dimension
+    r_hi, y_lo, y_hi = trial._draw_box(params, f.geometry, margin)
+    chunks, got = [], 0
+    for _ in range(200):
+        m = max(2 * (count - got), 64)
+        r = rng.uniform(margin, r_hi, size=m)
+        cols = np.empty((n, m))
+        rng.standard_normal(out=cols[:-1])
+        cols[:-1] *= r / np.linalg.norm(cols[:-1], axis=0)
+        cols[-1] = rng.uniform(y_lo, y_hi, size=m) + params.lam * r
+        cand = cols.take(np.flatnonzero(f.evaluator(cols.T) != 0.0), axis=1)
+        keep = np.flatnonzero(trial._smooth_mask(f, cand.T, margin))[:count - got]
+        chunks.append(cand.take(keep, axis=1))
+        got += keep.size
+        if got == count:
+            return np.concatenate(chunks, axis=1).T
+    raise RuntimeError("smooth-point sampling failed to converge")
+
+
+def _kept_in_first_blocks(params, f, seed, count, blocks, margin=1e-3):
+    """Smooth support points among the first ``blocks`` sampler blocks of the
+    first round of sample_smooth_points(..., count) from ``seed``."""
+    rng, size = np.random.default_rng(seed), blocks * trial._SAMPLE_BLOCK
+    r_hi, y_lo, y_hi = trial._draw_box(params, f.geometry, margin)
+    m = max(2 * count, 64)
+    r = rng.uniform(margin, r_hi, size=m)[:size]
+    x = rng.standard_normal(size=(f.dimension - 1, m))[:, :size]
+    y = rng.uniform(y_lo, y_hi, size=m)[:size]
+    pts = np.vstack([x * (r / np.linalg.norm(x, axis=0)), y + params.lam * r]).T
+    pts = pts[f.evaluator(pts) != 0.0]
+    return int(np.count_nonzero(trial._smooth_mask(f, pts, margin)))
+
+
+class _CountingGenerator(np.random.Generator):
+    """A generator that counts its uniform draws: two per sampler round."""
+
+    uniform_calls = 0
+
+    def uniform(self, *args, **kwargs):
+        self.uniform_calls += 1
+        return super().uniform(*args, **kwargs)
+
+
+def _assert_sample_equals_unblocked(params, f, seed, count):
+    """The blocked sampler's points, their layout and the generator state it
+    leaves equal the unblocked reference's; returns its number of rounds."""
+    rng = _CountingGenerator(np.random.PCG64(seed))
+    ref_rng = np.random.default_rng(seed)
+    got, want = sample_smooth_points(params, f, rng, count), _unblocked_sample(
+        params, f, ref_rng, count)
+    assert np.array_equal(got, want) and got.strides == want.strides, (f.label, count)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state, (f.label, count)
+    return rng.uniform_calls // 2
+
+
+# (field of _flow_sample_fields(3), seed, count, blocks): the count-th smooth
+# point is the last one of the first ``blocks`` blocks of the first round
+FLOW_BLOCK_ENDS = [(0, 314, 9388, 1), (0, 40, 28470, 3), (1, 48, 8570, 1), (1, 260, 26192, 3)]
+
+
+def test_blocked_sampler_equals_the_unblocked_reference_on_the_flow_fields():
+    """For both fields the flow suites sample, at counts from 1 to 50,000, the
+    blocked sampler returns the unblocked reference's points bit for bit and
+    leaves the generator where it does, so the next field's sample is the
+    same too; four counts stop exactly at the end of a block, one or three
+    blocks into a round of two or more."""
+    params = ConeParams(3, 0.7)
+    fields = _flow_sample_fields(3)
+    for f in fields:
+        for count in (1, 2, 63, 64, 65, 1000, trial._SAMPLE_BLOCK, 50_000):
+            _assert_sample_equals_unblocked(params, f, SEED, count)
+    for i, seed, count, blocks in FLOW_BLOCK_ENDS:
+        f = fields[i]
+        assert 2 * count > blocks * trial._SAMPLE_BLOCK  # the round has another block
+        assert _kept_in_first_blocks(params, f, seed, count, blocks) == count, (i, count)
+        assert _kept_in_first_blocks(params, f, seed, count, blocks - 1) < count
+        assert _assert_sample_equals_unblocked(params, f, seed, count) == 1
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_blocked_sampler_equals_the_unblocked_reference_on_the_battery(n):
+    """Every member of the 20-member battery at lam = 0.7 and 2.5, from 1 to
+    20,000 points: the vertex members take 3 or more rounds at 5,000 points
+    and the off-axis members more than 12, so counts finished in a later
+    round, and in a later block of it, are covered."""
+    rounds = {}
+    for lam in (0.7, 2.5):
+        params = ConeParams(n, lam)
+        for f in standard_battery(n):
+            for count in (1, 50, 5000, 20_000):
+                used = _assert_sample_equals_unblocked(params, f, SEED, count)
+                rounds[f.label] = max(rounds.get(f.label, 0), used)
+    assert min(rounds[f"vertex-{k}"] for k in "abcdef") >= 3
+    assert min(rounds["offaxis-a"], rounds["offaxis-b"]) > 12
+
+
+def test_sampler_peak_memory_is_bounded():
+    """One 50,000-point sample of each flow-suite field traces at most 7 MB:
+    the 2 * 50,000 candidates of its first round, the result and one block
+    of the evaluator's and the mask's temporaries.  Unblocked, the
+    temporaries of the whole round came on top (7.5 and 9.9 MB here)."""
+    params = ConeParams(3, 0.7)
+    for f in _flow_sample_fields(3):
+        rng = np.random.default_rng(SEED)
+        tracemalloc.start()
+        try:
+            sample_smooth_points(params, f, rng, 50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 2 ** 20, (f.label, peak)
 
 
 def _ball_rule(n, spec, lam=0.3, radius=3.1):

@@ -1,6 +1,7 @@
 """Deformed area, variation reports, and the closed-form second variation."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from unittest import mock
 
+import conestab.cli
 import conestab.variation
 from conestab.cli import _jsonable
 from conestab.domain import ConeParams
@@ -143,6 +145,33 @@ def test_cutoff_ladder_applies_to_two_dims_only():
     for f in (make_boundary_bump(1.0, 3), make_radial_bump([0.0, 0.0, 2.0], 0.8, 3)):
         with pytest.raises(ValueError, match="the cutoff ladder applies to n = 2 only, got n = 3"):
             conestab.variation.cutoff_ladder(params, f, 1.0, spec)
+
+
+def test_two_dims_certificates_come_from_one_trace_pass(monkeypatch, capsys):
+    """`variation --n 2 --lambda 1 --levels 4` on the 8-member default
+    battery makes two _plane_traces calls: the battery's uncut traces, then
+    every cut trace of its six vertex fields at the five default cutoffs.
+    Each certificate equals cutoff_ladder on its field alone, bit for bit."""
+    calls = []
+    real = conestab.quadrature._plane_traces
+
+    def counting(params, fields, spec, cutoffs=None):
+        calls.append(len(fields))
+        return real(params, fields, spec, cutoffs)
+
+    for module in (conestab.quadrature, conestab.variation):
+        monkeypatch.setattr(module, "_plane_traces", counting)
+    assert conestab.cli.main(["variation", "--n", "2", "--lambda", "1", "--levels", "4"]) == 5
+    assert calls == [8, 6 * 5]
+    reports = json.loads(capsys.readouterr().out)["results"]
+    params, spec = ConeParams(2, 1.0), QuadratureSpec()
+    for f, report in zip(standard_battery(2, 8), reports):
+        if f.value_at_vertex == 0.0:
+            assert report["divergence"] is None, f.label
+            continue
+        cert = conestab.variation.cutoff_ladder(params, f, dirichlet_energy(params, f, spec),
+                                                spec)
+        assert report["divergence"] == _jsonable(dataclasses.asdict(cert)), f.label
 
 
 def test_two_dims_flat_reference_has_no_divergence():
@@ -343,7 +372,7 @@ def test_shear_check_evaluates_the_gradient_once():
 def _rows_per_block(monkeypatch, params, f, spec, rows):
     """Make _battery_areas evaluate ``rows`` times per block for this field."""
     nodes = support_sample(params, f, spec)[1].size
-    monkeypatch.setattr(conestab.variation, "_BLOCK_ELEMENTS", rows * nodes)
+    monkeypatch.setattr(conestab.quadrature, "_BLOCK_ELEMENTS", rows * nodes)
 
 
 @pytest.mark.parametrize("n, spec", [(2, QuadratureSpec(32, 2, 32, 3.0)), (3, SPEC3),
@@ -453,7 +482,7 @@ def test_battery_areas_equal_per_field_area(members, levels, rows):
         events.append(None)
         return real_sums(segments)
 
-    with mock.patch.object(conestab.variation, "_BLOCK_ELEMENTS", block), \
+    with mock.patch.object(conestab.quadrature, "_BLOCK_ELEMENTS", block), \
             mock.patch.object(conestab.variation, "_distortion_squared", j2), \
             mock.patch.object(conestab.variation, "compensated_sums", sums):
         got = _battery_areas(params, samples, times)

@@ -26,12 +26,13 @@ only column by column, and T has its own rule (:func:`trace_grid`).
 
 Each rule counts its nodes before building them (:func:`_rule_nodes`) and
 refuses more than ``MAX_RULE_NODES``; no node touches the axis x' = 0,
-where the flow's derivatives are one-sided limits.  Nothing is cached.  A
-battery pass (:func:`_battery_pass`) samples and reduces its fields in
-blocks whose rules hold at most ``_BLOCK_ELEMENTS`` = 2^20 elements (nodes
-times n), or of one field whose rule alone holds more, and keeps only what
-a block reduces to, so it holds one block's samples at a time; every
-battery of the benchmark fits in one block.  In a block,
+where the flow's derivatives are one-sided limits.  Nothing is cached.  The
+one block planner, :func:`_battery_pass`, counts each field's rule once and
+samples and reduces the fields in blocks, built from those counts, whose
+rules hold at most ``_BLOCK_ELEMENTS`` = 2^20 elements (nodes times n), or
+of one field whose rule alone holds more; it keeps only what a block
+reduces to, so it holds one block's samples at a time; every battery of
+the benchmark fits in one block.  In a block,
 :func:`support_samples` builds the polar angles of its fields centred on
 the axis in one pass, its rays in one pass per count of nodes per ray and
 each box coordinate-major, then evaluates each field once on its own
@@ -184,21 +185,9 @@ def _count_nodes(count: int, rule: str) -> None:
 
 
 # Most elements of one block of a battery pass (a rule's nodes times n, summed
-# over the block's fields) and of one block of variation._battery_areas rows (a
-# row's nodes), unless one field or row alone is more.
+# over the block's fields) and of one reduction of variation._battery_areas (a
+# field's area rows), unless one field or row alone is more.
 _BLOCK_ELEMENTS = 2 ** 20
-
-
-def _blocks(sizes) -> list:
-    """(start, stop) of the consecutive runs of ``sizes``, in order, each run
-    summing to at most _BLOCK_ELEMENTS, or of one size alone above it."""
-    bounds, total = [], 0
-    for j, size in enumerate(sizes):
-        if not bounds or total + size > _BLOCK_ELEMENTS:
-            bounds.append(j)
-            total = 0
-        total += size
-    return list(zip(bounds, bounds[1:] + [len(sizes)]))
 
 
 def sigma_grid(params: ConeParams, spec: QuadratureSpec):
@@ -298,13 +287,12 @@ def _panel_nodes(n: int, angular_nodes: int) -> int:
     return max(2 * angular_nodes, n + 12)
 
 
-def _panel_angles(params: ConeParams, geoms, angular_nodes: int):
+def _panel_angles(params: ConeParams, cuts, angular_nodes: int):
     """(cos, sin, weights) of Gauss-Legendre nodes in the polar angle phi from
-    the axis, with the weight sin^(n-2) folded in, for each of ``geoms``
-    (centred on the axis), all in one gauss_legendre pass, on the panels of
-    :func:`_panel_ends` with :func:`_panel_nodes` nodes each."""
+    the axis, with the weight sin^(n-2) folded in, for each list of panel
+    ends in ``cuts`` (:func:`_panel_ends`), all in one gauss_legendre pass,
+    with :func:`_panel_nodes` nodes per panel."""
     n = params.n
-    cuts = [_panel_ends(params.lam, geom) for geom in geoms]
     panels = np.array([pair for e in cuts for pair in zip(e[:-1], e[1:])])  # rows (lo, hi)
     phi, w = gauss_legendre(panels[:, :1], panels[:, 1:], _panel_nodes(n, angular_nodes))
     sin_p = np.sin(phi)
@@ -315,23 +303,25 @@ def _panel_angles(params: ConeParams, geoms, angular_nodes: int):
 
 
 def _rule_nodes(params: ConeParams, geom, spec: QuadratureSpec) -> tuple:
-    """(k, count) of the slice rule of ``geom``: its nodes per box axis or
-    per ray, and the nodes it places before it drops those outside the
+    """(k, count, ends) of the slice rule of ``geom``: its nodes per box axis
+    or per ray; the nodes it places before it drops those outside the
     slice, k^n for a box, k per polar angle and x'-direction for a polar
-    rule.  A rule of more than MAX_RULE_NODES nodes is refused here, before
-    it is built."""
+    rule; and the :func:`_panel_ends` of a polar rule centred on the axis,
+    else None.  A rule of more than MAX_RULE_NODES nodes is refused here,
+    before it is built."""
     n, m = params.n, spec.angular_nodes
     if geom.shape == "box":
         k = max(geom.degree + 1, spec.box_nodes_per_axis // 8)
         k += k % 2
         _count_nodes(k ** n, "box rule")
-        return k, k ** n
+        return k, k ** n, None
     k = max((n + 2 * geom.degree + 1) // 2, spec.radial_nodes // 8)
-    angles = m if geom.offset else (len(_panel_ends(params.lam, geom)) - 1) * _panel_nodes(n, m)
+    ends = None if geom.offset else _panel_ends(params.lam, geom)
+    angles = m if geom.offset else (len(ends) - 1) * _panel_nodes(n, m)
     radial = n > 2 and geom.shape == "radial"
     count = ((m if geom.offset else 1) if radial else max(2, m ** (n - 2))) * angles * k
     _count_nodes(count, "slice rule")
-    return k, count
+    return k, count, ends
 
 
 def _box_rule(params: ConeParams, geom, m: int):
@@ -382,22 +372,22 @@ def _directions(n: int, geom, m: int):
     return cos_p[:, None] * a + sin_p[:, None] * e, w * _sphere_measure(n - 3)
 
 
-def _slice_rules(params: ConeParams, geoms, spec: QuadratureSpec):
+def _slice_rules(params: ConeParams, geoms, spec: QuadratureSpec, nodes=None):
     """Nodes (m, n), coordinate-major, and weights (m,) of the rule of each of
-    ``geoms``: inside the slice and the region, with positive weights.  Each
-    rule's nodes are counted first (:func:`_rule_nodes`).  A box gets a
+    ``geoms`` from its :func:`_rule_nodes` in ``nodes`` (counted here if None):
+    inside the slice and the region, with positive weights.  A box gets a
     :func:`_box_rule`; the polar rules of the others are built together:
     one :func:`_panel_angles` pass, then per count m_s of nodes per ray one
     Gauss-Legendre rule in s on the rays' spans (:func:`_ray_spans`), with the
     volume element s^(n-1), exact for a "radial" profile as m_s >=
     ceil((n + 2*degree)/2): |grad f|^2 s^(n-1) has degree n - 3 + 2*degree."""
     n, m = params.n, spec.angular_nodes
-    per = [_rule_nodes(params, geom, spec)[0] for geom in geoms]
+    nodes = nodes if nodes is not None else [_rule_nodes(params, g, spec) for g in geoms]
     rules = [None] * len(geoms)
-    axis = [i for i, g in enumerate(geoms) if g.shape != "box" and not g.offset]
-    angles = dict(zip(axis, _panel_angles(params, [geoms[i] for i in axis], m))) if axis else {}
+    axis = [i for i, (_, _, ends) in enumerate(nodes) if ends]
+    angles = dict(zip(axis, _panel_angles(params, [nodes[i][2] for i in axis], m))) if axis else {}
     runs = {}  # nodes per ray -> [(index, directions, weights)]
-    for i, (geom, m_s) in enumerate(zip(geoms, per)):
+    for i, (geom, (m_s, _, _)) in enumerate(zip(geoms, nodes)):
         if geom.shape == "box":
             rules[i] = _box_rule(params, geom, m_s)
             continue
@@ -424,11 +414,13 @@ def _slice_rules(params: ConeParams, geoms, spec: QuadratureSpec):
     return rules
 
 
-def support_samples(params: ConeParams, fields, spec: QuadratureSpec) -> list:
+def support_samples(params: ConeParams, fields, spec: QuadratureSpec, nodes=None) -> list:
     """The :func:`support_sample` of each of ``fields``, the rules built
-    together (:func:`_slice_rules`), each field evaluated once on its own."""
+    together from their ``nodes`` (:func:`_slice_rules`), each field
+    evaluated once on its own."""
     out = []
-    for f, (pts, weights) in zip(fields, _slice_rules(params, [f.geometry for f in fields], spec)):
+    for f, (pts, weights) in zip(fields, _slice_rules(
+            params, [f.geometry for f in fields], spec, nodes)):
         fv = f.evaluator(pts)
         pts, weights, fv = _kept(fv != 0.0, pts.T, weights, fv)
         grads = f.gradient(pts)
@@ -438,18 +430,24 @@ def support_samples(params: ConeParams, fields, spec: QuadratureSpec) -> list:
     return out
 
 
-def _battery_pass(params: ConeParams, fields, spec: QuadratureSpec, reduce) -> list:
-    """``reduce(block, samples)`` of each block of ``fields``, a slice of them
-    sampled by one :func:`support_samples` call, the lists it returns (one
-    entry per field) joined in field order.  A block's rules hold at most
-    _BLOCK_ELEMENTS elements (:func:`_rule_nodes` counts times n), or one
-    rule alone above it, so a pass holds one block's samples at a time and
-    keeps what ``reduce`` returns.  Every rule is counted, and one above
-    MAX_RULE_NODES refused, before any is built."""
-    sizes = [params.n * _rule_nodes(params, f.geometry, spec)[1] for f in fields]
-    out = []
-    for start, stop in _blocks(sizes):
-        out += reduce(slice(start, stop), support_samples(params, fields[start:stop], spec))
+def _battery_pass(params: ConeParams, fields, spec: QuadratureSpec, reduce=None) -> list:
+    """``reduce(block, samples)`` (by default :func:`energies_and_traces`) of
+    each block of ``fields``, a slice of them sampled by one
+    :func:`support_samples` call from the counts of its rules, the lists it
+    returns (one entry per field) joined in field order.  Each rule is
+    counted once (:func:`_rule_nodes`), all before any is built.  A block's
+    rules hold at most _BLOCK_ELEMENTS elements (nodes times n), or one rule
+    alone above it, so a pass holds one block's samples at a time."""
+    reduce = reduce or (lambda block, samples: energies_and_traces(
+        params, fields[block], samples, spec))
+    nodes = [_rule_nodes(params, f.geometry, spec) for f in fields]
+    out, start, total = [], 0, 0
+    for stop, (_, size, _) in enumerate([*nodes, (0, math.inf, None)]):  # inf closes the last
+        if stop > start and total + params.n * size > _BLOCK_ELEMENTS:
+            out += reduce(slice(start, stop), support_samples(
+                params, fields[start:stop], spec, nodes[start:stop]))
+            start, total = stop, 0
+        total += params.n * size
     return out
 
 
@@ -628,7 +626,7 @@ def boundary_integral(params: ConeParams, f: TrialFunction,
         return value
     if not trace_span(params, f)[1] > 0.0:
         return 0.0
-    return energies_and_traces(params, [f], support_samples(params, [f], spec), spec)[0][1]
+    return _battery_pass(params, [f], spec)[0][1]
 
 
 def _energy_terms(samples) -> list:

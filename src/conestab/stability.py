@@ -201,10 +201,8 @@ def stability_sweep(params: ConeParams, battery, spec: QuadratureSpec) -> Stabil
     battery = list(battery)
     if not battery:
         return StabilityVerdict(regime=INCONCLUSIVE, detail="empty battery")
-    sums = _battery_pass(params, battery, spec, lambda block, samples: energies_and_traces(
-        params, battery[block], samples, spec))
     margins, witness, witness_margin = [], None, math.inf
-    for f, (energy, trace) in zip(battery, sums):
+    for f, (energy, trace) in zip(battery, _battery_pass(params, battery, spec)):
         margin = energy - params.lam * trace
         margins.append(margin)
         # robustness floor: ten times a crude absolute quadrature error proxy

@@ -14,29 +14,29 @@ log-divergence certificate instead of a bare sentinel.
 
 The reports of a battery (``_variation_reports``, which ``variation_report``
 and the CLI call) read one support sample per field, block by block of the
-battery pass, and make one pass each for the areas at every distinct time
-of every field's two ladders (:func:`_battery_areas`) and the energies with
-the traces per block, then one for the quotients and, at n = 2, one for the
-cutoff ladders of every divergent trace (:func:`_cutoff_ladders`), each
-pass with one segmented reduction; ``area`` is the one-field, one-t case.
+one block planner, ``quadrature._battery_pass``.  Per block, one segmented
+reduction per chunk of one field's rows gives the areas at every distinct
+time of its two ladders (:func:`_battery_areas`), and one the energies with
+the traces; then one pass makes the quotients and, at n = 2, one the
+cutoff ladders of every divergent trace (:func:`_cutoff_ladders`); ``area``
+is the one-field, one-t case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate, groupby
-from operator import itemgetter
 
 import numpy as np
 
+from . import quadrature
 from ._inputs import check
 from .domain import ConeParams, _dot, _sumsq
 from .errors import JacobianPositivityError, QuadratureError
 from .jacobian import _distortion_squared
-from .quadrature import (LiminfEstimate, QuadratureSpec, _battery_pass, _blocks, _dyadic_ladder,
+from .quadrature import (LiminfEstimate, QuadratureSpec, _battery_pass, _dyadic_ladder,
                          _energy_terms, _plane_traces, compensated_sums, energies_and_traces,
-                         liminf_quotients, support_sample, support_samples)
+                         liminf_quotients, support_sample)
 from .trial import TrialFunction
 
 __all__ = [
@@ -104,63 +104,45 @@ def area(params: ConeParams, f: TrialFunction, t: float, spec: QuadratureSpec) -
 
 def _battery_areas(params: ConeParams, samples, times) -> list:
     """The deformed areas of each field at its ``times``, in order, on its
-    support sample in ``samples``, as :func:`area`, all fields in one pass.
+    support sample in ``samples``, as :func:`area`, field by field.
 
-    The per-node scalars of all fields are concatenated once.  The rows
-    (field, nonzero t), in field and then ladder order, go in blocks
-    (:func:`~conestab.quadrature._blocks`) of at most
-    max(N, quadrature._BLOCK_ELEMENTS) elements, N a row's nodes, which
-    bounds the memory of a battery's ladders at any number of levels.  In a
-    block each field's times form rows against its own nodes, and one
-    ``compensated_sums`` reduces all its rows (the first also each field's
-    area at t = 0).  The
-    first row whose squared distortion factor is <= 0 somewhere, or whose
-    area is not finite, raises."""
-    pts, weights, r, grads, fv = (np.concatenate(a) for a in zip(*samples))
-    # per-node scalars, primes dropping the axis component; r = |x'| > 0
-    # since the nodes lie strictly off the axis
-    xp, gp = pts[:, :-1], grads[:, :-1]
-    scalars = np.stack([r * r, 1.0 / r, _sumsq(gp), _dot(xp, gp), fv, grads[:, -1], weights])
-    sizes = [s[1].size for s in samples]
-    ends = list(accumulate(sizes))
-    rows = [(i, k) for i, ts in enumerate(times) if sizes[i] for k, t in enumerate(ts) if t != 0.0]
-    heads, lam = [weights[e - k:e] for e, k in zip(ends, sizes)], params.lam
-    for start, stop in _blocks([sizes[i] for i, _ in rows]) or [(0, 0)]:
-        done, areas, failure = [], [], None
-        for i, run in groupby(rows[start:stop], key=itemgetter(0)):
-            ks = [k for _, k in run]
-            r2, inv_r, p, q, f, gn, w = scalars[:, ends[i] - sizes[i]:ends[i]]
-            t = np.array([float(times[i][k]) for k in ks])[:, None]
-            inv_s = 1.0 / np.sqrt(r2 + (t * f) ** 2)
-            c = (t * t) * f * inv_s
+    A field's rows are its area at t = 0, the sum of its weights, then one
+    per nonzero t, in ladder order.  They go in chunks of at most
+    max(1, quadrature._BLOCK_ELEMENTS // N) rows, N the field's nodes, which
+    bounds the memory of a battery's ladders at any number of levels, and
+    one ``compensated_sums`` reduces each chunk.  The first row whose
+    squared distortion factor is <= 0 somewhere, or whose area is not
+    finite, raises."""
+    out, lam = [], params.lam
+    for (pts, weights, r, grads, fv), ts in zip(samples, times):
+        # per-node scalars, primes dropping the axis component; r = |x'| > 0
+        # since the nodes lie strictly off the axis
+        r2, inv_r, gn = r * r, 1.0 / r, grads[:, -1]
+        p, q = _sumsq(grads[:, :-1]), _dot(pts[:, :-1], grads[:, :-1])
+        rows = [0.0, *(t for t in ts if t != 0.0)]
+        per, sums = max(1, quadrature._BLOCK_ELEMENTS // max(1, weights.size)), []
+        for start in range(0, len(rows), per):
+            t = np.array(rows[max(start, 1):start + per])[:, None]  # row 0 is the weights
+            inv_s = 1.0 / np.sqrt(r2 + (t * fv) ** 2)
+            c = (t * t) * fv * inv_s
             d = inv_s - inv_r
-            an = lam * c * gn
-            bn = t * gn
             sa2 = (lam * lam) * (c * c * p + 2.0 * c * d * q + d * d * r2)
-            sb2 = (t * t) * p
-            sab = (lam * t) * (c * p + d * q)
-            j2 = _distortion_squared(an, bn, sa2, sb2, sab)
-            worst = np.min(j2, axis=1)
+            j2 = _distortion_squared(lam * c * gn, t * gn, sa2, (t * t) * p,
+                                     (lam * t) * (c * p + d * q))
+            worst = j2.min(axis=1, initial=math.inf)
             bad = np.flatnonzero(worst <= 0.0)
-            good = bad[0] if bad.size else len(ks)
-            done += [(i, k) for k in ks[:good]]
-            areas.extend(w * np.sqrt(j2[:good]))
+            good = bad[0] if bad.size else len(t)
+            sums += compensated_sums([weights] * (start == 0) + list(weights * np.sqrt(j2[:good])))
+            for at, value in zip(rows[start:], sums[start:]):
+                if not math.isfinite(value):
+                    raise QuadratureError(f"non-finite evaluation: area {value} at t={at}")
             if bad.size:
-                failure = float(times[i][ks[good]]), float(worst[good])
-                break
-        sums = compensated_sums(heads + areas)
-        if heads:  # the first block: every area starts as the field's area at t = 0
-            out = [[value] * len(ts) for value, ts in zip(sums, times)]
-            heads, sums = [], sums[len(samples):]
-        for (i, k), value in zip(done, sums):
-            out[i][k] = value
-            if not math.isfinite(value):
-                raise QuadratureError(f"non-finite evaluation: area {value} at t={times[i][k]}")
-        if failure:
-            at, value = failure
-            raise JacobianPositivityError(
-                f"squared distortion factor reached {value} at t={at}; "
-                "deformation too large for this field", t=at, worst_value=value)
+                at, value = float(t[good, 0]), float(worst[good])
+                raise JacobianPositivityError(
+                    f"squared distortion factor reached {value} at t={at}; "
+                    "deformation too large for this field", t=at, worst_value=value)
+        areas = iter(sums[1:])
+        out.append([sums[0] if t == 0.0 else next(areas) for t in ts])
     return out
 
 
@@ -200,9 +182,9 @@ def _cutoff_ladders(params: ConeParams, fields, energies, spec: QuadratureSpec,
 
 def second_variation_closed_form(params: ConeParams, f: TrialFunction,
                                  spec: QuadratureSpec) -> VariationReport:
-    """Closed-form second-variation fields only, E and T from one support sample."""
-    sums = energies_and_traces(params, [f], support_samples(params, [f], spec), spec)
-    return _closed_forms(params, [f], sums, spec, DEFAULT_CUTOFFS)[0]
+    """Closed-form second-variation fields only, E and T from one support
+    sample (:func:`~conestab.quadrature._battery_pass`)."""
+    return _closed_forms(params, [f], _battery_pass(params, [f], spec), spec, DEFAULT_CUTOFFS)[0]
 
 
 def _closed_forms(params: ConeParams, fields, sums, spec, epsilons) -> list:

@@ -1,6 +1,7 @@
 """Guards on the public surface: the package exports and the functions the
 benchmark's traced run wraps by name or its workloads call."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -121,6 +122,22 @@ def test_estimator_and_sample_keep_their_signatures():
     assert list(inspect.signature(liminf_quotient).parameters) == ["parameters", "f0", "values"]
     assert list(inspect.signature(support_sample).parameters) == ["params", "f", "spec"]
     assert inspect.isfunction(support_sample) and not hasattr(support_sample, "cache_info")
+
+
+def test_one_block_planner_samples_every_battery():
+    """Scanning the package's source: support_samples is called only by the
+    battery pass, which plans every battery's blocks, and by its one-field
+    case support_sample; no second planner, _blocks, is defined."""
+    callers, defined = set(), set()
+    for path in Path(conestab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
+                callers |= {node.name for call in ast.walk(node) if isinstance(call, ast.Call)
+                            and getattr(call.func, "id", getattr(call.func, "attr", None))
+                            == "support_samples"}
+    assert callers == {"_battery_pass", "support_sample"}
+    assert "support_samples" in defined and "_blocks" not in defined
 
 
 def test_input_table_has_a_row_for_each_key_the_program_reads():

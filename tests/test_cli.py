@@ -290,8 +290,7 @@ def test_retired_cutoff_key_exits_2_before_any_sample(tmp_path, monkeypatch, cap
     def refuse(*args, **kwargs):
         raise AssertionError("a support sample was built")
 
-    for module in (quadrature, variation):
-        monkeypatch.setattr(module, "support_samples", refuse)
+    monkeypatch.setattr(quadrature, "support_samples", refuse)
     cfg = write_config(tmp_path, n=4, quadrature={**SMALL_QUAD, "epsilon_cutoff": 0.05})
     assert run([command, "--config", cfg]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().out)["error"]

@@ -775,8 +775,7 @@ def test_battery_passes_sample_once_and_build_no_trace_grid(n, monkeypatch):
         calls.append(len(args[1]))
         return real(*args)
 
-    for module in (quadrature, variation):
-        monkeypatch.setattr(module, "support_samples", counting)
+    monkeypatch.setattr(quadrature, "support_samples", counting)
     params, spec = ConeParams(n, 2.0 * lambda_star(n).lambda_star), MARGIN_SPECS[n]
     battery = standard_battery(n)
     passes = (lambda: stability_sweep(params, battery, spec).margins,
@@ -812,9 +811,9 @@ def test_battery_passes_in_blocks_equal_one_block_and_one_field(n, monkeypatch):
     calls = []
     real = quadrature.support_samples
 
-    def recording(params, fields, spec):
+    def recording(params, fields, spec, nodes):
         calls.append([f.label for f in fields])
-        return real(params, fields, spec)
+        return real(params, fields, spec, nodes)
 
     monkeypatch.setattr(quadrature, "support_samples", recording)
     for budget in (1, max(sizes.values()) // 2, sum(sizes.values()) // 4):
@@ -826,6 +825,36 @@ def test_battery_passes_in_blocks_equal_one_block_and_one_field(n, monkeypatch):
             assert len(calls) > 2, budget
             for block in calls:
                 assert len(block) == 1 or sum(sizes[label] for label in block) <= budget
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_each_pass_counts_each_rule_once(n, monkeypatch):
+    """stability_sweep, the shear checks, the variation reports and
+    second_variation_closed_form count each field's rule exactly once
+    (_rule_nodes), in field order, at 2 lam* on the 20-member battery, in
+    one block and under budgets that split it: the pass hands each block
+    the counts it made, and the block builds its rules from them."""
+    params, spec = ConeParams(n, 2.0 * lambda_star(n).lambda_star), MARGIN_SPECS[n]
+    battery = standard_battery(n)
+    counted, real = [], quadrature._rule_nodes
+
+    def counting(params, geom, spec):
+        counted.append(geom)
+        return real(params, geom, spec)
+
+    sizes = [n * real(params, f.geometry, spec)[1] for f in battery]
+    monkeypatch.setattr(quadrature, "_rule_nodes", counting)
+    passes = ((lambda: stability_sweep(params, battery, spec), battery),
+              (lambda: stability._shear_checks(params, battery, spec), battery),
+              (lambda: variation._variation_reports(params, battery, None, 3, spec), battery),
+              (lambda: variation.second_variation_closed_form(params, battery[0], spec),
+               battery[:1]))
+    for budget in (quadrature._BLOCK_ELEMENTS, 1, max(sizes) // 2, sum(sizes) // 4):
+        monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", budget)
+        for run, fields in passes:
+            counted.clear()
+            run()
+            assert [id(g) for g in counted] == [id(f.geometry) for f in fields], budget
 
 
 def test_divergent_trace_is_signalled():

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -459,10 +460,12 @@ def test_battery_areas_equal_per_field_area(members, levels, rows):
     per field on its own sample bit for bit, one public area call per
     (field, t) at every fourth t, and at every fourth other t the closed
     form on flow_coefficients_batch's coefficients, which shares no code
-    with the batch.  With _BLOCK_ELEMENTS at 1 every block is
-    one row, at 5 rows of the smallest field's nodes blocks mix fields, and
-    at None all rows share one block; each block holds at most
-    max(_BLOCK_ELEMENTS, its largest row) elements, summed over its fields."""
+    with the batch.  Each field's rows, its area at t = 0 and one per
+    nonzero t, are reduced in chunks that hold the rows of that field
+    alone, at most max(_BLOCK_ELEMENTS, N) elements for its N nodes: with
+    _BLOCK_ELEMENTS at 1 every chunk is one row, at 5 rows of the smallest
+    field's nodes the larger fields' ladders split, and at None each field
+    is one chunk.  Each nonzero t is evaluated once."""
     params, spec = ConeParams(3, 0.2), QuadratureSpec(16, 4, 16, 3.1)
     fields = [build_trial(desc, 3) for desc, _ in members]
     times = [_report_times(scale * default_t0(f), levels)
@@ -470,16 +473,16 @@ def test_battery_areas_equal_per_field_area(members, levels, rows):
     samples = support_samples(params, fields, spec)
     sizes = [s[1].size for s in samples]
     block = {1: 1, 5: 5 * max(1, min(sizes)), None: 2 ** 62}[rows]
-    events, real_j2, real_sums = [], conestab.variation._distortion_squared, \
-        conestab.variation.compensated_sums
+    evaluated, reductions = [], []
+    real_j2, real_sums = conestab.variation._distortion_squared, conestab.variation.compensated_sums
 
     def j2(*args):
         out = real_j2(*args)
-        events.append(out.shape)
+        evaluated.append(len(out))
         return out
 
     def sums(segments):
-        events.append(None)
+        reductions.append([np.size(v) for v in segments])
         return real_sums(segments)
 
     with mock.patch.object(conestab.quadrature, "_BLOCK_ELEMENTS", block), \
@@ -492,15 +495,17 @@ def test_battery_areas_equal_per_field_area(members, levels, rows):
         assert [area(params, f, t, spec) for t in ts[1::4]] == values[1::4], f.label
         assert [_reference_area(params, f, t, spec, sample) for t in ts[2::4]] == \
             values[2::4], f.label
-    blocks = [[]]
-    for event in events:
-        blocks[-1].append(event) if event else blocks.append([])
-    assert blocks[-1] == [] and sum(r for shapes in blocks for r, _ in shapes) == sum(
-        len(ts) - 1 for size, ts in zip(sizes, times) if size)
-    for shapes in blocks[:-1]:
-        assert sum(r * m for r, m in shapes) <= max([block] + [m for _, m in shapes])
-        if rows == 1:
-            assert [r for r, _ in shapes] in ([], [1])
+    assert sum(evaluated) == sum(len(ts) - 1 for ts in times)
+    owner = [i for i, ts in enumerate(times) for _ in ts]  # the field of each row, in order
+    done = 0
+    for segments in reductions:
+        i, = set(owner[done:done + len(segments)])
+        assert segments == [sizes[i]] * len(segments)
+        assert sum(segments) <= max(block, sizes[i])
+        done += len(segments)
+    assert done == len(owner)
+    if rows is None:
+        assert len(reductions) == len(fields)
 
 
 @pytest.mark.parametrize("rows", [1, 4, 40])
@@ -535,25 +540,45 @@ def test_battery_area_errors_name_the_first_failing_field_and_t(rows, monkeypatc
 
 @pytest.mark.parametrize("size", [1, 4, 10])
 def test_a_battery_report_makes_a_fixed_number_of_reductions(size, monkeypatch):
-    """One _variation_reports call reduces with two compensated_sums,
-    whatever the battery's size: every area row, then the energies with
-    every trace.  No one-field path runs: no compensated_sum, area,
-    boundary_integral or liminf_quotient call.  This guards the battery
-    passes against a per-field loop coming back."""
+    """One _variation_reports call reduces with one compensated_sums per
+    area chunk of each field (its area at t = 0 and its nonzero times, at
+    most max(1, _BLOCK_ELEMENTS // N) rows for its N nodes) and one per
+    block of the battery pass for the energies with every trace, whatever
+    the battery's size, in one block and under a budget that splits it.  No
+    one-field path runs: no compensated_sum, area, boundary_integral or
+    liminf_quotient call.  This guards the battery passes against a
+    per-field loop coming back."""
     params = ConeParams(3, 0.2)
     fields = standard_battery(3, size)
-    calls = []
+    nodes = [support_sample(params, f, SPEC3)[1].size for f in fields]
+    rows = [len(_report_times(default_t0(f), 5)) for f in fields]
+    calls, blocks = [], []
     for module in (conestab.variation, conestab.quadrature):
         real = module.compensated_sums
         monkeypatch.setattr(module, "compensated_sums",
                             lambda segments, real=real: calls.append(len(segments))
                             or real(segments))
+    real_samples = conestab.quadrature.support_samples
+    monkeypatch.setattr(conestab.quadrature, "support_samples",
+                        lambda params, block, *rest: blocks.append(len(block))
+                        or real_samples(params, block, *rest))
     for name in ("compensated_sum", "boundary_integral", "liminf_quotient"):
         monkeypatch.setattr(conestab.quadrature, name, None)
     monkeypatch.setattr(conestab.variation, "area", None)
-    reports = _variation_reports(params, fields, None, 5, SPEC3)
-    traced = sum(1 for f in fields if conestab.quadrature.trace_span(params, f)[1] > 0.0)
-    # the t = 0 areas with every (field, t) row, the energies with the traces
-    assert calls == [size + sum(len(_report_times(default_t0(f), 5)) - 1 for f in fields),
-                     size + traced]
-    assert len(reports) == size
+    for budget in (conestab.quadrature._BLOCK_ELEMENTS, 3 * max(nodes)):
+        monkeypatch.setattr(conestab.quadrature, "_BLOCK_ELEMENTS", budget)
+        calls.clear()
+        blocks.clear()
+        reports = _variation_reports(params, fields, None, 5, SPEC3)
+        want, start = [], 0
+        for stop in accumulate(blocks):
+            for k, m in zip(rows[start:stop], nodes[start:stop]):
+                per = max(1, budget // m)
+                want += [min(per, k - j) for j in range(0, k, per)]
+            traced = sum(1 for f in fields[start:stop]
+                         if conestab.quadrature.trace_span(params, f)[1] > 0.0)
+            want.append(stop - start + traced)
+            start = stop
+        assert calls == want, budget
+        assert len(reports) == size and sum(blocks) == size
+    assert len(want) > len(blocks) + size  # the small budget splits the ladders

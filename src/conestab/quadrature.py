@@ -374,7 +374,7 @@ def _directions(n: int, geom, m: int):
 
 def _slice_rules(params: ConeParams, geoms, spec: QuadratureSpec, nodes=None):
     """Nodes (m, n), coordinate-major, and weights (m,) of the rule of each of
-    ``geoms`` from its :func:`_rule_nodes` in ``nodes`` (counted here if None):
+    ``geoms`` from its :func:`_rule_nodes` in ``nodes`` (None, for tests, counts them):
     inside the slice and the region, with positive weights.  A box gets a
     :func:`_box_rule`; the polar rules of the others are built together:
     one :func:`_panel_angles` pass, then per count m_s of nodes per ray one
@@ -458,7 +458,7 @@ def support_sample(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
     values of f or grad f are rejected.  Its Dirichlet energy is exact when
     the profile is the stated polynomial and a box's or off-axis ball's
     region lies inside the slice.  The one-field case of :func:`support_samples`."""
-    return support_samples(params, [f], spec)[0]
+    return support_samples(params, [f], spec, [_rule_nodes(params, f.geometry, spec)])[0]
 
 
 def compensated_sum(values: np.ndarray) -> float:

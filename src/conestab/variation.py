@@ -239,9 +239,10 @@ def _variation_reports(params: ConeParams, fields, t0, levels: int, spec,
     """:func:`variation_report` of each of ``fields``: all ladder checks, then
     one :func:`support_samples` call per block of the battery pass
     (:func:`~conestab.quadrature._battery_pass`), which keeps each block's
-    areas and its energies with the traces, each one pass; then one pass for
-    the quotients, and one for the certificates of the divergent traces on
-    ``epsilons`` (:func:`_closed_forms`)."""
+    areas, one reduction per chunk of one field's rows, and its energies
+    with the traces, one reduction; then one pass for the quotients, and one
+    for the certificates of the divergent traces on ``epsilons``
+    (:func:`_closed_forms`)."""
     spec = spec if spec is not None else QuadratureSpec()
     levels = check("levels", levels)
     pairs = []  # the t-ladder and the s = t^2 ladder of each field

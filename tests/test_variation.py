@@ -465,7 +465,9 @@ def test_battery_areas_equal_per_field_area(members, levels, rows):
     alone, at most max(_BLOCK_ELEMENTS, N) elements for its N nodes: with
     _BLOCK_ELEMENTS at 1 every chunk is one row, at 5 rows of the smallest
     field's nodes the larger fields' ladders split, and at None each field
-    is one chunk.  Each nonzero t is evaluated once."""
+    is one chunk.  Each nonzero t is evaluated once, and each evaluation of
+    a field's rows holds at most max(_BLOCK_ELEMENTS, N) elements, one row
+    when _BLOCK_ELEMENTS is 1."""
     params, spec = ConeParams(3, 0.2), QuadratureSpec(16, 4, 16, 3.1)
     fields = [build_trial(desc, 3) for desc, _ in members]
     times = [_report_times(scale * default_t0(f), levels)
@@ -478,7 +480,7 @@ def test_battery_areas_equal_per_field_area(members, levels, rows):
 
     def j2(*args):
         out = real_j2(*args)
-        evaluated.append(len(out))
+        evaluated.append(out.shape)
         return out
 
     def sums(segments):
@@ -495,7 +497,11 @@ def test_battery_areas_equal_per_field_area(members, levels, rows):
         assert [area(params, f, t, spec) for t in ts[1::4]] == values[1::4], f.label
         assert [_reference_area(params, f, t, spec, sample) for t in ts[2::4]] == \
             values[2::4], f.label
-    assert sum(evaluated) == sum(len(ts) - 1 for ts in times)
+    assert sum(r for r, _ in evaluated) == sum(len(ts) - 1 for ts in times)
+    for r, m in evaluated:
+        assert m in sizes and r * m <= max(block, m)
+        if rows == 1:
+            assert r <= 1
     owner = [i for i, ts in enumerate(times) for _ in ts]  # the field of each row, in order
     done = 0
     for segments in reductions:

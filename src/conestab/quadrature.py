@@ -1,9 +1,8 @@
 """Integration over the slice, the boundary trace as a slice integral, and
 the finite-difference machinery for lower-right derivative estimates.
 
-A field's slice rule (:func:`support_sample`) reads its
-:class:`~conestab.trial.Geometry`, so that its kinks fall on panel ends and
-its symmetry is summed once:
+A field's slice rule reads its :class:`~conestab.trial.Geometry`, so that
+its kinks fall on panel ends and its symmetry is summed once:
 
 * a "radial" field's (or a "ball"'s) slice rule is polar about its centre c:
   Gauss-Legendre in the distance s on the part of each ray c + s*omega in the
@@ -24,24 +23,26 @@ give the Dirichlet energy.  T is 0.0 where the field's closed region cannot
 meet the boundary cone (:func:`trace_span`).  At n = 2 the identity holds
 only column by column, and T has its own rule (:func:`trace_grid`).
 
-Each rule counts its nodes before building them (:func:`_rule_nodes`) and
-refuses more than ``MAX_RULE_NODES``; no node touches the axis x' = 0,
-where the flow's derivatives are one-sided limits.  Nothing is cached.  The
-one block planner, :func:`_battery_pass`, counts each field's rule once and
-samples and reduces the fields in blocks, built from those counts, whose
-rules hold at most ``_BLOCK_ELEMENTS`` = 2^20 elements (nodes times n), or
-of one field whose rule alone holds more; it keeps only what a block
-reduces to, so it holds one block's samples at a time; every battery of
-the benchmark fits in one block.  In a block,
-:func:`support_samples` builds the polar angles of its fields centred on
-the axis in one pass, its rays in one pass per count of nodes per ray and
-each box coordinate-major, then evaluates each field once on its own
-nodes, and :func:`energies_and_traces` is one :func:`compensated_sums`.
-:func:`liminf_quotients` turns a battery's ladders into quotients in one
-array pass.  Their one-field cases are :func:`support_sample`,
-:func:`boundary_integral` and :func:`liminf_quotient`.  The sigma grid
-(:func:`sigma_grid`, :func:`integrate_sigma`) serves no integral of the
-program.
+Every sum over a field's slice sample comes from one pipeline,
+:func:`_battery_pass`, for a battery or for one field:
+
+1. plan: count each field's rule once (:func:`_rule_nodes`, which refuses
+   more than ``MAX_RULE_NODES`` nodes) and cut the fields, in order, into
+   blocks whose rules hold at most ``_BLOCK_ELEMENTS`` = 2^20 elements
+   (nodes times n), or one rule alone above it;
+2. rules: build a block's rules together from those counts
+   (:func:`_slice_rules`); no node touches the axis x' = 0, where the
+   flow's derivatives are one-sided limits;
+3. evaluation: each field once on its own nodes, dropping those where
+   f = 0, its gradient on the rest, non-finite values refused;
+4. reduce: one call per block, by default :func:`energies_and_traces`;
+   only its result is kept, so a pass holds one block's samples at a time.
+
+:func:`support_sample`, :func:`boundary_integral` (n >= 3) and the Dirichlet
+energy are one-field passes.  :func:`liminf_quotients` turns a battery's
+ladders into quotients in one array pass.  Nothing is cached.  The sigma
+grid (:func:`sigma_grid`, :func:`integrate_sigma`) serves no integral of
+the program.
 """
 
 from __future__ import annotations
@@ -372,17 +373,16 @@ def _directions(n: int, geom, m: int):
     return cos_p[:, None] * a + sin_p[:, None] * e, w * _sphere_measure(n - 3)
 
 
-def _slice_rules(params: ConeParams, geoms, spec: QuadratureSpec, nodes=None):
+def _slice_rules(params: ConeParams, geoms, spec: QuadratureSpec, nodes):
     """Nodes (m, n), coordinate-major, and weights (m,) of the rule of each of
-    ``geoms`` from its :func:`_rule_nodes` in ``nodes`` (None, for tests, counts them):
-    inside the slice and the region, with positive weights.  A box gets a
-    :func:`_box_rule`; the polar rules of the others are built together:
-    one :func:`_panel_angles` pass, then per count m_s of nodes per ray one
-    Gauss-Legendre rule in s on the rays' spans (:func:`_ray_spans`), with the
-    volume element s^(n-1), exact for a "radial" profile as m_s >=
-    ceil((n + 2*degree)/2): |grad f|^2 s^(n-1) has degree n - 3 + 2*degree."""
+    ``geoms`` from its :func:`_rule_nodes` in ``nodes``: inside the slice and
+    the region, with positive weights.  A box gets a :func:`_box_rule`; the
+    polar rules of the others are built together: one :func:`_panel_angles`
+    pass, then per count m_s of nodes per ray one Gauss-Legendre rule in s on
+    the rays' spans (:func:`_ray_spans`), with the volume element s^(n-1),
+    exact for a "radial" profile as m_s >= ceil((n + 2*degree)/2):
+    |grad f|^2 s^(n-1) has degree n - 3 + 2*degree."""
     n, m = params.n, spec.angular_nodes
-    nodes = nodes if nodes is not None else [_rule_nodes(params, g, spec) for g in geoms]
     rules = [None] * len(geoms)
     axis = [i for i, (_, _, ends) in enumerate(nodes) if ends]
     angles = dict(zip(axis, _panel_angles(params, [nodes[i][2] for i in axis], m))) if axis else {}
@@ -414,38 +414,28 @@ def _slice_rules(params: ConeParams, geoms, spec: QuadratureSpec, nodes=None):
     return rules
 
 
-def support_samples(params: ConeParams, fields, spec: QuadratureSpec, nodes=None) -> list:
-    """The :func:`support_sample` of each of ``fields``, the rules built
-    together from their ``nodes`` (:func:`_slice_rules`), each field
-    evaluated once on its own."""
-    out = []
-    for f, (pts, weights) in zip(fields, _slice_rules(
-            params, [f.geometry for f in fields], spec, nodes)):
-        fv = f.evaluator(pts)
-        pts, weights, fv = _kept(fv != 0.0, pts.T, weights, fv)
-        grads = f.gradient(pts)
-        if not (np.isfinite(fv).all() and np.isfinite(grads).all()):
-            raise QuadratureError("field or gradient non-finite at quadrature nodes")
-        out.append((pts, weights, np.sqrt(_sumsq(pts[:, :-1])), grads, fv))
-    return out
-
-
 def _battery_pass(params: ConeParams, fields, spec: QuadratureSpec, reduce=None) -> list:
     """``reduce(block, samples)`` (by default :func:`energies_and_traces`) of
-    each block of ``fields``, a slice of them sampled by one
-    :func:`support_samples` call from the counts of its rules, the lists it
-    returns (one entry per field) joined in field order.  Each rule is
-    counted once (:func:`_rule_nodes`), all before any is built.  A block's
-    rules hold at most _BLOCK_ELEMENTS elements (nodes times n), or one rule
-    alone above it, so a pass holds one block's samples at a time."""
+    each block of ``fields``, a slice of them, and ``samples`` the
+    :func:`support_sample` of each of its fields; the lists it returns (one
+    entry per field) joined in field order.  The plan, the rules, the
+    evaluation and the reduce are those of the module's pipeline."""
     reduce = reduce or (lambda block, samples: energies_and_traces(
         params, fields[block], samples, spec))
     nodes = [_rule_nodes(params, f.geometry, spec) for f in fields]
     out, start, total = [], 0, 0
     for stop, (_, size, _) in enumerate([*nodes, (0, math.inf, None)]):  # inf closes the last
         if stop > start and total + params.n * size > _BLOCK_ELEMENTS:
-            out += reduce(slice(start, stop), support_samples(
-                params, fields[start:stop], spec, nodes[start:stop]))
+            block, samples = slice(start, stop), []
+            for f, (pts, weights) in zip(fields[block], _slice_rules(
+                    params, [f.geometry for f in fields[block]], spec, nodes[block])):
+                fv = f.evaluator(pts)
+                pts, weights, fv = _kept(fv != 0.0, pts.T, weights, fv)
+                grads = f.gradient(pts)
+                if not (np.isfinite(fv).all() and np.isfinite(grads).all()):
+                    raise QuadratureError("field or gradient non-finite at quadrature nodes")
+                samples.append((pts, weights, np.sqrt(_sumsq(pts[:, :-1])), grads, fv))
+            out += reduce(block, samples)
             start, total = stop, 0
         total += params.n * size
     return out
@@ -457,8 +447,9 @@ def support_sample(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
     over them drop only exact zeros (see :class:`TrialFunction`); non-finite
     values of f or grad f are rejected.  Its Dirichlet energy is exact when
     the profile is the stated polynomial and a box's or off-axis ball's
-    region lies inside the slice.  The one-field case of :func:`support_samples`."""
-    return support_samples(params, [f], spec, [_rule_nodes(params, f.geometry, spec)])[0]
+    region lies inside the slice.  A one-field :func:`_battery_pass` that
+    keeps its sample."""
+    return _battery_pass(params, [f], spec, lambda block, samples: samples)[0]
 
 
 def compensated_sum(values: np.ndarray) -> float:
@@ -550,11 +541,12 @@ def trace_span(params: ConeParams, f: TrialFunction):
         # |(r e, lam r) - (0, h)| = radius at the roots of
         # q r^2 - 2 lam h r + h^2 - radius^2
         h = geom.center[-1]
-        disc = (lam * h) ** 2 - q * (h * h - geom.radius ** 2)
+        disc = q * geom.radius ** 2 - h * h  # (lam h)^2 - q (h^2 - radius^2)
         if disc <= 0.0:
             return 0.0, 0.0
-        lo = max(0.0, (lam * h - math.sqrt(disc)) / q)
-        hi = (lam * h + math.sqrt(disc)) / q
+        if disc < math.inf:  # q radius^2 overflows only near the lambda cap
+            lo = max(0.0, (lam * h - math.sqrt(disc)) / q)
+            hi = (lam * h + math.sqrt(disc)) / q
     return lo, hi
 
 
@@ -629,11 +621,6 @@ def boundary_integral(params: ConeParams, f: TrialFunction,
     return _battery_pass(params, [f], spec)[0][1]
 
 
-def _energy_terms(samples) -> list:
-    """The weighted |grad f|^2 on each support sample, summed its Dirichlet energy."""
-    return [w * _sumsq(g) for _, w, _, g, _ in samples]
-
-
 def energies_and_traces(params: ConeParams, fields, samples, spec: QuadratureSpec) -> list:
     """(E, T) of each of ``fields`` from its :func:`support_sample` in
     ``samples``: its Dirichlet energy and :func:`boundary_integral` (None
@@ -642,7 +629,7 @@ def energies_and_traces(params: ConeParams, fields, samples, spec: QuadratureSpe
     and, where its :func:`trace_span` is not empty (else T = 0.0), its
     weighted -2 f (d_n f) / |x'|.  At n = 2, T is :func:`_plane_traces`'
     without a cutoff."""
-    energies = _energy_terms(samples)
+    energies = [w * _sumsq(g) for _, w, _, g, _ in samples]
     if params.n == 2:
         return list(zip(compensated_sums(energies), _plane_traces(params, fields, spec)))
     index = [i for i, f in enumerate(fields) if trace_span(params, f)[1] > 0.0]

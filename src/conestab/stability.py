@@ -137,10 +137,10 @@ def shear_transform_check(params: ConeParams, f: TrialFunction,
 
 
 def _shear_checks(params: ConeParams, fields, spec: QuadratureSpec) -> list:
-    """:func:`shear_transform_check` of each of ``fields`` (n >= 3), one
-    :func:`support_samples` call per block of the battery pass
-    (:func:`~conestab.quadrature._battery_pass`): per block, E_f with the
-    traces one reduction (:func:`energies_and_traces`), E_g another."""
+    """:func:`shear_transform_check` of each of ``fields`` (n >= 3), from one
+    battery pass (:func:`~conestab.quadrature._battery_pass`): per block,
+    E_f with the traces one reduction (:func:`energies_and_traces`), E_g
+    another."""
     def reduce(block, samples):
         # g(x) = f(x', x_n + lam*|x'|).  The shear has unit Jacobian, so E_g is the
         # slice integral of |grad g|^2 at the sheared points, on f's own nodes; the

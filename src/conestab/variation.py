@@ -35,8 +35,8 @@ from .domain import ConeParams, _dot, _sumsq
 from .errors import JacobianPositivityError, QuadratureError
 from .jacobian import _distortion_squared
 from .quadrature import (LiminfEstimate, QuadratureSpec, _battery_pass, _dyadic_ladder,
-                         _energy_terms, _plane_traces, compensated_sums, energies_and_traces,
-                         liminf_quotients, support_sample)
+                         _plane_traces, compensated_sums, energies_and_traces, liminf_quotients,
+                         support_sample)
 from .trial import TrialFunction
 
 __all__ = [
@@ -147,8 +147,9 @@ def _battery_areas(params: ConeParams, samples, times) -> list:
 
 
 def dirichlet_energy(params: ConeParams, f: TrialFunction, spec: QuadratureSpec) -> float:
-    """Integral of |grad f|^2 over the slice, as ``energies_and_traces`` sums it."""
-    return compensated_sums(_energy_terms([support_sample(params, f, spec)]))[0]
+    """Integral of |grad f|^2 over the slice: the E of a one-field battery pass
+    (:func:`~conestab.quadrature.energies_and_traces`)."""
+    return _battery_pass(params, [f], spec)[0][0]
 
 
 def cutoff_ladder(params: ConeParams, f: TrialFunction, energy: float,
@@ -237,12 +238,11 @@ def variation_report(params: ConeParams, f: TrialFunction, t0: float | None = No
 def _variation_reports(params: ConeParams, fields, t0, levels: int, spec,
                        epsilons=DEFAULT_CUTOFFS) -> list:
     """:func:`variation_report` of each of ``fields``: all ladder checks, then
-    one :func:`support_samples` call per block of the battery pass
-    (:func:`~conestab.quadrature._battery_pass`), which keeps each block's
-    areas, one reduction per chunk of one field's rows, and its energies
-    with the traces, one reduction; then one pass for the quotients, and one
-    for the certificates of the divergent traces on ``epsilons``
-    (:func:`_closed_forms`)."""
+    one battery pass (:func:`~conestab.quadrature._battery_pass`), which
+    keeps each block's areas, one reduction per chunk of one field's rows,
+    and its energies with the traces, one reduction; then one pass for the
+    quotients, and one for the certificates of the divergent traces on
+    ``epsilons`` (:func:`_closed_forms`)."""
     spec = spec if spec is not None else QuadratureSpec()
     levels = check("levels", levels)
     pairs = []  # the t-ladder and the s = t^2 ladder of each field

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from conestab import quadrature
+
 # The benchmark's exact values (bench/oracle.py, written without conestab),
 # imported from there so that one copy exists.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -24,6 +26,19 @@ SEED = 20260810
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)
+
+
+def slice_rule(params, geom, spec):
+    """(nodes, weights) of the slice rule of ``geom``, counted and built as
+    a battery pass counts and builds it."""
+    return quadrature._slice_rules(params, [geom], spec,
+                                   [quadrature._rule_nodes(params, geom, spec)])[0]
+
+
+def battery_samples(params, fields, spec):
+    """The support sample of each of ``fields``, from one battery pass that
+    keeps its samples."""
+    return quadrature._battery_pass(params, fields, spec, lambda block, samples: samples)
 
 
 def is_smooth_point(f, pts, tol: float = 1e-9) -> bool:

@@ -125,19 +125,24 @@ def test_estimator_and_sample_keep_their_signatures():
 
 
 def test_one_block_planner_samples_every_battery():
-    """Scanning the package's source: support_samples is called only by the
-    battery pass, which plans every battery's blocks, and by its one-field
-    case support_sample; no second planner, _blocks, is defined."""
-    callers, defined = set(), set()
+    """Scanning the package's source: _rule_nodes and _slice_rules, which
+    count and build a field's rule, are called only by the battery pass,
+    which plans every battery's blocks and evaluates every field on its
+    rule; no second planner or sampler (_blocks, support_samples) and no
+    second reduction of |grad f|^2 (_energy_terms) is defined."""
+    callers, defined = {"_rule_nodes": set(), "_slice_rules": set()}, set()
     for path in Path(conestab.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef):
                 defined.add(node.name)
-                callers |= {node.name for call in ast.walk(node) if isinstance(call, ast.Call)
-                            and getattr(call.func, "id", getattr(call.func, "attr", None))
-                            == "support_samples"}
-    assert callers == {"_battery_pass", "support_sample"}
-    assert "support_samples" in defined and "_blocks" not in defined
+                for call in ast.walk(node):
+                    name = isinstance(call, ast.Call) and getattr(
+                        call.func, "id", getattr(call.func, "attr", None))
+                    if name in callers:
+                        callers[name].add(node.name)
+    assert callers == {"_rule_nodes": {"_battery_pass"}, "_slice_rules": {"_battery_pass"}}
+    assert "_battery_pass" in defined
+    assert not defined & {"_blocks", "support_samples", "_energy_terms"}
 
 
 def test_input_table_has_a_row_for_each_key_the_program_reads():

@@ -290,11 +290,26 @@ def test_retired_cutoff_key_exits_2_before_any_sample(tmp_path, monkeypatch, cap
     def refuse(*args, **kwargs):
         raise AssertionError("a support sample was built")
 
-    monkeypatch.setattr(quadrature, "support_samples", refuse)
+    monkeypatch.setattr(quadrature, "_slice_rules", refuse)
     cfg = write_config(tmp_path, n=4, quadrature={**SMALL_QUAD, "epsilon_cutoff": 0.05})
     assert run([command, "--config", cfg]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["code"] == EXIT_CONFIG and "keys among" in err["message"]
+
+
+def test_sweep_at_the_lambda_cap_exits_with_one_report(capsys):
+    """At lambda = 1.3e154, just under the cap sqrt(max float), the trace
+    span of each field centred on the axis stays finite, so the default
+    sweep exits 5 with one JSON report and nothing on stderr; (lam h)^2 used
+    to raise OverflowError there, a traceback and exit 1.  The ray spans of
+    the slice rules still overflow on the way, with a RuntimeWarning."""
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run(["sweep", "--lambda", "1.3e154"]) == EXIT_WITNESS
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["results"]["regime"] == "unstable"
+    assert float(report["config"]["lambda"]) == 1.3e154
 
 
 def test_box_sweep_runs_at_n7(tmp_path, capsys):

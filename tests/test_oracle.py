@@ -18,10 +18,9 @@ from conestab.quadrature import QuadratureSpec, boundary_integral, support_sampl
 from conestab.trial import (Geometry, TrialFunction, battery_descriptors, build_trial,
                             make_boundary_bump, make_radial_bump, make_tensor_bump, scaled)
 from conestab.variation import area, dirichlet_energy
+from conestab.verify import KATO_SPECS
 
-# the margin benchmark's node counts, and the golden reports' small ones
-SPECS = {3: QuadratureSpec(64, 16, 64, 3.1), 4: QuadratureSpec(48, 10, 48, 3.1),
-         5: QuadratureSpec(32, 8, 32, 3.1)}
+# the golden reports' node counts; KATO_SPECS are the margin benchmark's
 SMALL = QuadratureSpec(16, 4, 16, 3.0)
 
 
@@ -35,7 +34,7 @@ def test_energy_and_trace_match_the_oracle(n):
     """Every battery member the oracle covers, at lam = 0, lam*/2, lam* and
     2 lam*: E and T within 1e-12 relative (T absolutely where it is 0)."""
     covered = 0
-    for spec in (SPECS[n], SMALL):
+    for spec in (KATO_SPECS[n], SMALL):
         for lam in _lams(n):
             params = ConeParams(n, lam)
             for desc in battery_descriptors(20):
@@ -61,11 +60,11 @@ def test_scaled_field_energy_on_the_same_nodes():
         for desc in battery_descriptors(20):
             f = build_trial(desc, n)
             g = scaled(f, -1.7)
-            assert np.array_equal(support_sample(params, f, SPECS[n])[0],
-                                  support_sample(params, g, SPECS[n])[0]), desc["id"]
+            assert np.array_equal(support_sample(params, f, KATO_SPECS[n])[0],
+                                  support_sample(params, g, KATO_SPECS[n])[0]), desc["id"]
             for quantity in (dirichlet_energy, boundary_integral):
-                assert quantity(params, g, SPECS[n]) == pytest.approx(
-                    1.7 ** 2 * quantity(params, f, SPECS[n]), rel=1e-14), desc["id"]
+                assert quantity(params, g, KATO_SPECS[n]) == pytest.approx(
+                    1.7 ** 2 * quantity(params, f, KATO_SPECS[n]), rel=1e-14), desc["id"]
 
 
 def test_axis_centred_node_count_does_not_grow_with_n():
@@ -131,7 +130,7 @@ def test_doubling_the_spec_refines_every_rule():
     """Doubling every count of the spec adds nodes to every field's rule
     (radial on and off the axis, vertex, box, and the default ball), so a
     doubled spec can serve as an error estimate."""
-    for n, spec in ((3, QuadratureSpec()), (5, SPECS[5])):
+    for n, spec in ((3, QuadratureSpec()), (5, KATO_SPECS[5])):
         doubled = QuadratureSpec(2 * spec.radial_nodes, 2 * spec.angular_nodes,
                                  2 * spec.box_nodes_per_axis, spec.support_radius)
         params = ConeParams(n, oracle.lambda_star(n))

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import battery_samples, slice_rule
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,12 +17,13 @@ from conestab.quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder,
                                  _plane_traces, boundary_integral, compensated_sum,
                                  compensated_sums, energies_and_traces, gauss_legendre,
                                  integrate_sigma, liminf_quotient, liminf_quotients,
-                                 sigma_grid, sphere_grid, support_sample, support_samples)
+                                 sigma_grid, sphere_grid, support_sample)
 from conestab.stability import lambda_star, shear_transform_check, stability_sweep
 from conestab.trial import (Geometry, TrialFunction, battery_descriptors, build_trial,
                             make_boundary_bump, make_radial_bump, make_tensor_bump, scaled,
                             standard_battery)
 from conestab.variation import area, dirichlet_energy, variation_report
+from conestab.verify import KATO_SPECS
 
 
 def smoothstep(u):
@@ -149,7 +151,7 @@ def test_emitted_nodes_are_smooth_points_of_the_battery():
 def whole_rule_sample(params, f, spec):
     """The support sample found by evaluating f on every node of its rule:
     the reference for :func:`support_sample`."""
-    pts, weights = quadrature._slice_rules(params, [f.geometry], spec)[0]
+    pts, weights = slice_rule(params, f.geometry, spec)
     fv = f.evaluator(pts)
     mask = fv != 0.0
     sub = pts[mask]
@@ -343,9 +345,9 @@ def test_stacked_ray_spans_equal_one_call_per_run(rng):
 
 
 def assert_same_samples(params, fields, spec):
-    """support_samples equals one support_sample call per field, array for
-    array, bit for bit."""
-    together = support_samples(params, fields, spec)
+    """The samples of one battery pass equal one support_sample call per
+    field, array for array, bit for bit."""
+    together = battery_samples(params, fields, spec)
     assert len(together) == len(fields)
     for f, got in zip(fields, together):
         for a, b in zip(got, support_sample(params, f, spec)):
@@ -448,6 +450,51 @@ def test_rules_above_the_node_budget_are_refused():
         assert boundary_integral(params, f, spec) >= 0.0
 
 
+def _rule_geometries(n):
+    """A radial field centred on the axis and one off it, a ball on the
+    axis and one off it, and a box across the boundary cone, at n; the
+    centres on the axis lie below the vertex, so some of their rays miss the
+    slice."""
+    up, side = (0.0,) * (n - 1), (0.4,) + (0.0,) * (n - 2)
+    return {"axis radial": Geometry("radial", up + (-0.3,), 0.8, 2),
+            "off-axis radial": Geometry("radial", side + (0.5,), 0.6),
+            "axis ball": Geometry("ball", up + (-0.3,), 0.9),
+            "off-axis ball": Geometry("ball", side + (0.8,), 0.7),
+            "box": Geometry("box", side + (0.5,), 0.45, 2)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_rule_nodes_count_the_nodes_each_builder_lays(n, monkeypatch):
+    """The count of _rule_nodes, on which the block cuts and the node budget
+    rely, is the number of nodes each slice rule lays before it drops those
+    with w <= 0: each geometry of _rule_geometries, at lam = 0.3 and 2, on
+    one-panel polar-angle rules (angular_nodes 4) and composite ones (17, so
+    34 nodes per panel).  Every geometry drops nodes in some case, so the
+    count is not the kept one.  Balls at n >= 5 with 17 angular nodes, full
+    sphere grids of a million nodes and more, are left out."""
+    laid, real = [], quadrature._kept
+
+    def recording(mask, *rest):
+        laid.append(mask.size)
+        return real(mask, *rest)
+
+    monkeypatch.setattr(quadrature, "_kept", recording)
+    dropped, names = set(), set(_rule_geometries(n))
+    for spec in (QuadratureSpec(16, 4, 16, 3.1), QuadratureSpec(16, 17, 24, 3.1)):
+        for lam in (0.3, 2.0):
+            params = ConeParams(n, lam)
+            for name, geom in _rule_geometries(n).items():
+                if geom.shape == "ball" and n >= 5 and spec.angular_nodes > 16:
+                    continue
+                nodes = quadrature._rule_nodes(params, geom, spec)
+                laid.clear()
+                (_, weights), = quadrature._slice_rules(params, [geom], spec, [nodes])
+                assert laid == [nodes[1]], (spec, lam, name)
+                if weights.size < nodes[1]:
+                    dropped.add(name)
+    assert dropped == names
+
+
 def test_zero_integrand():
     params = ConeParams(3, 0.5)
     assert integrate_sigma(params, lambda pts: np.zeros(len(pts)),
@@ -521,10 +568,6 @@ def test_boundary_integral_polar_and_cutoff_agree():
     assert plain > 0.0 and _plane_traces(params, [f], spec, [1e-8]) == [plain]
 
 
-MARGIN_SPECS = {3: QuadratureSpec(64, 16, 64, 3.1), 4: QuadratureSpec(48, 10, 48, 3.1),
-                5: QuadratureSpec(32, 8, 32, 3.1)}
-
-
 def test_trace_matches_the_divergence_theorem():
     """T as a slice integral, -2 int f (d_n f)/|x'| on the support sample,
     and reference_trace's rule on the boundary, which share no nodes, give
@@ -533,7 +576,7 @@ def test_trace_matches_the_divergence_theorem():
     rounding of E where T is 0.  An off-axis bump that crosses the boundary
     agrees within 1e-5 at four times those specs, where the slice rule is
     not aligned with the 1/|x'| weight."""
-    for n, spec in MARGIN_SPECS.items():
+    for n, spec in KATO_SPECS.items():
         star = lambda_star(n).lambda_star
         for lam in (0.5 * star, star, 2.0 * star):
             params = ConeParams(n, lam)
@@ -564,7 +607,7 @@ def test_trace_span_is_empty_only_where_the_region_misses_the_cone():
     open ranges reach-bounded as before."""
     fired = set()
     for n in (2, 3, 4, 5, 6):
-        spec = MARGIN_SPECS.get(n, QuadratureSpec(24, 6, 24, 3.1))
+        spec = KATO_SPECS.get(n, QuadratureSpec(24, 6, 24, 3.1))
         lams = (0.0, 0.5, 1.0, 3.0)
         if n > 2:
             star = lambda_star(n).lambda_star
@@ -591,6 +634,22 @@ def test_trace_span_is_empty_only_where_the_region_misses_the_cone():
                 elif geom.shape != "radial" or geom.offset:
                     assert span == (0.0, geom.reach / root_q), (n, lam, f.label)
     assert {"box", "off-axis", "ball"} <= fired
+
+
+def test_trace_span_of_an_axis_field_stays_finite_at_the_lambda_cap():
+    """At lambda = 1.3e154, just under the cap sqrt(max float), the span of
+    a radial field centred on the axis is finite, nonempty and inside the
+    reach bound [0, reach / sqrt(1 + lam^2)], to rounding: its roots where
+    q radius^2 is finite, the bound itself where it overflows (radius
+    1.5)."""
+    lam = 1.3e154
+    params = ConeParams(3, lam)
+    for h, radius in ((1.0, 0.8), (-0.5, 0.8), (1.0, 1.5)):
+        f = make_radial_bump([0.0, 0.0, h], radius, 3)
+        bound = f.geometry.reach / math.sqrt(1.0 + lam * lam)
+        lo, hi = quadrature.trace_span(params, f)
+        assert 0.0 <= lo < hi <= bound * (1.0 + 1e-12), (h, radius)
+        assert (lo, hi) == (0.0, bound) or radius < 1.0
 
 
 def test_trace_span_decides_at_the_cone_within_rounding():
@@ -626,9 +685,9 @@ def test_a_trace_that_misses_the_cone_reads_no_grid(monkeypatch):
         raise AssertionError("a sample or a grid was built")
 
     f = dataclasses.replace(build_trial(box_b, n), evaluator=refuse)
-    for name in ("support_samples", "trace_grid"):
+    for name in ("_slice_rules", "trace_grid"):
         monkeypatch.setattr(quadrature, name, refuse)
-    assert boundary_integral(params, f, MARGIN_SPECS[n]) == 0.0
+    assert boundary_integral(params, f, KATO_SPECS[n]) == 0.0
 
 
 @pytest.mark.parametrize("log_from", [0.0, -0.5, math.nan])
@@ -734,7 +793,7 @@ def test_battery_traces_equal_one_call_per_field(n):
     equals reference_trace at each field's cutoff bit for bit, every field
     at every cutoff; the vertex fields diverge without a cutoff, each on
     its own."""
-    spec = MARGIN_SPECS.get(n, QuadratureSpec(24, 6, 24, 3.1))
+    spec = KATO_SPECS.get(n, QuadratureSpec(24, 6, 24, 3.1))
     battery = standard_battery(n)
     battery += [dataclasses.replace(f, geometry=Geometry(
         "ball", f.geometry.center, f.geometry.radius)) for f in battery
@@ -747,7 +806,7 @@ def test_battery_traces_equal_one_call_per_field(n):
     for lam in lams:
         params = ConeParams(n, lam)
         got = [trace for _, trace in energies_and_traces(
-            params, battery, support_samples(params, battery, spec), spec)]
+            params, battery, battery_samples(params, battery, spec), spec)]
         assert _bits(got) == _bits([one_trace(params, f, spec) for f in battery]), lam
         seen |= {"empty" if v == 0.0 else "divergent" if v is None else "value" for v in got}
         for k in range(len(cutoffs) if n == 2 else 0):
@@ -762,21 +821,21 @@ def test_battery_traces_equal_one_call_per_field(n):
 def test_battery_passes_sample_once_and_build_no_trace_grid(n, monkeypatch):
     """At n >= 3 T comes from the support sample that gives E: with the
     trace grid refused, stability_sweep, the shear checks, the variation
-    reports and second_variation_closed_form each make one support_samples
-    call, at 2 lam*, where boxes meet the cone."""
+    reports and second_variation_closed_form each build their rules in one
+    _slice_rules call, at 2 lam*, where boxes meet the cone."""
     def refuse(*args, **kwargs):
         raise AssertionError("a trace grid was built")
 
     monkeypatch.setattr(quadrature, "trace_grid", refuse)
     calls = []
-    real = quadrature.support_samples
+    real = quadrature._slice_rules
 
     def counting(*args):
         calls.append(len(args[1]))
         return real(*args)
 
-    monkeypatch.setattr(quadrature, "support_samples", counting)
-    params, spec = ConeParams(n, 2.0 * lambda_star(n).lambda_star), MARGIN_SPECS[n]
+    monkeypatch.setattr(quadrature, "_slice_rules", counting)
+    params, spec = ConeParams(n, 2.0 * lambda_star(n).lambda_star), KATO_SPECS[n]
     battery = standard_battery(n)
     passes = (lambda: stability_sweep(params, battery, spec).margins,
               lambda: [trace for _, _, trace in stability._shear_checks(params, battery, spec)],
@@ -796,10 +855,10 @@ def test_battery_passes_in_blocks_equal_one_block_and_one_field(n, monkeypatch):
     (boxes and off-axis members included) into several blocks, at 2 lam*,
     stability_sweep's margins, the shear triples and the variation reports
     equal the one-block results and one call per field bit for bit.  Each
-    support_samples call of a pass takes the next fields in order, whose
+    _slice_rules call of a pass builds the next fields' rules in order, whose
     rules hold at most the budget's elements (nodes times n), unless it is
     one field whose rule alone holds more."""
-    params, spec = ConeParams(n, 2.0 * lambda_star(n).lambda_star), MARGIN_SPECS[n]
+    params, spec = ConeParams(n, 2.0 * lambda_star(n).lambda_star), KATO_SPECS[n]
     battery = standard_battery(n)
     sizes = {f.label: n * quadrature._rule_nodes(params, f.geometry, spec)[1] for f in battery}
     passes = (lambda fields: _bits(stability_sweep(params, fields, spec).margins),
@@ -808,14 +867,15 @@ def test_battery_passes_in_blocks_equal_one_block_and_one_field(n, monkeypatch):
                   params, fields, None, 4, spec)))
     one_block = [run(battery) for run in passes]
     assert one_block == [[value for f in battery for value in run([f])] for run in passes]
-    calls = []
-    real = quadrature.support_samples
+    calls, labels = [], {id(f.geometry): f.label for f in battery}
+    assert len(labels) == len(battery)
+    real = quadrature._slice_rules
 
-    def recording(params, fields, spec, nodes):
-        calls.append([f.label for f in fields])
-        return real(params, fields, spec, nodes)
+    def recording(params, geoms, spec, nodes):
+        calls.append([labels[id(g)] for g in geoms])
+        return real(params, geoms, spec, nodes)
 
-    monkeypatch.setattr(quadrature, "support_samples", recording)
+    monkeypatch.setattr(quadrature, "_slice_rules", recording)
     for budget in (1, max(sizes.values()) // 2, sum(sizes.values()) // 4):
         monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", budget)
         for run, want in zip(passes, one_block):
@@ -834,7 +894,7 @@ def test_each_pass_counts_each_rule_once(n, monkeypatch):
     (_rule_nodes), in field order, at 2 lam* on the 20-member battery, in
     one block and under budgets that split it: the pass hands each block
     the counts it made, and the block builds its rules from them."""
-    params, spec = ConeParams(n, 2.0 * lambda_star(n).lambda_star), MARGIN_SPECS[n]
+    params, spec = ConeParams(n, 2.0 * lambda_star(n).lambda_star), KATO_SPECS[n]
     battery = standard_battery(n)
     counted, real = [], quadrature._rule_nodes
 

@@ -5,11 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import is_smooth_point
+from conftest import is_smooth_point, slice_rule
 
 from conestab import trial
 from conestab.domain import ConeParams
-from conestab.quadrature import QuadratureSpec, _slice_rules
+from conestab.quadrature import QuadratureSpec
 from conestab.stability import lambda_star
 from conestab.trial import (Geometry, TrialFunction, build_trial, make_boundary_bump,
                             make_radial_bump, make_shifted_bump, make_tensor_bump,
@@ -346,7 +346,7 @@ def _ball_rule(n, spec, lam=0.3, radius=3.1):
     full sphere grid of directions) out to ``radius``: they cover the slice
     there, in and outside every battery member's support."""
     geom = Geometry("ball", (0.0,) * n, radius)
-    return _slice_rules(ConeParams(n, lam), [geom], spec)[0][0]
+    return slice_rule(ConeParams(n, lam), geom, spec)[0]
 
 
 def test_gradient_vanishes_where_field_vanishes_on_grid_nodes():
@@ -358,7 +358,7 @@ def test_gradient_vanishes_where_field_vanishes_on_grid_nodes():
         ball = _ball_rule(n, spec)
         battery = standard_battery(n)
         for f in battery + [scaled(battery[12], -1.7)]:
-            pts = np.concatenate([ball, _slice_rules(ConeParams(n, 0.3), [f.geometry], spec)[0][0]])
+            pts = np.concatenate([ball, slice_rule(ConeParams(n, 0.3), f.geometry, spec)[0]])
             zero = f.evaluator(pts) == 0.0
             assert np.any(zero), (n, f.label)
             assert np.all(f.gradient(pts[zero]) == 0.0), (n, f.label)

@@ -7,7 +7,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from conftest import oracle
+from conftest import battery_samples, oracle, slice_rule
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from unittest import mock
@@ -19,9 +19,8 @@ from conestab.domain import ConeParams
 from conestab.errors import JacobianPositivityError, QuadratureError
 from conestab.flow import flow_coefficients_batch
 from conestab.jacobian import jacobian_closed_form
-from conestab.quadrature import (QuadratureSpec, _dyadic_ladder, _slice_rules,
-                                 boundary_integral, compensated_sum, support_sample,
-                                 support_samples)
+from conestab.quadrature import (QuadratureSpec, _dyadic_ladder, boundary_integral,
+                                 compensated_sum, support_sample)
 from conestab.stability import lambda_star, shear_transform_check
 from conestab.trial import (battery_descriptors, build_trial, make_boundary_bump,
                             make_radial_bump, make_shifted_bump, scaled, standard_battery)
@@ -244,7 +243,7 @@ def test_dirichlet_energy_matches_full_grid_integral():
         params = ConeParams(n, 0.3)
         for desc in battery_descriptors(20) + [scaled_vertex]:
             f = build_trial(desc, n)
-            pts, weights = _slice_rules(params, [f.geometry], spec)[0]
+            pts, weights = slice_rule(params, f.geometry, spec)
             full = compensated_sum(weights * np.sum(f.gradient(pts) ** 2, axis=-1))
             got = dirichlet_energy(params, f, spec)
             assert got == pytest.approx(full, rel=1e-13), f.label
@@ -325,7 +324,7 @@ def test_area_scalars_follow_cone_spec_and_field():
 
 def test_reports_of_a_battery_equal_one_report_per_field():
     """The reports the CLI builds for a battery, whose samples come from one
-    support_samples call and whose energies from one reduction, equal one
+    battery pass and whose energies from one reduction, equal one
     variation_report per field, field by field."""
     for n, lam in ((2, 0.4), (3, 0.2), (4, 1.0)):
         params, spec = ConeParams(n, lam), QuadratureSpec(16, 4, 16, 3.1)
@@ -472,7 +471,7 @@ def test_battery_areas_equal_per_field_area(members, levels, rows):
     fields = [build_trial(desc, 3) for desc, _ in members]
     times = [_report_times(scale * default_t0(f), levels)
              for f, (_, scale) in zip(fields, members)]
-    samples = support_samples(params, fields, spec)
+    samples = battery_samples(params, fields, spec)
     sizes = [s[1].size for s in samples]
     block = {1: 1, 5: 5 * max(1, min(sizes)), None: 2 ** 62}[rows]
     evaluated, reductions = [], []
@@ -564,10 +563,10 @@ def test_a_battery_report_makes_a_fixed_number_of_reductions(size, monkeypatch):
         monkeypatch.setattr(module, "compensated_sums",
                             lambda segments, real=real: calls.append(len(segments))
                             or real(segments))
-    real_samples = conestab.quadrature.support_samples
-    monkeypatch.setattr(conestab.quadrature, "support_samples",
+    real_rules = conestab.quadrature._slice_rules
+    monkeypatch.setattr(conestab.quadrature, "_slice_rules",
                         lambda params, block, *rest: blocks.append(len(block))
-                        or real_samples(params, block, *rest))
+                        or real_rules(params, block, *rest))
     for name in ("compensated_sum", "boundary_integral", "liminf_quotient"):
         monkeypatch.setattr(conestab.quadrature, name, None)
     monkeypatch.setattr(conestab.variation, "area", None)

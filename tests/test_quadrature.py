@@ -470,8 +470,8 @@ def test_rule_nodes_count_the_nodes_each_builder_lays(n, monkeypatch):
     with w <= 0: each geometry of _rule_geometries, at lam = 0.3 and 2, on
     one-panel polar-angle rules (angular_nodes 4) and composite ones (17, so
     34 nodes per panel).  Every geometry drops nodes in some case, so the
-    count is not the kept one.  Balls at n >= 5 with 17 angular nodes, full
-    sphere grids of a million nodes and more, are left out."""
+    count is not the kept one.  Balls at n >= 5 with 17 angular nodes, on
+    full sphere grids of 17^(n-2) directions, are left out."""
     laid, real = [], quadrature._kept
 
     def recording(mask, *rest):

@@ -229,17 +229,22 @@ def _ray_spans(params: ConeParams, centres, omega: np.ndarray, reaches, counts):
     interval, bounded by roots of (c_n + s w_n)^2 = lam^2 |c' + s w'|^2.
     The roots cut [0, reach] into pieces; the interval is the union of the
     pieces whose midpoint has g > 0.  A run's products w'.c' are one
-    matrix-vector product, as for the run alone."""
+    matrix-vector product, as for the run alone; one run broadcasts its
+    centre, reach and cc."""
     lam = params.lam
     lam2 = lam * lam
-    # rows: centre, reach and cc = c_n^2 - lam^2 |c'|^2 of the ray's run
-    c = np.repeat(np.column_stack([centres, reaches, [
-        x[-1] ** 2 - lam2 * float(x[:-1] @ x[:-1]) for x in centres]]), counts, axis=0).T
-    cc, reach = c[-1], c[-2]
+    cc = [x[-1] ** 2 - lam2 * float(x[:-1] @ x[:-1]) for x in centres]  # c_n^2 - lam^2 |c'|^2
     wp, wn = omega[:, :-1], omega[:, -1]
     a = wn * wn - lam2 * _sumsq(wp)
-    b = c[-3] * wn - lam2 * np.concatenate(
-        [wp[e - k:e] @ x[:-1] for e, k, x in zip(accumulate(counts), counts, centres)])
+    if len(counts) == 1:
+        (c,), (reach,), (cc,) = centres, reaches, cc
+        cp = wp @ c[:-1]
+    else:  # rows: centre, reach and cc of the ray's run
+        c = np.repeat(np.column_stack([centres, reaches, cc]), counts, axis=0).T
+        c, reach, cc = c[:-2], c[-2], c[-1]
+        cp = np.concatenate(
+            [wp[e - k:e] @ x[:-1] for e, k, x in zip(accumulate(counts), counts, centres)])
+    b = c[-1] * wn - lam2 * cp
     disc = b * b - a * cc
     real = disc >= 0.0
     q = -(b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
@@ -252,9 +257,12 @@ def _ray_spans(params: ConeParams, centres, omega: np.ndarray, reaches, counts):
     roots[~np.isfinite(roots)] = 0.0
     np.clip(roots, 0.0, reach, out=roots)
     roots[:] = np.minimum(*roots), np.maximum(*roots)  # all four edges in order
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    x = c[:-2, None, :] + mid * omega.T[:, None, :]  # (n, 3, rows)
-    inside = x[-1] - lam * np.sqrt(_sumsq(x[:-1].transpose(1, 2, 0))) > 0.0
+    mid = 0.5 * (edges[:-1] + edges[1:])  # (3, rows), tested coordinate by coordinate
+    r2 = 0.0  # 0.0 + x*x keeps the bits of x*x
+    for j in range(params.n - 1):
+        x = c[j] + mid * omega[:, j]
+        r2 = r2 + x * x
+    inside = c[-1] + mid * wn - lam * np.sqrt(r2) > 0.0
     lo = np.where(inside, edges[:-1], reach).min(axis=0)
     hi = np.where(inside, edges[1:], 0.0).max(axis=0)
     return lo, np.maximum(lo, hi)
@@ -262,7 +270,7 @@ def _ray_spans(params: ConeParams, centres, omega: np.ndarray, reaches, counts):
 
 def _kept(mask: np.ndarray, cols: np.ndarray, *rows: np.ndarray) -> tuple:
     """``cols`` (n, N) as nodes (N, n), and ``rows``, where ``mask`` holds; no copy if all do."""
-    keep = np.flatnonzero(mask)
+    keep, = mask.nonzero()
     if keep.size < mask.size:
         cols, rows = cols.take(keep, axis=1), [r.take(keep) for r in rows]
     return (cols.T, *rows)
@@ -330,21 +338,23 @@ def _box_rule(params: ConeParams, geom, m: int):
     coordinate-major, each x_n column clipped to the slice (x_n > lam*|x'|).
     An even node count per axis keeps every node off the axis; with at least
     degree + 1 nodes the rule is exact for |grad f|^2 of a "box" geometry
-    whose cube lies inside the slice."""
+    whose cube lies inside the slice.  Each axis is broadcast straight into
+    its coordinate row, and |x'|^2 and the x'-weights are summed and
+    multiplied axis by axis, in one value per x'-column."""
     n, lam = params.n, params.lam
     c, w = geom.center, geom.radius
     x0, w0 = _leggauss(m)
-    xp = np.array(np.meshgrid(*(c[j] + w * x0 for j in range(n - 1)), indexing="ij",
-                              copy=False)).reshape(n - 1, -1)
-    w_col = np.ones(1)
-    for _ in range(n - 1):
-        w_col = np.multiply.outer(w_col, w * w0).ravel()
-    lo = np.maximum(c[-1] - w, lam * np.sqrt(_sumsq(xp.T)))
+    cols, ww = np.empty((n,) + (m,) * n), w * w0
+    r2, w_col = 0.0, 1.0  # 0.0 + x*x and 1.0 * ww keep the bits of x*x and ww
+    for j in range(n - 1):
+        x = (c[j] + w * x0).reshape([m if i == j else 1 for i in range(n)])
+        cols[j] = x
+        r2, w_col = r2 + x * x, w_col * ww.reshape(x.shape)
+    lo = np.maximum(c[-1] - w, lam * np.sqrt(r2))
     half = 0.5 * np.maximum(c[-1] + w - lo, 0.0)
-    cols = np.empty((n, xp.shape[1], m))
-    cols[:-1] = xp[..., None]
-    cols[-1] = (lo + half)[:, None] + half[:, None] * x0
-    weights = ((w_col * half)[:, None] * w0).ravel()
+    np.multiply(half, x0, out=cols[-1])
+    cols[-1] += lo + half
+    weights = (w_col * half * w0).ravel()
     return _kept(weights > 0.0, cols.reshape(n, -1), weights)
 
 
@@ -407,8 +417,9 @@ def _slice_rules(params: ConeParams, geoms, spec: QuadratureSpec, nodes):
         half = 0.5 * (hi - lo)
         s = (half + lo)[:, None] + half[:, None] * x0
         w = (half * w_omega)[:, None] * w0 * s ** (n - 1)
-        cols = np.repeat(centres.T, counts, axis=1)[..., None] + s * omega.T[..., None]
-        for i, e, k in zip(index, accumulate(counts), counts):
+        cols = s * omega.T[..., None]  # (n, rays, m_s); each run's centre is added below
+        for c, i, e, k in zip(centres, index, accumulate(counts), counts):
+            cols[:, e - k:e] += c[:, None, None]
             w_i = w[e - k:e].ravel()
             rules[i] = _kept(w_i > 0.0, cols[:, e - k:e].reshape(n, -1), w_i)
     return rules
@@ -621,22 +632,26 @@ def boundary_integral(params: ConeParams, f: TrialFunction,
     return _battery_pass(params, [f], spec)[0][1]
 
 
-def energies_and_traces(params: ConeParams, fields, samples, spec: QuadratureSpec) -> list:
+def energies_and_traces(params: ConeParams, fields, samples, spec: QuadratureSpec,
+                        extra=()) -> list:
     """(E, T) of each of ``fields`` from its :func:`support_sample` in
     ``samples``: its Dirichlet energy and :func:`boundary_integral` (None
     where that diverges), each with the bits of its own :func:`compensated_sum`.
-    At n >= 3 one :func:`compensated_sums` reduces every field's energy terms
-    and, where its :func:`trace_span` is not empty (else T = 0.0), its
-    weighted -2 f (d_n f) / |x'|.  At n = 2, T is :func:`_plane_traces`'
-    without a cutoff."""
-    energies = [w * _sumsq(g) for _, w, _, g, _ in samples]
-    if params.n == 2:
-        return list(zip(compensated_sums(energies), _plane_traces(params, fields, spec)))
-    index = [i for i, f in enumerate(fields) if trace_span(params, f)[1] > 0.0]
-    sums = compensated_sums(energies + [-2.0 * w * fv * g[:, -1] / r
-                                        for _, w, r, g, fv in (samples[i] for i in index)])
-    traces = dict(zip(index, sums[len(fields):]))
-    return [(energy, traces.get(i, 0.0)) for i, energy in enumerate(sums[:len(fields)])]
+    One :func:`compensated_sums` reduces every field's energy terms, the
+    segments of ``extra`` (one per field, whose sum follows (E, T) in the
+    field's tuple) and, at n >= 3 where its :func:`trace_span` is not empty
+    (else T = 0.0), its weighted -2 f (d_n f) / |x'|.  At n = 2, T is
+    :func:`_plane_traces`' without a cutoff."""
+    k = len(fields)
+    terms = [w * _sumsq(g) for _, w, _, g, _ in samples] + list(extra)
+    index = [] if params.n == 2 else [i for i, f in enumerate(fields)
+                                      if trace_span(params, f)[1] > 0.0]
+    sums = compensated_sums(terms + [-2.0 * w * fv * g[:, -1] / r
+                                     for _, w, r, g, fv in (samples[i] for i in index)])
+    traces = _plane_traces(params, fields, spec) if params.n == 2 else [0.0] * k
+    for i, trace in zip(index, sums[len(terms):]):
+        traces[i] = trace
+    return [(sums[i], traces[i], *sums[k + i:len(terms):k]) for i in range(k)]
 
 
 # -- lower-right derivative estimates -----------------------------------------

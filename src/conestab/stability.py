@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import ConeParams, _sumsq
 from .errors import ConfigError
-from .quadrature import QuadratureSpec, _battery_pass, compensated_sums, energies_and_traces
+from .quadrature import QuadratureSpec, _battery_pass, energies_and_traces
 from .trial import TrialFunction, make_boundary_bump
 from .variation import cutoff_ladder, dirichlet_energy
 
@@ -139,16 +139,15 @@ def shear_transform_check(params: ConeParams, f: TrialFunction,
 def _shear_checks(params: ConeParams, fields, spec: QuadratureSpec) -> list:
     """:func:`shear_transform_check` of each of ``fields`` (n >= 3), from one
     battery pass (:func:`~conestab.quadrature._battery_pass`): per block,
-    E_f with the traces one reduction (:func:`energies_and_traces`), E_g
-    another."""
+    E_f, the traces and E_g one reduction (:func:`energies_and_traces`)."""
     def reduce(block, samples):
         # g(x) = f(x', x_n + lam*|x'|).  The shear has unit Jacobian, so E_g is the
         # slice integral of |grad g|^2 at the sheared points, on f's own nodes; the
         # axis partial of f leaks into the in-plane gradient along the radial direction.
         sheared = [w * (_sumsq(gv[:, :-1] + params.lam * gv[:, -1:] * (pts[:, :-1] / r[:, None]))
                         + gv[:, -1] ** 2) for pts, w, r, gv, _ in samples]
-        return [(energy, energy_g, trace) for (energy, trace), energy_g in zip(
-            energies_and_traces(params, fields[block], samples, spec), compensated_sums(sheared))]
+        return [(energy, energy_g, trace) for energy, trace, energy_g in
+                energies_and_traces(params, fields[block], samples, spec, sheared)]
 
     return _battery_pass(params, fields, spec, reduce)
 

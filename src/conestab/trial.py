@@ -9,7 +9,8 @@ recognized exactly rather than detected numerically.
 
 Evaluators and gradients are vectorized: they take a batch of points of
 shape (..., n) and return the values, shape (...), or the gradients,
-shape (..., n).
+shape (..., n).  Those of the four families return arrays of their own
+and never write into their input.
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ def make_radial_bump(center, radius: float, n: int, exponent: int = 1,
         u = np.sqrt(_sumsq(d))
         inside = (u > 0.0) & (u < rho)
         safe = np.where(inside, u, 1.0)
-        mag = np.where(inside, p * (1.0 - np.minimum(u / rho, 1.0)) ** (p - 1) / rho, 0.0)
+        mag = np.where(inside, p * (1.0 - np.minimum(u / rho, 1.0)) ** (p - 1) / rho
+                       if p > 1 else p / rho, 0.0)  # p * h^0 / rho is p / rho
         d *= -(mag / safe)[..., None]
         return d
 
@@ -164,21 +166,35 @@ def make_tensor_bump(center, half_width: float, n: int, exponent: int = 1,
     w, p = check("half_width", half_width), check("exponent", exponent)
     c = check("center", center, n)
 
-    def evaluator(pts):
-        u = (pts - c) / w
-        return _prod((1.0 - np.fmin(u * u, 1.0)) ** p)
+    def evaluator(pts):  # in one buffer: u, then h = 1 - min(u^2, 1), then h^p
+        h = np.subtract(pts, c)
+        h /= w
+        h *= h
+        np.fmin(h, 1.0, out=h)
+        np.subtract(1.0, h, out=h)
+        h **= p
+        return _prod(h)
 
-    def gradient(pts):
-        u = (pts - c) / w
-        h = 1.0 - np.fmin(u * u, 1.0)  # exactly 0 off the box, as fmin takes NaN to 1
-        hp = np.where(np.abs(u) < 1.0, -2.0 * p * u * h ** (p - 1) / w, 0.0)
+    def gradient(pts):  # in two buffers plus a mask; the gradient lands in the first
+        g = np.subtract(pts, c)
+        g /= w
+        h = np.abs(g)
+        outside = ~(h < 1.0)
+        np.multiply(g, g, out=h)
+        np.fmin(h, 1.0, out=h)
+        np.subtract(1.0, h, out=h)  # exactly 0 off the box, as fmin takes NaN to 1
+        g *= -2.0 * p
+        if p > 1:  # -2p u h^(p-1) / w, one column of h^(p-1) at a time; h^0 is 1
+            for j in range(n):
+                g[..., j] *= h[..., j] ** (p - 1)
+        g /= w
+        np.copyto(g, 0.0, where=outside)
         h **= p
         # the product over the other axes is recomputed per axis (not divided
         # out of the full product) to stay exact at zeros
-        grad = np.empty_like(u)
         for j in range(n):
-            grad[..., j] = hp[..., j] * _prod(h, skip=j)
-        return grad
+            g[..., j] *= _prod(h, skip=j)
+        return g
 
     return TrialFunction(
         evaluator=evaluator,

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conestab import cli, quadrature, stability, variation
-from conestab.domain import ConeParams
+from conestab.domain import ConeParams, _sumsq
 from conestab.errors import DivergentBoundaryIntegral, QuadratureError
 from conestab.quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder,
                                  _plane_traces, boundary_integral, compensated_sum,
@@ -342,6 +342,59 @@ def test_stacked_ray_spans_equal_one_call_per_run(rng):
                                           reaches[i:i + 1], [k])
             for a, b in zip(got, alone):
                 assert a[e - k:e].tobytes() == b.tobytes(), (n, lam, i)
+
+
+def box_rule_reference(params, geom, m):
+    """quadrature._box_rule in its meshgrid form: the x'-grid copied out of
+    np.meshgrid, |x'|^2 summed over its transpose, the x'-weights as
+    repeated outer products and x_n filled through full-size temporaries."""
+    n, lam = params.n, params.lam
+    c, w = geom.center, geom.radius
+    x0, w0 = quadrature._leggauss(m)
+    xp = np.array(np.meshgrid(*(c[j] + w * x0 for j in range(n - 1)), indexing="ij",
+                              copy=False)).reshape(n - 1, -1)
+    w_col = np.ones(1)
+    for _ in range(n - 1):
+        w_col = np.multiply.outer(w_col, w * w0).ravel()
+    lo = np.maximum(c[-1] - w, lam * np.sqrt(_sumsq(xp.T)))
+    half = 0.5 * np.maximum(c[-1] + w - lo, 0.0)
+    cols = np.empty((n, xp.shape[1], m))
+    cols[:-1] = xp[..., None]
+    cols[-1] = (lo + half)[:, None] + half[:, None] * x0
+    weights = ((w_col * half)[:, None] * w0).ravel()
+    return quadrature._kept(weights > 0.0, cols.reshape(n, -1), weights)
+
+
+def test_box_rule_matches_its_reference():
+    """_box_rule, which broadcasts each axis straight into its coordinate
+    row, lays the nodes and weights of its meshgrid form bit for bit, in the
+    same coordinate-major layout: at n = 2..6 and lam 0, 0.3, 1 and 3, on
+    cubes inside the slice, across the boundary cone and outside it (every
+    node dropped), at every per-axis count _rule_nodes gives (the even
+    counts from 2) up to 32 and 2^18 nodes, which holds the 4, 6 and 8 of
+    the default and benchmark specs."""
+    counts = {quadrature._rule_nodes(ConeParams(3, 1.0), Geometry("box", (0.0, 0.0, 1.0), 0.5, d),
+                                     QuadratureSpec(box_nodes_per_axis=b))[0]
+              for d in range(1, 66) for b in (2, 8, 16, 48, 64, 100, 256)}
+    assert counts == set(range(2, 67, 2))
+    for n in range(2, 7):
+        side = np.array((0.4,) + (0.0,) * (n - 2))
+        for lam in (0.0, 0.3, 1.0, 3.0):
+            params, w = ConeParams(n, lam), 0.45
+            far = float(np.linalg.norm(np.abs(side) + w))
+            heights = {"inside": w + lam * far + 0.5, "across": lam * 0.4, "outside": -w - 1.0}
+            for where, h in heights.items():
+                geom = Geometry("box", (*side, h), w, 2)
+                for m in range(2, 33, 2):
+                    if m ** n > 2 ** 18:
+                        break
+                    got, ref = quadrature._box_rule(params, geom, m), box_rule_reference(params, geom, m)
+                    for a, b in zip(got, ref):
+                        assert a.shape == b.shape and a.strides == b.strides, (n, lam, where, m)
+                        assert a.tobytes() == b.tobytes(), (n, lam, where, m)
+                    assert got[0].T.flags.c_contiguous, (n, lam, where, m)
+                    kept = {"inside": m ** n, "outside": 0}.get(where, got[1].size)
+                    assert got[1].size == kept, (n, lam, where, m)
 
 
 def assert_same_samples(params, fields, spec):

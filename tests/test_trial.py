@@ -410,6 +410,66 @@ def test_bump_evaluators_equal_their_masked_forms(rng):
                     assert f.gradient(pts).tobytes() == gradient(pts).tobytes(), f.label
 
 
+def _kernel_fields(n):
+    """One field of each family: radial, tensor at exponents 1, 2 and 3,
+    shifted, boundary, and a scaled tensor field."""
+    off = np.zeros(n)
+    off[0], off[-1] = 0.3, 1.2
+    tensors = [make_tensor_bump(off, 0.5, n, exponent=p) for p in (1, 2, 3)]
+    return [make_radial_bump(off, 0.7, n), *tensors, make_shifted_bump(off, 0.6, n, shift=0.4),
+            make_boundary_bump(0.9, n), scaled(tensors[1], -2.5)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_kernels_leave_their_input_alone(n, rng):
+    """Evaluators and gradients work in buffers of their own: given a
+    read-only input, row-major or coordinate-major (the layout of a rule's
+    nodes), they leave it unchanged bit for bit, give equal results in both
+    layouts, and two calls return arrays that share no memory with each
+    other or with the input.  The points lie inside, on and outside each
+    field's region, its centre among them."""
+    for f in _kernel_fields(n):
+        c = np.asarray(f.geometry.center)
+        rows = c + rng.uniform(-1.3, 1.3, size=(600, n)) * f.geometry.radius
+        rows[:40] = c + f.geometry.radius * np.sign(rng.normal(size=(40, n)))
+        rows[40] = c
+        cols = np.asfortranarray(rows)
+        before = rows.tobytes()
+        for pts in (rows, cols):
+            pts.setflags(write=False)
+        for kernel in (f.evaluator, f.gradient):
+            results = []
+            for pts in (rows, cols):
+                first, second = kernel(pts), kernel(pts)
+                assert pts.tobytes() == before and not pts.flags.writeable, f.label
+                assert not np.shares_memory(first, second), f.label
+                assert not (np.shares_memory(first, pts) or np.shares_memory(second, pts))
+                assert first.tobytes() == second.tobytes(), f.label
+                results.append(first)
+            assert results[0].tobytes() == results[1].tobytes(), f.label
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_tensor_kernels_peak_memory_is_bounded(p):
+    """On a box rule at n = 6 (8 nodes per axis, 262,144 nodes), the tensor
+    evaluator's traced peak stays within 1.5 and its gradient's within 2.5
+    (N, n) float arrays: the evaluator works in one buffer, the gradient in
+    two plus a mask.  The full-size temporaries of the earlier forms peaked
+    at 3.0 and 4.3 arrays here."""
+    n = 6
+    f = make_tensor_bump([0.2] * (n - 1) + [3.0], 0.5, n, exponent=p)
+    pts, _ = slice_rule(ConeParams(n, 0.3), f.geometry, QuadratureSpec(box_nodes_per_axis=64))
+    assert pts.shape == (8 ** n, n)
+    for kernel, bound in ((f.evaluator, 1.5), (f.gradient, 2.5)):
+        tracemalloc.start()
+        try:
+            kernel(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * pts.nbytes, (kernel.__name__, peak / pts.nbytes)
+
+
 def _outside(geom, pts):
     """Points of ``pts`` outside the region the geometry states."""
     d = pts - np.asarray(geom.center)

@@ -24,7 +24,6 @@ from .stability import (StabilityVerdict, ThresholdResult, instability_witness_n
                         stability_sweep)
 from .trial import (TrialFunction, build_trial, make_boundary_bump, make_radial_bump,
                     make_shifted_bump, make_tensor_bump, scaled, standard_battery)
-from .variation import (VariationReport, area, dirichlet_energy,
-                        second_variation_closed_form, variation_report)
+from .variation import VariationReport, area, dirichlet_energy, variation_report
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,8 +27,8 @@ class DivergentBoundaryIntegral(ConeStabError):
 
     For a two-dimensional slice this happens exactly when the deformation
     field does not vanish at the vertex; it is the instability signature,
-    not a numerical failure.  The cutoff ladder of the divergence witness
-    (:func:`conestab.variation.cutoff_ladder`) measures its rate instead.
+    not a numerical failure.  The n = 2 witness measures its rate on a
+    cutoff ladder instead (:func:`conestab.stability.instability_witness_n2`).
     """
 
     def __init__(self, message, vertex_value=None):

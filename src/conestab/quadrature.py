@@ -38,8 +38,8 @@ Every sum over a field's slice sample comes from one pipeline,
 4. reduce: one call per block, by default :func:`energies_and_traces`;
    only its result is kept, so a pass holds one block's samples at a time.
 
-:func:`support_sample`, :func:`boundary_integral` (n >= 3) and the Dirichlet
-energy are one-field passes.  :func:`liminf_quotients` turns a battery's
+The Dirichlet energy, the deformed area and :func:`boundary_integral`
+(n >= 3) are one-field passes.  :func:`liminf_quotients` turns a battery's
 ladders into quotients in one array pass.  Nothing is cached.  The sigma
 grid (:func:`sigma_grid`, :func:`integrate_sigma`) serves no integral of
 the program.
@@ -67,7 +67,6 @@ __all__ = [
     "boundary_integral",
     "liminf_quotient",
     "sigma_grid",
-    "support_sample",
     "trace_span",
     "trace_grid",
     "sphere_grid",
@@ -230,12 +229,15 @@ def _ray_spans(params: ConeParams, centres, omega: np.ndarray, reaches, counts):
     The roots cut [0, reach] into pieces; the interval is the union of the
     pieces whose midpoint has g > 0.  A run's products w'.c' are one
     matrix-vector product, as for the run alone; one run broadcasts its
-    centre, reach and cc."""
+    centre, reach and cc.  a, b and cc carry 2^-k, the least k >= 0 that
+    leaves lam^2 under 2^448: b*b stays finite up to the lambda cap, and the
+    roots keep their bits up to about lam = 1e140, where a square underflows."""
     lam = params.lam
-    lam2 = lam * lam
-    cc = [x[-1] ** 2 - lam2 * float(x[:-1] @ x[:-1]) for x in centres]  # c_n^2 - lam^2 |c'|^2
-    wp, wn = omega[:, :-1], omega[:, -1]
-    a = wn * wn - lam2 * _sumsq(wp)
+    scale = math.ldexp(1.0, min(0, 448 - math.frexp(lam * lam)[1]))
+    lam2 = lam * lam * scale  # cc below is c_n^2 - lam^2 |c'|^2
+    cc = [x[-1] ** 2 * scale - lam2 * float(x[:-1] @ x[:-1]) for x in centres]
+    wp, wn, wn_s = omega[:, :-1], omega[:, -1], omega[:, -1] * scale
+    a = wn * wn_s - lam2 * _sumsq(wp)
     if len(counts) == 1:
         (c,), (reach,), (cc,) = centres, reaches, cc
         cp = wp @ c[:-1]
@@ -244,7 +246,7 @@ def _ray_spans(params: ConeParams, centres, omega: np.ndarray, reaches, counts):
         c, reach, cc = c[:-2], c[-2], c[-1]
         cp = np.concatenate(
             [wp[e - k:e] @ x[:-1] for e, k, x in zip(accumulate(counts), counts, centres)])
-    b = c[-1] * wn - lam2 * cp
+    b = c[-1] * wn_s - lam2 * cp
     disc = b * b - a * cc
     real = disc >= 0.0
     q = -(b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
@@ -427,10 +429,11 @@ def _slice_rules(params: ConeParams, geoms, spec: QuadratureSpec, nodes):
 
 def _battery_pass(params: ConeParams, fields, spec: QuadratureSpec, reduce=None) -> list:
     """``reduce(block, samples)`` (by default :func:`energies_and_traces`) of
-    each block of ``fields``, a slice of them, and ``samples`` the
-    :func:`support_sample` of each of its fields; the lists it returns (one
-    entry per field) joined in field order.  The plan, the rules, the
-    evaluation and the reduce are those of the module's pipeline."""
+    each block of ``fields``, a slice of them, and ``samples`` the support
+    sample of each of its fields; the lists it returns (one entry per field)
+    joined in field order.  The plan, the rules, the evaluation and the
+    reduce are those of the module's pipeline.  A field's support sample is
+    (pts, weights, |x'|, grad f, f) at the nodes of its rule where f != 0."""
     reduce = reduce or (lambda block, samples: energies_and_traces(
         params, fields[block], samples, spec))
     nodes = [_rule_nodes(params, f.geometry, spec) for f in fields]
@@ -450,17 +453,6 @@ def _battery_pass(params: ConeParams, fields, spec: QuadratureSpec, reduce=None)
             start, total = stop, 0
         total += params.n * size
     return out
-
-
-def support_sample(params: ConeParams, f: TrialFunction, spec: QuadratureSpec):
-    """(pts, weights, radii, grad f, f) at the nodes of f's slice rule where
-    f != 0, in rule order, the points coordinate-major; radii are |x'|.  Sums
-    over them drop only exact zeros (see :class:`TrialFunction`); non-finite
-    values of f or grad f are rejected.  Its Dirichlet energy is exact when
-    the profile is the stated polynomial and a box's or off-axis ball's
-    region lies inside the slice.  A one-field :func:`_battery_pass` that
-    keeps its sample."""
-    return _battery_pass(params, [f], spec, lambda block, samples: samples)[0]
 
 
 def compensated_sum(values: np.ndarray) -> float:
@@ -634,14 +626,15 @@ def boundary_integral(params: ConeParams, f: TrialFunction,
 
 def energies_and_traces(params: ConeParams, fields, samples, spec: QuadratureSpec,
                         extra=()) -> list:
-    """(E, T) of each of ``fields`` from its :func:`support_sample` in
-    ``samples``: its Dirichlet energy and :func:`boundary_integral` (None
-    where that diverges), each with the bits of its own :func:`compensated_sum`.
-    One :func:`compensated_sums` reduces every field's energy terms, the
-    segments of ``extra`` (one per field, whose sum follows (E, T) in the
-    field's tuple) and, at n >= 3 where its :func:`trace_span` is not empty
-    (else T = 0.0), its weighted -2 f (d_n f) / |x'|.  At n = 2, T is
-    :func:`_plane_traces`' without a cutoff."""
+    """(E, T) of each of ``fields`` from its support sample in ``samples``
+    (:func:`_battery_pass`): its Dirichlet energy and :func:`boundary_integral`
+    (None where that diverges), each with the bits of its own
+    :func:`compensated_sum`.  One :func:`compensated_sums` reduces every
+    field's energy terms, the segments of ``extra`` (one per field, whose
+    sum follows (E, T) in the field's tuple) and, at n >= 3 where its
+    :func:`trace_span` is not empty (else T = 0.0), its weighted
+    -2 f (d_n f) / |x'|.  At n = 2, T is :func:`_plane_traces`' without a
+    cutoff."""
     k = len(fields)
     terms = [w * _sumsq(g) for _, w, _, g, _ in samples] + list(extra)
     index = [] if params.n == 2 else [i for i, f in enumerate(fields)

@@ -25,7 +25,7 @@ from .domain import ConeParams, _sumsq
 from .errors import ConfigError
 from .quadrature import QuadratureSpec, _battery_pass, energies_and_traces
 from .trial import TrialFunction, make_boundary_bump
-from .variation import cutoff_ladder, dirichlet_energy
+from .variation import _closed_forms
 
 __all__ = [
     "ThresholdResult",
@@ -161,7 +161,8 @@ def instability_witness_n2(params: ConeParams, epsilons,
     field on a decreasing cutoff ladder.  Unstable verdict requires the
     values to decrease strictly and their slope against log(1/cutoff) to
     match -lam within 10%; a failed fit signals quadrature misconfiguration
-    and yields ``inconclusive``, as do lam = 0 and a zero vertex value.
+    and yields ``inconclusive``, as do lam = 0 and a zero vertex value.  The
+    values are the certificate that f's n = 2 variation report carries.
     """
     if params.n != 2:
         raise ValueError("the divergence witness applies to n = 2 only")
@@ -172,7 +173,7 @@ def instability_witness_n2(params: ConeParams, epsilons,
         why = "lam = 0: no trace term" if vertex else "vertex value is zero: trace integral finite"
         return StabilityVerdict(regime=INCONCLUSIVE,
                                 detail=f"{why}, divergence hypothesis not applicable")
-    ladder = cutoff_ladder(params, f, dirichlet_energy(params, f, spec), spec, epsilons)
+    ladder = _closed_forms(params, [f], _battery_pass(params, [f], spec), spec, epsilons)[0][-1]
     vals, slope = ladder.values, ladder.slope
     expected = -params.lam * vertex ** 2
     decreasing = bool(np.all(np.diff(vals) < 0.0))

@@ -18,14 +18,15 @@ one block planner, ``quadrature._battery_pass``.  Per block, one segmented
 reduction per chunk of one field's rows gives the areas at every distinct
 time of its two ladders (:func:`_battery_areas`), and one the energies with
 the traces; then one pass makes the quotients and, at n = 2, one the
-cutoff ladders of every divergent trace (:func:`_cutoff_ladders`); ``area``
-is the one-field, one-t case.
+cutoff ladders of every divergent trace (:func:`_cutoff_ladders`), as for
+the n = 2 witness; each report is built once.  ``area`` is the one-field,
+one-t pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +36,7 @@ from .domain import ConeParams, _dot, _sumsq
 from .errors import JacobianPositivityError, QuadratureError
 from .jacobian import _distortion_squared
 from .quadrature import (LiminfEstimate, QuadratureSpec, _battery_pass, _dyadic_ladder,
-                         _plane_traces, compensated_sums, energies_and_traces, liminf_quotients,
-                         support_sample)
+                         _plane_traces, compensated_sums, energies_and_traces, liminf_quotients)
 from .trial import TrialFunction
 
 __all__ = [
@@ -44,9 +44,7 @@ __all__ = [
     "LogDivergenceCertificate",
     "area",
     "dirichlet_energy",
-    "second_variation_closed_form",
     "variation_report",
-    "cutoff_ladder",
 ]
 
 DEFAULT_LEVELS = 8
@@ -69,15 +67,15 @@ class LogDivergenceCertificate:
 class VariationReport:
     """Finite-difference and closed-form variation data for one field."""
 
-    first_variation: LiminfEstimate | None
-    second_variation_fd: LiminfEstimate | None
+    first_variation: LiminfEstimate
+    second_variation_fd: LiminfEstimate
     closed_form: float
     dirichlet_term: float
     boundary_term: float
     discrepancy: float
-    reference_area: float = float("nan")
-    label: str = ""
-    divergence: LogDivergenceCertificate | None = None
+    reference_area: float
+    label: str
+    divergence: LogDivergenceCertificate | None
 
     @property
     def divergent(self) -> bool:
@@ -99,7 +97,8 @@ def area(params: ConeParams, f: TrialFunction, t: float, spec: QuadratureSpec) -
     Raises if the squared distortion factor loses positivity at any node
     (the deformation left the small-|t| regime) or the area is not finite.
     """
-    return _battery_areas(params, [support_sample(params, f, spec)], [[t]])[0][0]
+    return _battery_pass(params, [f], spec,
+                         lambda block, samples: _battery_areas(params, samples, [[t]]))[0][0]
 
 
 def _battery_areas(params: ConeParams, samples, times) -> list:
@@ -152,20 +151,12 @@ def dirichlet_energy(params: ConeParams, f: TrialFunction, spec: QuadratureSpec)
     return _battery_pass(params, [f], spec)[0][0]
 
 
-def cutoff_ladder(params: ConeParams, f: TrialFunction, energy: float,
-                  spec: QuadratureSpec, epsilons=DEFAULT_CUTOFFS) -> LogDivergenceCertificate:
-    """Values (1/2) energy - (1/2) lam * trace integral cut off at each radius
-    in ``epsilons`` (checked as the input ``epsilons``, largest first), with
-    their least-squares line against log(1/cutoff); ``energy`` is f's energy.
-    n = 2 only; the one-field case of :func:`_cutoff_ladders`."""
-    return _cutoff_ladders(params, [f], [energy], spec, epsilons)[0]
-
-
 def _cutoff_ladders(params: ConeParams, fields, energies, spec: QuadratureSpec,
                     epsilons) -> list:
-    """The :func:`cutoff_ladder` of each of ``fields``, its energy in
-    ``energies``: every cut trace of every field from one
-    :func:`_plane_traces` pass, then one least-squares fit per field."""
+    """Per field, its energy in ``energies``: the values (1/2) energy - (1/2)
+    lam * trace integral cut off at each radius in ``epsilons`` (checked,
+    largest first) and their least-squares line against log(1/cutoff); n = 2
+    only.  Every cut trace of every field from one :func:`_plane_traces` pass."""
     if params.n != 2:
         raise ValueError(f"the cutoff ladder applies to n = 2 only, got n = {params.n}")
     eps = check("epsilons", epsilons)
@@ -181,37 +172,25 @@ def _cutoff_ladders(params: ConeParams, fields, energies, spec: QuadratureSpec,
     return out
 
 
-def second_variation_closed_form(params: ConeParams, f: TrialFunction,
-                                 spec: QuadratureSpec) -> VariationReport:
-    """Closed-form second-variation fields only, E and T from one support
-    sample (:func:`~conestab.quadrature._battery_pass`)."""
-    return _closed_forms(params, [f], _battery_pass(params, [f], spec), spec, DEFAULT_CUTOFFS)[0]
-
-
 def _closed_forms(params: ConeParams, fields, sums, spec, epsilons) -> list:
-    """:func:`second_variation_closed_form` of each of ``fields`` from its
-    Dirichlet energy and trace integral in ``sums``, the trace None where it
-    diverges; at lam > 0 the divergent ones are certified together on the
-    cutoffs ``epsilons`` (:func:`_cutoff_ladders`)."""
+    """(closed_form, dirichlet_term, boundary_term, certificate) of the second
+    variation of each of ``fields`` from its Dirichlet energy and trace
+    integral in ``sums``, the trace None where it diverges; at lam > 0 the
+    divergent ones are certified together on the cutoffs ``epsilons``
+    (:func:`_cutoff_ladders`), the others have no certificate (None)."""
     lam = params.lam
     divergent = [i for i, (_, trace) in enumerate(sums) if trace is None and lam != 0.0]
     certs = dict(zip(divergent, _cutoff_ladders(
         params, [fields[i] for i in divergent], [sums[i][0] for i in divergent], spec,
         epsilons))) if divergent else {}
-    reports = []
-    for i, (f, (diri, trace)) in enumerate(zip(fields, sums)):
+    out = []
+    for i, (diri, trace) in enumerate(sums):
         cert = certs.get(i)
-        if trace is not None:
-            boundary_term = -0.5 * lam * trace
-        elif cert is None:
-            boundary_term = -0.0  # -0.5 * lam * T at lam = 0, as at every n >= 3
-        else:
-            boundary_term = float("-inf")  # divergent, the fitted log slope as evidence
-        reports.append(VariationReport(
-            first_variation=None, second_variation_fd=None, closed_form=0.5 * diri + boundary_term,
-            dirichlet_term=0.5 * diri, boundary_term=boundary_term, label=f.label,
-            divergence=cert, discrepancy=float("nan") if cert is None else float("inf")))
-    return reports
+        # divergent: -inf, the fitted log slope its evidence, or -0.0 (-0.5 * lam * T) at lam = 0
+        boundary = (-0.5 * lam * trace if trace is not None
+                    else -0.0 if cert is None else -math.inf)
+        out.append((0.5 * diri + boundary, 0.5 * diri, boundary, cert))
+    return out
 
 
 def default_t0(f: TrialFunction) -> float:
@@ -267,12 +246,11 @@ def _variation_reports(params: ConeParams, fields, t0, levels: int, spec,
         [ladder for pair in pairs for ladder in pair], [a[0.0] for a in areas for _ in (0, 1)],
         [values for a, (steps, squares) in zip(areas, pairs)
          for values in ([a[t] for t in steps], [a[math.sqrt(s)] for s in squares])])
-    reports = []
-    for closed, a, first, second in zip(
-            _closed_forms(params, fields, [sums for _, sums in passes], spec, epsilons), areas,
-            estimates[::2], estimates[1::2]):
-        discrepancy = (abs(second.extrapolated - closed.closed_form)
-                       if closed.divergence is None else closed.discrepancy)
-        reports.append(replace(closed, first_variation=first, second_variation_fd=second,
-                               discrepancy=discrepancy, reference_area=a[0.0]))
-    return reports
+    return [VariationReport(
+        first_variation=first, second_variation_fd=second, closed_form=closed,
+        dirichlet_term=dirichlet, boundary_term=boundary,
+        discrepancy=math.inf if cert is not None else abs(second.extrapolated - closed),
+        reference_area=a[0.0], label=f.label, divergence=cert)
+        for f, a, first, second, (closed, dirichlet, boundary, cert) in zip(
+            fields, areas, estimates[::2], estimates[1::2],
+            _closed_forms(params, fields, [sums for _, sums in passes], spec, epsilons))]

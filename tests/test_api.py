@@ -28,7 +28,7 @@ PUBLIC_API = [
     "jacobian_gram_oracle", "kato_constant", "lambda_star", "liminf_quotient",
     "make_boundary_bump", "make_radial_bump", "make_shifted_bump", "make_tensor_bump",
     "omega_profile", "quadrature", "remainder", "remainder_uniform_bound", "scaled",
-    "second_variation_closed_form", "shear_transform_check", "stability",
+    "shear_transform_check", "stability",
     "stability_sweep", "standard_battery", "trial", "variation", "variation_report",
     "wedge_expansion",
 ]
@@ -41,10 +41,10 @@ MODULE_API = {
                  "remainder_uniform_bound", "wedge_expansion"],
     "quadrature": ["LiminfEstimate", "QuadratureSpec", "boundary_integral",
                    "compensated_sum", "gauss_legendre", "integrate_sigma",
-                   "liminf_quotient", "sigma_grid", "sphere_grid", "support_sample",
-                   "trace_grid", "trace_span"],
-    "variation": ["LogDivergenceCertificate", "VariationReport", "area", "cutoff_ladder",
-                  "dirichlet_energy", "second_variation_closed_form", "variation_report"],
+                   "liminf_quotient", "sigma_grid", "sphere_grid", "trace_grid",
+                   "trace_span"],
+    "variation": ["LogDivergenceCertificate", "VariationReport", "area", "dirichlet_energy",
+                  "variation_report"],
     "verify": ["SuiteResult", "foliation_suite", "jacobian_suite", "kato_suite",
                "remainder_suite"],
 }
@@ -116,20 +116,19 @@ def test_benchmark_entry_points_keep_their_signatures():
 
 def test_estimator_and_sample_keep_their_signatures():
     """liminf_quotient takes a ladder and its values as arrays, not a
-    callable, and support_sample is a plain function without a cache: a
-    caller builds a field's sample once and passes it on."""
-    from conestab.quadrature import liminf_quotient, support_sample
+    callable."""
+    from conestab.quadrature import liminf_quotient
     assert list(inspect.signature(liminf_quotient).parameters) == ["parameters", "f0", "values"]
-    assert list(inspect.signature(support_sample).parameters) == ["params", "f", "spec"]
-    assert inspect.isfunction(support_sample) and not hasattr(support_sample, "cache_info")
 
 
 def test_one_block_planner_samples_every_battery():
     """Scanning the package's source: _rule_nodes and _slice_rules, which
     count and build a field's rule, are called only by the battery pass,
     which plans every battery's blocks and evaluates every field on its
-    rule; no second planner or sampler (_blocks, support_samples) and no
-    second reduction of |grad f|^2 (_energy_terms) is defined."""
+    rule; no second planner or sampler (_blocks, support_samples,
+    support_sample), no second reduction of |grad f|^2 (_energy_terms) and
+    no one-field closed form or cutoff ladder beside the reports'
+    (second_variation_closed_form, cutoff_ladder) is defined."""
     callers, defined = {"_rule_nodes": set(), "_slice_rules": set()}, set()
     for path in Path(conestab.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -142,7 +141,8 @@ def test_one_block_planner_samples_every_battery():
                         callers[name].add(node.name)
     assert callers == {"_rule_nodes": {"_battery_pass"}, "_slice_rules": {"_battery_pass"}}
     assert "_battery_pass" in defined
-    assert not defined & {"_blocks", "support_samples", "_energy_terms"}
+    assert not defined & {"_blocks", "support_samples", "support_sample", "_energy_terms",
+                          "second_variation_closed_form", "cutoff_ladder"}
 
 
 def test_input_table_has_a_row_for_each_key_the_program_reads():

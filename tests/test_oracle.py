@@ -11,10 +11,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import oracle
+from conftest import battery_samples, oracle
 
 from conestab.domain import ConeParams
-from conestab.quadrature import QuadratureSpec, boundary_integral, support_sample
+from conestab.quadrature import QuadratureSpec, boundary_integral
 from conestab.trial import (Geometry, TrialFunction, battery_descriptors, build_trial,
                             make_boundary_bump, make_radial_bump, make_tensor_bump, scaled)
 from conestab.variation import area, dirichlet_energy
@@ -60,8 +60,8 @@ def test_scaled_field_energy_on_the_same_nodes():
         for desc in battery_descriptors(20):
             f = build_trial(desc, n)
             g = scaled(f, -1.7)
-            assert np.array_equal(support_sample(params, f, KATO_SPECS[n])[0],
-                                  support_sample(params, g, KATO_SPECS[n])[0]), desc["id"]
+            assert np.array_equal(battery_samples(params, [f], KATO_SPECS[n])[0][0],
+                                  battery_samples(params, [g], KATO_SPECS[n])[0][0]), desc["id"]
             for quantity in (dirichlet_energy, boundary_integral):
                 assert quantity(params, g, KATO_SPECS[n]) == pytest.approx(
                     1.7 ** 2 * quantity(params, f, KATO_SPECS[n]), rel=1e-14), desc["id"]
@@ -75,7 +75,7 @@ def test_axis_centred_node_count_does_not_grow_with_n():
     for desc in battery_descriptors(18):
         if desc["kind"] == "tensor_bump":
             continue
-        counts = {support_sample(ConeParams(n, 0.3), build_trial(desc, n), spec)[1].size
+        counts = {battery_samples(ConeParams(n, 0.3), [build_trial(desc, n)], spec)[0][1].size
                   for n in range(3, 9)}
         assert len(counts) == 1, (desc["id"], counts)
 
@@ -139,5 +139,5 @@ def test_doubling_the_spec_refines_every_rule():
         fields.append(TrialFunction(vertex.evaluator, vertex.gradient, 1.0 / 0.6,
                                     Geometry("ball", (0.0,) * n, 0.6), label="hand-built"))
         for f in fields:
-            assert (support_sample(params, f, doubled)[1].size
-                    > support_sample(params, f, spec)[1].size), (n, f.label)
+            assert (battery_samples(params, [f], doubled)[0][1].size
+                    > battery_samples(params, [f], spec)[0][1].size), (n, f.label)

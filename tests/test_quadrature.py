@@ -17,7 +17,7 @@ from conestab.quadrature import (LiminfEstimate, QuadratureSpec, _dyadic_ladder,
                                  _plane_traces, boundary_integral, compensated_sum,
                                  compensated_sums, energies_and_traces, gauss_legendre,
                                  integrate_sigma, liminf_quotient, liminf_quotients,
-                                 sigma_grid, sphere_grid, support_sample)
+                                 sigma_grid, sphere_grid)
 from conestab.stability import lambda_star, shear_transform_check, stability_sweep
 from conestab.trial import (Geometry, TrialFunction, battery_descriptors, build_trial,
                             make_boundary_bump, make_radial_bump, make_tensor_bump, scaled,
@@ -144,13 +144,13 @@ def test_emitted_nodes_are_smooth_points_of_the_battery():
                     (4, QuadratureSpec(32, 8, 32, 3.1))):
         for lam in (0.0, 0.3, 1.1):
             for f in standard_battery(n):
-                pts = support_sample(ConeParams(n, lam), f, spec)[0]
+                pts = battery_samples(ConeParams(n, lam), [f], spec)[0][0]
                 assert pts.shape[0] > 0 and is_smooth_point(f, pts), (n, lam, f.label)
 
 
 def whole_rule_sample(params, f, spec):
     """The support sample found by evaluating f on every node of its rule:
-    the reference for :func:`support_sample`."""
+    the reference for the samples of a battery pass."""
     pts, weights = slice_rule(params, f.geometry, spec)
     fv = f.evaluator(pts)
     mask = fv != 0.0
@@ -159,7 +159,7 @@ def whole_rule_sample(params, f, spec):
 
 
 def assert_same_sample(params, f, spec):
-    got = support_sample(params, f, spec)
+    got = battery_samples(params, [f], spec)[0]
     want = whole_rule_sample(params, f, spec)
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -202,7 +202,7 @@ def test_support_sample_when_the_box_leaves_the_grid():
     clipped = QuadratureSpec(24, 8, 24, 1.0)
     for f in standard_battery(3) + [plateau_field(3)]:
         got = assert_same_sample(params, f, clipped)
-        for a, b in zip(got, support_sample(params, f, SAMPLE_SPECS[3])):
+        for a, b in zip(got, battery_samples(params, [f], SAMPLE_SPECS[3])[0]):
             assert np.array_equal(a, b), f.label
     below = make_radial_bump([0.0, 0.0, -1.0], 0.5, 3)
     beside = make_radial_bump([2.0, 0.0, 0.1], 0.3, 3)
@@ -318,6 +318,43 @@ def test_ray_spans_match_their_reference(rng):
             assert a.tobytes() == b.tobytes(), (n, lam, c)
 
 
+def test_ray_spans_keep_their_bits_up_to_the_lambda_cap(rng):
+    """From lam = 1 to lam = 1e100, with centres near the slice (|c'| about
+    |c_n| / lam, so the reference's b*b and a*cc stay finite) and rays along
+    the cone among the rays, the spans equal the reference's bit for bit.
+    At lam = 1.3e154, just under the cap, where the reference's b*b
+    overflows for a centre at |c'| about 1, every span is finite and lies in
+    [0, reach], with no overflow."""
+    def draw(n, lam, spread):
+        c = rng.normal(size=n) * rng.choice([0.5, 2.0])
+        c[:-1] *= spread
+        if rng.random() < 0.3:
+            c[:-1] = 0.0
+        omega = rng.normal(size=(int(rng.integers(1, 40)), n))
+        omega[::3, :-1] = np.eye(1, n - 1)
+        omega[::3, -1] = lam
+        return c, omega / np.linalg.norm(omega, axis=1)[:, None], float(rng.uniform(0.1, 4.0))
+
+    nonempty = 0
+    for _ in range(300):
+        n, lam = int(rng.integers(2, 7)), float(10.0 ** rng.uniform(0.0, 100.0))
+        c, omega, reach = draw(n, lam, 1.0 / lam)
+        params = ConeParams(n, lam)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = quadrature._ray_spans(params, c[None], omega, [reach], [len(omega)])
+        for a, b in zip(got, ray_spans_reference(params, c, omega, reach)):
+            assert a.tobytes() == b.tobytes(), (n, lam, c)
+        nonempty += int(np.count_nonzero(got[1] > got[0]))
+    assert nonempty > 300
+    for _ in range(50):
+        n, lam = int(rng.integers(2, 7)), 1.3e154
+        c, omega, reach = draw(n, lam, 1.0)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            lo, hi = quadrature._ray_spans(ConeParams(n, lam), c[None], omega, [reach],
+                                           [len(omega)])
+        assert np.all(0.0 <= lo) and np.all(lo <= hi) and np.all(hi <= reach), (n, c)
+
+
 def test_stacked_ray_spans_equal_one_call_per_run(rng):
     """Runs of rays from several centres, each with its own reach, give in
     one call the spans each run gives alone, bit for bit: centres on the
@@ -398,12 +435,12 @@ def test_box_rule_matches_its_reference():
 
 
 def assert_same_samples(params, fields, spec):
-    """The samples of one battery pass equal one support_sample call per
-    field, array for array, bit for bit."""
+    """The samples of one battery pass equal those of one one-field pass
+    per field, array for array, bit for bit."""
     together = battery_samples(params, fields, spec)
     assert len(together) == len(fields)
     for f, got in zip(fields, together):
-        for a, b in zip(got, support_sample(params, f, spec)):
+        for a, b in zip(got, battery_samples(params, [f], spec)[0]):
             assert a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
                 np.ascontiguousarray(b).tobytes(), (params, spec, f.label)
 
@@ -466,7 +503,7 @@ def test_support_sample_evaluates_few_nodes_outside_the_support():
         evaluated = support = 0
         for f in standard_battery(5):
             counts = {"evaluator": 0, "gradient": 0}
-            nodes = support_sample(params, counting(f, counts), spec)[1].size
+            nodes = battery_samples(params, [counting(f, counts)], spec)[0][1].size
             assert counts["gradient"] == nodes
             assert counts["evaluator"] <= 2.5 * nodes, (lam, f.label)
             evaluated += counts["evaluator"]
@@ -874,8 +911,8 @@ def test_battery_traces_equal_one_call_per_field(n):
 def test_battery_passes_sample_once_and_build_no_trace_grid(n, monkeypatch):
     """At n >= 3 T comes from the support sample that gives E: with the
     trace grid refused, stability_sweep, the shear checks, the variation
-    reports and second_variation_closed_form each build their rules in one
-    _slice_rules call, at 2 lam*, where boxes meet the cone."""
+    reports, and variation_report and area on one field each build their
+    rules in one _slice_rules call, at 2 lam*, where boxes meet the cone."""
     def refuse(*args, **kwargs):
         raise AssertionError("a trace grid was built")
 
@@ -894,9 +931,10 @@ def test_battery_passes_sample_once_and_build_no_trace_grid(n, monkeypatch):
               lambda: [trace for _, _, trace in stability._shear_checks(params, battery, spec)],
               lambda: [r.boundary_term for r in variation._variation_reports(
                   params, battery, None, 3, spec)],
-              lambda: [variation.second_variation_closed_form(params, battery[0], spec)
-                       .boundary_term])
-    for run, size in zip(passes, (len(battery),) * 3 + (1,)):
+              lambda: [variation.variation_report(params, battery[0], None, 3, spec)
+                       .boundary_term],
+              lambda: [variation.area(params, battery[0], 0.0, spec)])
+    for run, size in zip(passes, (len(battery),) * 3 + (1, 1)):
         calls.clear()
         assert any(value != 0.0 for value in run())
         assert calls == [size]
@@ -942,9 +980,9 @@ def test_battery_passes_in_blocks_equal_one_block_and_one_field(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_each_pass_counts_each_rule_once(n, monkeypatch):
-    """stability_sweep, the shear checks, the variation reports and
-    second_variation_closed_form count each field's rule exactly once
-    (_rule_nodes), in field order, at 2 lam* on the 20-member battery, in
+    """stability_sweep, the shear checks, the variation reports, and
+    variation_report and area on one field count each field's rule exactly
+    once (_rule_nodes), in field order, at 2 lam* on the 20-member battery, in
     one block and under budgets that split it: the pass hands each block
     the counts it made, and the block builds its rules from them."""
     params, spec = ConeParams(n, 2.0 * lambda_star(n).lambda_star), KATO_SPECS[n]
@@ -960,8 +998,9 @@ def test_each_pass_counts_each_rule_once(n, monkeypatch):
     passes = ((lambda: stability_sweep(params, battery, spec), battery),
               (lambda: stability._shear_checks(params, battery, spec), battery),
               (lambda: variation._variation_reports(params, battery, None, 3, spec), battery),
-              (lambda: variation.second_variation_closed_form(params, battery[0], spec),
-               battery[:1]))
+              (lambda: variation.variation_report(params, battery[0], None, 3, spec),
+               battery[:1]),
+              (lambda: variation.area(params, battery[0], 0.0, spec), battery[:1]))
     for budget in (quadrature._BLOCK_ELEMENTS, 1, max(sizes) // 2, sum(sizes) // 4):
         monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", budget)
         for run, fields in passes:

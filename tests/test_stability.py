@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import oracle
+from conftest import battery_samples, oracle
 
 from conestab.domain import ConeParams
-from conestab.quadrature import QuadratureSpec, boundary_integral, support_sample
+from conestab.quadrature import QuadratureSpec, boundary_integral
 from conestab.stability import (INCONCLUSIVE, PROVEN_STABLE, UNSTABLE, _shear_checks,
                                 instability_witness_n2, kato_constant, lambda_star,
                                 shear_transform_check, stability_sweep)
@@ -172,7 +172,7 @@ def test_shear_check_energy_matches_closed_form():
                 want = _energy_g_reference(desc, n, lam)
                 if want is None:
                     assert desc["kind"] == "tensor_bump" and lam > 0.0, desc["id"]
-                    pts, weights, _, gv, _ = support_sample(params, f, spec)
+                    pts, weights, _, gv, _ = battery_samples(params, [f], spec)[0]
                     xp = pts[:, :-1]
                     grad = gv[:, :-1] + lam * gv[:, -1:] * xp / np.linalg.norm(
                         xp, axis=-1, keepdims=True)

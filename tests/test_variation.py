@@ -19,14 +19,14 @@ from conestab.domain import ConeParams
 from conestab.errors import JacobianPositivityError, QuadratureError
 from conestab.flow import flow_coefficients_batch
 from conestab.jacobian import jacobian_closed_form
-from conestab.quadrature import (QuadratureSpec, _dyadic_ladder, boundary_integral,
-                                 compensated_sum, support_sample)
-from conestab.stability import lambda_star, shear_transform_check
+from conestab.quadrature import (QuadratureSpec, _battery_pass, _dyadic_ladder,
+                                 boundary_integral, compensated_sum)
+from conestab.stability import instability_witness_n2, lambda_star, shear_transform_check
 from conestab.trial import (battery_descriptors, build_trial, make_boundary_bump,
                             make_radial_bump, make_shifted_bump, scaled, standard_battery)
-from conestab.variation import (DEFAULT_LEVELS, _battery_areas, _variation_reports,
-                                area, default_t0,
-                                dirichlet_energy, second_variation_closed_form,
+from conestab.variation import (DEFAULT_CUTOFFS, DEFAULT_LEVELS, VariationReport,
+                                _battery_areas, _closed_forms, _cutoff_ladders,
+                                _variation_reports, area, default_t0, dirichlet_energy,
                                 variation_report)
 
 SPEC3 = QuadratureSpec(48, 16, 48, 3.0)
@@ -79,9 +79,9 @@ def test_closed_form_scaling_covariance():
     """Both closed-form terms are quadratic in the field."""
     params = ConeParams(3, 0.3)
     f = make_boundary_bump(1.0, 3)
-    base = second_variation_closed_form(params, f, SPEC3)
+    base = variation_report(params, f, spec=SPEC3)
     for c in (2.0, 10.0):
-        rep = second_variation_closed_form(params, scaled(f, c), SPEC3)
+        rep = variation_report(params, scaled(f, c), spec=SPEC3)
         assert rep.closed_form == pytest.approx(c * c * base.closed_form, rel=1e-12)
         assert rep.dirichlet_term == pytest.approx(c * c * base.dirichlet_term, rel=1e-12)
         assert rep.boundary_term == pytest.approx(c * c * base.boundary_term, rel=1e-12)
@@ -92,10 +92,10 @@ def test_translation_detaches_boundary_term():
     half the Dirichlet energy."""
     params = ConeParams(3, 0.3)
     touching = make_radial_bump([0.0, 0.0, 0.9], 0.9, 3)
-    rep_touch = second_variation_closed_form(params, touching, SPEC3)
+    rep_touch = variation_report(params, touching, spec=SPEC3)
     assert rep_touch.boundary_term < 0.0
     deep = make_shifted_bump([0.0, 0.0, 0.9], 0.9, 3, shift=1.5)
-    rep_deep = second_variation_closed_form(params, deep, QuadratureSpec(192, 12, 192, 3.5))
+    rep_deep = variation_report(params, deep, spec=QuadratureSpec(192, 12, 192, 3.5))
     assert rep_deep.boundary_term == 0.0
     assert rep_deep.closed_form == rep_deep.dirichlet_term
     # fully interior hat bump: energy is vol(B_rho)/rho^2, half of it here
@@ -124,7 +124,7 @@ def test_divergent_verdict_two_dims():
     params = ConeParams(2, 0.8)
     f = make_boundary_bump(1.0, 2)
     spec = QuadratureSpec(96, 2, 96, 2.0)
-    rep = second_variation_closed_form(params, f, spec)
+    rep = variation_report(params, f, spec=spec)
     assert rep.divergent
     assert rep.closed_form == float("-inf")
     assert rep.boundary_term == float("-inf")
@@ -144,14 +144,15 @@ def test_cutoff_ladder_applies_to_two_dims_only():
     params, spec = ConeParams(3, 1.0), QuadratureSpec(32, 8, 32, 3.0)
     for f in (make_boundary_bump(1.0, 3), make_radial_bump([0.0, 0.0, 2.0], 0.8, 3)):
         with pytest.raises(ValueError, match="the cutoff ladder applies to n = 2 only, got n = 3"):
-            conestab.variation.cutoff_ladder(params, f, 1.0, spec)
+            _cutoff_ladders(params, [f], [1.0], spec, DEFAULT_CUTOFFS)
 
 
 def test_two_dims_certificates_come_from_one_trace_pass(monkeypatch, capsys):
     """`variation --n 2 --lambda 1 --levels 4` on the 8-member default
     battery makes two _plane_traces calls: the battery's uncut traces, then
     every cut trace of its six vertex fields at the five default cutoffs.
-    Each certificate equals cutoff_ladder on its field alone, bit for bit."""
+    Each certificate equals the one of its field's closed form alone, and
+    its values the margins of witness-n2 on that field, bit for bit."""
     calls = []
     real = conestab.quadrature._plane_traces
 
@@ -169,9 +170,11 @@ def test_two_dims_certificates_come_from_one_trace_pass(monkeypatch, capsys):
         if f.value_at_vertex == 0.0:
             assert report["divergence"] is None, f.label
             continue
-        cert = conestab.variation.cutoff_ladder(params, f, dirichlet_energy(params, f, spec),
-                                                spec)
+        *_, cert = _closed_forms(params, [f], _battery_pass(params, [f], spec), spec,
+                                 DEFAULT_CUTOFFS)[0]
         assert report["divergence"] == _jsonable(dataclasses.asdict(cert)), f.label
+        witness = instability_witness_n2(params, DEFAULT_CUTOFFS, spec=spec, f=f)
+        assert report["divergence"]["values"] == _jsonable(witness.margins), f.label
 
 
 def test_two_dims_flat_reference_has_no_divergence():
@@ -179,21 +182,28 @@ def test_two_dims_flat_reference_has_no_divergence():
     closed form is the Dirichlet term, as at every n >= 3."""
     f = make_boundary_bump(1.0, 2)
     spec = QuadratureSpec(96, 2, 96, 2.0)
-    rep = second_variation_closed_form(ConeParams(2, 0.0), f, spec)
+    rep = variation_report(ConeParams(2, 0.0), f, spec=spec)
     assert not rep.divergent and rep.divergence is None
     assert math.copysign(1.0, rep.boundary_term) == -1.0 and rep.boundary_term == 0.0
     assert rep.closed_form == rep.dirichlet_term
-    flat = second_variation_closed_form(ConeParams(3, 0.0), make_boundary_bump(1.0, 3),
-                                        QuadratureSpec(32, 8, 32, 2.0))
+    flat = variation_report(ConeParams(3, 0.0), make_boundary_bump(1.0, 3),
+                            spec=QuadratureSpec(32, 8, 32, 2.0))
     assert math.copysign(1.0, flat.boundary_term) == -1.0 and flat.boundary_term == 0.0
 
 
 def test_two_dim_zero_vertex_value_is_finite():
     params = ConeParams(2, 0.8)
     f = make_radial_bump([0.0, 1.5], 0.8, 2)  # f(0) = 0
-    rep = second_variation_closed_form(params, f, QuadratureSpec(96, 2, 96, 3.0))
+    rep = variation_report(params, f, spec=QuadratureSpec(96, 2, 96, 3.0))
     assert not rep.divergent
     assert math.isfinite(rep.closed_form)
+
+
+def test_every_report_field_is_required():
+    """A VariationReport is built once, from its closed form and its ladders:
+    no field has a placeholder default to be replaced later."""
+    assert all(f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+               for f in dataclasses.fields(VariationReport))
 
 
 def test_report_serializes_expected_fields():
@@ -269,7 +279,7 @@ def _reference_area(params, f, t, spec, sample=None):
     """The deformed area through the flow coefficients and the closed-form
     distortion factor, with f evaluated afresh at the nodes of its support
     sample (built here unless ``sample`` is given)."""
-    pts, weights = (sample or support_sample(params, f, spec))[:2]
+    pts, weights = (sample or battery_samples(params, [f], spec)[0])[:2]
     j2 = jacobian_closed_form(flow_coefficients_batch(params, f, pts, t))
     return compensated_sum(weights * np.sqrt(j2))
 
@@ -299,7 +309,7 @@ def test_area_matches_flow_coefficient_reference_in_low_and_high_dimension(n, sp
     for lam in lams:
         params = ConeParams(n, lam)
         for f in standard_battery(n):
-            sample, times = support_sample(params, f, spec), _ladder_times(f)
+            sample, times = battery_samples(params, [f], spec)[0], _ladder_times(f)
             for t, got in zip(times, _battery_areas(params, [sample], [times])[0]):
                 assert got == _reference_area(params, f, t, spec, sample), (lam, f.label, t)
             assert area(params, f, times[1], spec) == _reference_area(params, f, times[1], spec), \
@@ -371,7 +381,7 @@ def test_shear_check_evaluates_the_gradient_once():
 
 def _rows_per_block(monkeypatch, params, f, spec, rows):
     """Make _battery_areas evaluate ``rows`` times per block for this field."""
-    nodes = support_sample(params, f, spec)[1].size
+    nodes = battery_samples(params, [f], spec)[0][1].size
     monkeypatch.setattr(conestab.quadrature, "_BLOCK_ELEMENTS", rows * nodes)
 
 
@@ -388,7 +398,7 @@ def test_ladders_split_across_blocks_match_per_t_area(n, spec, monkeypatch):
         direct = [area(params, f, t, spec) for t in times]
         for rows in (1, 5):
             _rows_per_block(monkeypatch, params, f, spec, rows)
-            sample = support_sample(params, f, spec)
+            sample = battery_samples(params, [f], spec)[0]
             assert _battery_areas(params, [sample], [times])[0] == direct, f.label
             rep = variation_report(params, f, spec=spec)
             for est, at in ((rep.first_variation, lambda t: t),
@@ -555,7 +565,7 @@ def test_a_battery_report_makes_a_fixed_number_of_reductions(size, monkeypatch):
     per-field loop coming back."""
     params = ConeParams(3, 0.2)
     fields = standard_battery(3, size)
-    nodes = [support_sample(params, f, SPEC3)[1].size for f in fields]
+    nodes = [battery_samples(params, [f], SPEC3)[0][1].size for f in fields]
     rows = [len(_report_times(default_t0(f), 5)) for f in fields]
     calls, blocks = [], []
     for module in (conestab.variation, conestab.quadrature):
